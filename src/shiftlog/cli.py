@@ -27,7 +27,7 @@ from .campaigns import DEFAULT_DIMS, DEFAULT_TOLERANCES, SUITES, run_suites
 from .errors import BudgetExceededError, ConfigError
 from .linalg import matrix_from_json, norm_1
 from .report import VerificationReport, all_passed, render_csv, render_json, summary_lines
-from .unbounded import DiscretizedFamily, refinement_sweep
+from .unbounded import DEFAULT_SWEEP_BUDGET, DiscretizedFamily, refinement_sweep
 
 
 @dataclass
@@ -81,8 +81,10 @@ def load_config(path: str | None) -> CampaignConfig:
     if "sweep_dims" in raw:
         dims = raw["sweep_dims"]
         if (not isinstance(dims, list) or not dims
-                or any(not isinstance(n, int) or n < 4 or n > 256 for n in dims)):
-            raise _fail("sweep_dims", "must be a list of integers in 4..256")
+                or any(not isinstance(n, int) or n < 4 or n > 256 for n in dims)
+                or any(a >= b for a, b in zip(dims, dims[1:]))):
+            raise _fail("sweep_dims",
+                        "must be a strictly increasing list of integers in 4..256")
         cfg.sweep_dims = tuple(dims)
     if "tolerances" in raw:
         tols = raw["tolerances"]
@@ -165,10 +167,18 @@ def cmd_vn_demo(args) -> int:
         raise ConfigError("trace(rho0) must equal 1 within 1e-9")
     hbar = float(raw.get("hbar", 1.0))
     grid_spec = raw.get("grid", {"start": 0.05, "stop": 1.0, "points": 20})
-    tgrid = np.linspace(float(grid_spec["start"]), float(grid_spec["stop"]),
-                        int(grid_spec["points"]))
-    vn_cfg = VonNeumannConfig(hbar=hbar)
-    demo = von_neumann_rhs(rho0, h_op, vn_cfg, tgrid)
+    try:
+        start, stop = float(grid_spec["start"]), float(grid_spec["stop"])
+        points = int(grid_spec["points"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"grid needs numeric 'start', 'stop' and 'points': {exc}") from exc
+    if points < 1:
+        raise ConfigError(f"grid.points must be at least 1, got {points}")
+    try:
+        demo = von_neumann_rhs(rho0, h_op, VonNeumannConfig(hbar=hbar),
+                               np.linspace(start, stop, points))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     tol = float(raw.get("tolerance", 1e-5))
     reports = [
@@ -217,7 +227,7 @@ def cmd_sweep(args) -> int:
         )
         report = refinement_sweep(family, float(raw.get("t", 0.1)),
                                   float(raw.get("s", 0.0)),
-                                  budget=float(raw.get("budget", 5e9)))
+                                  budget=float(raw.get("budget", DEFAULT_SWEEP_BUDGET)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     csv_path = raw.get("output", {}).get("path", "sweep.csv") if isinstance(

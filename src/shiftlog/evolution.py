@@ -157,7 +157,10 @@ def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
 
     ``rk4`` takes classical fourth-order steps on the matrix ODE (global
     error O(h^4) for smooth A); ``magnus2`` applies expm(h A(midpoint)) per
-    step (O(h^2) generally, exact for constant A up to expm accuracy).
+    step (O(h^2) generally, exact for constant A up to expm accuracy).  When
+    consecutive midpoint samples h A(midpoint) are bitwise identical, as for
+    a time-invariant generator, magnus2 reuses the previous step exponential
+    instead of recomputing it; the result is the same to the last bit.
     """
     if not 0.0 <= s <= t <= g.T + 1e-12:
         raise ValueError(f"need 0 <= s <= t <= T, got s={s}, t={t}, T={g.T}")
@@ -168,6 +171,7 @@ def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
     u = eye(g.dim)
     if t > s:
         h = (t - s) / steps
+        m_prev = step = None
         # overflow surfaces as PropagationError, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(steps):
@@ -179,7 +183,11 @@ def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
                     k4 = g.eval(tau + h) @ (u + h * k3)
                     u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 else:
-                    u = expm(h * g.eval(tau + 0.5 * h)) @ u
+                    m = h * g.eval(tau + 0.5 * h)
+                    if m_prev is None or not np.array_equal(m, m_prev):
+                        step = expm(m)
+                        m_prev = m
+                    u = step @ u
                 _check_finite(u, f"{stepper} step {k}")
     return EvolutionOperator(u, float(t), float(s), g.id, stepper, steps, growth)
 

@@ -130,10 +130,6 @@ def ray_gap(center: complex, radius: float) -> float:
     return dist - radius
 
 
-def _ray_distance(z: complex) -> float:
-    return abs(z.imag) if z.real <= 0.0 else abs(z)
-
-
 def off_branch_cut(a) -> bool:
     """True if the spectrum of ``a`` provably stays clear of (-inf, 0].
 
@@ -153,7 +149,7 @@ def off_branch_cut(a) -> bool:
     centers = [1.0 + 0.0j, diag_mean, _covering_disc(gershgorin_discs(M, "col"))[0]]
     n = M.shape[0]
     for c in centers:
-        gap = _ray_distance(c)
+        gap = ray_gap(c, 0.0)
         if gap <= 0.0:
             continue
         power = M - c * np.eye(n, dtype=np.complex128)

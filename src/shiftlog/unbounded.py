@@ -103,8 +103,9 @@ class DiscretizedFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if list(self.dims) != sorted(self.dims):
-            raise ValueError("dims must be sorted ascending")
+        if not self.dims or any(a >= b for a, b in zip(self.dims, self.dims[1:])):
+            raise ValueError(f"dims must be non-empty and strictly increasing, "
+                             f"got {list(self.dims)}")
 
     def member(self, n: int, horizon: float = 1.0) -> GeneratorSpec:
         return build(self.kind, n, self.speed, self.viscosity, horizon)
@@ -173,8 +174,43 @@ def _calibrated_steps(norm_a: float, interval: float) -> int:
     return max(32, int(math.ceil(8.0 * norm_a * interval)))
 
 
+DEFAULT_SWEEP_BUDGET = 5e9
+
+# Work model of one sweep member, in units of n^3 times one n x n product per
+# magnus2 step.  A member runs six propagations of about ``steps`` steps (the
+# main one, four FD probes and a(t) in the recovery); a step costs one product
+# when magnus2 reuses its step exponential, and an expm plus the product when
+# A(t) changes between steps.  The logarithms, exponentials and solves outside
+# the propagations add a fixed amount per member.  Fitted on single-member
+# sweep timings at n = 64..128, where one unit took about 1.3 ns on a 2-vCPU
+# Xeon VM with one BLAS thread.
+_STEP_COST_REUSED = 1.0
+_STEP_COST_FRESH = 13.0
+_MEMBER_FIXED_COST = 245.0
+
+
+def sweep_cost(family: DiscretizedFamily, t: float, s: float) -> float:
+    """Estimated work of :func:`refinement_sweep` in the units of its budget.
+
+    Per member, whether magnus2 can reuse its step exponential is read off
+    the generator the same way :func:`propagate` decides it: by comparing the
+    first two midpoint samples.
+    """
+    interval = t - s
+    horizon = max(1.0, t + 0.1)
+    cost = 0.0
+    for n in family.dims:
+        g = family.member(n, horizon=horizon)
+        steps = _calibrated_steps(norm_1(g.eval(s)), interval)
+        h = interval / steps
+        reused = np.array_equal(g.eval(s + 0.5 * h), g.eval(s + 1.5 * h))
+        per_step = _STEP_COST_REUSED if reused else _STEP_COST_FRESH
+        cost += float(n) ** 3 * (steps * per_step + _MEMBER_FIXED_COST)
+    return cost
+
+
 def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
-                     budget: float = 5e9) -> SweepReport:
+                     budget: float = DEFAULT_SWEEP_BUDGET) -> SweepReport:
     """Measure norm growth and identity residuals across the refinement family.
 
     Per grid size n the sweep records the generator norm, the shift kappa
@@ -184,17 +220,14 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
     combination outright), the shifted-BCH identity on centered, amplitude-
     normalized surrogate pairs, and the generator recovery error.
 
-    ``budget`` caps the estimated total work (sum of steps * n^3); the sweep
+    ``budget`` caps the estimated total work (:func:`sweep_cost`); the sweep
     raises :class:`BudgetExceededError` before starting if it would be
     exceeded.
     """
     if not s < t:
         raise ValueError("need s < t")
     interval = t - s
-    cost = 0.0
-    for n in family.dims:
-        norm_an = norm_1(family.member(n).eval(s))
-        cost += _calibrated_steps(norm_an, interval) * float(n) ** 3 * 12.0
+    cost = sweep_cost(family, t, s)
     if cost > budget:
         raise BudgetExceededError(f"estimated work {cost:.3e} exceeds budget {budget:.3e}")
 

@@ -39,6 +39,7 @@ def test_load_config_defaults_and_overrides(tmp_path):
     ({"seed": "x"}, "seed"),
     ({"tolerances": {"bogus.case": 1.0}}, "unknown case"),
     ({"output": {"format": "yaml", "path": "r"}}, "output"),
+    ({"sweep_dims": [8, 8]}, "sweep_dims"),
 ])
 def test_load_config_rejects(tmp_path, payload, fragment):
     path = write_json(tmp_path / "bad.json", payload)
@@ -152,6 +153,19 @@ def test_vn_demo_validates_inputs(tmp_path):
     assert main(["vn-demo", "--config", bad_rho]) == 2
 
 
+def test_vn_demo_rejects_empty_grid(tmp_path, capsys):
+    cfg = write_json(tmp_path / "vn.json", {
+        "hamiltonian": matrix_to_json(np.diag([1.0, -1.0])),
+        "rho0": matrix_to_json(0.5 * np.ones((2, 2))),
+        "grid": {"start": 0.05, "stop": 1.0, "points": 0},
+        "trajectory": str(tmp_path / "traj.csv"),
+    })
+    assert main(["vn-demo", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "traj.csv").exists()
+
+
 def test_sweep_verb(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     cfg = write_json(tmp_path / "s.json", {
@@ -173,6 +187,17 @@ def test_sweep_single_dim_and_bad_dim(tmp_path):
     bad = write_json(tmp_path / "bad.json", {
         "family": {"kind": "diffusion", "dims": [2]}, "t": 0.1})
     assert main(["sweep", "--config", bad]) == 2
+
+
+def test_sweep_rejects_duplicate_dims(tmp_path, capsys):
+    cfg = write_json(tmp_path / "dup.json", {
+        "family": {"kind": "diffusion", "dims": [8, 8], "viscosity": 0.01},
+        "t": 0.1, "output": {"path": str(tmp_path / "dup.csv")}})
+    assert main(["sweep", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "strictly increasing" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "dup.csv").exists()
 
 
 def test_bch_verb(tmp_path, capsys):

@@ -151,3 +151,47 @@ def test_lipschitz_estimate_modulated():
     g = GeneratorSpec.modulated(a0, "affine", {"a": 0.0, "b": 2.0})
     # d/dt (2t A0) has norm 2; sampled proxy should land nearby
     assert abs(lipschitz_estimate(g) - 2.0) <= 1e-6
+
+
+def _count_expm(monkeypatch):
+    import shiftlog.evolution as evolution
+    calls = []
+
+    def counting_expm(a):
+        calls.append(1)
+        return expm(a)
+
+    monkeypatch.setattr(evolution, "expm", counting_expm)
+    return calls
+
+
+def _magnus2_reference(g, t, s, steps):
+    """magnus2 with a fresh expm(h A(midpoint)) at every step."""
+    h = (t - s) / steps
+    u = np.eye(g.dim, dtype=np.complex128)
+    for k in range(steps):
+        u = expm(h * g.eval(s + k * h + 0.5 * h)) @ u
+    return u
+
+
+def test_magnus2_reuses_step_exponential_for_constant_generators(monkeypatch):
+    from shiftlog.unbounded import build
+    rng = np.random.default_rng(8)
+    calls = _count_expm(monkeypatch)
+    for g, steps in ((GeneratorSpec.constant(rand_c(rng, 4, 3.0), "c"), 37),
+                     (build("diffusion", 16), 64)):
+        calls.clear()
+        u = propagate(g, 0.9, 0.1, steps, "magnus2")
+        assert len(calls) == 1
+        assert np.array_equal(u.U, _magnus2_reference(g, 0.9, 0.1, steps))
+
+
+def test_magnus2_time_dependent_generator_takes_expm_every_step(monkeypatch):
+    from shiftlog.unbounded import build
+    g = build("advection_tdep", 16)
+    calls = _count_expm(monkeypatch)
+    # The modulation 1 + sin(2 pi t)/2 is strictly increasing on [0, 0.2], so
+    # no two midpoint samples coincide.
+    u = propagate(g, 0.2, 0.0, 40, "magnus2")
+    assert len(calls) == 40
+    assert np.array_equal(u.U, _magnus2_reference(g, 0.2, 0.0, 40))

@@ -6,6 +6,7 @@ import pytest
 from shiftlog.errors import BudgetExceededError
 from shiftlog.linalg import norm_1
 from shiftlog.unbounded import (
+    DEFAULT_SWEEP_BUDGET,
     SWEEP_COLUMNS,
     DiscretizedFamily,
     advection_matrix,
@@ -14,6 +15,7 @@ from shiftlog.unbounded import (
     grid_potential,
     refinement_sweep,
     semigroup_residual,
+    sweep_cost,
 )
 
 
@@ -57,6 +59,10 @@ def test_build_rejects_small_grids():
 def test_family_validation():
     with pytest.raises(ValueError):
         DiscretizedFamily("diffusion", (16, 8))
+    with pytest.raises(ValueError):
+        DiscretizedFamily("diffusion", (8, 8))
+    with pytest.raises(ValueError):
+        DiscretizedFamily("diffusion", ())
     with pytest.raises(ValueError):
         DiscretizedFamily("unknown", (8, 16))
 
@@ -116,6 +122,34 @@ def test_sweep_budget_guard():
     family = DiscretizedFamily("diffusion", (8, 16), viscosity=0.01)
     with pytest.raises(BudgetExceededError):
         refinement_sweep(family, t=0.1, s=0.0, budget=10.0)
+
+
+def test_sweep_budget_accepts_diffusion_to_128():
+    from shiftlog.campaigns import suite_sweep
+    reports = suite_sweep(0, dims=(16, 32, 64, 128))
+    assert len(reports) == 4 and all(r.passed for r in reports)
+
+
+def test_sweep_budget_accepts_benchmark_configs():
+    # The campaign's default sweep, the sweep suite at n = 16..96 and the
+    # time-dependent advection sweep to n = 128, all at t = 0.1, s = 0.
+    configs = [DiscretizedFamily("diffusion", (8, 16, 32, 64), viscosity=0.01),
+               DiscretizedFamily("diffusion", (16, 32, 64, 96), viscosity=0.01),
+               DiscretizedFamily("advection_tdep", (16, 32, 64, 128))]
+    for family in configs:
+        assert sweep_cost(family, 0.1, 0.0) <= DEFAULT_SWEEP_BUDGET
+
+
+def test_sweep_budget_rejects_diffusion_to_256():
+    family = DiscretizedFamily("diffusion", (32, 64, 128, 256), viscosity=0.01)
+    with pytest.raises(BudgetExceededError):
+        refinement_sweep(family, t=0.1, s=0.0)
+
+
+def test_sweep_cost_charges_expm_per_step_only_when_generator_changes():
+    const = sweep_cost(DiscretizedFamily("advection", (64,)), 0.1, 0.0)
+    tdep = sweep_cost(DiscretizedFamily("advection_tdep", (64,)), 0.1, 0.0)
+    assert tdep > 2.0 * const
 
 
 def test_family_generator_json_round_trip():
