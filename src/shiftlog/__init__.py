@@ -21,7 +21,6 @@ from .errors import (
 from .linalg import (
     SpectralEnclosure,
     gershgorin_discs,
-    inv,
     matrix_from_json,
     matrix_to_json,
     norm_1,

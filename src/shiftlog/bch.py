@@ -121,6 +121,7 @@ class SmallnessCheck:
 def bch_smallness_condition(a, b, delta: float, tgrid) -> SmallnessCheck:
     """Check ||expm(tA)|| < delta and ||expm(tB)|| < delta over a grid in [0, 1].
 
+    The smallness hypothesis of the paper's generalized product (CBH) formula.
     ``delta`` must satisfy 0 < delta <= sqrt(2); under the condition the
     derived bound ||expm(tA) expm(tB)|| < 2 holds, which keeps the logarithm
     of the product inside its convergence radius.  The derived bound is
@@ -309,12 +310,13 @@ class VonNeumannReport:
 
 
 def von_neumann_rhs(rho0, h_op, cfg: VonNeumannConfig | None = None,
-                    tgrid=None, steps_per_unit: int = 512) -> VonNeumannReport:
+                    tgrid=None) -> VonNeumannReport:
     """Evolve d rho/dt = (i/hbar) [rho, H] and check the commutator against
     the second derivative of the logarithm at every grid point.
 
-    The evolution uses fixed-step RK4 between grid points; the reported
-    residual at time t is (1/hbar) || [rho(t), H] - d^2_s Log(e^{rho s} e^{H s})|_0 ||_1.
+    The evolution uses RK4 at 512 steps per unit time between grid points;
+    the reported residual at time t is
+    (1/hbar) || [rho(t), H] - d^2_s Log(e^{rho s} e^{H s})|_0 ||_1.
     Since every RK4 increment is a polynomial in commutators, the trace of
     rho is conserved up to rounding, and the drift is reported.
     """
@@ -342,7 +344,7 @@ def von_neumann_rhs(rho0, h_op, cfg: VonNeumannConfig | None = None,
     max_drift = 0.0
     for t in grid:
         if t > t_prev:
-            n_steps = max(1, int(np.ceil(steps_per_unit * (t - t_prev))))
+            n_steps = max(1, int(np.ceil(512 * (t - t_prev))))
             h = (t - t_prev) / n_steps
             for _ in range(n_steps):
                 k1 = rhs(current)

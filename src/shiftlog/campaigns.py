@@ -2,8 +2,9 @@
 
 Each suite runs a deterministic, seeded batch of identity checks and returns
 :class:`VerificationReport` records.  The CLI ``verify`` verb and the
-acceptance tests drive the same functions, so the library, the command line,
-and the test suite cannot drift apart.
+acceptance tests drive the same functions, and the ``sweep`` and ``vn-demo``
+verbs grade their measurements with the same ``grade_*`` helpers the suites
+use, so every verdict is taken against ``DEFAULT_TOLERANCES`` in this module.
 
 Two residual encodings are used (see :class:`VerificationReport`): plain
 residual-vs-tolerance checks, and window checks where the residual is the
@@ -13,6 +14,7 @@ interval and the tolerance is zero.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -30,7 +32,8 @@ from .sampling import (
     rand_complex,
     rand_log_admissible,
 )
-from .unbounded import DiscretizedFamily, refinement_sweep, semigroup_residual
+from .unbounded import (NORM_GROWTH_ORDER, DiscretizedFamily, SweepReport, refinement_sweep,
+                        semigroup_residual)
 
 SUITES = ("matfun", "evolution", "logrep", "bch", "von_neumann", "sweep")
 
@@ -82,6 +85,9 @@ DEFAULT_TOLERANCES = {
 
 
 def _window_excess(value: float, lo: float, hi: float) -> float:
+    # max() would drop a NaN, which must fail the window rather than pass it.
+    if math.isnan(value):
+        return math.inf
     return max(0.0, lo - value, value - hi)
 
 
@@ -90,8 +96,11 @@ def _loglog_slope(xs, ys) -> float:
                              np.log(np.asarray(ys, dtype=float)), 1)[0])
 
 
-class _Recorder:
-    def __init__(self, suite: str, tolerances: dict | None):
+class Recorder:
+    """Collects one suite's records, each graded against ``DEFAULT_TOLERANCES``
+    unless ``tolerances`` overrides its key, and timed since the previous one."""
+
+    def __init__(self, suite: str, tolerances: dict | None = None):
         self.suite = suite
         self.overrides = tolerances or {}
         self.reports: list[VerificationReport] = []
@@ -107,10 +116,33 @@ class _Recorder:
         self._t0 = now
 
 
+def grade_von_neumann_demo(rec: Recorder, demo: bch_mod.VonNeumannReport) -> None:
+    """Grade a density-matrix trajectory: the von Neumann equation written through
+    the logarithm at every grid point, and trace conservation."""
+    rec.add("demo_residual", "von-neumann-equation", max(demo.residuals))
+    rec.add("demo_trace_drift", "trace-conservation", demo.trace_drift)
+
+
+def grade_sweep(rec: Recorder, report: SweepReport) -> None:
+    """Grade the refinement table: the raw norms grow at the family's order
+    (and strictly increase), the surrogate norms stay in a band, and the
+    shifted product identity holds.  A one-row sweep has no slope to grade."""
+    rows = report.rows
+    if len(rows) >= 2:
+        order = NORM_GROWTH_ORDER[report.family.kind]
+        increasing = all(a.norm_A < b.norm_A for a, b in zip(rows, rows[1:]))
+        excess = (_window_excess(report.norm_slope(), order - 0.2, order + 0.2)
+                  if increasing else math.inf)
+        rec.add("norm_growth_slope", "refinement-norm-growth", excess)
+    rec.add("surrogate_band_ratio", "surrogate-norm-band", report.band_ratio())
+    rec.add("shifted_identity_band", "shifted-product-identity",
+            max(r.residual_shifted_bch for r in rows))
+
+
 def suite_matfun(seed: int, dims=DEFAULT_DIMS, count: int = 200,
                  tolerances: dict | None = None) -> list[VerificationReport]:
     """Logarithm round trips and cross-algorithm agreement on seeded matrices."""
-    rec = _Recorder("matfun", tolerances)
+    rec = Recorder("matfun", tolerances)
     rng = np.random.default_rng([seed, 1])
     per_dim = max(1, count // len(dims))
     worst_rt = worst_agree = 0.0
@@ -145,7 +177,7 @@ def suite_matfun(seed: int, dims=DEFAULT_DIMS, count: int = 200,
 
 def suite_evolution(seed: int, tolerances: dict | None = None) -> list[VerificationReport]:
     """Propagator accuracy, order, semigroup property, growth bounds."""
-    rec = _Recorder("evolution", tolerances)
+    rec = Recorder("evolution", tolerances)
     rng = np.random.default_rng([seed, 2])
 
     a_const = rand_complex(rng, 4, 1.5)
@@ -223,7 +255,7 @@ def _recovery_case(g: GeneratorSpec, probes, steps: int = 256) -> float:
 
 def suite_logrep(seed: int, tolerances: dict | None = None) -> list[VerificationReport]:
     """Defining relation, generator recovery, kappa admissibility, asymmetry."""
-    rec = _Recorder("logrep", tolerances)
+    rec = Recorder("logrep", tolerances)
     rng = np.random.default_rng([seed, 3])
 
     g8 = GeneratorSpec.constant(rand_complex(rng, 8, 1.2), "rand8")
@@ -264,7 +296,7 @@ def suite_logrep(seed: int, tolerances: dict | None = None) -> list[Verification
 
 def suite_bch(seed: int, tolerances: dict | None = None) -> list[VerificationReport]:
     """Product-series order law, conjugation series, shifted identity scaling."""
-    rec = _Recorder("bch", tolerances)
+    rec = Recorder("bch", tolerances)
     rng = np.random.default_rng([seed, 4])
 
     ts = [2.0 ** (-j) for j in range(3, 8)]
@@ -309,7 +341,7 @@ def suite_bch(seed: int, tolerances: dict | None = None) -> list[VerificationRep
 
 def suite_von_neumann(seed: int, tolerances: dict | None = None) -> list[VerificationReport]:
     """Second-derivative-of-logarithm identities and the density-matrix demo."""
-    rec = _Recorder("von_neumann", tolerances)
+    rec = Recorder("von_neumann", tolerances)
     rng = np.random.default_rng([seed, 5])
     cfg = bch_mod.VonNeumannConfig()
 
@@ -338,9 +370,7 @@ def suite_von_neumann(seed: int, tolerances: dict | None = None) -> list[Verific
     h_op = np.diag([1.0, -1.0]).astype(np.complex128)
     rho0 = 0.5 * np.ones((2, 2), dtype=np.complex128)
     tgrid = np.linspace(0.05, 1.0, 20)
-    demo = bch_mod.von_neumann_rhs(rho0, h_op, cfg, tgrid)
-    rec.add("demo_residual", "von-neumann-equation", max(demo.residuals))
-    rec.add("demo_trace_drift", "trace-conservation", demo.trace_drift)
+    grade_von_neumann_demo(rec, bch_mod.von_neumann_rhs(rho0, h_op, cfg, tgrid))
 
     # prefactor linearity: at a matched state, doubling hbar halves the rhs
     r1 = bch_mod.von_neumann_rhs(rho0, h_op, cfg, [0.2])
@@ -370,36 +400,24 @@ def suite_von_neumann(seed: int, tolerances: dict | None = None) -> list[Verific
 def suite_sweep(seed: int, dims=(8, 16, 32, 64),
                 tolerances: dict | None = None) -> list[VerificationReport]:
     """Refinement sweep: raw norms blow up, surrogate norms stay in a band."""
-    rec = _Recorder("sweep", tolerances)
+    rec = Recorder("sweep", tolerances)
     family = DiscretizedFamily("diffusion", tuple(dims), viscosity=0.01)
-    report = refinement_sweep(family, t=0.1, s=0.0)
-    rec.add("norm_growth_slope", "refinement-norm-growth",
-            _window_excess(report.norm_slope(), 1.8, 2.2))
-    rec.add("surrogate_band_ratio", "surrogate-norm-band", report.band_ratio())
-    rec.add("shifted_identity_band", "shifted-product-identity",
-            max(r.residual_shifted_bch for r in report.rows))
+    grade_sweep(rec, refinement_sweep(family, t=0.1, s=0.0))
     rec.add("semigroup_calibrated", "two-parameter-composition",
             max(semigroup_residual(family, n, 0.1, 0.0) for n in dims))
     return rec.reports
 
 
-_SUITE_RUNNERS = {
-    "matfun": lambda cfg: suite_matfun(cfg["seed"], cfg["dims"], 200, cfg["tolerances"]),
-    "evolution": lambda cfg: suite_evolution(cfg["seed"], cfg["tolerances"]),
-    "logrep": lambda cfg: suite_logrep(cfg["seed"], cfg["tolerances"]),
-    "bch": lambda cfg: suite_bch(cfg["seed"], cfg["tolerances"]),
-    "von_neumann": lambda cfg: suite_von_neumann(cfg["seed"], cfg["tolerances"]),
-    "sweep": lambda cfg: suite_sweep(cfg["seed"], cfg["sweep_dims"], cfg["tolerances"]),
-}
-
-
 def run_suites(suites, seed: int, dims=DEFAULT_DIMS, sweep_dims=(8, 16, 32, 64),
                tolerances: dict | None = None) -> list[VerificationReport]:
     """Run the selected suites in canonical order with a shared seed."""
-    cfg = {"seed": int(seed), "dims": tuple(dims), "sweep_dims": tuple(sweep_dims),
-           "tolerances": tolerances or {}}
-    reports: list[VerificationReport] = []
-    for name in SUITES:
-        if name in suites:
-            reports.extend(_SUITE_RUNNERS[name](cfg))
-    return reports
+    seed, tolerances = int(seed), tolerances or {}
+    runners = {
+        "matfun": lambda: suite_matfun(seed, tuple(dims), 200, tolerances),
+        "evolution": lambda: suite_evolution(seed, tolerances),
+        "logrep": lambda: suite_logrep(seed, tolerances),
+        "bch": lambda: suite_bch(seed, tolerances),
+        "von_neumann": lambda: suite_von_neumann(seed, tolerances),
+        "sweep": lambda: suite_sweep(seed, tuple(sweep_dims), tolerances),
+    }
+    return [r for name in SUITES if name in suites for r in runners[name]()]

@@ -125,15 +125,17 @@ class GeneratorSpec:
         return g
 
 
-def lipschitz_estimate(g: GeneratorSpec, samples: int = 33, delta: float = 1e-4) -> float:
-    """Sampled Lipschitz constant of t -> A(t) in the 1-norm (continuity proxy)."""
-    ts = np.linspace(0.0, g.T - delta, samples)
+def lipschitz_estimate(g: GeneratorSpec) -> float:
+    """Sampled Lipschitz constant of t -> A(t) in the 1-norm, from 33 forward
+    differences of step 1e-4: probes the paper's hypothesis that A(t) is continuous."""
+    delta = 1e-4
+    ts = np.linspace(0.0, g.T - delta, 33)
     return max(norm_1(g.eval(t + delta) - g.eval(t)) / delta for t in ts)
 
 
 @dataclass(frozen=True)
 class EvolutionOperator:
-    """U(t, s) with provenance: generator id, stepper, step count, growth claim."""
+    """U(t, s) with provenance: generator id, stepper and step count."""
 
     U: np.ndarray
     t: float
@@ -141,7 +143,6 @@ class EvolutionOperator:
     generator_id: str
     stepper: str
     steps: int
-    growth: tuple[float, float] | None = None
 
 
 def _check_finite(u: np.ndarray, where: str) -> np.ndarray:
@@ -151,8 +152,7 @@ def _check_finite(u: np.ndarray, where: str) -> np.ndarray:
 
 
 def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
-              stepper: str = "rk4", growth: tuple[float, float] | None = None,
-              ) -> EvolutionOperator:
+              stepper: str = "rk4") -> EvolutionOperator:
     """Integrate dU/dtau = A(tau) U from U(s, s) = I up to tau = t.
 
     ``rk4`` takes classical fourth-order steps on the matrix ODE (global
@@ -189,7 +189,7 @@ def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
                         m_prev = m
                     u = step @ u
                 _check_finite(u, f"{stepper} step {k}")
-    return EvolutionOperator(u, float(t), float(s), g.id, stepper, steps, growth)
+    return EvolutionOperator(u, float(t), float(s), g.id, stepper, steps)
 
 
 def check_semigroup(g: GeneratorSpec, s: float, r: float, t: float,

@@ -73,12 +73,6 @@ def solve(a, b) -> np.ndarray:
     return x
 
 
-def inv(a) -> np.ndarray:
-    """Matrix inverse via :func:`solve` against the identity."""
-    A = as_matrix(a)
-    return solve(A, eye(A.shape[0]))
-
-
 @dataclass(frozen=True)
 class SpectralEnclosure:
     """A covering disc plus the Gershgorin discs it was built from.

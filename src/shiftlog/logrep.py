@@ -89,18 +89,17 @@ class LogRepresentation:
         }
 
 
-def build_log_representation(g: GeneratorSpec, grid, kappa=None, steps: int = 256,
-                             stepper: str = "rk4") -> LogRepresentation:
+def build_log_representation(g: GeneratorSpec, grid) -> LogRepresentation:
     """Propagate U over the (t, s) grid and take shifted logs at a common kappa.
 
-    When ``kappa`` is omitted it is chosen by :func:`select_kappa` over the
-    propagated family.  Every stored matrix satisfies the re-exponentiation
-    relation to within the logm accuracy.
+    The paper's logarithmic representation of the family, on a finite grid.
+    U is propagated by RK4 at 256 steps, kappa is chosen by
+    :func:`select_kappa` over the propagated family, and every stored matrix
+    satisfies the re-exponentiation relation to within the logm accuracy.
     """
     pts = tuple((float(t), float(s)) for t, s in grid)
-    ops = [propagate(g, t, s, steps, stepper) for t, s in pts]
-    if kappa is None:
-        kappa = select_kappa(ops).kappa
+    ops = [propagate(g, t, s, 256, "rk4") for t, s in pts]
+    kappa = select_kappa(ops).kappa
     amap = {ts: alt_generator(op, kappa) for ts, op in zip(pts, ops)}
     return LogRepresentation(complex(kappa), g.id, pts, amap)
 
@@ -147,15 +146,15 @@ class AsymmetryCheck:
     gap: float
 
 
-def check_asymmetry(g: GeneratorSpec, s: float, t: float, kappa,
-                    steps: int = 256, stepper: str = "rk4") -> AsymmetryCheck:
+def check_asymmetry(g: GeneratorSpec, s: float, t: float, kappa) -> AsymmetryCheck:
     """Measure how far exp(-a(t, s)) is from U(t, s)^-1 + kappa*I.
 
     The two coincide exactly at kappa = 0 (both are the inverse of U) and
     generically differ once kappa is nonzero: inverting the shifted operator
-    is not the same as shifting the inverted one.
+    is not the same as shifting the inverted one.  U is propagated by RK4 at
+    256 steps.
     """
-    u = propagate(g, t, s, steps, stepper)
+    u = propagate(g, t, s, 256, "rk4")
     a = alt_generator(u, kappa)
     lhs = expm(-a)
     rhs = solve(u.U, eye(g.dim)) + complex(kappa) * eye(g.dim)

@@ -69,15 +69,13 @@ def expm(a) -> np.ndarray:
     return result
 
 
-def sqrtm_db(m, max_iter: int = 60, check: bool = True) -> np.ndarray:
+def sqrtm_db(m, check: bool = True) -> np.ndarray:
     """Principal matrix square root by Denman-Beavers iteration.
 
     Parameters
     ----------
     m : array_like
         Square matrix whose spectral enclosure avoids (-inf, 0].
-    max_iter : int
-        Iteration budget; the pair iteration converges quadratically.
     check : bool
         Verify the branch-cut precondition before iterating.  Internal
         callers that have already validated the chain may disable it.
@@ -87,14 +85,15 @@ def sqrtm_db(m, max_iter: int = 60, check: bool = True) -> np.ndarray:
     BranchCutError
         If the Gershgorin enclosure touches the branch cut.
     NoConvergenceError
-        If the iteration does not settle within ``max_iter`` steps.
+        If the iteration does not settle within 60 steps; the pair
+        iteration converges quadratically.
     """
     M = as_matrix(m)
     if check and not off_branch_cut(M):
         raise BranchCutError("spectral enclosure of input touches (-inf, 0]")
     y = M
     z = eye(M.shape[0])
-    for _ in range(max_iter):
+    for _ in range(60):
         y_next = 0.5 * (y + solve(z, eye(z.shape[0])))
         z_next = 0.5 * (z + solve(y, eye(y.shape[0])))
         delta = norm_1(y_next - y)
@@ -102,7 +101,7 @@ def sqrtm_db(m, max_iter: int = 60, check: bool = True) -> np.ndarray:
         y, z = y_next, z_next
         if delta <= 1e-13 * ref:
             return y
-    raise NoConvergenceError(f"Denman-Beavers did not converge in {max_iter} iterations")
+    raise NoConvergenceError("Denman-Beavers did not converge in 60 iterations")
 
 
 def logm_iss(m) -> np.ndarray:
@@ -166,26 +165,25 @@ class ContourSpec:
             raise ContourError("contour disc touches the branch cut (-inf, 0]")
 
 
-def contour_for(m, margin: float = 1.15, cut_clearance: float = 0.12,
-                nodes: int = 64) -> ContourSpec:
+def contour_for(m) -> ContourSpec:
     """Build an admissible contour around the spectral enclosure of ``m``.
 
     The circle must keep the resolvent poles well inside (covering radius
-    times ``margin``) and the branch-cut singularity of the logarithm well
-    outside (``cut_clearance`` relative to the radius); both clearances set
-    the geometric convergence rate of the trapezoid rule.
+    times 1.15) and the branch-cut singularity of the logarithm well outside
+    (a gap of 0.12 times the radius); both clearances set the geometric
+    convergence rate of the trapezoid rule.
 
     Raises :class:`ContourError` if no such circle exists, e.g. when the
     enclosure reaches too close to the cut.
     """
     enc = spectral_enclosure(m)
-    radius = enc.radius * margin if enc.radius > 0.0 else max(abs(enc.center) * 0.1, 0.1)
-    if ray_gap(enc.center, radius) <= cut_clearance * radius:
+    radius = enc.radius * 1.15 if enc.radius > 0.0 else max(abs(enc.center) * 0.1, 0.1)
+    if ray_gap(enc.center, radius) <= 0.12 * radius:
         raise ContourError("no circular contour with enough branch-cut clearance")
-    return ContourSpec(enc.center, radius, nodes)
+    return ContourSpec(enc.center, radius)
 
 
-def logm_contour(m, spec: ContourSpec, max_nodes: int = 4096) -> np.ndarray:
+def logm_contour(m, spec: ContourSpec) -> np.ndarray:
     """Principal logarithm by trapezoidal resolvent quadrature on a circle.
 
     Evaluates (1/2*pi*i) * contour integral of log(lam) (lam I - M)^-1 dlam
@@ -198,7 +196,7 @@ def logm_contour(m, spec: ContourSpec, max_nodes: int = 4096) -> np.ndarray:
     ContourError
         If a Gershgorin disc family of ``m`` does not fit inside the circle.
     NoConvergenceError
-        If agreement is not reached by ``max_nodes`` nodes.
+        If agreement is not reached by 4096 nodes.
     """
     M = as_matrix(m)
     for axis in ("col", "row"):
@@ -220,13 +218,13 @@ def logm_contour(m, spec: ContourSpec, max_nodes: int = 4096) -> np.ndarray:
 
     nodes = spec.nodes
     prev = quadrature(nodes)
-    while nodes < max_nodes:
+    while nodes < 4096:
         nodes *= 2
         cur = quadrature(nodes)
         if norm_1(cur - prev) < 1e-9:
             return cur
         prev = cur
-    raise NoConvergenceError(f"contour quadrature not converged at {max_nodes} nodes")
+    raise NoConvergenceError("contour quadrature not converged at 4096 nodes")
 
 
 @dataclass(frozen=True)
@@ -234,14 +232,11 @@ class FdConfig:
     """Central finite-difference configuration with Richardson extrapolation."""
 
     h: float = 1e-3
-    scheme: str = "central"
     richardson_levels: int = 1
 
     def __post_init__(self):
         if self.h <= 0.0:
             raise ValueError("step h must be positive")
-        if self.scheme != "central":
-            raise ValueError("only the central scheme is supported")
         if not 0 <= self.richardson_levels <= 3:
             raise ValueError("richardson_levels must be in 0..3")
 

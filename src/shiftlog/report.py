@@ -66,7 +66,7 @@ def _json_value(v) -> str:
     raise TypeError(f"cannot serialize {type(v)!r}")
 
 
-def _record(r: VerificationReport, include_runtime: bool) -> dict:
+def _record(r: VerificationReport) -> dict:
     return {
         "suite": r.suite,
         "case": r.case,
@@ -74,39 +74,29 @@ def _record(r: VerificationReport, include_runtime: bool) -> dict:
         "residual": float(r.residual),
         "tolerance": float(r.tolerance),
         "pass": r.passed,
-        "runtime_ms": float(r.runtime_ms) if include_runtime else 0.0,
+        "runtime_ms": 0.0,
     }
 
 
-def render_json(reports, meta: dict | None = None, include_runtime: bool = False) -> str:
+def render_json(reports, meta: dict | None = None) -> str:
     """Deterministic JSON document: records ordered by (suite, case)."""
     ordered = sorted(reports, key=lambda r: (r.suite, r.case))
     body = []
     if meta:
         body.append(f'"meta": {_json_value(meta)}')
     recs = ",\n    ".join(
-        "{" + ", ".join(f'"{k}": {_json_value(v)}' for k, v in _record(r, include_runtime).items()) + "}"
+        "{" + ", ".join(f'"{k}": {_json_value(v)}' for k, v in _record(r).items()) + "}"
         for r in ordered
     )
     body.append(f'"reports": [\n    {recs}\n  ]')
     return "{\n  " + ",\n  ".join(body) + "\n}\n"
 
 
-def render_csv(reports, include_runtime: bool = False) -> str:
+def render_csv(reports) -> str:
     ordered = sorted(reports, key=lambda r: (r.suite, r.case))
     lines = [",".join(_FIELDS)]
     for r in ordered:
-        rec = _record(r, include_runtime)
-        cells = []
-        for k in _FIELDS:
-            v = rec[k]
-            if isinstance(v, bool):
-                cells.append("true" if v else "false")
-            elif isinstance(v, float):
-                cells.append(fmt_float(v).strip('"'))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+        lines.append(",".join(_json_value(v).strip('"') for v in _record(r).values()))
     return "\n".join(lines) + "\n"
 
 

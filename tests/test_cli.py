@@ -1,10 +1,12 @@
 """Command-line tests: config validation, report emission, verbs, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from shiftlog.campaigns import DEFAULT_TOLERANCES
 from shiftlog.cli import load_config, main
 from shiftlog.errors import ConfigError
 from shiftlog.linalg import matrix_to_json
@@ -40,6 +42,10 @@ def test_load_config_defaults_and_overrides(tmp_path):
     ({"tolerances": {"bogus.case": 1.0}}, "unknown case"),
     ({"output": {"format": "yaml", "path": "r"}}, "output"),
     ({"sweep_dims": [8, 8]}, "sweep_dims"),
+    ({"sweep_dims": [8]}, "sweep_dims"),
+    ({"seed": 1, "trajectory": "t.csv"}, "unknown key"),
+    ({"seed": True}, "seed"),
+    ({"tolerances": {"bch.order_law_k1": True}}, "tolerances"),
 ])
 def test_load_config_rejects(tmp_path, payload, fragment):
     path = write_json(tmp_path / "bad.json", payload)
@@ -210,3 +216,62 @@ def test_bch_verb(tmp_path, capsys):
     assert main(["bch", xp, yp, "--order", "3"]) == 0
     out = capsys.readouterr().out
     assert "order 1" in out and "order 3" in out and "[X,[X,Y]]" in out
+
+
+VN_CONFIG = {
+    "hamiltonian": matrix_to_json(np.diag([1.0, -1.0])),
+    "rho0": matrix_to_json(0.5 * np.ones((2, 2))),
+}
+SWEEP_CONFIG = {"family": {"kind": "diffusion", "dims": [8, 16], "viscosity": 0.01}, "t": 0.1}
+ROTATION_BY_PI = np.array([[0.0, math.pi], [-math.pi, 0.0]])
+
+
+def test_sweep_verb_advection_tdep(tmp_path, capsys):
+    cfg = write_json(tmp_path / "s.json", {
+        "family": {"kind": "advection_tdep", "dims": [8, 16, 32]},
+        "t": 0.1, "output": {"path": str(tmp_path / "tdep.csv")}})
+    assert main(["sweep", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] sweep/norm_growth_slope:" in out and "3/3 checks passed" in out
+
+
+def test_sweep_verdict_reads_tolerance_table(tmp_path, monkeypatch):
+    monkeypatch.setitem(DEFAULT_TOLERANCES, "sweep.surrogate_band_ratio", 1.0)
+    cfg = write_json(tmp_path / "s.json", {
+        "family": {"kind": "diffusion", "dims": [8, 16, 32], "viscosity": 0.01},
+        "t": 0.1, "output": {"path": str(tmp_path / "sweep.csv")}})
+    assert main(["sweep", "--config", cfg]) == 1
+
+
+def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(DEFAULT_TOLERANCES, "von_neumann.demo_trace_drift", -1.0)
+    cfg = write_json(tmp_path / "vn.json", {**VN_CONFIG, "trajectory": str(tmp_path / "t.csv")})
+    assert main(["vn-demo", "--config", cfg]) == 1
+    assert "[FAIL] von_neumann/demo_trace_drift:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb, payload", [
+    ("sweep", {**SWEEP_CONFIG, "family": {"kind": "diffusion", "dims": 5}}),
+    ("sweep", {**SWEEP_CONFIG, "t": None}),
+    ("sweep", {**SWEEP_CONFIG, "budget": None}),
+    ("sweep", {**SWEEP_CONFIG, "t": math.inf}),
+    ("sweep", {**SWEEP_CONFIG, "family": {"kind": "advection", "dims": [8, 16], "speed": 0}}),
+    ("vn-demo", {**VN_CONFIG, "hbar": "x"}),
+    ("bch", (np.eye(2), np.eye(3))),
+    ("bch", (ROTATION_BY_PI, np.zeros((2, 2)))),
+    ("bch", (2e4 * np.eye(2), np.zeros((2, 2)))),
+    ("vn-demo", {**VN_CONFIG, "trajectory": 7}),
+    ("vn-demo", {**VN_CONFIG, "tolerance": 1e-3}),
+], ids=["sweep-dims-int", "sweep-t-null", "sweep-budget-null", "sweep-t-inf",
+        "sweep-speed-zero", "vn-hbar-str", "bch-shape-mismatch", "bch-branch-cut",
+        "bch-norm-above-expm-limit", "vn-trajectory-int", "vn-tolerance-key"])
+def test_bad_input_is_one_stderr_line(tmp_path, capsys, verb, payload):
+    if verb == "bch":
+        argv = ["bch", write_json(tmp_path / "x.json", matrix_to_json(payload[0])),
+                write_json(tmp_path / "y.json", matrix_to_json(payload[1]))]
+    else:
+        argv = [verb, "--config", write_json(tmp_path / "c.json", payload)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -186,6 +186,4 @@ def test_fd_config_validation():
     with pytest.raises(ValueError):
         FdConfig(h=1e-3, richardson_levels=4)
     with pytest.raises(ValueError):
-        FdConfig(h=1e-3, scheme="forward")
-    with pytest.raises(ValueError):
         fd_derivative(lambda t: np.eye(2), 0.0, FdConfig(), order=3)
