@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceRadiusError
+from .errors import ConvergenceRadiusError, PropagationError
 from .linalg import as_matrix, eye, norm_1
 from .matfun import FdConfig, expm, fd_derivative, logm_iss
 
@@ -318,7 +318,8 @@ def von_neumann_rhs(rho0, h_op, cfg: VonNeumannConfig | None = None,
     the reported residual at time t is
     (1/hbar) || [rho(t), H] - d^2_s Log(e^{rho s} e^{H s})|_0 ||_1.
     Since every RK4 increment is a polynomial in commutators, the trace of
-    rho is conserved up to rounding, and the drift is reported.
+    rho is conserved up to rounding, and the drift is reported.  A state that
+    overflows raises :class:`PropagationError`.
     """
     cfg = cfg or VonNeumannConfig()
     rho = as_matrix(rho0)
@@ -346,12 +347,16 @@ def von_neumann_rhs(rho0, h_op, cfg: VonNeumannConfig | None = None,
         if t > t_prev:
             n_steps = max(1, int(np.ceil(512 * (t - t_prev))))
             h = (t - t_prev) / n_steps
-            for _ in range(n_steps):
-                k1 = rhs(current)
-                k2 = rhs(current + 0.5 * h * k1)
-                k3 = rhs(current + 0.5 * h * k2)
-                k4 = rhs(current + h * k3)
-                current = current + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # overflow surfaces as PropagationError, not as numpy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(n_steps):
+                    k1 = rhs(current)
+                    k2 = rhs(current + 0.5 * h * k1)
+                    k3 = rhs(current + 0.5 * h * k2)
+                    k4 = rhs(current + h * k3)
+                    current = current + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(current)):
+                raise PropagationError(f"non-finite density matrix before t = {t}")
         t_prev = t
         if t in ts:
             second = von_neumann_second_derivative(current, H, cfg)

@@ -28,7 +28,7 @@ import numpy as np
 from .bch import VonNeumannConfig, bch_terms, bch_truncated, log_product, von_neumann_rhs
 from .campaigns import (DEFAULT_DIMS, DEFAULT_TOLERANCES, SUITES, Recorder, grade_sweep,
                         grade_von_neumann_demo, run_suites)
-from .errors import BudgetExceededError, ConfigError, ShiftlogError
+from .errors import BudgetExceededError, ConfigError, PropagationError, ShiftlogError
 from .linalg import matrix_from_json, norm_1
 from .report import all_passed, render_csv, render_json, summary_lines
 from .unbounded import DEFAULT_SWEEP_BUDGET, DiscretizedFamily, refinement_sweep
@@ -80,11 +80,12 @@ def _number(obj: dict, key: str, prefix: str = "", default: float | None = None)
     return float(val)
 
 
-def _output(raw: dict) -> tuple[str | None, str]:
-    """The config's ``output`` as (path, format); no ``output`` gives a None path."""
+def _output(raw: dict, keys: tuple[str, ...]) -> tuple[str | None, str]:
+    """The config's ``output`` as (path, format); no ``output`` gives a None path.
+    ``keys`` are the keys the verb's ``output`` object accepts."""
     if "output" not in raw:
         return None, "json"
-    out = _object(raw["output"], "config field 'output'", ("path", "format"))
+    out = _object(raw["output"], "config field 'output'", keys)
     if not isinstance(out.get("path"), str):
         raise _fail("output.path", "must be a string")
     fmt = out.get("format", "json")
@@ -133,7 +134,7 @@ def load_config(path: str | None) -> CampaignConfig:
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise _fail(f"tolerances.{key}", "must be numeric")
         cfg.tolerances = dict(tols)
-    cfg.out_path, cfg.out_format = _output(raw)
+    cfg.out_path, cfg.out_format = _output(raw, ("path", "format"))
     return cfg
 
 
@@ -191,13 +192,13 @@ def cmd_vn_demo(args) -> int:
     traj_path = raw.get("trajectory", "vn_trajectory.csv")
     if not isinstance(traj_path, str):
         raise _fail("trajectory", "must be a string")
-    out_path, out_format = _output(raw)
+    out_path, out_format = _output(raw, ("path", "format"))
 
     rec = Recorder("von_neumann")
     try:
         demo = von_neumann_rhs(rho0, h_op, VonNeumannConfig(hbar=hbar),
                                np.linspace(start, stop, points))
-    except ValueError as exc:
+    except (ValueError, PropagationError) as exc:
         raise ConfigError(str(exc)) from exc
     grade_von_neumann_demo(rec, demo)
 
@@ -226,7 +227,7 @@ def cmd_sweep(args) -> int:
     viscosity = _number(fam, "viscosity", "family.", 1.0)
     t, s = _number(raw, "t", default=0.1), _number(raw, "s", default=0.0)
     budget = _number(raw, "budget", default=DEFAULT_SWEEP_BUDGET)
-    path, _ = _output(raw)  # the sweep table is always CSV
+    path, _ = _output(raw, ("path",))  # the sweep table is always CSV
     csv_path = "sweep.csv" if path is None else path
 
     rec = Recorder("sweep")

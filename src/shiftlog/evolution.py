@@ -1,8 +1,8 @@
 """Two-parameter evolution operators U(t, s) for time-dependent generators.
 
 A :class:`GeneratorSpec` wraps a matrix family t -> A(t) on a finite horizon,
-either closed-form (registered builtin kinds, JSON-serializable) or sampled
-(linear interpolation between tabulated matrices).  :func:`propagate`
+either closed-form (constant or scalar-modulated) or sampled (linear
+interpolation between tabulated matrices).  :func:`propagate`
 integrates dU/dt = A(t) U, U(s, s) = I with fixed-step RK4 or a midpoint
 Magnus stepper.
 """
@@ -10,20 +10,19 @@ Magnus stepper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import PropagationError
-from .linalg import as_matrix, eye, matrix_from_json, matrix_to_json, norm_1
+from .linalg import as_matrix, eye, norm_1
 from .matfun import expm
 
 STEPPERS = ("rk4", "magnus2")
 
-# Modulation functions available to the "modulated" builtin kind.
+# Scalar modulation functions available to GeneratorSpec.modulated.
 _MODULATIONS = {
-    "one": lambda params: (lambda t: 1.0),
     "affine": lambda params: (lambda t: params["a"] + params["b"] * t),
     "one_plus_half_sin": lambda params: (lambda t: 1.0 + 0.5 * math.sin(2.0 * math.pi * t)),
 }
@@ -37,7 +36,6 @@ class GeneratorSpec:
     dim: int
     T: float
     func: Callable[[float], np.ndarray]
-    kind: dict | None = field(default=None, compare=False)
 
     def eval(self, t: float) -> np.ndarray:
         if not -1e-12 <= t <= self.T + 1e-12:
@@ -52,8 +50,7 @@ class GeneratorSpec:
     @staticmethod
     def constant(matrix, gen_id: str = "constant", horizon: float = 1.0) -> "GeneratorSpec":
         A = as_matrix(matrix)
-        kind = {"name": "constant", "matrix": matrix_to_json(A)}
-        return GeneratorSpec(gen_id, A.shape[0], horizon, lambda t: A, kind)
+        return GeneratorSpec(gen_id, A.shape[0], horizon, lambda t: A)
 
     @staticmethod
     def modulated(matrix, modulation: str, params: dict | None = None,
@@ -64,9 +61,7 @@ class GeneratorSpec:
         if modulation not in _MODULATIONS:
             raise ValueError(f"unknown modulation {modulation!r}")
         f = _MODULATIONS[modulation](params)
-        kind = {"name": "modulated", "matrix": matrix_to_json(A),
-                "modulation": modulation, "params": params}
-        return GeneratorSpec(gen_id, A.shape[0], horizon, lambda t: f(t) * A, kind)
+        return GeneratorSpec(gen_id, A.shape[0], horizon, lambda t: f(t) * A)
 
     @staticmethod
     def from_table(times, matrices, gen_id: str = "table") -> "GeneratorSpec":
@@ -87,42 +82,7 @@ class GeneratorSpec:
             w = (t - ts[j]) / (ts[j + 1] - ts[j])
             return (1.0 - w) * mats[j] + w * mats[j + 1]
 
-        kind = {"name": "table", "times": ts,
-                "matrices": [matrix_to_json(m) for m in mats]}
-        return GeneratorSpec(gen_id, dim, ts[-1], interp, kind)
-
-    # --- JSON round trip: {id, dim, T, kind: builtin name + params | table} ---
-
-    def to_json(self) -> dict:
-        if self.kind is None:
-            raise ValueError("generator has no serializable kind")
-        return {"id": self.id, "dim": self.dim, "T": self.T, "kind": self.kind}
-
-    @staticmethod
-    def from_json(obj: dict) -> "GeneratorSpec":
-        kind = obj["kind"]
-        name = kind["name"]
-        gen_id = obj["id"]
-        horizon = float(obj["T"])
-        if name == "constant":
-            g = GeneratorSpec.constant(matrix_from_json(kind["matrix"]), gen_id, horizon)
-        elif name == "modulated":
-            g = GeneratorSpec.modulated(matrix_from_json(kind["matrix"]),
-                                        kind["modulation"], kind.get("params"),
-                                        gen_id, horizon)
-        elif name == "table":
-            g = GeneratorSpec.from_table(kind["times"],
-                                         [matrix_from_json(m) for m in kind["matrices"]],
-                                         gen_id)
-        elif name in ("advection", "diffusion", "advection_tdep"):
-            from .unbounded import build
-            g = build(name, int(kind["n"]), speed=kind.get("speed", 1.0),
-                      viscosity=kind.get("viscosity", 1.0), horizon=horizon)
-        else:
-            raise ValueError(f"unknown generator kind {name!r}")
-        if g.dim != int(obj["dim"]):
-            raise ValueError("declared dim does not match generator kind")
-        return g
+        return GeneratorSpec(gen_id, dim, ts[-1], interp)
 
 
 def lipschitz_estimate(g: GeneratorSpec) -> float:

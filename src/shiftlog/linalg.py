@@ -125,14 +125,17 @@ def ray_gap(center: complex, radius: float) -> float:
 
 
 def off_branch_cut(a) -> bool:
-    """True if the spectrum of ``a`` provably stays clear of (-inf, 0].
+    """True if a spectral enclosure of ``a`` stays clear of (-inf, 0].
 
-    Sufficient (conservative) admissibility test for the principal logarithm
-    and square root; a passing matrix also has the origin outside its
-    spectrum.  Two rigorous bounds are tried: Gershgorin disc unions (rows or
-    columns), then a Gelfand-style bound rho(M - cI) <= ||(M - cI)^m||^(1/m)
-    around a few shift centers, which handles matrices such as I + N with N
-    nilpotent whose Gershgorin discs are wide but whose spectrum is a point.
+    Conservative admissibility test for the principal logarithm and square
+    root; a passing matrix also has the origin outside its spectrum.  Two
+    enclosures are tried: Gershgorin disc unions (rows or columns), then a
+    Gelfand-style bound rho(M - cI) <= ||(M - cI)^m||^(1/m) around a few
+    shift centers, which handles matrices such as I + N with N nilpotent
+    whose Gershgorin discs are wide but whose spectrum is a point.  Both
+    bounds are computed and compared in floating point without rounding
+    slack, so a matrix whose enclosure ends within rounding of the cut can be
+    misjudged.
     """
     M = as_matrix(a)
     for axis in ("col", "row"):

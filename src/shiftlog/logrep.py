@@ -13,13 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BranchCutError, SingularMatrixError
+from .errors import SingularMatrixError
 from .linalg import (
     as_matrix,
     eye,
-    matrix_to_json,
     norm_1,
-    off_branch_cut,
     solve,
 )
 from .matfun import FdConfig, expm, fd_derivative, logm_iss
@@ -62,12 +60,7 @@ def alt_generator(u, kappa) -> np.ndarray:
     admissible, which signals that ``|kappa|`` is too small.
     """
     m = _operator_matrix(u)
-    shifted = m + complex(kappa) * eye(m.shape[0])
-    if not off_branch_cut(shifted):
-        raise BranchCutError(
-            f"U + kappa*I not admissible for the principal log (kappa={kappa})"
-        )
-    return logm_iss(shifted)
+    return logm_iss(m + complex(kappa) * eye(m.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -79,14 +72,6 @@ class LogRepresentation:
     generator_id: str
     grid: tuple[tuple[float, float], ...]
     a: dict = field(compare=False)
-
-    def to_json(self) -> dict:
-        return {
-            "kappa": [self.kappa.real, self.kappa.imag],
-            "generator_id": self.generator_id,
-            "grid": [[t, s] for t, s in self.grid],
-            "a_matrices": [matrix_to_json(self.a[ts]) for ts in self.grid],
-        }
 
 
 def build_log_representation(g: GeneratorSpec, grid) -> LogRepresentation:

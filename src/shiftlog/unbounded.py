@@ -66,23 +66,18 @@ def build(kind: str, n: int, speed: float = 1.0, viscosity: float = 1.0,
     """GeneratorSpec for one member of a discretized family."""
     if kind == "advection":
         a0 = advection_matrix(n, speed)
-        payload = {"name": "advection", "n": n, "speed": speed}
-        g = GeneratorSpec(f"advection[n={n}]", n, horizon, lambda t: a0, payload)
-    elif kind == "diffusion":
+        return GeneratorSpec(f"advection[n={n}]", n, horizon, lambda t: a0)
+    if kind == "diffusion":
         a0 = diffusion_matrix(n, viscosity)
-        payload = {"name": "diffusion", "n": n, "viscosity": viscosity}
-        g = GeneratorSpec(f"diffusion[n={n}]", n, horizon, lambda t: a0, payload)
-    elif kind == "advection_tdep":
+        return GeneratorSpec(f"diffusion[n={n}]", n, horizon, lambda t: a0)
+    if kind == "advection_tdep":
         a0 = advection_matrix(n, speed)
 
         def tdep(t: float) -> np.ndarray:
             return (1.0 + 0.5 * math.sin(2.0 * math.pi * t)) * a0
 
-        payload = {"name": "advection_tdep", "n": n, "speed": speed}
-        g = GeneratorSpec(f"advection_tdep[n={n}]", n, horizon, tdep, payload)
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
-    return g
+        return GeneratorSpec(f"advection_tdep[n={n}]", n, horizon, tdep)
+    raise ValueError(f"unknown family kind {kind!r}")
 
 
 def grid_potential(n: int) -> np.ndarray:

@@ -262,9 +262,13 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
     ("bch", (2e4 * np.eye(2), np.zeros((2, 2)))),
     ("vn-demo", {**VN_CONFIG, "trajectory": 7}),
     ("vn-demo", {**VN_CONFIG, "tolerance": 1e-3}),
+    ("vn-demo", {**VN_CONFIG, "hbar": 1e-320}),
+    ("vn-demo", {**VN_CONFIG, "hbar": 1e-300}),
+    ("sweep", {**SWEEP_CONFIG, "output": {"path": "sweep.csv", "format": "json"}}),
 ], ids=["sweep-dims-int", "sweep-t-null", "sweep-budget-null", "sweep-t-inf",
         "sweep-speed-zero", "vn-hbar-str", "bch-shape-mismatch", "bch-branch-cut",
-        "bch-norm-above-expm-limit", "vn-trajectory-int", "vn-tolerance-key"])
+        "bch-norm-above-expm-limit", "vn-trajectory-int", "vn-tolerance-key",
+        "vn-hbar-underflow", "vn-hbar-overflow", "sweep-output-format"])
 def test_bad_input_is_one_stderr_line(tmp_path, capsys, verb, payload):
     if verb == "bch":
         argv = ["bch", write_json(tmp_path / "x.json", matrix_to_json(payload[0])),

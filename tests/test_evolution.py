@@ -1,4 +1,4 @@
-"""Propagator tests: accuracy, order, semigroup property, serialization."""
+"""Propagator tests: accuracy, order, semigroup property."""
 
 import numpy as np
 import pytest
@@ -128,22 +128,6 @@ def test_table_interpolation_midpoint():
     a1 = np.eye(2, dtype=complex)
     g = GeneratorSpec.from_table([0.0, 1.0], [a0, a1])
     np.testing.assert_allclose(g.eval(0.5), 0.5 * np.eye(2))
-
-
-def test_generator_json_round_trip():
-    rng = np.random.default_rng(6)
-    specs = [
-        GeneratorSpec.constant(rand_c(rng, 3, 1.0), "c", horizon=2.0),
-        GeneratorSpec.modulated(rand_c(rng, 2, 1.0), "affine",
-                                {"a": 1.0, "b": 0.5}, gen_id="m"),
-        GeneratorSpec.from_table([0.0, 0.5, 1.0],
-                                 [rand_c(rng, 2, 1.0) for _ in range(3)]),
-    ]
-    for g in specs:
-        g2 = GeneratorSpec.from_json(g.to_json())
-        assert g2.dim == g.dim and g2.T == g.T
-        for t in (0.0, 0.3, 0.9):
-            np.testing.assert_allclose(g2.eval(t), g.eval(t))
 
 
 def test_lipschitz_estimate_modulated():

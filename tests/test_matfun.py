@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -53,6 +54,24 @@ def test_expm_accuracy_large_scaling():
     a = np.diag([8.0, -8.0])
     np.testing.assert_allclose(expm(a), np.diag([math.exp(8), math.exp(-8)]),
                                rtol=1e-12)
+
+
+def _expm_mpmath(a) -> np.ndarray:
+    """exp(a) from mpmath at 40 significant digits, rounded to complex128."""
+    with mpmath.workdps(40):
+        e = mpmath.expm(mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row]
+                                       for row in a]))
+        return np.array([[complex(e[i, j]) for j in range(a.shape[1])]
+                         for i in range(a.shape[0])])
+
+
+def test_expm_forward_error_against_mpmath():
+    rng = np.random.default_rng(7)
+    for n in (2, 4, 8):
+        for norm in (0.1, 1.0, 8.0, 50.0):
+            a = rand_c(rng, n, norm)
+            ref = _expm_mpmath(a)
+            assert norm_1(expm(a) - ref) <= 1e-14 * norm_1(ref), (n, norm)
 
 
 # --- sqrtm ---

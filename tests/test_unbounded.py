@@ -152,15 +152,6 @@ def test_sweep_cost_charges_expm_per_step_only_when_generator_changes():
     assert tdep > 2.0 * const
 
 
-def test_family_generator_json_round_trip():
-    from shiftlog.evolution import GeneratorSpec
-    for kind in ("advection", "diffusion", "advection_tdep"):
-        g = build(kind, 8, speed=2.0, viscosity=0.5)
-        g2 = GeneratorSpec.from_json(g.to_json())
-        for t in (0.0, 0.3):
-            np.testing.assert_allclose(g2.eval(t), g.eval(t))
-
-
 def test_semigroup_residual_calibrated():
     family = DiscretizedFamily("diffusion", (8, 16, 32), viscosity=0.01)
     for n in family.dims:
