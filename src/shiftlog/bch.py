@@ -315,8 +315,9 @@ def von_neumann_rhs(rho0, h_op, cfg: VonNeumannConfig | None = None,
     the second derivative of the logarithm at every grid point.
 
     The evolution uses RK4 at 512 steps per unit time between grid points;
-    the reported residual at time t is
-    (1/hbar) || [rho(t), H] - d^2_s Log(e^{rho s} e^{H s})|_0 ||_1.
+    the reported residual at time t is the hbar-free identity residual
+    || [rho(t), H] - d^2_s Log(e^{rho s} e^{H s})|_0 ||_1, so a tiny hbar does
+    not inflate it (the prefactor i/hbar is linear and graded on its own).
     Since every RK4 increment is a polynomial in commutators, the trace of
     rho is conserved up to rounding, and the drift is reported.  A state that
     overflows raises :class:`PropagationError`.
@@ -360,7 +361,7 @@ def von_neumann_rhs(rho0, h_op, cfg: VonNeumannConfig | None = None,
         t_prev = t
         if t in ts:
             second = von_neumann_second_derivative(current, H, cfg)
-            residual = norm_1(coeff * commutator(current, H) - coeff * second)
+            residual = norm_1(commutator(current, H) - second)
             times.append(t)
             states.append(current)
             residuals.append(float(residual))

@@ -33,7 +33,7 @@ from .sampling import (
     rand_log_admissible,
 )
 from .unbounded import (NORM_GROWTH_ORDER, DiscretizedFamily, SweepReport, refinement_sweep,
-                        semigroup_residual)
+                        semigroup_residual, tdep_modulation)
 
 SUITES = ("matfun", "evolution", "logrep", "bch", "von_neumann", "sweep")
 
@@ -146,15 +146,19 @@ def suite_matfun(seed: int, dims=DEFAULT_DIMS, count: int = 200,
     rng = np.random.default_rng([seed, 1])
     per_dim = max(1, count // len(dims))
     worst_rt = worst_agree = 0.0
+    pairs = []
     for n in dims:
         for _ in range(per_dim):
             a = rand_log_admissible(rng, n)
             m = expm(a)
             log_m = logm_iss(m)
             worst_rt = max(worst_rt, norm_1(log_m - a))
-            contour_value = logm_contour(m, contour_for(m))
-            worst_agree = max(worst_agree, norm_1(contour_value - log_m) / norm_1(log_m))
+            pairs.append((m, log_m))
     rec.add("log_exp_roundtrip", "principal-log-roundtrip", worst_rt)
+    # A loop of its own, so the oracle's time is charged to this record.
+    for m, log_m in pairs:
+        contour_value = logm_contour(m, contour_for(m))
+        worst_agree = max(worst_agree, norm_1(contour_value - log_m) / norm_1(log_m))
     rec.add("contour_vs_iss", "independent-log-algorithms", worst_agree)
 
     # exp(log(M)) for shifted operators, the direction the surrogate needs.
@@ -181,18 +185,17 @@ def suite_evolution(seed: int, tolerances: dict | None = None) -> list[Verificat
     rng = np.random.default_rng([seed, 2])
 
     a_const = rand_complex(rng, 4, 1.5)
-    g_const = GeneratorSpec.constant(a_const, "const4")
+    g_const = GeneratorSpec.constant(a_const)
     u = propagate(g_const, 0.9, 0.1, 256, "rk4")
     rec.add("rk4_vs_expm", "constant-generator-exponential",
             norm_1(u.U - expm(0.8 * a_const)))
 
     a0 = rand_complex(rng, 3, 1.0)
-    g_mod = GeneratorSpec.modulated(a0, "one_plus_half_sin", gen_id="mod3")
+    g_mod = GeneratorSpec.modulated(a0, tdep_modulation)
     u = propagate(g_mod, 0.8, 0.0, 512, "rk4")
     # Commuting family: closed form via scalar quadrature of the modulation.
     import scipy.integrate as _si
-    weight, _ = _si.quad(lambda t: 1.0 + 0.5 * np.sin(2.0 * np.pi * t), 0.0, 0.8,
-                         epsabs=1e-13, epsrel=1e-13)
+    weight, _ = _si.quad(tdep_modulation, 0.0, 0.8, epsabs=1e-13, epsrel=1e-13)
     rec.add("commuting_quadrature", "commuting-family-closed-form",
             norm_1(u.U - expm(weight * a0)))
 
@@ -200,8 +203,7 @@ def suite_evolution(seed: int, tolerances: dict | None = None) -> list[Verificat
             check_semigroup(g_const, 0.0, 0.5, 1.0, 512, "rk4"))
 
     entries = [rand_complex(rng, 4, 1.0) for _ in range(3)]
-    g_table = GeneratorSpec.from_table(
-        [0.0, 0.5, 1.0], entries, gen_id="tab4")
+    g_table = GeneratorSpec.from_table([0.0, 0.5, 1.0], entries)
     rec.add("semigroup_tdep", "two-parameter-composition",
             check_semigroup(g_table, 0.0, 0.4, 0.9, 512, "rk4"))
 
@@ -209,8 +211,7 @@ def suite_evolution(seed: int, tolerances: dict | None = None) -> list[Verificat
     # family (table interpolants have curvature kinks that spoil the ratio).
     base = rand_complex(rng, 4, 1.0)
     drift = rand_complex(rng, 4, 1.0)
-    g_smooth = GeneratorSpec(
-        "smooth4", 4, 1.0, lambda t: base + np.sin(2.0 * np.pi * t) * drift)
+    g_smooth = GeneratorSpec(4, 1.0, lambda t: base + np.sin(2.0 * np.pi * t) * drift)
 
     def order_ratio(stepper: str, base_steps: int) -> float:
         u1 = propagate(g_smooth, 0.9, 0.0, base_steps, stepper).U
@@ -224,10 +225,10 @@ def suite_evolution(seed: int, tolerances: dict | None = None) -> list[Verificat
             _window_excess(order_ratio("magnus2", 64), 3.0, 5.5))
 
     # Contraction obeys (M, omega) = (1, 0); expansion violates it.
-    g_contract = GeneratorSpec.constant(-1.0 * eye(3), "contract")
+    g_contract = GeneratorSpec.constant(-1.0 * eye(3))
     u_c = propagate(g_contract, 1.0, 0.0, 64, "rk4")
     ok = check_growth_bound(u_c, 1.0, 0.0)
-    g_expand = GeneratorSpec.constant(eye(3), "expand")
+    g_expand = GeneratorSpec.constant(eye(3))
     u_e = propagate(g_expand, 1.0, 0.0, 64, "rk4")
     bad = check_growth_bound(u_e, 1.0, 0.5)
     rec.add("growth_bound", "norm-growth-envelope",
@@ -258,7 +259,7 @@ def suite_logrep(seed: int, tolerances: dict | None = None) -> list[Verification
     rec = Recorder("logrep", tolerances)
     rng = np.random.default_rng([seed, 3])
 
-    g8 = GeneratorSpec.constant(rand_complex(rng, 8, 1.2), "rand8")
+    g8 = GeneratorSpec.constant(rand_complex(rng, 8, 1.2))
     grid = [(0.3, 0.0), (0.6, 0.0), (0.9, 0.0), (0.9, 0.3)]
     ops = [propagate(g8, t, s, 256, "rk4") for t, s in grid]
     kappa = logrep_mod.select_kappa(ops).kappa
@@ -277,14 +278,13 @@ def suite_logrep(seed: int, tolerances: dict | None = None) -> list[Verification
 
     rotation = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=np.complex128)
     rec.add("recover_constant", "generator-recovery",
-            _recovery_case(GeneratorSpec.constant(rotation, "rot2"),
-                           (0.3, 0.5, 0.7)))
+            _recovery_case(GeneratorSpec.constant(rotation), (0.3, 0.5, 0.7)))
     g_mod = GeneratorSpec.modulated(np.diag([1.0, -1.0]).astype(np.complex128),
-                                    "affine", {"a": 1.0, "b": 1.0}, gen_id="affine2")
+                                    lambda t: 1.0 + 1.0 * t)
     rec.add("recover_modulated", "generator-recovery",
             _recovery_case(g_mod, (0.2, 0.3, 0.4)))
 
-    g4 = GeneratorSpec.constant(rand_complex(rng, 4, 1.0), "rand4")
+    g4 = GeneratorSpec.constant(rand_complex(rng, 4, 1.0))
     chk0 = logrep_mod.check_asymmetry(g4, 0.0, 1.0, 0.0)
     rec.add("asymmetry_zero_kappa", "inverse-vs-shift-asymmetry", chk0.gap)
     u = propagate(g4, 1.0, 0.0, 256, "rk4")

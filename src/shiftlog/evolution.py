@@ -1,10 +1,10 @@
 """Two-parameter evolution operators U(t, s) for time-dependent generators.
 
 A :class:`GeneratorSpec` wraps a matrix family t -> A(t) on a finite horizon,
-either closed-form (constant or scalar-modulated) or sampled (linear
-interpolation between tabulated matrices).  :func:`propagate`
-integrates dU/dt = A(t) U, U(s, s) = I with fixed-step RK4 or a midpoint
-Magnus stepper.
+either closed-form (constant, or a fixed matrix times a scalar function of t)
+or sampled (linear interpolation between tabulated matrices).
+:func:`propagate` integrates dU/dt = A(t) U, U(s, s) = I with fixed-step RK4
+or a midpoint Magnus stepper and returns the bare operator U(t, s).
 """
 
 from __future__ import annotations
@@ -21,18 +21,11 @@ from .matfun import expm
 
 STEPPERS = ("rk4", "magnus2")
 
-# Scalar modulation functions available to GeneratorSpec.modulated.
-_MODULATIONS = {
-    "affine": lambda params: (lambda t: params["a"] + params["b"] * t),
-    "one_plus_half_sin": lambda params: (lambda t: 1.0 + 0.5 * math.sin(2.0 * math.pi * t)),
-}
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:
     """A time-dependent generator family t -> A(t) on [0, T]."""
 
-    id: str
     dim: int
     T: float
     func: Callable[[float], np.ndarray]
@@ -48,23 +41,18 @@ class GeneratorSpec:
     # --- constructors ---
 
     @staticmethod
-    def constant(matrix, gen_id: str = "constant", horizon: float = 1.0) -> "GeneratorSpec":
+    def constant(matrix, horizon: float = 1.0) -> "GeneratorSpec":
         A = as_matrix(matrix)
-        return GeneratorSpec(gen_id, A.shape[0], horizon, lambda t: A)
+        return GeneratorSpec(A.shape[0], horizon, lambda t: A)
 
     @staticmethod
-    def modulated(matrix, modulation: str, params: dict | None = None,
-                  gen_id: str = "modulated", horizon: float = 1.0) -> "GeneratorSpec":
-        """A(t) = f(t) * A0 for a registered scalar modulation f."""
+    def modulated(matrix, f: Callable[[float], float], horizon: float = 1.0) -> "GeneratorSpec":
+        """A(t) = f(t) * A0 for a scalar function f; the values A(t) commute."""
         A = as_matrix(matrix)
-        params = dict(params or {})
-        if modulation not in _MODULATIONS:
-            raise ValueError(f"unknown modulation {modulation!r}")
-        f = _MODULATIONS[modulation](params)
-        return GeneratorSpec(gen_id, A.shape[0], horizon, lambda t: f(t) * A)
+        return GeneratorSpec(A.shape[0], horizon, lambda t: f(t) * A)
 
     @staticmethod
-    def from_table(times, matrices, gen_id: str = "table") -> "GeneratorSpec":
+    def from_table(times, matrices) -> "GeneratorSpec":
         """Piecewise-linear interpolation through sampled (t, A(t)) pairs."""
         ts = [float(t) for t in times]
         if len(ts) < 2 or sorted(ts) != ts or ts[0] != 0.0:
@@ -82,7 +70,7 @@ class GeneratorSpec:
             w = (t - ts[j]) / (ts[j + 1] - ts[j])
             return (1.0 - w) * mats[j] + w * mats[j + 1]
 
-        return GeneratorSpec(gen_id, dim, ts[-1], interp)
+        return GeneratorSpec(dim, ts[-1], interp)
 
 
 def lipschitz_estimate(g: GeneratorSpec) -> float:
@@ -95,14 +83,11 @@ def lipschitz_estimate(g: GeneratorSpec) -> float:
 
 @dataclass(frozen=True)
 class EvolutionOperator:
-    """U(t, s) with provenance: generator id, stepper and step count."""
+    """U(t, s) with the interval [s, t] it spans."""
 
     U: np.ndarray
     t: float
     s: float
-    generator_id: str
-    stepper: str
-    steps: int
 
 
 def _check_finite(u: np.ndarray, where: str) -> np.ndarray:
@@ -149,7 +134,7 @@ def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
                         m_prev = m
                     u = step @ u
                 _check_finite(u, f"{stepper} step {k}")
-    return EvolutionOperator(u, float(t), float(s), g.id, stepper, steps)
+    return EvolutionOperator(u, float(t), float(s))
 
 
 def check_semigroup(g: GeneratorSpec, s: float, r: float, t: float,

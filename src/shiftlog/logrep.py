@@ -5,6 +5,8 @@ the principal logarithm, form the bounded surrogate generator
 a(t, s) = Log(U(t, s) + kappa*I), recover the original generator A(t) from
 the time derivative of a, and exhibit the asymmetry that distinguishes
 exp(-a(t, s)) from the value a(s, t) would give on a group.
+:class:`LogRepresentation` holds a(t, s) on a finite (t, s) grid with its
+common kappa: the matrices, the shift and the grid, nothing more.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ class LogRepresentation:
     exp(a(t, s)) = U(t, s) + kappa*I."""
 
     kappa: complex
-    generator_id: str
     grid: tuple[tuple[float, float], ...]
     a: dict = field(compare=False)
 
@@ -86,7 +87,7 @@ def build_log_representation(g: GeneratorSpec, grid) -> LogRepresentation:
     ops = [propagate(g, t, s, 256, "rk4") for t, s in pts]
     kappa = select_kappa(ops).kappa
     amap = {ts: alt_generator(op, kappa) for ts, op in zip(pts, ops)}
-    return LogRepresentation(complex(kappa), g.id, pts, amap)
+    return LogRepresentation(complex(kappa), pts, amap)
 
 
 def recover_generator(g: GeneratorSpec, s: float, t: float, kappa,

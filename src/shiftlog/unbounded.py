@@ -61,22 +61,20 @@ def diffusion_matrix(n: int, viscosity: float = 1.0) -> np.ndarray:
     return a
 
 
+def tdep_modulation(t: float) -> float:
+    """Scalar factor 1 + 0.5 sin(2 pi t) of the ``advection_tdep`` family."""
+    return 1.0 + 0.5 * math.sin(2.0 * math.pi * t)
+
+
 def build(kind: str, n: int, speed: float = 1.0, viscosity: float = 1.0,
           horizon: float = 1.0) -> GeneratorSpec:
     """GeneratorSpec for one member of a discretized family."""
     if kind == "advection":
-        a0 = advection_matrix(n, speed)
-        return GeneratorSpec(f"advection[n={n}]", n, horizon, lambda t: a0)
+        return GeneratorSpec.constant(advection_matrix(n, speed), horizon)
     if kind == "diffusion":
-        a0 = diffusion_matrix(n, viscosity)
-        return GeneratorSpec(f"diffusion[n={n}]", n, horizon, lambda t: a0)
+        return GeneratorSpec.constant(diffusion_matrix(n, viscosity), horizon)
     if kind == "advection_tdep":
-        a0 = advection_matrix(n, speed)
-
-        def tdep(t: float) -> np.ndarray:
-            return (1.0 + 0.5 * math.sin(2.0 * math.pi * t)) * a0
-
-        return GeneratorSpec(f"advection_tdep[n={n}]", n, horizon, tdep)
+        return GeneratorSpec.modulated(advection_matrix(n, speed), tdep_modulation, horizon)
     raise ValueError(f"unknown family kind {kind!r}")
 
 

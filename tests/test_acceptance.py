@@ -143,7 +143,7 @@ def test_criterion_09_asymmetry_exhibit():
     rng = np.random.default_rng([SEED, 9])
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     a = a / norm_1(a)
-    g = GeneratorSpec.constant(a, "generic4")
+    g = GeneratorSpec.constant(a)
     gap0 = check_asymmetry(g, 0.0, 1.0, 0.0).gap
     u = propagate(g, 1.0, 0.0, 256)
     gap = check_asymmetry(g, 0.0, 1.0, 2.0 * norm_1(u.U)).gap

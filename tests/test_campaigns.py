@@ -1,9 +1,11 @@
 """Campaign grading: window checks and the sweep records."""
 
 import math
+import time
 
 import pytest
 
+from shiftlog import campaigns
 from shiftlog.campaigns import Recorder, _window_excess, grade_sweep
 from shiftlog.unbounded import DiscretizedFamily, SweepReport, SweepRow
 
@@ -45,3 +47,15 @@ def test_grade_sweep_one_row_has_no_slope():
     rec = Recorder("sweep")
     grade_sweep(rec, sweep_report("diffusion", (1.0,)))
     assert [r.case for r in rec.reports] == ["surrogate_band_ratio", "shifted_identity_band"]
+
+
+def test_matfun_contour_time_is_charged_to_its_own_case(monkeypatch):
+    oracle = campaigns.logm_contour
+
+    def slow_contour(m, spec):
+        time.sleep(0.01)
+        return oracle(m, spec)
+
+    monkeypatch.setattr(campaigns, "logm_contour", slow_contour)
+    cases = {r.case: r for r in campaigns.suite_matfun(42, dims=(2,), count=5)}
+    assert cases["contour_vs_iss"].runtime_ms >= 50.0

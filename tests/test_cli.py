@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +172,35 @@ def test_vn_demo_rejects_empty_grid(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert not (tmp_path / "traj.csv").exists()
+
+
+def test_vn_demo_tiny_hbar_grades_the_identity(tmp_path):
+    # rho0 commutes with H, so the state never moves and cannot overflow; the
+    # residual must not be scaled by 1/hbar.
+    cfg = write_json(tmp_path / "vn.json", {
+        "hamiltonian": matrix_to_json(np.diag([1.0, -1.0])),
+        "rho0": matrix_to_json(np.diag([0.7, 0.3])),
+        "hbar": 1e-300,
+        "trajectory": str(tmp_path / "traj.csv"),
+    })
+    assert main(["vn-demo", "--config", cfg]) == 0
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    text = README.read_text()
+    examples = dict(re.findall(r"Example `(\w+\.json)`.*?```json\n(.*?)```", text, re.S))
+    assert sorted(examples) == ["campaign.json", "sweep.json", "vn.json"]
+    monkeypatch.chdir(tmp_path)
+    for name, body in examples.items():
+        (tmp_path / name).write_text(body)
+    assert main(["verify", "--config", "campaign.json", "--suite", "bch"]) == 0
+    assert main(["vn-demo", "--config", "vn.json"]) == 0
+    assert main(["sweep", "--config", "sweep.json"]) == 0
+    walkthrough = text[text.index("## Walkthrough"):]
+    assert all(f"`{key.split('.')[1]}`" in walkthrough for key in DEFAULT_TOLERANCES)
 
 
 def test_sweep_verb(tmp_path, capsys):

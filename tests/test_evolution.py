@@ -1,5 +1,7 @@
 """Propagator tests: accuracy, order, semigroup property."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -23,7 +25,7 @@ def rand_c(rng, n, scale=1.0):
 
 
 def test_zero_generator_gives_identity():
-    g = GeneratorSpec.constant(np.zeros((3, 3)), "zero")
+    g = GeneratorSpec.constant(np.zeros((3, 3)))
     for steps in (1, 7, 64):
         u = propagate(g, 1.0, 0.0, steps)
         np.testing.assert_allclose(u.U, np.eye(3))
@@ -34,7 +36,7 @@ def test_zero_generator_gives_identity():
 def test_constant_generator_matches_expm():
     rng = np.random.default_rng(1)
     a = rand_c(rng, 4, 2.0)
-    g = GeneratorSpec.constant(a, "c")
+    g = GeneratorSpec.constant(a)
     u = propagate(g, 0.9, 0.1, 256, "rk4")
     assert norm_1(u.U - expm(0.8 * a)) <= 1e-8
 
@@ -44,7 +46,7 @@ def test_commuting_family_quadrature_oracle():
     # U(t, 0) = expm(int_0^t f) A0); the weight comes from scalar quadrature.
     rng = np.random.default_rng(2)
     a0 = rand_c(rng, 3, 1.0)
-    g = GeneratorSpec.modulated(a0, "one_plus_half_sin", gen_id="m")
+    g = GeneratorSpec.modulated(a0, lambda t: 1.0 + 0.5 * math.sin(2.0 * math.pi * t))
     weight, _ = scipy.integrate.quad(
         lambda t: 1.0 + 0.5 * np.sin(2.0 * np.pi * t), 0.0, 0.7,
         epsabs=1e-13, epsrel=1e-13)
@@ -53,13 +55,13 @@ def test_commuting_family_quadrature_oracle():
 
 
 def test_semigroup_zero_generator():
-    g = GeneratorSpec.constant(np.zeros((2, 2)), "zero")
+    g = GeneratorSpec.constant(np.zeros((2, 2)))
     assert check_semigroup(g, 0.0, 0.5, 1.0, 16) == 0.0
 
 
 def test_semigroup_constant_generator():
     rng = np.random.default_rng(3)
-    g = GeneratorSpec.constant(rand_c(rng, 3, 1.0), "c")
+    g = GeneratorSpec.constant(rand_c(rng, 3, 1.0))
     assert check_semigroup(g, 0.0, 0.4, 1.0, 512) <= 1e-9
 
 
@@ -74,8 +76,7 @@ def test_stepper_order_ratios():
     rng = np.random.default_rng(5)
     base = rand_c(rng, 3, 1.0)
     drift = rand_c(rng, 3, 1.0)
-    g = GeneratorSpec("smooth", 3, 1.0,
-                      lambda t: base + np.sin(2 * np.pi * t) * drift)
+    g = GeneratorSpec(3, 1.0, lambda t: base + np.sin(2 * np.pi * t) * drift)
 
     def ratio(stepper):
         u1 = propagate(g, 0.9, 0.0, 64, stepper).U
@@ -88,11 +89,11 @@ def test_stepper_order_ratios():
 
 
 def test_growth_bound_cases():
-    ident = EvolutionOperator(np.eye(2), 1.0, 0.0, "i", "rk4", 1)
+    ident = EvolutionOperator(np.eye(2), 1.0, 0.0)
     assert check_growth_bound(ident, 1.0, 0.0)
-    g = GeneratorSpec.constant(-np.eye(2), "contract")
+    g = GeneratorSpec.constant(-np.eye(2))
     assert check_growth_bound(propagate(g, 1.0, 0.0, 64), 1.0, 0.0)
-    g2 = GeneratorSpec.constant(np.eye(2), "expand")
+    g2 = GeneratorSpec.constant(np.eye(2))
     assert not check_growth_bound(propagate(g2, 1.0, 0.0, 64), 1.0, 0.5)
     with pytest.raises(ValueError):
         check_growth_bound(ident, 0.0, 0.0)
@@ -106,7 +107,7 @@ def test_magnus_preserves_unitary_norm():
 
 
 def test_propagate_validates_inputs():
-    g = GeneratorSpec.constant(np.eye(2), "c")
+    g = GeneratorSpec.constant(np.eye(2))
     with pytest.raises(ValueError):
         propagate(g, 0.5, 0.7, 16)
     with pytest.raises(ValueError):
@@ -118,7 +119,7 @@ def test_propagate_validates_inputs():
 
 
 def test_propagate_flags_non_finite():
-    g = GeneratorSpec.constant(1e200 * np.eye(2), "huge")
+    g = GeneratorSpec.constant(1e200 * np.eye(2))
     with pytest.raises(PropagationError):
         propagate(g, 1.0, 0.0, 1, "rk4")
 
@@ -132,7 +133,7 @@ def test_table_interpolation_midpoint():
 
 def test_lipschitz_estimate_modulated():
     a0 = np.eye(2, dtype=complex)
-    g = GeneratorSpec.modulated(a0, "affine", {"a": 0.0, "b": 2.0})
+    g = GeneratorSpec.modulated(a0, lambda t: 2.0 * t)
     # d/dt (2t A0) has norm 2; sampled proxy should land nearby
     assert abs(lipschitz_estimate(g) - 2.0) <= 1e-6
 
@@ -162,7 +163,7 @@ def test_magnus2_reuses_step_exponential_for_constant_generators(monkeypatch):
     from shiftlog.unbounded import build
     rng = np.random.default_rng(8)
     calls = _count_expm(monkeypatch)
-    for g, steps in ((GeneratorSpec.constant(rand_c(rng, 4, 3.0), "c"), 37),
+    for g, steps in ((GeneratorSpec.constant(rand_c(rng, 4, 3.0)), 37),
                      (build("diffusion", 16), 64)):
         calls.clear()
         u = propagate(g, 0.9, 0.1, steps, "magnus2")

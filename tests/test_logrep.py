@@ -69,7 +69,7 @@ def test_alt_generator_diagonal():
 
 def test_alt_generator_reexponentiation():
     rng = np.random.default_rng(3)
-    g = GeneratorSpec.constant(rand_c(rng, 8, 1.5), "g8")
+    g = GeneratorSpec.constant(rand_c(rng, 8, 1.5))
     u = propagate(g, 0.8, 0.0, 256)
     kappa = select_kappa([u]).kappa
     a = alt_generator(u, kappa)
@@ -84,14 +84,14 @@ def test_alt_generator_small_kappa_rejected():
 
 
 def test_recover_zero_generator():
-    g = GeneratorSpec.constant(np.zeros((2, 2)), "zero")
+    g = GeneratorSpec.constant(np.zeros((2, 2)))
     rec = recover_generator(g, 0.0, 0.5, 2.0)
     assert norm_1(rec) <= 1e-9
 
 
 def test_recover_constant_rotation():
     a = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    g = GeneratorSpec.constant(a, "rot")
+    g = GeneratorSpec.constant(a)
     u = propagate(g, 0.5, 0.0, 256)
     kappa = select_kappa([u]).kappa
     rec = recover_generator(g, 0.0, 0.5, kappa)
@@ -100,7 +100,7 @@ def test_recover_constant_rotation():
 
 def test_recover_commuting_modulated():
     a0 = np.diag([1.0, -1.0]).astype(complex)
-    g = GeneratorSpec.modulated(a0, "affine", {"a": 1.0, "b": 1.0}, gen_id="m")
+    g = GeneratorSpec.modulated(a0, lambda t: 1.0 + 1.0 * t)
     ops = [propagate(g, t, 0.0, 256) for t in (0.2, 0.3, 0.4)]
     kappa = select_kappa(ops).kappa
     for t in (0.2, 0.3, 0.4):
@@ -111,21 +111,21 @@ def test_recover_commuting_modulated():
 
 def test_asymmetry_vanishes_at_zero_kappa():
     rng = np.random.default_rng(5)
-    g = GeneratorSpec.constant(rand_c(rng, 4, 1.0), "g")
+    g = GeneratorSpec.constant(rand_c(rng, 4, 1.0))
     chk = check_asymmetry(g, 0.0, 1.0, 0.0)
     assert chk.gap <= 1e-10
 
 
 def test_asymmetry_scalar_value():
     # U = 2I, kappa = 4: lhs = I/6, rhs = (1/2 + 4) I, gap = 13/3
-    g = GeneratorSpec.constant(math.log(2.0) * np.eye(2), "scale")
+    g = GeneratorSpec.constant(math.log(2.0) * np.eye(2))
     chk = check_asymmetry(g, 0.0, 1.0, 4.0)
     assert chk.gap == pytest.approx(13.0 / 3.0, rel=1e-9)
 
 
 def test_asymmetry_generic_positive():
     rng = np.random.default_rng(6)
-    g = GeneratorSpec.constant(rand_c(rng, 4, 1.0), "g")
+    g = GeneratorSpec.constant(rand_c(rng, 4, 1.0))
     u = propagate(g, 1.0, 0.0, 256)
     chk = check_asymmetry(g, 0.0, 1.0, 2.0 * norm_1(u.U))
     assert chk.gap > 0.1
@@ -133,7 +133,7 @@ def test_asymmetry_generic_positive():
 
 def test_log_representation_grid_and_dump():
     rng = np.random.default_rng(7)
-    g = GeneratorSpec.constant(rand_c(rng, 3, 1.0), "g3")
+    g = GeneratorSpec.constant(rand_c(rng, 3, 1.0))
     rep = build_log_representation(g, [(0.0, 0.0), (0.5, 0.0), (0.8, 0.2)])
     # coincident times: a(s, s) = ln(1 + kappa) I for the real positive shift
     coincident = rep.a[(0.0, 0.0)]
