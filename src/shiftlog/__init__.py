@@ -48,7 +48,6 @@ from .evolution import (
 )
 from .logrep import (
     AsymmetryCheck,
-    KappaChoice,
     LogRepresentation,
     alt_generator,
     build_log_representation,

@@ -244,7 +244,7 @@ def suite_evolution(seed: int, tolerances: dict | None = None) -> list[Verificat
 
 def _recovery_case(g: GeneratorSpec, probes, steps: int = 256) -> float:
     ops = [propagate(g, t, 0.0, steps, "rk4") for t in probes]
-    kappa = logrep_mod.select_kappa(ops).kappa
+    kappa = logrep_mod.select_kappa(ops)
     worst = 0.0
     for t in probes:
         recovered = logrep_mod.recover_generator(
@@ -262,7 +262,7 @@ def suite_logrep(seed: int, tolerances: dict | None = None) -> list[Verification
     g8 = GeneratorSpec.constant(rand_complex(rng, 8, 1.2))
     grid = [(0.3, 0.0), (0.6, 0.0), (0.9, 0.0), (0.9, 0.3)]
     ops = [propagate(g8, t, s, 256, "rk4") for t, s in grid]
-    kappa = logrep_mod.select_kappa(ops).kappa
+    kappa = logrep_mod.select_kappa(ops)
     worst = 0.0
     resolvent_ok = True
     for op in ops:

@@ -26,20 +26,11 @@ from .matfun import FdConfig, expm, fd_derivative, logm_iss
 from .evolution import EvolutionOperator, GeneratorSpec, propagate
 
 
-@dataclass(frozen=True)
-class KappaChoice:
-    """A shift with its provenance: sup of ||U||_1 over the family and margin."""
-
-    kappa: complex
-    sup_norm: float
-    margin: float
-
-
 def _operator_matrix(u) -> np.ndarray:
     return as_matrix(u.U if isinstance(u, EvolutionOperator) else u)
 
 
-def select_kappa(family, margin: float = 2.0) -> KappaChoice:
+def select_kappa(family, margin: float = 2.0) -> complex:
     """Real positive shift kappa = margin * sup ||U||_1 over the family.
 
     With margin >= 2 every column Gershgorin disc of U + kappa*I lies in the
@@ -51,8 +42,7 @@ def select_kappa(family, margin: float = 2.0) -> KappaChoice:
         raise ValueError("empty evolution-operator family")
     if margin < 2.0:
         raise ValueError("margin below 2 does not guarantee admissibility")
-    sup = max(norm_1(m) for m in mats)
-    return KappaChoice(complex(margin * sup), sup, margin)
+    return complex(margin * max(norm_1(m) for m in mats))
 
 
 def alt_generator(u, kappa) -> np.ndarray:
@@ -85,9 +75,9 @@ def build_log_representation(g: GeneratorSpec, grid) -> LogRepresentation:
     """
     pts = tuple((float(t), float(s)) for t, s in grid)
     ops = [propagate(g, t, s, 256, "rk4") for t, s in pts]
-    kappa = select_kappa(ops).kappa
+    kappa = select_kappa(ops)
     amap = {ts: alt_generator(op, kappa) for ts, op in zip(pts, ops)}
-    return LogRepresentation(complex(kappa), pts, amap)
+    return LogRepresentation(kappa, pts, amap)
 
 
 def recover_generator(g: GeneratorSpec, s: float, t: float, kappa,

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .errors import BranchCutError, ContourError, NoConvergenceError
+from .errors import BranchCutError, ContourError, NoConvergenceError, SingularMatrixError
 from .linalg import (
     as_matrix,
     eye,
@@ -34,6 +34,9 @@ EXPM_NORM_LIMIT = 1e4
 
 # Relative term-size cutoff for the logarithm power series.
 SERIES_RTOL = 1e-16
+
+# Rounding slack on the Varah bound that each contour resolvent must satisfy.
+VARAH_RTOL = 1e-8
 
 
 def expm(a) -> np.ndarray:
@@ -176,10 +179,28 @@ def logm_contour(m, spec: ContourSpec) -> np.ndarray:
     1-norm.  Geometric convergence holds because the integrand is analytic in
     an annulus around the circle.
 
+    Each level costs one stacked inverse over its new nodes and one weighted
+    contraction.  The nodes of level 2N at even indices are exactly the nodes
+    of level N, so the weighted resolvent sum S is kept across levels: the
+    first level evaluates all its nodes, every later level only its N odd
+    ones, and level N is radius / N * S.  A call converging at N nodes thus
+    computes N resolvents, not the 2N - spec.nodes of recomputing each level.
+
+    The stacked inverse has no pivot threshold; a bound takes its place.  The
+    containment check below proves that one Gershgorin family (column or row
+    discs (c_j, r_j)) lies strictly inside the circle, so every node lam_k
+    has a margin d_k = min_j (|lam_k - c_j| - r_j) > 0.  Then lam_k I - M is
+    strictly diagonally dominant in that family, and Varah's bound gives
+    ||(lam_k I - M)^-1|| <= 1 / d_k in the 1-norm for column discs and the
+    inf-norm for row discs.  A resolvent that is not finite, or exceeds its
+    bound by more than rounding, cannot be trusted and raises.
+
     Raises
     ------
     ContourError
         If a Gershgorin disc family of ``m`` does not fit inside the circle.
+    SingularMatrixError
+        If a resolvent is non-finite or violates its Varah bound.
     NoConvergenceError
         If agreement is not reached by 4096 nodes.
     """
@@ -190,22 +211,34 @@ def logm_contour(m, spec: ContourSpec) -> np.ndarray:
             break
     else:
         raise ContourError("spectrum enclosure is not strictly inside the contour")
+    centers = np.array([c for c, _ in discs])
+    radii = np.array([r for _, r in discs])
+    # Column discs bound the 1-norm (column sums), row discs the inf-norm.
+    sum_axis = -2 if axis == "col" else -1
+    ident = eye(M.shape[0])
 
-    def quadrature(nodes: int) -> np.ndarray:
-        theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    def node_sum(theta: np.ndarray) -> np.ndarray:
         lam = spec.center + spec.radius * np.exp(1j * theta)
-        total = np.zeros_like(M)
-        ident = eye(M.shape[0])
-        for lam_k, theta_k in zip(lam, theta):
-            resolvent = solve(lam_k * ident - M, ident)
-            total = total + np.log(lam_k) * resolvent * np.exp(1j * theta_k)
-        return spec.radius / nodes * total
+        try:
+            resolvents = np.linalg.inv(lam[:, None, None] * ident - M)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"resolvent inverse failed: {exc}") from exc
+        margin = (np.abs(lam[:, None] - centers) - radii).min(axis=1)
+        size = np.abs(resolvents).sum(axis=sum_axis).max(axis=-1)
+        # A NaN or inf entry fails this comparison too.
+        if not np.all(size * margin <= 1.0 + VARAH_RTOL):
+            raise SingularMatrixError(
+                "resolvent is non-finite or exceeds its Gershgorin bound")
+        return np.einsum("k,kij->ij", np.log(lam) * np.exp(1j * theta), resolvents)
 
     nodes = spec.nodes
-    prev = quadrature(nodes)
+    total = node_sum(2.0 * np.pi * np.arange(nodes) / nodes)
+    prev = spec.radius / nodes * total
     while nodes < 4096:
+        # The odd nodes of level 2 * nodes, halfway between the current ones.
+        total = total + node_sum(np.pi * (2 * np.arange(nodes) + 1) / nodes)
         nodes *= 2
-        cur = quadrature(nodes)
+        cur = spec.radius / nodes * total
         if norm_1(cur - prev) < 1e-9:
             return cur
         prev = cur

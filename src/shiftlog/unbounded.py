@@ -237,7 +237,7 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
         u1 = propagate(g, t, s, steps, "magnus2")
         b_raw = grid_potential(n)
         u2_matrix = expm(interval * b_raw)
-        kappa = select_kappa([u1.U, u2_matrix]).kappa
+        kappa = select_kappa([u1.U, u2_matrix])
         a1 = alt_generator(u1, kappa)
         a2 = alt_generator(u2_matrix, kappa)
 

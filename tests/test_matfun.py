@@ -5,9 +5,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from shiftlog.errors import BranchCutError, ContourError
-from shiftlog.linalg import norm_1
+from shiftlog.errors import BranchCutError, ContourError, SingularMatrixError
+from shiftlog.linalg import eye, norm_1, solve
 from shiftlog.matfun import (
     ContourSpec,
     FdConfig,
@@ -18,6 +20,7 @@ from shiftlog.matfun import (
     logm_iss,
     sqrtm_db,
 )
+from shiftlog.sampling import rand_log_admissible
 
 
 def rand_c(rng, n, scale=1.0):
@@ -56,11 +59,11 @@ def test_expm_accuracy_large_scaling():
                                rtol=1e-12)
 
 
-def _expm_mpmath(a) -> np.ndarray:
-    """exp(a) from mpmath at 40 significant digits, rounded to complex128."""
+def _mpmath_reference(fn, a) -> np.ndarray:
+    """fn(a) from mpmath at 40 significant digits, rounded to complex128."""
     with mpmath.workdps(40):
-        e = mpmath.expm(mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row]
-                                       for row in a]))
+        e = fn(mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row]
+                              for row in a]))
         return np.array([[complex(e[i, j]) for j in range(a.shape[1])]
                          for i in range(a.shape[0])])
 
@@ -70,7 +73,7 @@ def test_expm_forward_error_against_mpmath():
     for n in (2, 4, 8):
         for norm in (0.1, 1.0, 8.0, 50.0):
             a = rand_c(rng, n, norm)
-            ref = _expm_mpmath(a)
+            ref = _mpmath_reference(mpmath.expm, a)
             assert norm_1(expm(a) - ref) <= 1e-14 * norm_1(ref), (n, norm)
 
 
@@ -150,6 +153,119 @@ def test_logm_agreement_random_dims():
         m = expm(a)
         ref = logm_iss(m)
         assert norm_1(logm_contour(m, contour_for(m)) - ref) <= 1e-8 * norm_1(ref)
+
+
+def _logm_contour_loop(m, spec):
+    """Reference: one solve per node, every level from scratch.
+
+    Returns the converged value and the node count of the converged level.
+    """
+    ident = eye(m.shape[0])
+
+    def quadrature(nodes):
+        theta = 2.0 * np.pi * np.arange(nodes) / nodes
+        lam = spec.center + spec.radius * np.exp(1j * theta)
+        total = np.zeros_like(ident)
+        for lam_k, theta_k in zip(lam, theta):
+            resolvent = solve(lam_k * ident - m, ident)
+            total = total + np.log(lam_k) * resolvent * np.exp(1j * theta_k)
+        return spec.radius / nodes * total
+
+    nodes = spec.nodes
+    prev = quadrature(nodes)
+    while nodes < 4096:
+        nodes *= 2
+        cur = quadrature(nodes)
+        if norm_1(cur - prev) < 1e-9:
+            return cur, nodes
+        prev = cur
+    raise AssertionError("reference quadrature did not converge")
+
+
+def _record_inverse(monkeypatch, calls, transform=None):
+    """Route np.linalg.inv through a wrapper that records (input, output)."""
+    inv = np.linalg.inv
+
+    def wrapper(a):
+        out = inv(a)
+        if transform is not None:
+            out = transform(out)
+        calls.append((a, out))
+        return out
+
+    monkeypatch.setattr(np.linalg, "inv", wrapper)
+
+
+def test_logm_contour_matches_node_loop_with_reuse(monkeypatch):
+    rng = np.random.default_rng(53)
+    for n in (2, 4, 8, 16):
+        for _ in range(3):
+            m = expm(rand_log_admissible(rng, n))
+            spec = contour_for(m)
+            ref, converged_nodes = _logm_contour_loop(m, spec)
+            calls = []
+            _record_inverse(monkeypatch, calls)
+            value = logm_contour(m, spec)
+            monkeypatch.undo()
+            assert norm_1(value - ref) <= 1e-13 * norm_1(ref), n
+            # each level adds only its new nodes: 64, then 64, 128, ...
+            sizes = [len(a) for a, _ in calls]
+            assert sizes == [spec.nodes] + [spec.nodes * 2**j
+                                             for j in range(len(sizes) - 1)]
+            assert sum(sizes) == converged_nodes
+
+
+def _singular(out):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize("transform", [
+    _singular,
+    lambda out: np.full_like(out, np.nan),
+    # the diagonal test matrix makes each Varah bound tight: 2x is past it
+    lambda out: out * np.where(np.arange(len(out)) == 0, 2.0, 1.0)[:, None, None],
+], ids=["singular", "nan", "twice_bound"])
+def test_logm_contour_guard_rejects_bad_resolvents(monkeypatch, transform):
+    _record_inverse(monkeypatch, [], transform)
+    with pytest.raises(SingularMatrixError):
+        logm_contour(np.diag([2.0, 3.0]), ContourSpec(2.5, 1.2, 64))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 5, 8]),
+       norm=st.floats(0.05, 3.0), shift=st.complex_numbers(max_magnitude=4.0))
+def test_varah_bound_holds_at_every_node(seed, n, norm, shift):
+    m = rand_c(np.random.default_rng(seed), n, norm) + shift * np.eye(n)
+    try:
+        spec = contour_for(m)
+    except ContourError:
+        assume(False)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        _record_inverse(mp, calls)
+        logm_contour(m, spec)
+    for stack, inverse in calls:
+        absb = np.abs(stack)
+        diag = np.abs(np.diagonal(stack, axis1=-2, axis2=-1))
+        # strict dominance margins of lam_k I - M over columns and over rows
+        col = (2 * diag - absb.sum(axis=-2)).min(axis=-1)
+        row = (2 * diag - absb.sum(axis=-1)).min(axis=-1)
+        norm_col = np.abs(inverse).sum(axis=-2).max(axis=-1)
+        norm_row = np.abs(inverse).sum(axis=-1).max(axis=-1)
+        assert np.all((col > 0) | (row > 0))
+        slack = 1.0 + 1e-12
+        assert np.all((col <= 0) | (norm_col * col <= slack))
+        assert np.all((row <= 0) | (norm_row * row <= slack))
+
+
+def test_logm_forward_error_against_mpmath():
+    rng = np.random.default_rng(59)
+    for n in (2, 4, 8):
+        m = expm(rand_log_admissible(rng, n))
+        ref = _mpmath_reference(mpmath.logm, m)
+        scale = norm_1(ref)
+        assert norm_1(logm_contour(m, contour_for(m)) - ref) <= 1e-13 * scale, n
+        assert norm_1(logm_iss(m) - ref) <= 1e-13 * scale, n
 
 
 def test_contour_validation():
