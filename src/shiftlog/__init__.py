@@ -19,10 +19,8 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import (
-    SpectralEnclosure,
     gershgorin_discs,
     matrix_from_json,
-    matrix_to_json,
     norm_1,
     off_branch_cut,
     solve,
@@ -43,14 +41,10 @@ from .evolution import (
     GeneratorSpec,
     check_growth_bound,
     check_semigroup,
-    lipschitz_estimate,
     propagate,
 )
 from .logrep import (
-    AsymmetryCheck,
-    LogRepresentation,
     alt_generator,
-    build_log_representation,
     check_asymmetry,
     recover_generator,
     select_kappa,
@@ -58,12 +52,8 @@ from .logrep import (
 from .bch import (
     BchTruncation,
     ExpansionReport,
-    ShiftedBchCheck,
-    SmallnessCheck,
-    VonNeumannConfig,
     VonNeumannReport,
     adjoint_series,
-    bch_smallness_condition,
     bch_terms,
     bch_truncated,
     commutator,

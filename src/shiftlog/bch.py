@@ -14,8 +14,7 @@ Three families of checks live here:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -104,56 +103,9 @@ def bch_truncated(x, y, order: int) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True)
-class SmallnessCheck:
-    """Result of the exponential-norm smallness condition for the product series."""
-
-    satisfied: bool
-    product_bound_ok: bool
-    max_norm_a: float
-    max_norm_b: float
-    max_product_norm: float
-
-    def __bool__(self) -> bool:
-        return self.satisfied
-
-
-def bch_smallness_condition(a, b, delta: float, tgrid) -> SmallnessCheck:
-    """Check ||expm(tA)|| < delta and ||expm(tB)|| < delta over a grid in [0, 1].
-
-    The smallness hypothesis of the paper's generalized product (CBH) formula.
-    ``delta`` must satisfy 0 < delta <= sqrt(2); under the condition the
-    derived bound ||expm(tA) expm(tB)|| < 2 holds, which keeps the logarithm
-    of the product inside its convergence radius.  The derived bound is
-    reported alongside the verdict.
-    """
-    if not 0.0 < delta <= math.sqrt(2.0):
-        raise ValueError("delta must satisfy 0 < delta <= sqrt(2)")
-    ts = [float(t) for t in tgrid]
-    if any(t < 0.0 or t > 1.0 for t in ts):
-        raise ValueError("tgrid must lie within [0, 1]")
-    max_a = max_b = max_prod = 0.0
-    for t in ts:
-        ea = expm(t * as_matrix(a))
-        eb = expm(t * as_matrix(b))
-        max_a = max(max_a, norm_1(ea))
-        max_b = max(max_b, norm_1(eb))
-        max_prod = max(max_prod, norm_1(ea @ eb))
-    satisfied = max_a < delta and max_b < delta
-    return SmallnessCheck(satisfied, max_prod < 2.0, max_a, max_b, max_prod)
-
-
-@dataclass(frozen=True)
-class ShiftedBchCheck:
-    """lhs = expm(a1) expm(a2) + kappa*I against its shifted-series exponential."""
-
-    lhs: np.ndarray
-    rhs: np.ndarray
-    residual: float
-
-
-def kappa_shifted_bch(a1, a2, kappa, order: int = 2) -> ShiftedBchCheck:
-    """Compare expm(a1) expm(a2) + kappa*I with the shifted-BCH closed form
+def kappa_shifted_bch(a1, a2, kappa, order: int = 2) -> float:
+    """Residual in 1-norm of expm(a1) expm(a2) + kappa*I against the
+    shifted-BCH closed form
 
         exp( ln(kappa+1) I + (kappa+1)^-1 (a1 + a2)
              + 1/2 (kappa+1)^-1 [a1, a2] )      (order 2; order 1 drops the
@@ -185,32 +137,20 @@ def kappa_shifted_bch(a1, a2, kappa, order: int = 2) -> ShiftedBchCheck:
     exponent = np.log(kap + 1.0) * ident + sigma / (kap + 1.0)
     if order >= 2:
         exponent = exponent + 0.5 / (kap + 1.0) * comm
-    rhs = expm(exponent)
-    return ShiftedBchCheck(lhs, rhs, norm_1(lhs - rhs))
+    return norm_1(lhs - expm(exponent))
 
 
-@dataclass(frozen=True)
-class VonNeumannConfig:
-    """Knobs for the second-derivative-of-logarithm checks."""
-
-    hbar: float = 1.0
-    fd: FdConfig = field(default_factory=lambda: FdConfig(h=1e-2, richardson_levels=1))
-    mode: str = "frozen"
-
-    def __post_init__(self):
-        if self.hbar <= 0.0:
-            raise ValueError("hbar must be positive")
-        if self.mode not in ("frozen", "integral"):
-            raise ValueError("mode must be 'frozen' or 'integral'")
+# Central differences of step 1e-2 with one Richardson level: the
+# finite-difference rule of every second-derivative-of-logarithm check.
+VON_NEUMANN_FD = FdConfig(h=1e-2, richardson_levels=1)
 
 
-def von_neumann_second_derivative(x, y, cfg: VonNeumannConfig | None = None) -> np.ndarray:
+def von_neumann_second_derivative(x, y) -> np.ndarray:
     """d^2/ds^2 Log(expm(X s) expm(Y s)) at s = 0 by central differences.
 
     The product series gives Log(e^{Xs} e^{Ys}) = (X+Y)s + 1/2 [X,Y] s^2
     + O(s^3), so the value equals [X, Y] up to finite-difference error.
     """
-    cfg = cfg or VonNeumannConfig()
     X = as_matrix(x)
     Y = as_matrix(y)
     zero = np.zeros_like(X)
@@ -218,16 +158,14 @@ def von_neumann_second_derivative(x, y, cfg: VonNeumannConfig | None = None) -> 
     def curve(s: float) -> np.ndarray:
         if s == 0.0:
             return zero
-        return logm_iss(expm(s * X) @ expm(s * Y))
+        return log_product(s * X, s * Y)
 
-    return fd_derivative(curve, 0.0, cfg.fd, order=2)
+    return fd_derivative(curve, 0.0, VON_NEUMANN_FD, order=2)
 
 
 def _simpson_integral(f: Callable[[float], np.ndarray], upper: float,
                       panels: int = 16) -> np.ndarray:
     """Composite Simpson rule for a matrix-valued integrand on [0, upper]."""
-    if upper == 0.0:
-        return np.zeros_like(f(0.0))
     h = upper / (2 * panels)
     total = f(0.0) + f(upper)
     for k in range(1, 2 * panels):
@@ -239,63 +177,41 @@ def _simpson_integral(f: Callable[[float], np.ndarray], upper: float,
 class ExpansionReport:
     """Measured leading Taylor coefficients of sigma -> Log(e^{G1} e^{G2})."""
 
-    mode: str
     first: np.ndarray
     second: np.ndarray
-    first_reference: np.ndarray
-    second_reference: np.ndarray
     first_residual: float
     second_residual: float
     drift_term: np.ndarray
 
 
 def log_product_expansion(a1_family: Callable[[float], np.ndarray],
-                          a2_family: Callable[[float], np.ndarray],
-                          cfg: VonNeumannConfig | None = None) -> ExpansionReport:
-    """Expand Log(e^{G1(sigma)} e^{G2(sigma)}) around sigma = 0.
+                          a2_family: Callable[[float], np.ndarray]) -> ExpansionReport:
+    """Expand Log(e^{G1(sigma)} e^{G2(sigma)}) around sigma = 0, where
+    G_i(sigma) is the integral of a_i over [0, sigma] (Simpson).
 
-    In ``frozen`` mode G_i(sigma) = a_i(0) * sigma; the first derivative is
-    a1 + a2 and the second is [a1, a2] exactly up to FD error.  In
-    ``integral`` mode G_i(sigma) = integral of a_i over [0, sigma] (Simpson),
-    and the second derivative picks up the drift d/dsigma (a1 + a2)|_0 in
-    addition to the commutator; the drift term is measured and reported
-    rather than adjudicated away.
+    The first derivative is a1(0) + a2(0).  The second is [a1(0), a2(0)] plus
+    the drift d/dsigma (a1 + a2)|_0, which is measured and reported rather
+    than adjudicated away.  For constant families the drift vanishes and
+    G_i(sigma) = sigma a_i up to rounding, so the second derivative is the
+    commutator up to FD error.
     """
-    cfg = cfg or VonNeumannConfig()
     a1_0 = as_matrix(a1_family(0.0))
     a2_0 = as_matrix(a2_family(0.0))
     zero = np.zeros_like(a1_0)
-
-    if cfg.mode == "frozen":
-        def g1(sigma):
-            return sigma * a1_0
-
-        def g2(sigma):
-            return sigma * a2_0
-
-        drift = zero
-    else:
-        def g1(sigma):
-            return _simpson_integral(a1_family, sigma)
-
-        def g2(sigma):
-            return _simpson_integral(a2_family, sigma)
-
-        sum_family = lambda s: a1_family(s) + a2_family(s)
-        drift = fd_derivative(sum_family, 0.0, cfg.fd, order=1)
+    drift = fd_derivative(lambda s: a1_family(s) + a2_family(s), 0.0, VON_NEUMANN_FD,
+                          order=1)
 
     def curve(sigma: float) -> np.ndarray:
         if sigma == 0.0:
             return zero
-        return logm_iss(expm(g1(sigma)) @ expm(g2(sigma)))
+        return log_product(_simpson_integral(a1_family, sigma),
+                           _simpson_integral(a2_family, sigma))
 
-    first = fd_derivative(curve, 0.0, cfg.fd, order=1)
-    second = fd_derivative(curve, 0.0, cfg.fd, order=2)
-    first_ref = a1_0 + a2_0
-    second_ref = commutator(a1_0, a2_0) + drift
+    first = fd_derivative(curve, 0.0, VON_NEUMANN_FD, order=1)
+    second = fd_derivative(curve, 0.0, VON_NEUMANN_FD, order=2)
     return ExpansionReport(
-        cfg.mode, first, second, first_ref, second_ref,
-        norm_1(first - first_ref), norm_1(second - second_ref), drift,
+        first, second, norm_1(first - (a1_0 + a2_0)),
+        norm_1(second - (commutator(a1_0, a2_0) + drift)), drift,
     )
 
 
@@ -309,20 +225,21 @@ class VonNeumannReport:
     trace_drift: float
 
 
-def von_neumann_rhs(rho0, h_op, cfg: VonNeumannConfig | None = None,
-                    tgrid=None) -> VonNeumannReport:
-    """Evolve d rho/dt = (i/hbar) [rho, H] and check the commutator against
-    the second derivative of the logarithm at every grid point.
+def von_neumann_rhs(rho0, h_op, hbar: float = 1.0, tgrid=None) -> VonNeumannReport:
+    """Evolve d rho/dt = (i/hbar) [rho, H] from t = 0 and check the commutator
+    against the second derivative of the logarithm at every grid point.
 
-    The evolution uses RK4 at 512 steps per unit time between grid points;
-    the reported residual at time t is the hbar-free identity residual
+    The grid times must be non-negative and non-decreasing.  The evolution
+    uses RK4 at 512 steps per unit time between grid points; the reported
+    residual at time t is the hbar-free identity residual
     || [rho(t), H] - d^2_s Log(e^{rho s} e^{H s})|_0 ||_1, so a tiny hbar does
     not inflate it (the prefactor i/hbar is linear and graded on its own).
     Since every RK4 increment is a polynomial in commutators, the trace of
     rho is conserved up to rounding, and the drift is reported.  A state that
     overflows raises :class:`PropagationError`.
     """
-    cfg = cfg or VonNeumannConfig()
+    if not hbar > 0.0:
+        raise ValueError("hbar must be positive")
     rho = as_matrix(rho0)
     H = as_matrix(h_op)
     if rho.shape != H.shape:
@@ -332,19 +249,19 @@ def von_neumann_rhs(rho0, h_op, cfg: VonNeumannConfig | None = None,
     ts = [float(t) for t in tgrid]
     if sorted(ts) != ts:
         raise ValueError("tgrid must be non-decreasing")
-    coeff = 1j / cfg.hbar
+    if ts and ts[0] < 0.0:
+        raise ValueError(f"time grid must not start before t = 0, got {ts[0]}")
+    coeff = 1j / hbar
 
     def rhs(r):
         return coeff * (r @ H - H @ r)
 
     times, states, residuals = [], [], []
-    t_prev = ts[0] if ts and ts[0] == 0.0 else 0.0
-    # Integrate from t = 0 through the grid points.
-    grid = ts if ts and ts[0] == 0.0 else [0.0] + ts
+    t_prev = 0.0
     current = rho
     trace0 = complex(np.trace(rho))
     max_drift = 0.0
-    for t in grid:
+    for t in ts:
         if t > t_prev:
             n_steps = max(1, int(np.ceil(512 * (t - t_prev))))
             h = (t - t_prev) / n_steps
@@ -359,11 +276,10 @@ def von_neumann_rhs(rho0, h_op, cfg: VonNeumannConfig | None = None,
             if not np.all(np.isfinite(current)):
                 raise PropagationError(f"non-finite density matrix before t = {t}")
         t_prev = t
-        if t in ts:
-            second = von_neumann_second_derivative(current, H, cfg)
-            residual = norm_1(commutator(current, H) - second)
-            times.append(t)
-            states.append(current)
-            residuals.append(float(residual))
-            max_drift = max(max_drift, abs(complex(np.trace(current)) - trace0))
+        second = von_neumann_second_derivative(current, H)
+        residual = norm_1(commutator(current, H) - second)
+        times.append(t)
+        states.append(current)
+        residuals.append(float(residual))
+        max_drift = max(max_drift, abs(complex(np.trace(current)) - trace0))
     return VonNeumannReport(tuple(times), tuple(states), tuple(residuals), float(max_drift))

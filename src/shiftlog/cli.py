@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bch import VonNeumannConfig, bch_terms, bch_truncated, log_product, von_neumann_rhs
+from .bch import bch_terms, bch_truncated, log_product, von_neumann_rhs
 from .campaigns import (DEFAULT_DIMS, DEFAULT_TOLERANCES, SUITES, Recorder, grade_sweep,
                         grade_von_neumann_demo, run_suites)
 from .errors import BudgetExceededError, ConfigError, PropagationError, ShiftlogError
@@ -99,8 +99,8 @@ def load_config(path: str | None) -> CampaignConfig:
     _object(raw, "config", ("seed", "suites", "dims", "sweep_dims", "tolerances", "output"))
     cfg = CampaignConfig()
     if "seed" in raw:
-        if type(raw["seed"]) is not int:
-            raise _fail("seed", "must be an integer")
+        if type(raw["seed"]) is not int or raw["seed"] < 0:
+            raise _fail("seed", f"must be a non-negative integer, got {raw['seed']!r}")
         cfg.seed = raw["seed"]
     if "suites" in raw:
         suites = raw["suites"]
@@ -128,11 +128,11 @@ def load_config(path: str | None) -> CampaignConfig:
         tols = raw["tolerances"]
         if not isinstance(tols, dict):
             raise _fail("tolerances", "must be an object of case -> tolerance")
-        for key, val in tols.items():
+        for key in tols:
             if key not in DEFAULT_TOLERANCES:
                 raise _fail(f"tolerances.{key}", "unknown case")
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise _fail(f"tolerances.{key}", "must be numeric")
+            if _number(tols, key, "tolerances.") < 0.0:
+                raise _fail(f"tolerances.{key}", "must not be negative")
         cfg.tolerances = dict(tols)
     cfg.out_path, cfg.out_format = _output(raw, ("path", "format"))
     return cfg
@@ -162,6 +162,8 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"unknown suite(s) {unknown}; valid: {list(SUITES)}")
         cfg.suites = tuple(args.suite)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         cfg.seed = args.seed
     reports = run_suites(cfg.suites, cfg.seed, cfg.dims, cfg.sweep_dims, cfg.tolerances)
     return _finish(reports, args.out or cfg.out_path, args.format or cfg.out_format,
@@ -196,8 +198,7 @@ def cmd_vn_demo(args) -> int:
 
     rec = Recorder("von_neumann")
     try:
-        demo = von_neumann_rhs(rho0, h_op, VonNeumannConfig(hbar=hbar),
-                               np.linspace(start, stop, points))
+        demo = von_neumann_rhs(rho0, h_op, hbar, np.linspace(start, stop, points))
     except (ValueError, PropagationError) as exc:
         raise ConfigError(str(exc)) from exc
     grade_von_neumann_demo(rec, demo)

@@ -73,14 +73,6 @@ class GeneratorSpec:
         return GeneratorSpec(dim, ts[-1], interp)
 
 
-def lipschitz_estimate(g: GeneratorSpec) -> float:
-    """Sampled Lipschitz constant of t -> A(t) in the 1-norm, from 33 forward
-    differences of step 1e-4: probes the paper's hypothesis that A(t) is continuous."""
-    delta = 1e-4
-    ts = np.linspace(0.0, g.T - delta, 33)
-    return max(norm_1(g.eval(t + delta) - g.eval(t)) / delta for t in ts)
-
-
 @dataclass(frozen=True)
 class EvolutionOperator:
     """U(t, s) with the interval [s, t] it spans."""

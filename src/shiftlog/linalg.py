@@ -10,7 +10,6 @@ and operate on plain ``numpy`` arrays of dtype complex128.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -73,19 +72,6 @@ def solve(a, b) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class SpectralEnclosure:
-    """A covering disc plus the Gershgorin discs it was built from.
-
-    Every eigenvalue lies in the union of ``discs``; every disc is contained
-    in the disc ``(center, radius)``.
-    """
-
-    center: complex
-    radius: float
-    discs: tuple[tuple[complex, float], ...]
-
-
 def gershgorin_discs(a, axis: str = "col") -> tuple[tuple[complex, float], ...]:
     """Gershgorin discs (center, radius) from row or column off-diagonal sums."""
     A = as_matrix(a)
@@ -101,20 +87,17 @@ def _covering_disc(discs) -> tuple[complex, float]:
     return center, float(radius)
 
 
-def spectral_enclosure(a) -> SpectralEnclosure:
-    """Enclose the spectrum with Gershgorin discs and one covering disc.
+def spectral_enclosure(a) -> tuple[complex, float]:
+    """A disc (center, radius) containing the spectrum.
 
-    Row and column disc families are both valid enclosures; the one whose
-    covering disc is smaller is returned (column discs on ties, matching the
-    column-based induced 1-norm used elsewhere).
+    It covers every Gershgorin disc of one family.  Row and column families
+    are both valid enclosures; the one whose covering disc is smaller is used
+    (column discs on ties, matching the column-based induced 1-norm used
+    elsewhere).
     """
-    col = gershgorin_discs(a, "col")
-    row = gershgorin_discs(a, "row")
-    ccol, rcol = _covering_disc(col)
-    crow, rrow = _covering_disc(row)
-    if rrow < rcol:
-        return SpectralEnclosure(crow, rrow, row)
-    return SpectralEnclosure(ccol, rcol, col)
+    col = _covering_disc(gershgorin_discs(a, "col"))
+    row = _covering_disc(gershgorin_discs(a, "row"))
+    return row if row[1] < col[1] else col
 
 
 def ray_gap(center: complex, radius: float) -> float:
@@ -163,12 +146,7 @@ def off_branch_cut(a) -> bool:
     return False
 
 
-# --- JSON matrix encoding: array of rows, entries as [re, im] pairs ---
-
-def matrix_to_json(a) -> list:
-    A = as_matrix(a)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in A]
-
+# --- JSON matrix decoding: array of rows, entries as [re, im] pairs ---
 
 def matrix_from_json(obj) -> np.ndarray:
     try:

@@ -5,23 +5,14 @@ the principal logarithm, form the bounded surrogate generator
 a(t, s) = Log(U(t, s) + kappa*I), recover the original generator A(t) from
 the time derivative of a, and exhibit the asymmetry that distinguishes
 exp(-a(t, s)) from the value a(s, t) would give on a group.
-:class:`LogRepresentation` holds a(t, s) on a finite (t, s) grid with its
-common kappa: the matrices, the shift and the grid, nothing more.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import SingularMatrixError
-from .linalg import (
-    as_matrix,
-    eye,
-    norm_1,
-    solve,
-)
+from .linalg import as_matrix, eye, norm_1, solve
 from .matfun import FdConfig, expm, fd_derivative, logm_iss
 from .evolution import EvolutionOperator, GeneratorSpec, propagate
 
@@ -53,31 +44,6 @@ def alt_generator(u, kappa) -> np.ndarray:
     """
     m = _operator_matrix(u)
     return logm_iss(m + complex(kappa) * eye(m.shape[0]))
-
-
-@dataclass(frozen=True)
-class LogRepresentation:
-    """Grid of surrogate generators with the defining relation
-    exp(a(t, s)) = U(t, s) + kappa*I."""
-
-    kappa: complex
-    grid: tuple[tuple[float, float], ...]
-    a: dict = field(compare=False)
-
-
-def build_log_representation(g: GeneratorSpec, grid) -> LogRepresentation:
-    """Propagate U over the (t, s) grid and take shifted logs at a common kappa.
-
-    The paper's logarithmic representation of the family, on a finite grid.
-    U is propagated by RK4 at 256 steps, kappa is chosen by
-    :func:`select_kappa` over the propagated family, and every stored matrix
-    satisfies the re-exponentiation relation to within the logm accuracy.
-    """
-    pts = tuple((float(t), float(s)) for t, s in grid)
-    ops = [propagate(g, t, s, 256, "rk4") for t, s in pts]
-    kappa = select_kappa(ops)
-    amap = {ts: alt_generator(op, kappa) for ts, op in zip(pts, ops)}
-    return LogRepresentation(kappa, pts, amap)
 
 
 def recover_generator(g: GeneratorSpec, s: float, t: float, kappa,
@@ -113,17 +79,8 @@ def recover_generator(g: GeneratorSpec, s: float, t: float, kappa,
         ) from exc
 
 
-@dataclass(frozen=True)
-class AsymmetryCheck:
-    """exp(-a(t, s)) compared against U(t, s)^-1 + kappa*I."""
-
-    lhs: np.ndarray
-    rhs: np.ndarray
-    gap: float
-
-
-def check_asymmetry(g: GeneratorSpec, s: float, t: float, kappa) -> AsymmetryCheck:
-    """Measure how far exp(-a(t, s)) is from U(t, s)^-1 + kappa*I.
+def check_asymmetry(g: GeneratorSpec, s: float, t: float, kappa) -> float:
+    """The gap ||exp(-a(t, s)) - (U(t, s)^-1 + kappa*I)||_1.
 
     The two coincide exactly at kappa = 0 (both are the inverse of U) and
     generically differ once kappa is nonzero: inverting the shifted operator
@@ -134,4 +91,4 @@ def check_asymmetry(g: GeneratorSpec, s: float, t: float, kappa) -> AsymmetryChe
     a = alt_generator(u, kappa)
     lhs = expm(-a)
     rhs = solve(u.U, eye(g.dim)) + complex(kappa) * eye(g.dim)
-    return AsymmetryCheck(lhs, rhs, norm_1(lhs - rhs))
+    return norm_1(lhs - rhs)

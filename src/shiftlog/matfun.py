@@ -164,11 +164,11 @@ def contour_for(m) -> ContourSpec:
     Raises :class:`ContourError` if no such circle exists, e.g. when the
     enclosure reaches too close to the cut.
     """
-    enc = spectral_enclosure(m)
-    radius = enc.radius * 1.15 if enc.radius > 0.0 else max(abs(enc.center) * 0.1, 0.1)
-    if ray_gap(enc.center, radius) <= 0.12 * radius:
+    center, cover = spectral_enclosure(m)
+    radius = cover * 1.15 if cover > 0.0 else max(abs(center) * 0.1, 0.1)
+    if ray_gap(center, radius) <= 0.12 * radius:
         raise ContourError("no circular contour with enough branch-cut clearance")
-    return ContourSpec(enc.center, radius)
+    return ContourSpec(center, radius)
 
 
 def logm_contour(m, spec: ContourSpec) -> np.ndarray:
@@ -266,7 +266,8 @@ def fd_derivative(f: Callable[[float], np.ndarray], t0: float, cfg: FdConfig,
     ``order`` selects the first or second derivative.  Richardson
     extrapolation is applied ``cfg.richardson_levels`` times, giving error
     O(h^(2 + 2*levels)) on smooth curves.  The curve must be evaluable on
-    [t0 - 4h, t0 + 4h].
+    [t0 - h, t0 + h]: the widest stencil reaches t0 +- h, the finer
+    Richardson levels use h / 2**j.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")

@@ -255,7 +255,7 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
         s1 = c1 * (SHIFTED_OPERAND_NORM / norm_1(c1))
         s2 = c2 * (SHIFTED_OPERAND_NORM / norm_1(c2))
         try:
-            residual_shifted = kappa_shifted_bch(s1, s2, kappa).residual
+            residual_shifted = kappa_shifted_bch(s1, s2, kappa)
         except ConvergenceRadiusError:
             residual_shifted = float("inf")
 

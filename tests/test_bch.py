@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from shiftlog.bch import (
-    VonNeumannConfig,
     adjoint_series,
-    bch_smallness_condition,
     bch_terms,
     bch_truncated,
     commutator,
@@ -131,35 +129,11 @@ def test_bch_order_law(order):
         assert order + 0.7 <= slope <= order + 1.3
 
 
-# --- smallness condition for the product series ---
-
-def test_smallness_condition_contractions():
-    ts = np.linspace(0.0, 1.0, 9)
-    chk = bch_smallness_condition(-np.eye(2), -np.eye(2), 1.2, ts)
-    assert chk and chk.product_bound_ok
-
-
-def test_smallness_condition_expanding():
-    ts = np.linspace(0.0, 1.0, 9)
-    assert not bch_smallness_condition(np.eye(2), -np.eye(2), 1.2, ts)
-
-
-def test_smallness_condition_delta_range():
-    ts = [0.0, 0.5, 1.0]
-    bch_smallness_condition(-np.eye(2), -np.eye(2), math.sqrt(2.0), ts)
-    with pytest.raises(ValueError):
-        bch_smallness_condition(-np.eye(2), -np.eye(2), 1.5, ts)
-    with pytest.raises(ValueError):
-        bch_smallness_condition(-np.eye(2), -np.eye(2), 0.0, ts)
-
-
 # --- kappa-shifted product identity ---
 
 def test_shifted_bch_zero_operands():
     zero = np.zeros((2, 2), dtype=complex)
-    chk = kappa_shifted_bch(zero, zero, 2.0)
-    np.testing.assert_allclose(chk.lhs, 3.0 * np.eye(2))
-    assert chk.residual <= 1e-12
+    assert kappa_shifted_bch(zero, zero, 2.0) <= 1e-12
 
 
 def test_shifted_bch_commuting_nilpotent_direction():
@@ -167,9 +141,9 @@ def test_shifted_bch_commuting_nilpotent_direction():
     rng = np.random.default_rng(9)
     from shiftlog.sampling import rand_nilpotent
     nil = rand_nilpotent(rng, 2)
-    chk = kappa_shifted_bch(0.1 * nil, 0.1 * nil, 2.0)
-    assert chk.residual <= 1e-3  # exact up to rounding in practice
-    assert chk.residual <= 1e-12
+    residual = kappa_shifted_bch(0.1 * nil, 0.1 * nil, 2.0)
+    assert residual <= 1e-3  # exact up to rounding in practice
+    assert residual <= 1e-12
 
 
 def test_shifted_bch_cubic_scaling_on_nilpotent_sums():
@@ -177,7 +151,7 @@ def test_shifted_bch_cubic_scaling_on_nilpotent_sums():
     eps = [0.2, 0.1, 0.05]
     for _ in range(5):
         a1, a2 = nilpotent_sum_pair(rng, 2)
-        res = [kappa_shifted_bch(e * a1, e * a2, 2.0).residual for e in eps]
+        res = [kappa_shifted_bch(e * a1, e * a2, 2.0) for e in eps]
         assert 2.7 <= loglog_slope(eps, res) <= 3.3
 
 
@@ -189,7 +163,7 @@ def test_shifted_bch_generic_pairs_scale_quadratically():
     for _ in range(5):
         a1 = rand_complex(rng, 2, 1.0)
         a2 = rand_complex(rng, 2, 1.0)
-        res = [kappa_shifted_bch(e * a1, e * a2, 2.0).residual for e in eps]
+        res = [kappa_shifted_bch(e * a1, e * a2, 2.0) for e in eps]
         assert 1.8 <= loglog_slope(eps, res) <= 2.4
 
 
@@ -207,8 +181,8 @@ def test_shifted_bch_preconditions():
 def test_shifted_bch_order_one_is_coarser():
     rng = np.random.default_rng(13)
     a1, a2 = nilpotent_sum_pair(rng, 2)
-    fine = kappa_shifted_bch(0.1 * a1, 0.1 * a2, 2.0, order=2).residual
-    coarse = kappa_shifted_bch(0.1 * a1, 0.1 * a2, 2.0, order=1).residual
+    fine = kappa_shifted_bch(0.1 * a1, 0.1 * a2, 2.0, order=2)
+    coarse = kappa_shifted_bch(0.1 * a1, 0.1 * a2, 2.0, order=1)
     assert coarse > fine
 
 
@@ -259,7 +233,7 @@ def test_expansion_frozen_constant_families():
     rng = np.random.default_rng(17)
     b1 = rand_complex(rng, 2, 0.6)
     b2 = rand_complex(rng, 2, 0.6)
-    rep = log_product_expansion(lambda s: b1, lambda s: b2, VonNeumannConfig())
+    rep = log_product_expansion(lambda s: b1, lambda s: b2)
     assert rep.first_residual <= 1e-7
     assert rep.second_residual <= 1e-5
     np.testing.assert_allclose(rep.drift_term, np.zeros((2, 2)))
@@ -267,7 +241,7 @@ def test_expansion_frozen_constant_families():
 
 def test_expansion_zero_families():
     zero = np.zeros((2, 2), dtype=complex)
-    rep = log_product_expansion(lambda s: zero, lambda s: zero, VonNeumannConfig())
+    rep = log_product_expansion(lambda s: zero, lambda s: zero)
     assert norm_1(rep.first) <= 1e-12 and norm_1(rep.second) <= 1e-9
 
 
@@ -277,8 +251,7 @@ def test_expansion_integral_mode_picks_up_drift():
     b2 = rand_complex(rng, 2, 0.4)
     c1 = rand_complex(rng, 2, 0.3)
     c2 = rand_complex(rng, 2, 0.3)
-    cfg = VonNeumannConfig(mode="integral")
-    rep = log_product_expansion(lambda s: b1 + s * c1, lambda s: b2 + s * c2, cfg)
+    rep = log_product_expansion(lambda s: b1 + s * c1, lambda s: b2 + s * c2)
     # measured second coefficient = [a1, a2] + d/ds (a1 + a2) at 0
     np.testing.assert_allclose(rep.drift_term, c1 + c2, atol=1e-9)
     assert rep.second_residual <= 1e-4
@@ -310,12 +283,28 @@ def test_von_neumann_rotating_coherence_closed_form():
 def test_von_neumann_hbar_prefactor():
     h_op = np.diag([1.0, -1.0]).astype(complex)
     rho0 = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-    r1 = von_neumann_rhs(rho0, h_op, VonNeumannConfig(hbar=1.0), [0.3])
-    r2 = von_neumann_rhs(rho0, h_op, VonNeumannConfig(hbar=2.0), [0.3])
+    r1 = von_neumann_rhs(rho0, h_op, 1.0, [0.3])
+    r2 = von_neumann_rhs(rho0, h_op, 2.0, [0.3])
     # doubling hbar halves the motion: states differ, commutator scale halves
     v1 = commutator(r1.states[0], h_op)
     v2 = commutator(r2.states[0], h_op)
     assert norm_1(v1) > 0
     # at matched times the hbar=2 state equals the hbar=1 state at t/2
-    r1_half = von_neumann_rhs(rho0, h_op, VonNeumannConfig(hbar=1.0), [0.15])
+    r1_half = von_neumann_rhs(rho0, h_op, 1.0, [0.15])
     np.testing.assert_allclose(r2.states[0], r1_half.states[0], atol=1e-10)
+
+
+def test_von_neumann_rejects_nonpositive_hbar():
+    h_op = np.diag([1.0, -1.0]).astype(complex)
+    rho0 = 0.5 * np.ones((2, 2), dtype=complex)
+    for hbar in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="hbar"):
+            von_neumann_rhs(rho0, h_op, hbar, [0.1])
+
+
+def test_von_neumann_rejects_negative_times():
+    # the trajectory starts at rho(0) = rho0, so a grid point before 0 has no state
+    h_op = np.diag([1.0, -1.0]).astype(complex)
+    rho0 = 0.5 * np.ones((2, 2), dtype=complex)
+    with pytest.raises(ValueError, match="t = 0"):
+        von_neumann_rhs(rho0, h_op, tgrid=np.linspace(-1.0, 0.0, 3))

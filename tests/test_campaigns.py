@@ -1,9 +1,13 @@
 """Campaign grading: window checks and the sweep records."""
 
+import ast
 import math
 import time
+from pathlib import Path
 
 import pytest
+
+import shiftlog
 
 from shiftlog import campaigns
 from shiftlog.campaigns import Recorder, _window_excess, grade_sweep
@@ -59,3 +63,23 @@ def test_matfun_contour_time_is_charged_to_its_own_case(monkeypatch):
     monkeypatch.setattr(campaigns, "logm_contour", slow_contour)
     cases = {r.case: r for r in campaigns.suite_matfun(42, dims=(2,), count=5)}
     assert cases["contour_vs_iss"].runtime_ms >= 50.0
+
+
+def test_every_exported_name_is_read_by_the_package():
+    # A name the package exports but never reads outside __init__ serves only
+    # its tests, and goes.  Reads are loaded names and
+    # attribute accesses; a def or class statement is not a read.
+    pkg = Path(shiftlog.__file__).parent
+    init = ast.parse((pkg / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = set()
+    for path in pkg.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert sorted(exported - read) == []

@@ -11,7 +11,10 @@ import pytest
 from shiftlog.campaigns import DEFAULT_TOLERANCES
 from shiftlog.cli import load_config, main
 from shiftlog.errors import ConfigError
-from shiftlog.linalg import matrix_to_json
+
+
+def matrix_to_json(a):
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(a, dtype=complex)]
 
 
 def write_json(path, payload):
@@ -48,12 +51,21 @@ def test_load_config_defaults_and_overrides(tmp_path):
     ({"seed": 1, "trajectory": "t.csv"}, "unknown key"),
     ({"seed": True}, "seed"),
     ({"tolerances": {"bch.order_law_k1": True}}, "tolerances"),
+    ({"seed": -1}, "seed"),
+    ({"tolerances": {"bch.order_law_k1": math.inf}}, "tolerances"),
+    ({"tolerances": {"bch.order_law_k1": math.nan}}, "tolerances"),
+    ({"tolerances": {"bch.order_law_k1": -1.0}}, "tolerances"),
 ])
 def test_load_config_rejects(tmp_path, payload, fragment):
     path = write_json(tmp_path / "bad.json", payload)
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert fragment.split(".")[0] in str(err.value)
+
+
+def test_load_config_accepts_zero_tolerance(tmp_path):
+    path = write_json(tmp_path / "c.json", {"tolerances": {"bch.order_law_k1": 0}})
+    assert load_config(path).tolerances == {"bch.order_law_k1": 0}
 
 
 def test_config_parse_error_includes_line(tmp_path):
@@ -296,14 +308,24 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
     ("vn-demo", {**VN_CONFIG, "hbar": 1e-320}),
     ("vn-demo", {**VN_CONFIG, "hbar": 1e-300}),
     ("sweep", {**SWEEP_CONFIG, "output": {"path": "sweep.csv", "format": "json"}}),
+    ("verify", {"seed": -1}),
+    ("verify", ["--seed", "-1"]),
+    ("verify", {"tolerances": {"bch.order_law_k1": math.inf}}),
+    ("verify", {"tolerances": {"bch.order_law_k1": math.nan}}),
+    ("verify", {"tolerances": {"bch.order_law_k1": -1.0}}),
+    ("vn-demo", {**VN_CONFIG, "grid": {"start": -1, "stop": 0, "points": 3}}),
 ], ids=["sweep-dims-int", "sweep-t-null", "sweep-budget-null", "sweep-t-inf",
         "sweep-speed-zero", "vn-hbar-str", "bch-shape-mismatch", "bch-branch-cut",
         "bch-norm-above-expm-limit", "vn-trajectory-int", "vn-tolerance-key",
-        "vn-hbar-underflow", "vn-hbar-overflow", "sweep-output-format"])
+        "vn-hbar-underflow", "vn-hbar-overflow", "sweep-output-format",
+        "verify-seed-negative", "verify-seed-flag-negative", "verify-tolerance-inf",
+        "verify-tolerance-nan", "verify-tolerance-negative", "vn-grid-before-zero"])
 def test_bad_input_is_one_stderr_line(tmp_path, capsys, verb, payload):
     if verb == "bch":
         argv = ["bch", write_json(tmp_path / "x.json", matrix_to_json(payload[0])),
                 write_json(tmp_path / "y.json", matrix_to_json(payload[1]))]
+    elif isinstance(payload, list):
+        argv = [verb, *payload]
     else:
         argv = [verb, "--config", write_json(tmp_path / "c.json", payload)]
     assert main(argv) == 2

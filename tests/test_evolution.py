@@ -12,7 +12,6 @@ from shiftlog.evolution import (
     GeneratorSpec,
     check_growth_bound,
     check_semigroup,
-    lipschitz_estimate,
     propagate,
 )
 from shiftlog.linalg import norm_1
@@ -129,13 +128,6 @@ def test_table_interpolation_midpoint():
     a1 = np.eye(2, dtype=complex)
     g = GeneratorSpec.from_table([0.0, 1.0], [a0, a1])
     np.testing.assert_allclose(g.eval(0.5), 0.5 * np.eye(2))
-
-
-def test_lipschitz_estimate_modulated():
-    a0 = np.eye(2, dtype=complex)
-    g = GeneratorSpec.modulated(a0, lambda t: 2.0 * t)
-    # d/dt (2t A0) has norm 2; sampled proxy should land nearby
-    assert abs(lipschitz_estimate(g) - 2.0) <= 1e-6
 
 
 def _count_expm(monkeypatch):
