@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import SingularMatrixError
 from .linalg import as_matrix, eye, norm_1, solve
-from .matfun import FdConfig, expm, fd_derivative, logm_iss
+from .matfun import FdConfig, expm, fd_derivative, fd_half_widths, logm_iss
 from .evolution import EvolutionOperator, GeneratorSpec, propagate
 
 
@@ -46,27 +46,52 @@ def alt_generator(u, kappa) -> np.ndarray:
     return logm_iss(m + complex(kappa) * eye(m.shape[0]))
 
 
+def recovery_chain(s: float, t: float, cfg: FdConfig,
+                   steps_per_unit: float) -> list[tuple[float, float, int]]:
+    """Segments (start, end, steps) of the one march from s that
+    :func:`recover_generator` reads U(tau, s) off.
+
+    The segment ends are the probe times t and t +- w for every half-width w
+    of :func:`fd_half_widths`, in increasing order; each segment takes
+    ``max(1, ceil(steps_per_unit * (end - start)))`` steps.
+    """
+    widths = fd_half_widths(cfg)
+    knots = sorted({t, *(t + w for w in widths), *(t - w for w in widths)})
+    return [(a, b, max(1, int(np.ceil(steps_per_unit * (b - a)))))
+            for a, b in zip([s, *knots[:-1]], knots)]
+
+
 def recover_generator(g: GeneratorSpec, s: float, t: float, kappa,
                       cfg: FdConfig | None = None, steps_per_unit: float = 256,
                       stepper: str = "rk4") -> np.ndarray:
     """Recover A(t) from the surrogate family via
     A(t) = (I - kappa exp(-a(t, s)))^-1 d/dt a(t, s).
 
-    The time derivative is a central difference of tau -> a(tau, s) with the
-    propagation step density shared across probe points so that stepper bias
-    largely cancels.  Exact when d/dt U commutes with U (commuting families);
-    otherwise the output is a diagnostic, not the generator.
+    The time derivative is a central difference of tau -> a(tau, s).  U is
+    propagated once from s through the sorted probe times (the segments of
+    :func:`recovery_chain`), each segment composed onto the operator so far,
+    and a(tau, s) is read off the operator held at each probe.  Exact when
+    d/dt U commutes with U (commuting families); otherwise the output is a
+    diagnostic, not the generator.
     """
     cfg = cfg or FdConfig(h=1e-2, richardson_levels=1)
     if not s < t <= g.T:
         raise ValueError("need s < t <= T")
-    reach = t + 1.01 * cfg.h
-    if reach > g.T:
+    if t + 1.01 * cfg.h > g.T:
         raise ValueError("FD probes exceed the generator horizon")
+    if t - cfg.h < s:
+        raise ValueError(f"FD window [t - h, t + h] = [{t - cfg.h:g}, {t + cfg.h:g}] "
+                         f"starts before s = {s:g}")
+
+    u, u_at = eye(g.dim), {}
+    for start, end, steps in recovery_chain(s, t, cfg, steps_per_unit):
+        u = propagate(g, end, start, steps, stepper).U @ u
+        u_at[end] = u
 
     def a_of(tau: float) -> np.ndarray:
-        n_steps = max(1, int(np.ceil(steps_per_unit * (tau - s))))
-        return alt_generator(propagate(g, tau, s, n_steps, stepper), kappa)
+        if tau not in u_at:
+            raise KeyError(f"probe time {tau!r} is not a knot of the propagation chain")
+        return alt_generator(u_at[tau], kappa)
 
     da = fd_derivative(a_of, t, cfg, order=1)
     a_ts = a_of(t)

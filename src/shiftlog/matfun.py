@@ -259,6 +259,12 @@ class FdConfig:
             raise ValueError("richardson_levels must be in 0..3")
 
 
+def fd_half_widths(cfg: FdConfig) -> list[float]:
+    """Stencil half-widths h / 2**j, j = 0..richardson_levels, in the order
+    :func:`fd_derivative` uses them; it evaluates the curve at t0 +- each."""
+    return [cfg.h / 2**j for j in range(cfg.richardson_levels + 1)]
+
+
 def fd_derivative(f: Callable[[float], np.ndarray], t0: float, cfg: FdConfig,
                   order: int = 1) -> np.ndarray:
     """Central-difference derivative of a matrix-valued curve.
@@ -267,7 +273,7 @@ def fd_derivative(f: Callable[[float], np.ndarray], t0: float, cfg: FdConfig,
     extrapolation is applied ``cfg.richardson_levels`` times, giving error
     O(h^(2 + 2*levels)) on smooth curves.  The curve must be evaluable on
     [t0 - h, t0 + h]: the widest stencil reaches t0 +- h, the finer
-    Richardson levels use h / 2**j.
+    Richardson levels use the half-widths of :func:`fd_half_widths`.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -285,8 +291,7 @@ def fd_derivative(f: Callable[[float], np.ndarray], t0: float, cfg: FdConfig,
             return (f(t0 + h) - 2.0 * f0 + f(t0 - h)) / (h * h)
 
     levels = cfg.richardson_levels
-    table = [np.asarray(stencil(cfg.h / 2**j), dtype=np.complex128)
-             for j in range(levels + 1)]
+    table = [np.asarray(stencil(h), dtype=np.complex128) for h in fd_half_widths(cfg)]
     # Standard Richardson triangle; the error expansion has only even powers.
     for m in range(1, levels + 1):
         factor = 4.0**m

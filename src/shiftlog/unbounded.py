@@ -25,7 +25,7 @@ from .errors import (
 from .linalg import eye, norm_1
 from .matfun import FdConfig, expm
 from .evolution import GeneratorSpec, check_semigroup, propagate
-from .logrep import alt_generator, recover_generator, select_kappa
+from .logrep import alt_generator, recover_generator, recovery_chain, select_kappa
 from .bch import bch_truncated, kappa_shifted_bch
 
 # Order p of the norm growth ||A_n||_1 ~ n^p under refinement, per family kind.
@@ -165,6 +165,10 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
+# FD rule of the sweep's generator recovery.
+_RECOVERY_FD = FdConfig(h=5e-3, richardson_levels=1)
+
+
 def _calibrated_steps(norm_a: float, interval: float) -> int:
     # Step count grows with ||A|| (t - s) so stiff members stay accurate.
     return max(32, int(math.ceil(8.0 * norm_a * interval)))
@@ -172,23 +176,28 @@ def _calibrated_steps(norm_a: float, interval: float) -> int:
 
 DEFAULT_SWEEP_BUDGET = 5e9
 
-# Work model of one sweep member, in units of n^3 times one n x n product per
-# magnus2 step.  A member runs six propagations of about ``steps`` steps (the
-# main one, four FD probes and a(t) in the recovery); a step costs one product
-# when magnus2 reuses its step exponential, and an expm plus the product when
-# A(t) changes between steps.  The logarithms, exponentials and solves outside
-# the propagations add a fixed amount per member.  Fitted on single-member
-# sweep timings at n = 64..128, where one unit took about 1.3 ns on a 2-vCPU
-# Xeon VM with one BLAS thread.
-_STEP_COST_REUSED = 1.0
-_STEP_COST_FRESH = 13.0
-_MEMBER_FIXED_COST = 245.0
+# Work model of one sweep member, in units of n^3 times about 1.3 ns on a
+# 2-vCPU Xeon VM with one BLAS thread.  A member takes the magnus2 steps of
+# its main propagation plus those of the recovery chain (:func:`recovery_chain`,
+# about as many again).  A step costs one n x n product when magnus2 reuses its
+# step exponential, and an expm plus the product when A(t) changes between
+# steps.  The logarithms, exponentials and solves outside the steps, seven
+# logarithms in all, add a fixed amount per member.  Fitted on single-member
+# sweep timings at n = 64..128: the reused step is the measured product time,
+# the fixed cost the mean remainder of the constant-generator members.  The
+# fresh step is the n = 64 advection_tdep member's remainder per step; at
+# n = 96 and 128 it over-charges that member by up to 1.8x, the safe side for
+# a guard.
+_STEP_COST_REUSED = 0.13
+_STEP_COST_FRESH = 3.5
+_MEMBER_FIXED_COST = 340.0
 
 
 def sweep_cost(family: DiscretizedFamily, t: float, s: float) -> float:
     """Estimated work of :func:`refinement_sweep` in the units of its budget.
 
-    Per member, whether magnus2 can reuse its step exponential is read off
+    Per member, the step count is the main propagation's plus the recovery
+    chain's, and whether magnus2 can reuse its step exponential is read off
     the generator the same way :func:`propagate` decides it: by comparing the
     first two midpoint samples.
     """
@@ -201,7 +210,9 @@ def sweep_cost(family: DiscretizedFamily, t: float, s: float) -> float:
         h = interval / steps
         reused = np.array_equal(g.eval(s + 0.5 * h), g.eval(s + 1.5 * h))
         per_step = _STEP_COST_REUSED if reused else _STEP_COST_FRESH
-        cost += float(n) ** 3 * (steps * per_step + _MEMBER_FIXED_COST)
+        chain = recovery_chain(s, t, _RECOVERY_FD, steps / interval)
+        total_steps = steps + sum(k for _, _, k in chain)
+        cost += float(n) ** 3 * (total_steps * per_step + _MEMBER_FIXED_COST)
     return cost
 
 
@@ -261,13 +272,14 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
 
         # Generator recovery through the surrogate derivative (families here
         # are constant or scalar-modulated, so the commutation hypothesis
-        # holds exactly); conditioning degrades as the smallest eigenvalue
-        # of U approaches zero, which is reported rather than hidden.
+        # holds exactly), on one magnus2 march from s through the FD probe
+        # times at the calibrated step density; conditioning degrades as the
+        # smallest eigenvalue of U approaches zero, which is reported rather
+        # than hidden.
         try:
             recovered = recover_generator(
                 g, s, t, kappa,
-                FdConfig(h=5e-3, richardson_levels=1),
-                steps_per_unit=steps / interval, stepper="magnus2")
+                _RECOVERY_FD, steps_per_unit=steps / interval, stepper="magnus2")
             residual_recovery = norm_1(recovered - g.eval(t))
         except (SingularMatrixError, NoConvergenceError, BranchCutError):
             residual_recovery = float("inf")

@@ -9,7 +9,7 @@ import pytest
 
 import shiftlog
 
-from shiftlog import campaigns
+from shiftlog import bch, campaigns
 from shiftlog.campaigns import Recorder, _window_excess, grade_sweep
 from shiftlog.unbounded import DiscretizedFamily, SweepReport, SweepRow
 
@@ -63,6 +63,19 @@ def test_matfun_contour_time_is_charged_to_its_own_case(monkeypatch):
     monkeypatch.setattr(campaigns, "logm_contour", slow_contour)
     cases = {r.case: r for r in campaigns.suite_matfun(42, dims=(2,), count=5)}
     assert cases["contour_vs_iss"].runtime_ms >= 50.0
+
+
+def test_hbar_scaling_fails_when_the_prefactor_ignores_hbar(monkeypatch):
+    cases = {r.case: r for r in campaigns.suite_von_neumann(42)}
+    assert cases["hbar_scaling"].passed
+    evolve = bch.von_neumann_rhs
+
+    def unit_hbar(rho0, h_op, hbar=1.0, tgrid=None):
+        return evolve(rho0, h_op, 1.0, tgrid)
+
+    monkeypatch.setattr(bch, "von_neumann_rhs", unit_hbar)
+    cases = {r.case: r for r in campaigns.suite_von_neumann(42)}
+    assert not cases["hbar_scaling"].passed
 
 
 def test_every_exported_name_is_read_by_the_package():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from shiftlog import logrep
 from shiftlog.errors import BranchCutError
 from shiftlog.evolution import GeneratorSpec, propagate
 from shiftlog.linalg import norm_1, solve
@@ -13,9 +14,10 @@ from shiftlog.logrep import (
     alt_generator,
     check_asymmetry,
     recover_generator,
+    recovery_chain,
     select_kappa,
 )
-from shiftlog.matfun import FdConfig, expm
+from shiftlog.matfun import FdConfig, expm, fd_derivative
 
 
 def rand_c(rng, n, scale=1.0):
@@ -104,6 +106,86 @@ def test_recover_commuting_modulated():
         rec = recover_generator(g, 0.0, t, kappa,
                                 FdConfig(h=1e-2, richardson_levels=1))
         assert norm_1(rec - (1.0 + t) * a0) <= 1e-6
+
+
+def logged_generator(g, times):
+    def func(t):
+        times.append(t)
+        return g.func(t)
+    return GeneratorSpec(g.dim, g.T, func)
+
+
+def probe_recorder(monkeypatch):
+    """Record every time fd_derivative asks the recovery for."""
+    asked = []
+
+    def recording_fd(f, t0, cfg, order=1):
+        def logged(tau):
+            asked.append(tau)
+            return f(tau)
+        return fd_derivative(logged, t0, cfg, order)
+
+    monkeypatch.setattr(logrep, "fd_derivative", recording_fd)
+    return asked
+
+
+@pytest.mark.parametrize("stepper", ["rk4", "magnus2"])
+def test_recovery_evaluates_the_generator_on_one_march(stepper):
+    g = GeneratorSpec.modulated(np.diag([1.0, -1.0]), lambda t: 1.0 + t)
+    times = []
+    cfg = FdConfig(h=1e-2, richardson_levels=1)
+    recover_generator(logged_generator(g, times), 0.1, 0.4, 3.0, cfg,
+                      steps_per_unit=64, stepper=stepper)
+    # monotone up to the rounding of tau = start + k * step
+    assert times[0] >= 0.1 and times[-1] <= 0.4 + cfg.h + 1e-12
+    assert all(a <= b + 1e-12 for a, b in zip(times, times[1:]))
+
+
+@pytest.mark.parametrize("levels", [0, 1, 2, 3])
+def test_recovery_chain_knots_are_the_fd_probe_times(monkeypatch, levels):
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    g = GeneratorSpec.constant(a)
+    # h small enough for the plain central difference (levels = 0)
+    cfg = FdConfig(h=2e-3, richardson_levels=levels)
+    asked = probe_recorder(monkeypatch)
+    rec = recover_generator(g, 0.0, 0.5, select_kappa([propagate(g, 0.5, 0.0, 256)]), cfg)
+    assert norm_1(rec - a) <= 1e-6
+    knots = [end for _, end, _ in recovery_chain(0.0, 0.5, cfg, 256)]
+    assert len(knots) == 2 * levels + 3
+    assert set(asked) | {0.5} == set(knots)
+
+
+def test_recovery_rejects_a_probe_off_the_chain(monkeypatch):
+    def off_chain_fd(f, t0, cfg, order=1):
+        return f(t0 + 1.5 * cfg.h)
+
+    monkeypatch.setattr(logrep, "fd_derivative", off_chain_fd)
+    g = GeneratorSpec.constant(np.zeros((2, 2)))
+    with pytest.raises(KeyError, match="not a knot"):
+        recover_generator(g, 0.0, 0.5, 2.0)
+
+
+def test_recovery_chain_is_exact_for_a_constant_generator(monkeypatch):
+    rng = np.random.default_rng(7)
+    a = rand_c(rng, 4, 1.0)
+    g = GeneratorSpec.constant(a)
+    asked = probe_recorder(monkeypatch)
+    held = []
+    monkeypatch.setattr(logrep, "alt_generator",
+                        lambda u, kappa: held.append(u) or alt_generator(u, kappa))
+    recover_generator(g, 0.1, 0.6, 3.0, FdConfig(h=1e-2, richardson_levels=2),
+                      steps_per_unit=100, stepper="magnus2")
+    assert len(held) == len(asked) + 1
+    for tau, u in zip(asked + [0.6], held):
+        assert norm_1(u - expm((tau - 0.1) * a)) <= 1e-12
+
+
+def test_recovery_rejects_fd_window_before_s():
+    g = GeneratorSpec.constant(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="FD window"):
+        recover_generator(g, 0.0, 0.004, 2.0, FdConfig(h=5e-3))
+    with pytest.raises(ValueError, match="FD window"):
+        recover_generator(g, 0.3, 0.305, 2.0, FdConfig(h=1e-2))
 
 
 def test_asymmetry_vanishes_at_zero_kappa():
