@@ -47,6 +47,7 @@ from .logrep import (
     alt_generator,
     check_asymmetry,
     recover_generator,
+    recovery_march,
     select_kappa,
 )
 from .bch import (

@@ -177,11 +177,8 @@ def _simpson_integral(f: Callable[[float], np.ndarray], upper: float,
 class ExpansionReport:
     """Measured leading Taylor coefficients of sigma -> Log(e^{G1} e^{G2})."""
 
-    first: np.ndarray
-    second: np.ndarray
     first_residual: float
     second_residual: float
-    drift_term: np.ndarray
 
 
 def log_product_expansion(a1_family: Callable[[float], np.ndarray],
@@ -209,10 +206,8 @@ def log_product_expansion(a1_family: Callable[[float], np.ndarray],
 
     first = fd_derivative(curve, 0.0, VON_NEUMANN_FD, order=1)
     second = fd_derivative(curve, 0.0, VON_NEUMANN_FD, order=2)
-    return ExpansionReport(
-        first, second, norm_1(first - (a1_0 + a2_0)),
-        norm_1(second - (commutator(a1_0, a2_0) + drift)), drift,
-    )
+    return ExpansionReport(norm_1(first - (a1_0 + a2_0)),
+                           norm_1(second - (commutator(a1_0, a2_0) + drift)))
 
 
 @dataclass(frozen=True)

@@ -242,14 +242,14 @@ def suite_evolution(seed: int, tolerances: dict | None = None) -> list[Verificat
     return rec.reports
 
 
-def _recovery_case(g: GeneratorSpec, probes, steps: int = 256) -> float:
-    ops = [propagate(g, t, 0.0, steps, "rk4") for t in probes]
-    kappa = logrep_mod.select_kappa(ops)
+def _recovery_case(g: GeneratorSpec, probes) -> float:
+    fd = FdConfig(h=1e-2, richardson_levels=1)
+    marches = {t: logrep_mod.recovery_march(g, 0.0, t, fd, 256, "rk4") for t in probes}
+    kappa = logrep_mod.select_kappa([u_at[t] for t, u_at in marches.items()])
     worst = 0.0
-    for t in probes:
-        recovered = logrep_mod.recover_generator(
-            g, 0.0, t, kappa, FdConfig(h=1e-2, richardson_levels=1),
-            steps_per_unit=steps)
+    for t, u_at in marches.items():
+        a_at = {tau: logrep_mod.alt_generator(u, kappa) for tau, u in u_at.items()}
+        recovered = logrep_mod.recover_generator(a_at, t, kappa, fd)
         worst = max(worst, norm_1(recovered - g.eval(t)))
     return worst
 

@@ -113,13 +113,13 @@ def load_config(path: str | None) -> CampaignConfig:
     if "dims" in raw:
         dims = raw["dims"]
         if (not isinstance(dims, list) or not dims
-                or any(not isinstance(n, int) or n < 1 or n > 256 for n in dims)):
+                or any(type(n) is not int or n < 1 or n > 256 for n in dims)):
             raise _fail("dims", "must be a list of integers in 1..256")
         cfg.dims = tuple(dims)
     if "sweep_dims" in raw:
         dims = raw["sweep_dims"]
         if (not isinstance(dims, list) or len(dims) < 2
-                or any(not isinstance(n, int) or n < 4 or n > 256 for n in dims)
+                or any(type(n) is not int or n < 4 or n > 256 for n in dims)
                 or any(a >= b for a, b in zip(dims, dims[1:]))):
             raise _fail("sweep_dims", "must be a strictly increasing list of at least "
                                       "two integers in 4..256")

@@ -49,7 +49,7 @@ def alt_generator(u, kappa) -> np.ndarray:
 def recovery_chain(s: float, t: float, cfg: FdConfig,
                    steps_per_unit: float) -> list[tuple[float, float, int]]:
     """Segments (start, end, steps) of the one march from s that
-    :func:`recover_generator` reads U(tau, s) off.
+    :func:`recovery_march` takes.
 
     The segment ends are the probe times t and t +- w for every half-width w
     of :func:`fd_half_widths`, in increasing order; each segment takes
@@ -61,20 +61,15 @@ def recovery_chain(s: float, t: float, cfg: FdConfig,
             for a, b in zip([s, *knots[:-1]], knots)]
 
 
-def recover_generator(g: GeneratorSpec, s: float, t: float, kappa,
-                      cfg: FdConfig | None = None, steps_per_unit: float = 256,
-                      stepper: str = "rk4") -> np.ndarray:
-    """Recover A(t) from the surrogate family via
-    A(t) = (I - kappa exp(-a(t, s)))^-1 d/dt a(t, s).
+def recovery_march(g: GeneratorSpec, s: float, t: float, cfg: FdConfig,
+                   steps_per_unit: float, stepper: str) -> dict[float, np.ndarray]:
+    """U(tau, s) at every probe time tau of recovering A(t) under ``cfg``,
+    off one march from s through the segments of :func:`recovery_chain`.
 
-    The time derivative is a central difference of tau -> a(tau, s).  U is
-    propagated once from s through the sorted probe times (the segments of
-    :func:`recovery_chain`), each segment composed onto the operator so far,
-    and a(tau, s) is read off the operator held at each probe.  Exact when
-    d/dt U commutes with U (commuting families); otherwise the output is a
-    diagnostic, not the generator.
+    Each segment is propagated by ``stepper`` and composed onto U so far.
+    Callers pick kappa from its U(t, s), so kappa, a(t, s) and the recovery
+    share one propagation.
     """
-    cfg = cfg or FdConfig(h=1e-2, richardson_levels=1)
     if not s < t <= g.T:
         raise ValueError("need s < t <= T")
     if t + 1.01 * cfg.h > g.T:
@@ -82,20 +77,32 @@ def recover_generator(g: GeneratorSpec, s: float, t: float, kappa,
     if t - cfg.h < s:
         raise ValueError(f"FD window [t - h, t + h] = [{t - cfg.h:g}, {t + cfg.h:g}] "
                          f"starts before s = {s:g}")
-
     u, u_at = eye(g.dim), {}
     for start, end, steps in recovery_chain(s, t, cfg, steps_per_unit):
         u = propagate(g, end, start, steps, stepper).U @ u
         u_at[end] = u
+    return u_at
 
+
+def recover_generator(a_at: dict[float, np.ndarray], t: float, kappa,
+                      cfg: FdConfig) -> np.ndarray:
+    """Recover A(t) from the surrogate family via
+    A(t) = (I - kappa exp(-a(t, s)))^-1 d/dt a(t, s).
+
+    ``a_at`` maps each probe time tau of :func:`recovery_march` to
+    a(tau, s) = Log(U(tau, s) + kappa*I); the time derivative is the central
+    difference of ``cfg`` over those values, and a time that is not a key
+    raises ``KeyError``.  Exact when d/dt U commutes with U (commuting
+    families); otherwise the output is a diagnostic, not the generator.
+    """
     def a_of(tau: float) -> np.ndarray:
-        if tau not in u_at:
+        if tau not in a_at:
             raise KeyError(f"probe time {tau!r} is not a knot of the propagation chain")
-        return alt_generator(u_at[tau], kappa)
+        return a_at[tau]
 
     da = fd_derivative(a_of, t, cfg, order=1)
     a_ts = a_of(t)
-    lhs = eye(g.dim) - complex(kappa) * expm(-a_ts)
+    lhs = eye(a_ts.shape[0]) - complex(kappa) * expm(-a_ts)
     try:
         return solve(lhs, da)
     except SingularMatrixError as exc:

@@ -24,8 +24,8 @@ from .errors import (
 )
 from .linalg import eye, norm_1
 from .matfun import FdConfig, expm
-from .evolution import GeneratorSpec, check_semigroup, propagate
-from .logrep import alt_generator, recover_generator, recovery_chain, select_kappa
+from .evolution import GeneratorSpec, check_semigroup
+from .logrep import alt_generator, recover_generator, recovery_chain, recovery_march, select_kappa
 from .bch import bch_truncated, kappa_shifted_bch
 
 # Order p of the norm growth ||A_n||_1 ~ n^p under refinement, per family kind.
@@ -178,28 +178,25 @@ DEFAULT_SWEEP_BUDGET = 5e9
 
 # Work model of one sweep member, in units of n^3 times about 1.3 ns on a
 # 2-vCPU Xeon VM with one BLAS thread.  A member takes the magnus2 steps of
-# its main propagation plus those of the recovery chain (:func:`recovery_chain`,
-# about as many again).  A step costs one n x n product when magnus2 reuses its
-# step exponential, and an expm plus the product when A(t) changes between
-# steps.  The logarithms, exponentials and solves outside the steps, seven
-# logarithms in all, add a fixed amount per member.  Fitted on single-member
-# sweep timings at n = 64..128: the reused step is the measured product time,
-# the fixed cost the mean remainder of the constant-generator members.  The
-# fresh step is the n = 64 advection_tdep member's remainder per step; at
-# n = 96 and 128 it over-charges that member by up to 1.8x, the safe side for
-# a guard.
+# its one march (:func:`recovery_chain`).  A step costs one n x n product when
+# magnus2 reuses its step exponential, and an expm plus the product when A(t)
+# changes between steps.  The six logarithms and the exponentials and solves
+# outside the steps add a fixed amount.  Fitted on single-member sweep timings
+# at n = 64..128: the reused step is the measured product time, the fixed cost
+# the mean remainder of the constant members, and the fresh step the
+# least-squares remainder per step of the advection_tdep members.
 _STEP_COST_REUSED = 0.13
-_STEP_COST_FRESH = 3.5
-_MEMBER_FIXED_COST = 340.0
+_STEP_COST_FRESH = 1.5
+_MEMBER_FIXED_COST = 206.0
 
 
 def sweep_cost(family: DiscretizedFamily, t: float, s: float) -> float:
     """Estimated work of :func:`refinement_sweep` in the units of its budget.
 
-    Per member, the step count is the main propagation's plus the recovery
-    chain's, and whether magnus2 can reuse its step exponential is read off
-    the generator the same way :func:`propagate` decides it: by comparing the
-    first two midpoint samples.
+    Per member, the step count is the recovery march's, and whether magnus2
+    can reuse its step exponential is read off the generator the same way
+    ``evolution.propagate`` decides it: by comparing the first two midpoint
+    samples.
     """
     interval = t - s
     horizon = max(1.0, t + 0.1)
@@ -211,8 +208,7 @@ def sweep_cost(family: DiscretizedFamily, t: float, s: float) -> float:
         reused = np.array_equal(g.eval(s + 0.5 * h), g.eval(s + 1.5 * h))
         per_step = _STEP_COST_REUSED if reused else _STEP_COST_FRESH
         chain = recovery_chain(s, t, _RECOVERY_FD, steps / interval)
-        total_steps = steps + sum(k for _, _, k in chain)
-        cost += float(n) ** 3 * (total_steps * per_step + _MEMBER_FIXED_COST)
+        cost += float(n) ** 3 * (sum(k for _, _, k in chain) * per_step + _MEMBER_FIXED_COST)
     return cost
 
 
@@ -225,7 +221,9 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
     surrogate-generator norm, and three residuals: the plain order-2 BCH
     combination on the raw generators (inf when the exponential rejects the
     combination outright), the shifted-BCH identity on centered, amplitude-
-    normalized surrogate pairs, and the generator recovery error.
+    normalized surrogate pairs, and the generator recovery error.  The member
+    is marched once (:func:`recovery_march`, magnus2 at the calibrated step
+    density); its U(t, s) gives kappa, a(t, s) and the recovery alike.
 
     ``budget`` caps the estimated total work (:func:`sweep_cost`); the sweep
     raises :class:`BudgetExceededError` before starting if it would be
@@ -245,11 +243,11 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
         a_raw = g.eval(s)
         norm_an = norm_1(a_raw)
         steps = _calibrated_steps(norm_an, interval)
-        u1 = propagate(g, t, s, steps, "magnus2")
+        u_at = recovery_march(g, s, t, _RECOVERY_FD, steps / interval, "magnus2")
         b_raw = grid_potential(n)
         u2_matrix = expm(interval * b_raw)
-        kappa = select_kappa([u1.U, u2_matrix])
-        a1 = alt_generator(u1, kappa)
+        kappa = select_kappa([u_at[t], u2_matrix])
+        a1 = alt_generator(u_at[t], kappa)
         a2 = alt_generator(u2_matrix, kappa)
 
         # Naive order-2 BCH on the raw (unbounded-scale) generators.
@@ -270,16 +268,14 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
         except ConvergenceRadiusError:
             residual_shifted = float("inf")
 
-        # Generator recovery through the surrogate derivative (families here
-        # are constant or scalar-modulated, so the commutation hypothesis
-        # holds exactly), on one magnus2 march from s through the FD probe
-        # times at the calibrated step density; conditioning degrades as the
-        # smallest eigenvalue of U approaches zero, which is reported rather
-        # than hidden.
+        # Generator recovery from a1 and the march's other probe times (the
+        # families are constant or scalar-modulated, so the commutation
+        # hypothesis holds exactly); conditioning degrades as the smallest
+        # eigenvalue of U approaches zero, which is reported, not hidden.
         try:
-            recovered = recover_generator(
-                g, s, t, kappa,
-                _RECOVERY_FD, steps_per_unit=steps / interval, stepper="magnus2")
+            a_at = {tau: a1 if tau == t else alt_generator(u, kappa)
+                    for tau, u in u_at.items()}
+            recovered = recover_generator(a_at, t, kappa, _RECOVERY_FD)
             residual_recovery = norm_1(recovered - g.eval(t))
         except (SingularMatrixError, NoConvergenceError, BranchCutError):
             residual_recovery = float("inf")

@@ -236,13 +236,12 @@ def test_expansion_frozen_constant_families():
     rep = log_product_expansion(lambda s: b1, lambda s: b2)
     assert rep.first_residual <= 1e-7
     assert rep.second_residual <= 1e-5
-    np.testing.assert_allclose(rep.drift_term, np.zeros((2, 2)))
 
 
 def test_expansion_zero_families():
     zero = np.zeros((2, 2), dtype=complex)
     rep = log_product_expansion(lambda s: zero, lambda s: zero)
-    assert norm_1(rep.first) <= 1e-12 and norm_1(rep.second) <= 1e-9
+    assert rep.first_residual <= 1e-12 and rep.second_residual <= 1e-9
 
 
 def test_expansion_integral_mode_picks_up_drift():
@@ -252,8 +251,9 @@ def test_expansion_integral_mode_picks_up_drift():
     c1 = rand_complex(rng, 2, 0.3)
     c2 = rand_complex(rng, 2, 0.3)
     rep = log_product_expansion(lambda s: b1 + s * c1, lambda s: b2 + s * c2)
-    # measured second coefficient = [a1, a2] + d/ds (a1 + a2) at 0
-    np.testing.assert_allclose(rep.drift_term, c1 + c2, atol=1e-9)
+    # measured second coefficient = [a1, a2] + d/ds (a1 + a2) at 0; the
+    # residual is about ||c1 + c2|| when the drift is left out
+    assert norm_1(c1 + c2) > 1e-1
     assert rep.second_residual <= 1e-4
 
 

@@ -15,6 +15,7 @@ from shiftlog.logrep import (
     check_asymmetry,
     recover_generator,
     recovery_chain,
+    recovery_march,
     select_kappa,
 )
 from shiftlog.matfun import FdConfig, expm, fd_derivative
@@ -82,9 +83,17 @@ def test_alt_generator_small_kappa_rejected():
         alt_generator(np.diag([0.5, 2.0]), -0.6)
 
 
+def recover(g, s, t, kappa, cfg=FdConfig(h=1e-2, richardson_levels=1),
+            steps_per_unit=256, stepper="rk4"):
+    """Recover A(t) the way the campaign does: one march, one logarithm per knot."""
+    u_at = recovery_march(g, s, t, cfg, steps_per_unit, stepper)
+    return recover_generator({tau: alt_generator(u, kappa) for tau, u in u_at.items()},
+                             t, kappa, cfg)
+
+
 def test_recover_zero_generator():
     g = GeneratorSpec.constant(np.zeros((2, 2)))
-    rec = recover_generator(g, 0.0, 0.5, 2.0)
+    rec = recover(g, 0.0, 0.5, 2.0)
     assert norm_1(rec) <= 1e-9
 
 
@@ -93,7 +102,7 @@ def test_recover_constant_rotation():
     g = GeneratorSpec.constant(a)
     u = propagate(g, 0.5, 0.0, 256)
     kappa = select_kappa([u])
-    rec = recover_generator(g, 0.0, 0.5, kappa)
+    rec = recover(g, 0.0, 0.5, kappa)
     assert norm_1(rec - a) <= 1e-6
 
 
@@ -103,8 +112,7 @@ def test_recover_commuting_modulated():
     ops = [propagate(g, t, 0.0, 256) for t in (0.2, 0.3, 0.4)]
     kappa = select_kappa(ops)
     for t in (0.2, 0.3, 0.4):
-        rec = recover_generator(g, 0.0, t, kappa,
-                                FdConfig(h=1e-2, richardson_levels=1))
+        rec = recover(g, 0.0, t, kappa, FdConfig(h=1e-2, richardson_levels=1))
         assert norm_1(rec - (1.0 + t) * a0) <= 1e-6
 
 
@@ -134,8 +142,8 @@ def test_recovery_evaluates_the_generator_on_one_march(stepper):
     g = GeneratorSpec.modulated(np.diag([1.0, -1.0]), lambda t: 1.0 + t)
     times = []
     cfg = FdConfig(h=1e-2, richardson_levels=1)
-    recover_generator(logged_generator(g, times), 0.1, 0.4, 3.0, cfg,
-                      steps_per_unit=64, stepper=stepper)
+    recover(logged_generator(g, times), 0.1, 0.4, 3.0, cfg,
+            steps_per_unit=64, stepper=stepper)
     # monotone up to the rounding of tau = start + k * step
     assert times[0] >= 0.1 and times[-1] <= 0.4 + cfg.h + 1e-12
     assert all(a <= b + 1e-12 for a, b in zip(times, times[1:]))
@@ -148,11 +156,12 @@ def test_recovery_chain_knots_are_the_fd_probe_times(monkeypatch, levels):
     # h small enough for the plain central difference (levels = 0)
     cfg = FdConfig(h=2e-3, richardson_levels=levels)
     asked = probe_recorder(monkeypatch)
-    rec = recover_generator(g, 0.0, 0.5, select_kappa([propagate(g, 0.5, 0.0, 256)]), cfg)
+    rec = recover(g, 0.0, 0.5, select_kappa([propagate(g, 0.5, 0.0, 256)]), cfg)
     assert norm_1(rec - a) <= 1e-6
     knots = [end for _, end, _ in recovery_chain(0.0, 0.5, cfg, 256)]
     assert len(knots) == 2 * levels + 3
     assert set(asked) | {0.5} == set(knots)
+    assert list(recovery_march(g, 0.0, 0.5, cfg, 256, "rk4")) == knots
 
 
 def test_recovery_rejects_a_probe_off_the_chain(monkeypatch):
@@ -162,30 +171,28 @@ def test_recovery_rejects_a_probe_off_the_chain(monkeypatch):
     monkeypatch.setattr(logrep, "fd_derivative", off_chain_fd)
     g = GeneratorSpec.constant(np.zeros((2, 2)))
     with pytest.raises(KeyError, match="not a knot"):
-        recover_generator(g, 0.0, 0.5, 2.0)
+        recover(g, 0.0, 0.5, 2.0)
 
 
 def test_recovery_chain_is_exact_for_a_constant_generator(monkeypatch):
     rng = np.random.default_rng(7)
     a = rand_c(rng, 4, 1.0)
     g = GeneratorSpec.constant(a)
+    cfg = FdConfig(h=1e-2, richardson_levels=2)
     asked = probe_recorder(monkeypatch)
-    held = []
-    monkeypatch.setattr(logrep, "alt_generator",
-                        lambda u, kappa: held.append(u) or alt_generator(u, kappa))
-    recover_generator(g, 0.1, 0.6, 3.0, FdConfig(h=1e-2, richardson_levels=2),
-                      steps_per_unit=100, stepper="magnus2")
-    assert len(held) == len(asked) + 1
-    for tau, u in zip(asked + [0.6], held):
+    u_at = recovery_march(g, 0.1, 0.6, cfg, 100, "magnus2")
+    recover_generator({tau: alt_generator(u, 3.0) for tau, u in u_at.items()}, 0.6, 3.0, cfg)
+    assert len(u_at) == len(asked) + 1 and set(u_at) == set(asked) | {0.6}
+    for tau, u in u_at.items():
         assert norm_1(u - expm((tau - 0.1) * a)) <= 1e-12
 
 
 def test_recovery_rejects_fd_window_before_s():
     g = GeneratorSpec.constant(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="FD window"):
-        recover_generator(g, 0.0, 0.004, 2.0, FdConfig(h=5e-3))
+        recovery_march(g, 0.0, 0.004, FdConfig(h=5e-3), 256, "rk4")
     with pytest.raises(ValueError, match="FD window"):
-        recover_generator(g, 0.3, 0.305, 2.0, FdConfig(h=1e-2))
+        recovery_march(g, 0.3, 0.305, FdConfig(h=1e-2), 256, "rk4")
 
 
 def test_asymmetry_vanishes_at_zero_kappa():

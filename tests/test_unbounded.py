@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
+from shiftlog import logrep, unbounded
 from shiftlog.errors import BudgetExceededError
+from shiftlog.evolution import GeneratorSpec
 from shiftlog.linalg import norm_1
+from shiftlog.logrep import alt_generator, recovery_chain, recovery_march, select_kappa
+from shiftlog.matfun import expm
 from shiftlog.unbounded import (
     DEFAULT_SWEEP_BUDGET,
     SWEEP_COLUMNS,
+    _RECOVERY_FD,
+    _calibrated_steps,
     DiscretizedFamily,
     advection_matrix,
     build,
@@ -146,10 +152,63 @@ def test_sweep_budget_rejects_diffusion_to_256():
         refinement_sweep(family, t=0.1, s=0.0)
 
 
+# What a fresh magnus2 step adds to a reused one: the expm of one calibrated
+# advection step, measured at n = 64, 96, 128 (0.52, 1.13, 2.35 ms on a
+# 2-vCPU Xeon VM with one BLAS thread), in the budget's units of 1.3 ns x n^3.
+MEASURED_EXPM_STEP = {64: 1.52, 96: 0.98, 128: 0.86}
+
+
 def test_sweep_cost_charges_expm_per_step_only_when_generator_changes():
-    const = sweep_cost(DiscretizedFamily("advection", (64,)), 0.1, 0.0)
-    tdep = sweep_cost(DiscretizedFamily("advection_tdep", (64,)), 0.1, 0.0)
-    assert tdep > 2.0 * const
+    # Same grid, step count and logarithms: the whole gap is per step.
+    for n, measured in MEASURED_EXPM_STEP.items():
+        const = sweep_cost(DiscretizedFamily("advection", (n,)), 0.1, 0.0)
+        tdep = sweep_cost(DiscretizedFamily("advection_tdep", (n,)), 0.1, 0.0)
+        steps = _calibrated_steps(norm_1(advection_matrix(n)), 0.1)
+        chain = recovery_chain(0.0, 0.1, _RECOVERY_FD, steps / 0.1)
+        per_step = (tdep - const) / (n ** 3 * sum(k for _, _, k in chain))
+        assert 0.5 * measured <= per_step <= 2.0 * measured
+
+
+def test_sweep_member_takes_six_logarithms(monkeypatch):
+    # a(t, s) of the member and of the grid potential, and a(tau, s) at the
+    # four other FD probe times of one Richardson level.
+    calls = []
+    for module in (unbounded, logrep):
+        monkeypatch.setattr(module, "alt_generator",
+                            lambda u, kappa: calls.append(kappa) or alt_generator(u, kappa))
+    refinement_sweep(DiscretizedFamily("advection_tdep", (16, 32)), t=0.1, s=0.0)
+    assert len(calls) == 2 * 6
+
+
+def test_sweep_member_marches_once_from_s(monkeypatch):
+    logs = []
+    member = DiscretizedFamily.member
+
+    def logged_member(self, n, horizon=1.0):
+        g, times = member(self, n, horizon), []
+        logs.append(times)
+        return GeneratorSpec(g.dim, g.T, lambda tau: times.append(tau) or g.func(tau))
+
+    monkeypatch.setattr(DiscretizedFamily, "member", logged_member)
+    refinement_sweep(DiscretizedFamily("advection_tdep", (16,)), t=0.1, s=0.0)
+    times = logs[-1]
+    # A(s) for the naive BCH first and the reference A(t) of the recovery
+    # residual last; every evaluation between them belongs to the march.
+    assert times[0] == 0.0 and times[-1] == 0.1
+    march = times[1:-1]
+    assert march[0] >= 0.0 and march[-1] <= 0.1 + _RECOVERY_FD.h + 1e-12
+    assert all(a <= b + 1e-12 for a, b in zip(march, march[1:]))
+
+
+def test_sweep_kappa_comes_from_the_march():
+    family = DiscretizedFamily("advection_tdep", (16, 32))
+    report = refinement_sweep(family, t=0.1, s=0.0)
+    for row in report.rows:
+        g = family.member(row.n)
+        steps = _calibrated_steps(norm_1(g.eval(0.0)), 0.1)
+        u_at = recovery_march(g, 0.0, 0.1, _RECOVERY_FD, steps / 0.1, "magnus2")
+        kappa = select_kappa([u_at[0.1], expm(0.1 * grid_potential(row.n))])
+        assert row.kappa == float(np.real(kappa))
 
 
 def test_semigroup_residual_calibrated():
