@@ -37,10 +37,10 @@ from .matfun import (
     sqrtm_db,
 )
 from .evolution import (
-    EvolutionOperator,
     GeneratorSpec,
     check_growth_bound,
     check_semigroup,
+    march,
     propagate,
 )
 from .logrep import (

@@ -14,14 +14,16 @@ Three families of checks live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceRadiusError, PropagationError
-from .linalg import as_matrix, eye, norm_1
+from .errors import ConvergenceRadiusError
+from .evolution import GeneratorSpec, march
+from .linalg import as_matrix, eye, norm_1, solve
 from .matfun import FdConfig, expm, fd_derivative, logm_iss
 
 
@@ -220,61 +222,43 @@ class VonNeumannReport:
     trace_drift: float
 
 
-def von_neumann_rhs(rho0, h_op, hbar: float = 1.0, tgrid=None) -> VonNeumannReport:
+def von_neumann_rhs(rho0, h_op, hbar: float, tgrid) -> VonNeumannReport:
     """Evolve d rho/dt = (i/hbar) [rho, H] from t = 0 and check the commutator
     against the second derivative of the logarithm at every grid point.
 
-    The grid times must be non-negative and non-decreasing.  The evolution
-    uses RK4 at 512 steps per unit time between grid points; the reported
-    residual at time t is the hbar-free identity residual
+    The state is rho(t) = U rho0 U^-1, where U(t, 0) is generated by
+    -(i/hbar) H and read off one :func:`evolution.march` through the grid
+    (RK4 at 512 steps per unit time); U^-1 is applied by a linear solve.  A
+    state that commutes with H is stationary and is returned as is: U is not
+    propagated, since at a tiny hbar its RK4 steps would overflow.  The grid
+    times must be non-negative and non-decreasing.  The reported residual at
+    time t is the hbar-free identity residual
     || [rho(t), H] - d^2_s Log(e^{rho s} e^{H s})|_0 ||_1, so a tiny hbar does
     not inflate it (the prefactor i/hbar is linear and graded on its own).
-    Since every RK4 increment is a polynomial in commutators, the trace of
-    rho is conserved up to rounding, and the drift is reported.  A state that
-    overflows raises :class:`PropagationError`.
+    Since rho(t) is a similarity transform of rho0, its trace is conserved up
+    to rounding, and the drift is reported.  A propagation that overflows
+    raises :class:`PropagationError`.
     """
-    if not hbar > 0.0:
-        raise ValueError("hbar must be positive")
+    if not 0.0 < hbar or math.isinf(1.0 / hbar):
+        raise ValueError("hbar must be positive with 1/hbar finite")
     rho = as_matrix(rho0)
     H = as_matrix(h_op)
     if rho.shape != H.shape:
         raise ValueError("rho0 and H must have equal dimensions")
-    if tgrid is None:
-        tgrid = np.linspace(0.0, 1.0, 11)
     ts = [float(t) for t in tgrid]
     if sorted(ts) != ts:
         raise ValueError("tgrid must be non-decreasing")
     if ts and ts[0] < 0.0:
         raise ValueError(f"time grid must not start before t = 0, got {ts[0]}")
-    coeff = 1j / hbar
-
-    def rhs(r):
-        return coeff * (r @ H - H @ r)
-
-    times, states, residuals = [], [], []
-    t_prev = 0.0
-    current = rho
+    if np.any(commutator(rho, H)):
+        g = GeneratorSpec.constant(-(1j / hbar) * H, horizon=max(ts, default=0.0))
+        u_at = march(g, 0.0, ts, 512, "rk4")
+        # (U rho0 U^-1)^T = U^-T (U rho0)^T
+        states = [solve(u_at[t].T, (u_at[t] @ rho).T).T for t in ts]
+    else:
+        states = [rho for _ in ts]
     trace0 = complex(np.trace(rho))
-    max_drift = 0.0
-    for t in ts:
-        if t > t_prev:
-            n_steps = max(1, int(np.ceil(512 * (t - t_prev))))
-            h = (t - t_prev) / n_steps
-            # overflow surfaces as PropagationError, not as numpy warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(n_steps):
-                    k1 = rhs(current)
-                    k2 = rhs(current + 0.5 * h * k1)
-                    k3 = rhs(current + 0.5 * h * k2)
-                    k4 = rhs(current + h * k3)
-                    current = current + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(current)):
-                raise PropagationError(f"non-finite density matrix before t = {t}")
-        t_prev = t
-        second = von_neumann_second_derivative(current, H)
-        residual = norm_1(commutator(current, H) - second)
-        times.append(t)
-        states.append(current)
-        residuals.append(float(residual))
-        max_drift = max(max_drift, abs(complex(np.trace(current)) - trace0))
-    return VonNeumannReport(tuple(times), tuple(states), tuple(residuals), float(max_drift))
+    residuals = [float(norm_1(commutator(r, H) - von_neumann_second_derivative(r, H)))
+                 for r in states]
+    drift = max((abs(complex(np.trace(r)) - trace0) for r in states), default=0.0)
+    return VonNeumannReport(tuple(ts), tuple(states), tuple(residuals), float(drift))

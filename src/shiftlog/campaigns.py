@@ -22,7 +22,7 @@ import numpy as np
 from . import bch as bch_mod
 from . import logrep as logrep_mod
 from .errors import SingularMatrixError
-from .evolution import GeneratorSpec, check_growth_bound, check_semigroup, propagate
+from .evolution import GeneratorSpec, check_growth_bound, check_semigroup, march, propagate
 from .linalg import eye, norm_1, solve
 from .matfun import FdConfig, contour_for, expm, fd_derivative, logm_contour, logm_iss
 from .report import VerificationReport
@@ -188,7 +188,7 @@ def suite_evolution(seed: int, tolerances: dict | None = None) -> list[Verificat
     g_const = GeneratorSpec.constant(a_const)
     u = propagate(g_const, 0.9, 0.1, 256, "rk4")
     rec.add("rk4_vs_expm", "constant-generator-exponential",
-            norm_1(u.U - expm(0.8 * a_const)))
+            norm_1(u - expm(0.8 * a_const)))
 
     a0 = rand_complex(rng, 3, 1.0)
     g_mod = GeneratorSpec.modulated(a0, tdep_modulation)
@@ -197,7 +197,7 @@ def suite_evolution(seed: int, tolerances: dict | None = None) -> list[Verificat
     import scipy.integrate as _si
     weight, _ = _si.quad(tdep_modulation, 0.0, 0.8, epsabs=1e-13, epsrel=1e-13)
     rec.add("commuting_quadrature", "commuting-family-closed-form",
-            norm_1(u.U - expm(weight * a0)))
+            norm_1(u - expm(weight * a0)))
 
     rec.add("semigroup_constant", "two-parameter-composition",
             check_semigroup(g_const, 0.0, 0.5, 1.0, 512, "rk4"))
@@ -214,9 +214,9 @@ def suite_evolution(seed: int, tolerances: dict | None = None) -> list[Verificat
     g_smooth = GeneratorSpec(4, 1.0, lambda t: base + np.sin(2.0 * np.pi * t) * drift)
 
     def order_ratio(stepper: str, base_steps: int) -> float:
-        u1 = propagate(g_smooth, 0.9, 0.0, base_steps, stepper).U
-        u2 = propagate(g_smooth, 0.9, 0.0, 2 * base_steps, stepper).U
-        u4 = propagate(g_smooth, 0.9, 0.0, 4 * base_steps, stepper).U
+        u1 = propagate(g_smooth, 0.9, 0.0, base_steps, stepper)
+        u2 = propagate(g_smooth, 0.9, 0.0, 2 * base_steps, stepper)
+        u4 = propagate(g_smooth, 0.9, 0.0, 4 * base_steps, stepper)
         return norm_1(u1 - u2) / norm_1(u2 - u4)
 
     rec.add("rk4_order_window", "stepper-order",
@@ -227,31 +227,30 @@ def suite_evolution(seed: int, tolerances: dict | None = None) -> list[Verificat
     # Contraction obeys (M, omega) = (1, 0); expansion violates it.
     g_contract = GeneratorSpec.constant(-1.0 * eye(3))
     u_c = propagate(g_contract, 1.0, 0.0, 64, "rk4")
-    ok = check_growth_bound(u_c, 1.0, 0.0)
+    ok = check_growth_bound(u_c, 1.0, 1.0, 0.0)
     g_expand = GeneratorSpec.constant(eye(3))
     u_e = propagate(g_expand, 1.0, 0.0, 64, "rk4")
-    bad = check_growth_bound(u_e, 1.0, 0.5)
+    bad = check_growth_bound(u_e, 1.0, 1.0, 0.5)
     rec.add("growth_bound", "norm-growth-envelope",
             0.0 if (ok and not bad) else 1.0)
 
     from .unbounded import build
     g_adv = build("advection_tdep", 16)
     u_a = propagate(g_adv, 0.5, 0.0, 256, "magnus2")
-    excess = max(0.0, norm_1(u_a.U) - np.sqrt(16) * (1.0 + 1e-6))
+    excess = max(0.0, norm_1(u_a) - np.sqrt(16) * (1.0 + 1e-6))
     rec.add("unitary_norm_proxy", "skew-hermitian-isometry", excess)
     return rec.reports
 
 
 def _recovery_case(g: GeneratorSpec, probes) -> float:
+    # One march from 0 through the FD probe times of every probe gives kappa,
+    # a(tau, 0) and each recovery.
     fd = FdConfig(h=1e-2, richardson_levels=1)
-    marches = {t: logrep_mod.recovery_march(g, 0.0, t, fd, 256, "rk4") for t in probes}
-    kappa = logrep_mod.select_kappa([u_at[t] for t, u_at in marches.items()])
-    worst = 0.0
-    for t, u_at in marches.items():
-        a_at = {tau: logrep_mod.alt_generator(u, kappa) for tau, u in u_at.items()}
-        recovered = logrep_mod.recover_generator(a_at, t, kappa, fd)
-        worst = max(worst, norm_1(recovered - g.eval(t)))
-    return worst
+    u_at = logrep_mod.recovery_march(g, 0.0, probes, fd, 256, "rk4")
+    kappa = logrep_mod.select_kappa([u_at[t] for t in probes])
+    a_at = {tau: logrep_mod.alt_generator(u, kappa) for tau, u in u_at.items()}
+    return max(norm_1(logrep_mod.recover_generator(a_at, t, kappa, fd) - g.eval(t))
+               for t in probes)
 
 
 def suite_logrep(seed: int, tolerances: dict | None = None) -> list[VerificationReport]:
@@ -259,14 +258,15 @@ def suite_logrep(seed: int, tolerances: dict | None = None) -> list[Verification
     rec = Recorder("logrep", tolerances)
     rng = np.random.default_rng([seed, 3])
 
+    # U(t, 0) at t = 0.3, 0.6, 0.9 off one march, and U(0.9, 0.3).
     g8 = GeneratorSpec.constant(rand_complex(rng, 8, 1.2))
-    grid = [(0.3, 0.0), (0.6, 0.0), (0.9, 0.0), (0.9, 0.3)]
-    ops = [propagate(g8, t, s, 256, "rk4") for t, s in grid]
+    ops = [*march(g8, 0.0, (0.3, 0.6, 0.9), 256, "rk4").values(),
+           propagate(g8, 0.9, 0.3, 256, "rk4")]
     kappa = logrep_mod.select_kappa(ops)
     worst = 0.0
     resolvent_ok = True
     for op in ops:
-        shifted = op.U + kappa * eye(8)
+        shifted = op + kappa * eye(8)
         a = logrep_mod.alt_generator(op, kappa)
         worst = max(worst, norm_1(expm(a) - shifted) / norm_1(shifted))
         try:
@@ -284,11 +284,10 @@ def suite_logrep(seed: int, tolerances: dict | None = None) -> list[Verification
     rec.add("recover_modulated", "generator-recovery",
             _recovery_case(g_mod, (0.2, 0.3, 0.4)))
 
-    g4 = GeneratorSpec.constant(rand_complex(rng, 4, 1.0))
+    u4 = propagate(GeneratorSpec.constant(rand_complex(rng, 4, 1.0)), 1.0, 0.0, 256, "rk4")
     rec.add("asymmetry_zero_kappa", "inverse-vs-shift-asymmetry",
-            logrep_mod.check_asymmetry(g4, 0.0, 1.0, 0.0))
-    u = propagate(g4, 1.0, 0.0, 256, "rk4")
-    gap = logrep_mod.check_asymmetry(g4, 0.0, 1.0, 2.0 * norm_1(u.U))
+            logrep_mod.check_asymmetry(u4, 0.0))
+    gap = logrep_mod.check_asymmetry(u4, 2.0 * norm_1(u4))
     rec.add("asymmetry_generic", "inverse-vs-shift-asymmetry", max(0.0, 0.1 - gap))
     return rec.reports
 
@@ -368,11 +367,11 @@ def suite_von_neumann(seed: int, tolerances: dict | None = None) -> list[Verific
     h_op = np.diag([1.0, -1.0]).astype(np.complex128)
     rho0 = 0.5 * np.ones((2, 2), dtype=np.complex128)
     tgrid = np.linspace(0.05, 1.0, 20)
-    grade_von_neumann_demo(rec, bch_mod.von_neumann_rhs(rho0, h_op, tgrid=tgrid))
+    grade_von_neumann_demo(rec, bch_mod.von_neumann_rhs(rho0, h_op, 1.0, tgrid))
 
     # The prefactor i/hbar rescales time: rho(t; hbar) = rho(t / hbar; 1).
-    slow = bch_mod.von_neumann_rhs(rho0, h_op, hbar=2.0, tgrid=[0.4])
-    unit = bch_mod.von_neumann_rhs(rho0, h_op, hbar=1.0, tgrid=[0.2])
+    slow = bch_mod.von_neumann_rhs(rho0, h_op, 2.0, [0.4])
+    unit = bch_mod.von_neumann_rhs(rho0, h_op, 1.0, [0.2])
     rec.add("hbar_scaling", "planck-prefactor-linearity",
             norm_1(slow.states[0] - unit.states[0]))
 

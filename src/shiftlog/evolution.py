@@ -4,7 +4,8 @@ A :class:`GeneratorSpec` wraps a matrix family t -> A(t) on a finite horizon,
 either closed-form (constant, or a fixed matrix times a scalar function of t)
 or sampled (linear interpolation between tabulated matrices).
 :func:`propagate` integrates dU/dt = A(t) U, U(s, s) = I with fixed-step RK4
-or a midpoint Magnus stepper and returns the bare operator U(t, s).
+or a midpoint Magnus stepper and returns the matrix U(t, s); :func:`march`
+composes such propagations into U(tau, s) at a sorted set of times.
 """
 
 from __future__ import annotations
@@ -73,15 +74,6 @@ class GeneratorSpec:
         return GeneratorSpec(dim, ts[-1], interp)
 
 
-@dataclass(frozen=True)
-class EvolutionOperator:
-    """U(t, s) with the interval [s, t] it spans."""
-
-    U: np.ndarray
-    t: float
-    s: float
-
-
 def _check_finite(u: np.ndarray, where: str) -> np.ndarray:
     if not np.all(np.isfinite(u)):
         raise PropagationError(f"non-finite entries during {where}")
@@ -89,7 +81,7 @@ def _check_finite(u: np.ndarray, where: str) -> np.ndarray:
 
 
 def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
-              stepper: str = "rk4") -> EvolutionOperator:
+              stepper: str = "rk4") -> np.ndarray:
     """Integrate dU/dtau = A(tau) U from U(s, s) = I up to tau = t.
 
     ``rk4`` takes classical fourth-order steps on the matrix ODE (global
@@ -126,7 +118,37 @@ def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
                         m_prev = m
                     u = step @ u
                 _check_finite(u, f"{stepper} step {k}")
-    return EvolutionOperator(u, float(t), float(s))
+    return u
+
+
+def march_segments(s: float, knots, steps_per_unit: float) -> list[tuple[float, float, int]]:
+    """Segments (start, end, steps) of the :func:`march` from s through ``knots``.
+
+    The segment ends are the distinct knots after s in increasing order; each
+    segment takes ``max(1, ceil(steps_per_unit * (end - start)))`` steps.
+    """
+    ends = sorted(set(knots))
+    if ends and ends[0] < s:
+        raise ValueError(f"knot {ends[0]} precedes the march start s = {s}")
+    return [(a, b, max(1, math.ceil(steps_per_unit * (b - a))))
+            for a, b in zip([s, *ends], ends) if b > a]
+
+
+def march(g: GeneratorSpec, s: float, knots, steps_per_unit: float,
+          stepper: str) -> dict[float, np.ndarray]:
+    """U(tau, s) at every knot tau >= s, off one march from s.
+
+    Each segment of :func:`march_segments` is propagated by ``stepper`` and
+    composed onto U so far, so the generator is evaluated once along [s, max
+    knot] however many knots there are.
+    """
+    u = eye(g.dim)
+    u_at = {s: u} if s in knots else {}
+    for a, b, steps in march_segments(s, knots, steps_per_unit):
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = _check_finite(propagate(g, b, a, steps, stepper) @ u, f"march to {b}")
+        u_at[b] = u
+    return u_at
 
 
 def check_semigroup(g: GeneratorSpec, s: float, r: float, t: float,
@@ -141,14 +163,15 @@ def check_semigroup(g: GeneratorSpec, s: float, r: float, t: float,
     def count(a: float, b: float) -> int:
         return max(1, int(round(density * (b - a)))) if b > a else 1
 
-    u_ts = propagate(g, t, s, steps, stepper).U
-    u_rs = propagate(g, r, s, count(s, r), stepper).U
-    u_tr = propagate(g, t, r, count(r, t), stepper).U
+    u_ts = propagate(g, t, s, steps, stepper)
+    u_rs = propagate(g, r, s, count(s, r), stepper)
+    u_tr = propagate(g, t, r, count(r, t), stepper)
     return norm_1(u_tr @ u_rs - u_ts)
 
 
-def check_growth_bound(u: EvolutionOperator, bound: float, omega: float) -> bool:
-    """True iff norm_1(U) <= bound * exp(omega (t - s)) up to relative slack 1e-9."""
+def check_growth_bound(u, elapsed: float, bound: float, omega: float) -> bool:
+    """True iff norm_1(U(t, s)) <= bound * exp(omega * elapsed), elapsed = t - s,
+    up to relative slack 1e-9."""
     if bound <= 0.0:
         raise ValueError("growth constant must be positive")
-    return norm_1(u.U) <= bound * math.exp(omega * (u.t - u.s)) * (1.0 + 1e-9)
+    return norm_1(u) <= bound * math.exp(omega * elapsed) * (1.0 + 1e-9)

@@ -38,6 +38,10 @@ SERIES_RTOL = 1e-16
 # Rounding slack on the Varah bound that each contour resolvent must satisfy.
 VARAH_RTOL = 1e-8
 
+# Trapezoid nodes of the first contour quadrature level (keep it >= 4); each
+# later level doubles them.
+CONTOUR_NODES = 64
+
 
 def expm(a) -> np.ndarray:
     """Matrix exponential: ``scipy.linalg.expm``, the Pade scaling-and-squaring
@@ -142,13 +146,10 @@ class ContourSpec:
 
     center: complex
     radius: float
-    nodes: int = 64
 
     def __post_init__(self):
         if self.radius <= 0.0:
             raise ValueError("contour radius must be positive")
-        if self.nodes < 4:
-            raise ValueError("need at least 4 quadrature nodes")
         if ray_gap(self.center, self.radius) <= 0.0:
             raise ContourError("contour disc touches the branch cut (-inf, 0]")
 
@@ -184,7 +185,7 @@ def logm_contour(m, spec: ContourSpec) -> np.ndarray:
     of level N, so the weighted resolvent sum S is kept across levels: the
     first level evaluates all its nodes, every later level only its N odd
     ones, and level N is radius / N * S.  A call converging at N nodes thus
-    computes N resolvents, not the 2N - spec.nodes of recomputing each level.
+    computes N resolvents, not the 2N - CONTOUR_NODES of recomputing each level.
 
     The stacked inverse has no pivot threshold; a bound takes its place.  The
     containment check below proves that one Gershgorin family (column or row
@@ -231,7 +232,7 @@ def logm_contour(m, spec: ContourSpec) -> np.ndarray:
                 "resolvent is non-finite or exceeds its Gershgorin bound")
         return np.einsum("k,kij->ij", np.log(lam) * np.exp(1j * theta), resolvents)
 
-    nodes = spec.nodes
+    nodes = CONTOUR_NODES
     total = node_sum(2.0 * np.pi * np.arange(nodes) / nodes)
     prev = spec.radius / nodes * total
     while nodes < 4096:

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .linalg import eye, norm_1
 from .matfun import FdConfig, expm
-from .evolution import GeneratorSpec, check_semigroup
+from .evolution import GeneratorSpec, check_semigroup, march_segments
 from .logrep import alt_generator, recover_generator, recovery_chain, recovery_march, select_kappa
 from .bch import bch_truncated, kappa_shifted_bch
 
@@ -178,7 +178,7 @@ DEFAULT_SWEEP_BUDGET = 5e9
 
 # Work model of one sweep member, in units of n^3 times about 1.3 ns on a
 # 2-vCPU Xeon VM with one BLAS thread.  A member takes the magnus2 steps of
-# its one march (:func:`recovery_chain`).  A step costs one n x n product when
+# its one march (:func:`march_segments`).  A step costs one n x n product when
 # magnus2 reuses its step exponential, and an expm plus the product when A(t)
 # changes between steps.  The six logarithms and the exponentials and solves
 # outside the steps add a fixed amount.  Fitted on single-member sweep timings
@@ -207,7 +207,7 @@ def sweep_cost(family: DiscretizedFamily, t: float, s: float) -> float:
         h = interval / steps
         reused = np.array_equal(g.eval(s + 0.5 * h), g.eval(s + 1.5 * h))
         per_step = _STEP_COST_REUSED if reused else _STEP_COST_FRESH
-        chain = recovery_chain(s, t, _RECOVERY_FD, steps / interval)
+        chain = march_segments(s, recovery_chain([t], _RECOVERY_FD), steps / interval)
         cost += float(n) ** 3 * (sum(k for _, _, k in chain) * per_step + _MEMBER_FIXED_COST)
     return cost
 
@@ -243,7 +243,7 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
         a_raw = g.eval(s)
         norm_an = norm_1(a_raw)
         steps = _calibrated_steps(norm_an, interval)
-        u_at = recovery_march(g, s, t, _RECOVERY_FD, steps / interval, "magnus2")
+        u_at = recovery_march(g, s, [t], _RECOVERY_FD, steps / interval, "magnus2")
         b_raw = grid_potential(n)
         u2_matrix = expm(interval * b_raw)
         kappa = select_kappa([u_at[t], u2_matrix])

@@ -262,7 +262,7 @@ def test_expansion_integral_mode_picks_up_drift():
 def test_von_neumann_stationary_state():
     h_op = np.diag([1.0, -1.0]).astype(complex)
     rho0 = np.diag([0.75, 0.25]).astype(complex)  # commutes with H
-    rep = von_neumann_rhs(rho0, h_op, tgrid=np.linspace(0.0, 1.0, 5))
+    rep = von_neumann_rhs(rho0, h_op, 1.0, np.linspace(0.0, 1.0, 5))
     for state in rep.states:
         np.testing.assert_allclose(state, rho0, atol=1e-12)
     assert max(rep.residuals) <= 1e-10
@@ -273,11 +273,35 @@ def test_von_neumann_rotating_coherence_closed_form():
     h_op = np.diag([1.0, -1.0]).astype(complex)
     rho0 = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     ts = np.linspace(0.1, 1.0, 7)
-    rep = von_neumann_rhs(rho0, h_op, tgrid=ts)
+    rep = von_neumann_rhs(rho0, h_op, 1.0, ts)
     for t, state in zip(rep.times, rep.states):
         np.testing.assert_allclose(state[0, 1], 0.5 * np.exp(-2j * t), atol=1e-9)
     assert max(rep.residuals) <= 1e-5
     assert rep.trace_drift <= 1e-9
+
+
+def test_von_neumann_evolves_through_one_march(monkeypatch):
+    from shiftlog import evolution
+    segments = []
+    propagate = evolution.propagate
+
+    def recording(g, t, s, steps, stepper="rk4"):
+        segments.append((s, t, steps, stepper))
+        return propagate(g, t, s, steps, stepper)
+
+    monkeypatch.setattr(evolution, "propagate", recording)
+    h_op = np.diag([1.0, -1.0]).astype(complex)
+    rho0 = 0.5 * np.ones((2, 2), dtype=complex)
+    ts = [0.0, 0.05, 0.3, 0.3, 1.0]
+    rep = von_neumann_rhs(rho0, h_op, 1.0, ts)
+    # The segments tile [0, 1] exactly once, in order, at 512 RK4 steps per unit.
+    assert segments[0][0] == 0.0 and segments[-1][1] == 1.0
+    assert all(a[1] == b[0] for a, b in zip(segments, segments[1:]))
+    assert [t for _, t, _, _ in segments] == [0.05, 0.3, 1.0]
+    assert all(steps >= 512 * (t - s) and stepper == "rk4"
+               for s, t, steps, stepper in segments)
+    for t, state in zip(rep.times, rep.states):
+        np.testing.assert_allclose(state[0, 1], 0.5 * np.exp(-2j * t), atol=1e-9)
 
 
 def test_von_neumann_hbar_prefactor():
@@ -307,4 +331,4 @@ def test_von_neumann_rejects_negative_times():
     h_op = np.diag([1.0, -1.0]).astype(complex)
     rho0 = 0.5 * np.ones((2, 2), dtype=complex)
     with pytest.raises(ValueError, match="t = 0"):
-        von_neumann_rhs(rho0, h_op, tgrid=np.linspace(-1.0, 0.0, 3))
+        von_neumann_rhs(rho0, h_op, 1.0, np.linspace(-1.0, 0.0, 3))

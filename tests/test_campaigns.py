@@ -5,12 +5,14 @@ import math
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import shiftlog
 
-from shiftlog import bch, campaigns
+from shiftlog import bch, campaigns, evolution, logrep
 from shiftlog.campaigns import Recorder, _window_excess, grade_sweep
+from shiftlog.evolution import GeneratorSpec
 from shiftlog.unbounded import DiscretizedFamily, SweepReport, SweepRow
 
 
@@ -70,12 +72,54 @@ def test_hbar_scaling_fails_when_the_prefactor_ignores_hbar(monkeypatch):
     assert cases["hbar_scaling"].passed
     evolve = bch.von_neumann_rhs
 
-    def unit_hbar(rho0, h_op, hbar=1.0, tgrid=None):
+    def unit_hbar(rho0, h_op, hbar, tgrid):
         return evolve(rho0, h_op, 1.0, tgrid)
 
     monkeypatch.setattr(bch, "von_neumann_rhs", unit_hbar)
     cases = {r.case: r for r in campaigns.suite_von_neumann(42)}
     assert not cases["hbar_scaling"].passed
+
+
+def test_suite_logrep_propagates_each_operator_once(monkeypatch):
+    calls = []
+    propagate = evolution.propagate
+
+    def recording(g, t, s, steps, stepper="rk4"):
+        calls.append((g, s, t))
+        return propagate(g, t, s, steps, stepper)
+
+    for module in (evolution, logrep, campaigns):
+        if hasattr(module, "propagate"):
+            monkeypatch.setattr(module, "propagate", recording)
+    assert all(r.passed for r in campaigns.suite_logrep(42))
+    by_generator = {}
+    for g, s, t in calls:
+        by_generator.setdefault(id(g), []).append((s, t))
+    g8, rotation, modulated, g4 = by_generator.values()
+    # U(0.3, 0), U(0.6, 0) and U(0.9, 0) off one march, and U(0.9, 0.3)
+    assert g8 == [(0.0, 0.3), (0.3, 0.6), (0.6, 0.9), (0.3, 0.9)]
+    # both asymmetry checks and the generic kappa read the one U(1, 0)
+    assert g4 == [(0.0, 1.0)]
+    for segments, last in ((rotation, 0.7), (modulated, 0.4)):
+        assert segments[0][0] == 0.0 and segments[-1][1] == pytest.approx(last + 1e-2)
+        assert all(a[1] == b[0] for a, b in zip(segments, segments[1:]))
+
+
+@pytest.mark.parametrize("g, probes", [
+    (GeneratorSpec.constant(np.array([[0.0, 1.0], [-1.0, 0.0]])), (0.3, 0.5, 0.7)),
+    (GeneratorSpec.modulated(np.diag([1.0, -1.0]), lambda t: 1.0 + t), (0.2, 0.3, 0.4)),
+])
+def test_recovery_case_marches_once_across_its_probes(g, probes):
+    times = []
+    logged = GeneratorSpec(g.dim, g.T, lambda tau: times.append(tau) or g.func(tau))
+    assert campaigns._recovery_case(logged, probes) <= 1e-5
+    # One march from 0 past the last probe's FD window, then the reference
+    # A(t) at each probe.
+    march, reference = times[:-len(probes)], times[-len(probes):]
+    assert reference == list(probes)
+    assert march[0] == 0.0 and march[-1] == pytest.approx(probes[-1] + 1e-2)
+    # monotone up to the rounding of tau = start + k * step
+    assert all(a <= b + 1e-12 for a, b in zip(march, march[1:]))
 
 
 def test_every_exported_name_is_read_by_the_package():

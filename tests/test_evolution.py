@@ -8,10 +8,11 @@ import scipy.integrate
 
 from shiftlog.errors import PropagationError
 from shiftlog.evolution import (
-    EvolutionOperator,
     GeneratorSpec,
     check_growth_bound,
     check_semigroup,
+    march,
+    march_segments,
     propagate,
 )
 from shiftlog.linalg import norm_1
@@ -27,9 +28,9 @@ def test_zero_generator_gives_identity():
     g = GeneratorSpec.constant(np.zeros((3, 3)))
     for steps in (1, 7, 64):
         u = propagate(g, 1.0, 0.0, steps)
-        np.testing.assert_allclose(u.U, np.eye(3))
+        np.testing.assert_allclose(u, np.eye(3))
     u = propagate(g, 0.5, 0.5, 4)
-    np.testing.assert_allclose(u.U, np.eye(3))
+    np.testing.assert_allclose(u, np.eye(3))
 
 
 def test_constant_generator_matches_expm():
@@ -37,7 +38,7 @@ def test_constant_generator_matches_expm():
     a = rand_c(rng, 4, 2.0)
     g = GeneratorSpec.constant(a)
     u = propagate(g, 0.9, 0.1, 256, "rk4")
-    assert norm_1(u.U - expm(0.8 * a)) <= 1e-8
+    assert norm_1(u - expm(0.8 * a)) <= 1e-8
 
 
 def test_commuting_family_quadrature_oracle():
@@ -50,7 +51,7 @@ def test_commuting_family_quadrature_oracle():
         lambda t: 1.0 + 0.5 * np.sin(2.0 * np.pi * t), 0.0, 0.7,
         epsabs=1e-13, epsrel=1e-13)
     u = propagate(g, 0.7, 0.0, 512, "rk4")
-    assert norm_1(u.U - expm(weight * a0)) <= 1e-6
+    assert norm_1(u - expm(weight * a0)) <= 1e-6
 
 
 def test_semigroup_zero_generator():
@@ -78,9 +79,9 @@ def test_stepper_order_ratios():
     g = GeneratorSpec(3, 1.0, lambda t: base + np.sin(2 * np.pi * t) * drift)
 
     def ratio(stepper):
-        u1 = propagate(g, 0.9, 0.0, 64, stepper).U
-        u2 = propagate(g, 0.9, 0.0, 128, stepper).U
-        u4 = propagate(g, 0.9, 0.0, 256, stepper).U
+        u1 = propagate(g, 0.9, 0.0, 64, stepper)
+        u2 = propagate(g, 0.9, 0.0, 128, stepper)
+        u4 = propagate(g, 0.9, 0.0, 256, stepper)
         return norm_1(u1 - u2) / norm_1(u2 - u4)
 
     assert 11.0 <= ratio("rk4") <= 22.0
@@ -88,21 +89,23 @@ def test_stepper_order_ratios():
 
 
 def test_growth_bound_cases():
-    ident = EvolutionOperator(np.eye(2), 1.0, 0.0)
-    assert check_growth_bound(ident, 1.0, 0.0)
+    assert check_growth_bound(np.eye(2), 1.0, 1.0, 0.0)
     g = GeneratorSpec.constant(-np.eye(2))
-    assert check_growth_bound(propagate(g, 1.0, 0.0, 64), 1.0, 0.0)
+    assert check_growth_bound(propagate(g, 1.0, 0.0, 64), 1.0, 1.0, 0.0)
     g2 = GeneratorSpec.constant(np.eye(2))
-    assert not check_growth_bound(propagate(g2, 1.0, 0.0, 64), 1.0, 0.5)
+    assert not check_growth_bound(propagate(g2, 1.0, 0.0, 64), 1.0, 1.0, 0.5)
+    # the envelope grows with the elapsed time t - s: e^1 > 2 > e^0.5
+    assert check_growth_bound(2.0 * np.eye(2), 1.0, 1.0, 1.0)
+    assert not check_growth_bound(2.0 * np.eye(2), 0.5, 1.0, 1.0)
     with pytest.raises(ValueError):
-        check_growth_bound(ident, 0.0, 0.0)
+        check_growth_bound(np.eye(2), 1.0, 0.0, 0.0)
 
 
 def test_magnus_preserves_unitary_norm():
     from shiftlog.unbounded import build
     g = build("advection_tdep", 16)
     u = propagate(g, 0.5, 0.0, 256, "magnus2")
-    assert norm_1(u.U) <= np.sqrt(16) * (1.0 + 1e-6)
+    assert norm_1(u) <= np.sqrt(16) * (1.0 + 1e-6)
 
 
 def test_propagate_validates_inputs():
@@ -121,6 +124,41 @@ def test_propagate_flags_non_finite():
     g = GeneratorSpec.constant(1e200 * np.eye(2))
     with pytest.raises(PropagationError):
         propagate(g, 1.0, 0.0, 1, "rk4")
+
+
+def test_march_segments_step_rule():
+    # distinct knots in order; max(1, ceil(steps_per_unit * length)) steps each
+    assert march_segments(0.125, [0.75, 0.25, 0.25, 0.5], 64) == [
+        (0.125, 0.25, 8), (0.25, 0.5, 16), (0.5, 0.75, 16)]
+    assert march_segments(0.0, [0.25, 0.5], 10) == [(0.0, 0.25, 3), (0.25, 0.5, 3)]
+    assert march_segments(0.0, [1e-9], 10) == [(0.0, 1e-9, 1)]
+    assert march_segments(0.5, [0.5], 10) == []
+    with pytest.raises(ValueError, match="precedes"):
+        march_segments(0.5, [0.25, 0.75], 10)
+
+
+@pytest.mark.parametrize("stepper", ["rk4", "magnus2"])
+def test_march_composes_its_segment_propagations(stepper):
+    rng = np.random.default_rng(9)
+    base, drift = rand_c(rng, 3, 1.0), rand_c(rng, 3, 1.0)
+    g = GeneratorSpec(3, 1.0, lambda t: base + np.sin(2.0 * np.pi * t) * drift)
+    u_at = march(g, 0.125, [0.125, 0.75, 0.25, 0.5], 64, stepper)
+    assert list(u_at) == [0.125, 0.25, 0.5, 0.75]
+    expected = np.eye(3)
+    assert np.array_equal(u_at[0.125], expected)
+    for a, b, steps in march_segments(0.125, list(u_at), 64):
+        expected = propagate(g, b, a, steps, stepper) @ expected
+        assert np.array_equal(u_at[b], expected)
+    # every segment steps at h = 1/64, so the march is the direct
+    # propagation up to the rounding of the composition
+    assert norm_1(u_at[0.75] - propagate(g, 0.75, 0.125, 40, stepper)) <= 1e-12
+
+
+def test_march_flags_a_composition_that_overflows():
+    # each segment's U is finite (about 1e87); their product after four is not
+    g = GeneratorSpec.constant(600.0 * np.eye(2), horizon=2.0)
+    with pytest.raises(PropagationError, match="march to 2.0"):
+        march(g, 0.0, [0.5, 1.0, 1.5, 2.0], 64, "rk4")
 
 
 def test_table_interpolation_midpoint():
@@ -160,7 +198,7 @@ def test_magnus2_reuses_step_exponential_for_constant_generators(monkeypatch):
         calls.clear()
         u = propagate(g, 0.9, 0.1, steps, "magnus2")
         assert len(calls) == 1
-        assert np.array_equal(u.U, _magnus2_reference(g, 0.9, 0.1, steps))
+        assert np.array_equal(u, _magnus2_reference(g, 0.9, 0.1, steps))
 
 
 def test_magnus2_time_dependent_generator_takes_expm_every_step(monkeypatch):
@@ -171,4 +209,4 @@ def test_magnus2_time_dependent_generator_takes_expm_every_step(monkeypatch):
     # no two midpoint samples coincide.
     u = propagate(g, 0.2, 0.0, 40, "magnus2")
     assert len(calls) == 40
-    assert np.array_equal(u.U, _magnus2_reference(g, 0.2, 0.0, 40))
+    assert np.array_equal(u, _magnus2_reference(g, 0.2, 0.0, 40))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from shiftlog.errors import BranchCutError, ContourError, SingularMatrixError
 from shiftlog.linalg import eye, norm_1, solve
 from shiftlog.matfun import (
+    CONTOUR_NODES,
     ContourSpec,
     FdConfig,
     contour_for,
@@ -127,12 +128,12 @@ def test_logm_iss_branch_cut_rejection():
 
 
 def test_logm_contour_identity():
-    value = logm_contour(np.eye(2), ContourSpec(1.0, 0.5, 64))
+    value = logm_contour(np.eye(2), ContourSpec(1.0, 0.5))
     assert norm_1(value) <= 1e-12
 
 
 def test_logm_contour_diagonal():
-    value = logm_contour(np.diag([2.0, 3.0]), ContourSpec(2.5, 1.2, 64))
+    value = logm_contour(np.diag([2.0, 3.0]), ContourSpec(2.5, 1.2))
     np.testing.assert_allclose(value, np.diag([math.log(2), math.log(3)]),
                                atol=1e-9)
 
@@ -171,7 +172,7 @@ def _logm_contour_loop(m, spec):
             total = total + np.log(lam_k) * resolvent * np.exp(1j * theta_k)
         return spec.radius / nodes * total
 
-    nodes = spec.nodes
+    nodes = CONTOUR_NODES
     prev = quadrature(nodes)
     while nodes < 4096:
         nodes *= 2
@@ -210,8 +211,8 @@ def test_logm_contour_matches_node_loop_with_reuse(monkeypatch):
             assert norm_1(value - ref) <= 1e-13 * norm_1(ref), n
             # each level adds only its new nodes: 64, then 64, 128, ...
             sizes = [len(a) for a, _ in calls]
-            assert sizes == [spec.nodes] + [spec.nodes * 2**j
-                                             for j in range(len(sizes) - 1)]
+            assert sizes == [CONTOUR_NODES] + [CONTOUR_NODES * 2**j
+                                               for j in range(len(sizes) - 1)]
             assert sum(sizes) == converged_nodes
 
 
@@ -228,7 +229,7 @@ def _singular(out):
 def test_logm_contour_guard_rejects_bad_resolvents(monkeypatch, transform):
     _record_inverse(monkeypatch, [], transform)
     with pytest.raises(SingularMatrixError):
-        logm_contour(np.diag([2.0, 3.0]), ContourSpec(2.5, 1.2, 64))
+        logm_contour(np.diag([2.0, 3.0]), ContourSpec(2.5, 1.2))
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -270,12 +271,12 @@ def test_logm_forward_error_against_mpmath():
 
 def test_contour_validation():
     with pytest.raises(ContourError):
-        ContourSpec(0.0, 1.0, 64)  # encloses the origin and crosses the cut
+        ContourSpec(0.0, 1.0)  # encloses the origin and crosses the cut
     with pytest.raises(ValueError):
-        ContourSpec(1.0, -1.0, 64)
+        ContourSpec(1.0, -1.0)
     # spectrum not enclosed by a valid circle elsewhere
     with pytest.raises(ContourError):
-        logm_contour(np.diag([5.0, 6.0]), ContourSpec(1.0, 0.5, 64))
+        logm_contour(np.diag([5.0, 6.0]), ContourSpec(1.0, 0.5))
     # no admissible contour for spectra hugging the cut
     with pytest.raises(ContourError):
         contour_for(np.diag([1e-4, 4.0]))

@@ -5,7 +5,7 @@ import pytest
 
 from shiftlog import logrep, unbounded
 from shiftlog.errors import BudgetExceededError
-from shiftlog.evolution import GeneratorSpec
+from shiftlog.evolution import GeneratorSpec, march_segments
 from shiftlog.linalg import norm_1
 from shiftlog.logrep import alt_generator, recovery_chain, recovery_march, select_kappa
 from shiftlog.matfun import expm
@@ -164,8 +164,8 @@ def test_sweep_cost_charges_expm_per_step_only_when_generator_changes():
         const = sweep_cost(DiscretizedFamily("advection", (n,)), 0.1, 0.0)
         tdep = sweep_cost(DiscretizedFamily("advection_tdep", (n,)), 0.1, 0.0)
         steps = _calibrated_steps(norm_1(advection_matrix(n)), 0.1)
-        chain = recovery_chain(0.0, 0.1, _RECOVERY_FD, steps / 0.1)
-        per_step = (tdep - const) / (n ** 3 * sum(k for _, _, k in chain))
+        segments = march_segments(0.0, recovery_chain([0.1], _RECOVERY_FD), steps / 0.1)
+        per_step = (tdep - const) / (n ** 3 * sum(k for _, _, k in segments))
         assert 0.5 * measured <= per_step <= 2.0 * measured
 
 
@@ -206,7 +206,7 @@ def test_sweep_kappa_comes_from_the_march():
     for row in report.rows:
         g = family.member(row.n)
         steps = _calibrated_steps(norm_1(g.eval(0.0)), 0.1)
-        u_at = recovery_march(g, 0.0, 0.1, _RECOVERY_FD, steps / 0.1, "magnus2")
+        u_at = recovery_march(g, 0.0, [0.1], _RECOVERY_FD, steps / 0.1, "magnus2")
         kappa = select_kappa([u_at[0.1], expm(0.1 * grid_potential(row.n))])
         assert row.kappa == float(np.real(kappa))
 
