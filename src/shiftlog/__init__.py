@@ -24,10 +24,8 @@ from .linalg import (
     norm_1,
     off_branch_cut,
     solve,
-    spectral_enclosure,
 )
 from .matfun import (
-    ContourSpec,
     FdConfig,
     contour_for,
     expm,
@@ -51,7 +49,6 @@ from .logrep import (
     select_kappa,
 )
 from .bch import (
-    BchTruncation,
     ExpansionReport,
     VonNeumannReport,
     adjoint_series,

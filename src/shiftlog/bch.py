@@ -76,19 +76,11 @@ _BCH_TABLE: tuple = (
 )
 
 
-@dataclass(frozen=True)
-class BchTruncation:
-    """Coefficient table of the product series through a given order."""
-
-    order: int
-    terms: tuple[tuple[Fraction, str], ...]
-
-
-def bch_terms(order: int) -> BchTruncation:
+def bch_terms(order: int) -> tuple[tuple[Fraction, str], ...]:
+    """The (coefficient, word) pairs of the product series through ``order``."""
     if order not in (1, 2, 3, 4):
         raise ValueError("truncation order must be in 1..4")
-    terms = tuple((coeff, word) for o, coeff, word, _ in _BCH_TABLE if o <= order)
-    return BchTruncation(order, terms)
+    return tuple((coeff, word) for o, coeff, word, _ in _BCH_TABLE if o <= order)
 
 
 def bch_truncated(x, y, order: int) -> np.ndarray:

@@ -260,7 +260,7 @@ def cmd_bch(args) -> int:
     print(exact)
     for order in range(1, args.order + 1):
         trunc = bch_truncated(x, y, order)
-        terms = ", ".join(f"{c} {w}" for c, w in bch_terms(order).terms)
+        terms = ", ".join(f"{c} {w}" for c, w in bch_terms(order))
         print(f"order {order}: residual {norm_1(exact - trunc):.6e}   [{terms}]")
     return 0
 

@@ -153,20 +153,15 @@ def march(g: GeneratorSpec, s: float, knots, steps_per_unit: float,
 
 def check_semigroup(g: GeneratorSpec, s: float, r: float, t: float,
                     steps: int, stepper: str = "rk4") -> float:
-    """1-norm residual of U(t, r) U(r, s) - U(t, s) at shared step density."""
+    """1-norm residual of U(t, r) U(r, s) - U(t, s): the product is the
+    :func:`march` from s through r and t, U(t, s) one propagation of ``steps``
+    steps, at the same step density."""
     if not 0.0 <= s <= r <= t <= g.T + 1e-12:
         raise ValueError("need 0 <= s <= r <= t <= T")
     if t == s:
         return 0.0
-    density = steps / (t - s)
-
-    def count(a: float, b: float) -> int:
-        return max(1, int(round(density * (b - a)))) if b > a else 1
-
-    u_ts = propagate(g, t, s, steps, stepper)
-    u_rs = propagate(g, r, s, count(s, r), stepper)
-    u_tr = propagate(g, t, r, count(r, t), stepper)
-    return norm_1(u_tr @ u_rs - u_ts)
+    return norm_1(march(g, s, (r, t), steps / (t - s), stepper)[t]
+                  - propagate(g, t, s, steps, stepper))
 
 
 def check_growth_bound(u, elapsed: float, bound: float, omega: float) -> bool:

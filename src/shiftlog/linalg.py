@@ -3,7 +3,7 @@
 Everything downstream (matrix functions, propagation, the shifted-log
 machinery) goes through the handful of primitives here: validated square
 complex matrices, an LU solve with an explicit singularity threshold, the
-induced 1-norm, and Gershgorin spectral enclosures.  All functions are pure
+induced 1-norm, and Gershgorin disc families.  All functions are pure
 and operate on plain ``numpy`` arrays of dtype complex128.
 """
 
@@ -25,7 +25,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 
@@ -72,39 +72,18 @@ def solve(a, b) -> np.ndarray:
     return x
 
 
-def gershgorin_discs(a, axis: str = "col") -> tuple[tuple[complex, float], ...]:
-    """Gershgorin discs (center, radius) from row or column off-diagonal sums."""
+def gershgorin_discs(a, axis: str = "col") -> tuple[np.ndarray, np.ndarray]:
+    """Gershgorin discs of the column or row family as arrays (centers, radii):
+    the diagonal, and the off-diagonal absolute column or row sums."""
     A = as_matrix(a)
     d = np.diag(A)
-    sums = np.abs(A).sum(axis=0 if axis == "col" else 1) - np.abs(d)
-    return tuple((complex(c), float(r)) for c, r in zip(d, sums))
+    return d, np.abs(A).sum(axis=0 if axis == "col" else 1) - np.abs(d)
 
 
-def _covering_disc(discs) -> tuple[complex, float]:
-    centers = np.array([c for c, _ in discs])
-    center = complex(centers.mean())
-    radius = max(abs(c - center) + r for c, r in discs)
-    return center, float(radius)
-
-
-def spectral_enclosure(a) -> tuple[complex, float]:
-    """A disc (center, radius) containing the spectrum.
-
-    It covers every Gershgorin disc of one family.  Row and column families
-    are both valid enclosures; the one whose covering disc is smaller is used
-    (column discs on ties, matching the column-based induced 1-norm used
-    elsewhere).
-    """
-    col = _covering_disc(gershgorin_discs(a, "col"))
-    row = _covering_disc(gershgorin_discs(a, "row"))
-    return row if row[1] < col[1] else col
-
-
-def ray_gap(center: complex, radius: float) -> float:
-    """Signed distance from a disc to the ray (-inf, 0]; positive means clear."""
-    z = complex(center)
-    dist = abs(z.imag) if z.real <= 0.0 else abs(z)
-    return dist - radius
+def ray_gap(center, radius):
+    """Signed distance from each disc to the ray (-inf, 0]; positive means clear."""
+    # |z| for Re z > 0, else |Im z|; hypot is Python's complex abs to the bit.
+    return np.hypot(np.maximum(np.real(center), 0.0), np.imag(center)) - radius
 
 
 def off_branch_cut(a) -> bool:
@@ -112,23 +91,20 @@ def off_branch_cut(a) -> bool:
 
     Conservative admissibility test for the principal logarithm and square
     root; a passing matrix also has the origin outside its spectrum.  Two
-    enclosures are tried: Gershgorin disc unions (rows or columns), then a
-    Gelfand-style bound rho(M - cI) <= ||(M - cI)^m||^(1/m) around a few
-    shift centers, which handles matrices such as I + N with N nilpotent
-    whose Gershgorin discs are wide but whose spectrum is a point.  Both
-    bounds are computed and compared in floating point without rounding
-    slack, so a matrix whose enclosure ends within rounding of the cut can be
-    misjudged.
+    enclosures are tried: Gershgorin disc unions (columns, then rows), then a
+    Gelfand-style bound rho(M - cI) <= ||(M - cI)^m||^(1/m) around the shift
+    centers 1 and the mean diagonal entry, which handles matrices such as
+    I + N with N nilpotent whose Gershgorin discs are wide but whose spectrum
+    is a point.  Both bounds are computed and compared in floating point
+    without rounding slack, so a matrix whose enclosure ends within rounding
+    of the cut can be misjudged.
     """
     M = as_matrix(a)
     for axis in ("col", "row"):
-        discs = gershgorin_discs(M, axis)
-        if all(ray_gap(c, r) > 0.0 for c, r in discs):
+        if (ray_gap(*gershgorin_discs(M, axis)) > 0.0).all():
             return True
-    diag_mean = complex(np.diag(M).mean())
-    centers = [1.0 + 0.0j, diag_mean, _covering_disc(gershgorin_discs(M, "col"))[0]]
     n = M.shape[0]
-    for c in centers:
+    for c in (1.0 + 0.0j, complex(np.diag(M).mean())):
         gap = ray_gap(c, 0.0)
         if gap <= 0.0:
             continue

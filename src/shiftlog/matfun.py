@@ -26,7 +26,6 @@ from .linalg import (
     off_branch_cut,
     ray_gap,
     solve,
-    spectral_enclosure,
 )
 
 # expm rejects inputs with 1-norm above this rather than lose accuracy silently.
@@ -135,50 +134,42 @@ def logm_iss(m) -> np.ndarray:
     return (2.0**k) * total
 
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """Circular contour for resolvent quadrature of the logarithm.
+def contour_for(m) -> tuple[complex, float, str]:
+    """Circular contour (center, radius, axis) around a Gershgorin family of ``m``.
 
-    The closed disc (center, radius) must exclude the origin and must not
-    intersect the ray (-inf, 0], so the principal branch is analytic on and
-    inside the circle wherever the resolvent is.
-    """
-
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("contour radius must be positive")
-        if ray_gap(self.center, self.radius) <= 0.0:
-            raise ContourError("contour disc touches the branch cut (-inf, 0]")
-
-
-def contour_for(m) -> ContourSpec:
-    """Build an admissible contour around the spectral enclosure of ``m``.
-
-    The circle must keep the resolvent poles well inside (covering radius
-    times 1.15) and the branch-cut singularity of the logarithm well outside
-    (a gap of 0.12 times the radius); both clearances set the geometric
-    convergence rate of the trapezoid rule.
+    The circle is centered at the mean diagonal entry and drawn around the
+    family (``axis``, "col" or "row") whose covering disc about that center is
+    smaller, columns on ties.  It must keep the resolvent poles well inside
+    (covering radius times 1.15) and the branch-cut singularity of the
+    logarithm well outside (a gap of 0.12 times the radius, which also keeps
+    the origin out); both clearances set the geometric convergence rate of the
+    trapezoid rule.
 
     Raises :class:`ContourError` if no such circle exists, e.g. when the
-    enclosure reaches too close to the cut.
+    family reaches too close to the cut.
     """
-    center, cover = spectral_enclosure(m)
+    M = as_matrix(m)
+    center = complex(np.diag(M).mean())
+    covers = []
+    for axis in ("col", "row"):
+        centers, radii = gershgorin_discs(M, axis)
+        offset = centers - center
+        covers.append((float((np.hypot(offset.real, offset.imag) + radii).max()), axis))
+    cover, axis = min(covers)  # columns on ties: "col" sorts first
     radius = cover * 1.15 if cover > 0.0 else max(abs(center) * 0.1, 0.1)
     if ray_gap(center, radius) <= 0.12 * radius:
         raise ContourError("no circular contour with enough branch-cut clearance")
-    return ContourSpec(center, radius)
+    return center, radius, axis
 
 
-def logm_contour(m, spec: ContourSpec) -> np.ndarray:
+def logm_contour(m) -> np.ndarray:
     """Principal logarithm by trapezoidal resolvent quadrature on a circle.
 
-    Evaluates (1/2*pi*i) * contour integral of log(lam) (lam I - M)^-1 dlam
-    with the node count doubled until two successive levels agree to 1e-9 in
-    1-norm.  Geometric convergence holds because the integrand is analytic in
-    an annulus around the circle.
+    The circle is :func:`contour_for`'s, drawn around one Gershgorin family
+    of ``m``.  Evaluates (1/2*pi*i) * contour integral of
+    log(lam) (lam I - M)^-1 dlam with the node count doubled until two
+    successive levels agree to 1e-9 in 1-norm.  Geometric convergence holds
+    because the integrand is analytic in an annulus around the circle.
 
     Each level costs one stacked inverse over its new nodes and one weighted
     contraction.  The nodes of level 2N at even indices are exactly the nodes
@@ -188,38 +179,35 @@ def logm_contour(m, spec: ContourSpec) -> np.ndarray:
     computes N resolvents, not the 2N - CONTOUR_NODES of recomputing each level.
 
     The stacked inverse has no pivot threshold; a bound takes its place.  The
-    containment check below proves that one Gershgorin family (column or row
-    discs (c_j, r_j)) lies strictly inside the circle, so every node lam_k
-    has a margin d_k = min_j (|lam_k - c_j| - r_j) > 0.  Then lam_k I - M is
-    strictly diagonally dominant in that family, and Varah's bound gives
-    ||(lam_k I - M)^-1|| <= 1 / d_k in the 1-norm for column discs and the
-    inf-norm for row discs.  A resolvent that is not finite, or exceeds its
-    bound by more than rounding, cannot be trusted and raises.
+    containment check below confirms that the family the circle was drawn
+    around (column or row discs (c_j, r_j)) lies strictly inside it, so every
+    node lam_k has a margin d_k = min_j (|lam_k - c_j| - r_j) > 0.  Then
+    lam_k I - M is strictly diagonally dominant in that family, and Varah's
+    bound gives ||(lam_k I - M)^-1|| <= 1 / d_k in the 1-norm for column discs
+    and the inf-norm for row discs.  A resolvent that is not finite, or
+    exceeds its bound by more than rounding, cannot be trusted and raises.
 
     Raises
     ------
     ContourError
-        If a Gershgorin disc family of ``m`` does not fit inside the circle.
+        If no contour exists (:func:`contour_for`) or the family is not
+        strictly inside it.
     SingularMatrixError
         If a resolvent is non-finite or violates its Varah bound.
     NoConvergenceError
         If agreement is not reached by 4096 nodes.
     """
     M = as_matrix(m)
-    for axis in ("col", "row"):
-        discs = gershgorin_discs(M, axis)
-        if all(abs(c - spec.center) + r < spec.radius for c, r in discs):
-            break
-    else:
-        raise ContourError("spectrum enclosure is not strictly inside the contour")
-    centers = np.array([c for c, _ in discs])
-    radii = np.array([r for _, r in discs])
+    center, radius, axis = contour_for(M)
+    centers, radii = gershgorin_discs(M, axis)
+    if not (np.abs(centers - center) + radii < radius).all():
+        raise ContourError("Gershgorin family is not strictly inside the contour")
     # Column discs bound the 1-norm (column sums), row discs the inf-norm.
     sum_axis = -2 if axis == "col" else -1
     ident = eye(M.shape[0])
 
     def node_sum(theta: np.ndarray) -> np.ndarray:
-        lam = spec.center + spec.radius * np.exp(1j * theta)
+        lam = center + radius * np.exp(1j * theta)
         try:
             resolvents = np.linalg.inv(lam[:, None, None] * ident - M)
         except np.linalg.LinAlgError as exc:
@@ -234,12 +222,12 @@ def logm_contour(m, spec: ContourSpec) -> np.ndarray:
 
     nodes = CONTOUR_NODES
     total = node_sum(2.0 * np.pi * np.arange(nodes) / nodes)
-    prev = spec.radius / nodes * total
+    prev = radius / nodes * total
     while nodes < 4096:
         # The odd nodes of level 2 * nodes, halfway between the current ones.
         total = total + node_sum(np.pi * (2 * np.arange(nodes) + 1) / nodes)
         nodes *= 2
-        cur = spec.radius / nodes * total
+        cur = radius / nodes * total
         if norm_1(cur - prev) < 1e-9:
             return cur
         prev = cur

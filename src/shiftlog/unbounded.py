@@ -11,7 +11,7 @@ logarithm surrogates stay inside a fixed band.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -107,9 +107,6 @@ class DiscretizedFamily:
         return build(self.kind, n, self.speed, self.viscosity, horizon)
 
 
-SWEEP_COLUMNS = ("n", "norm_A", "norm_A_ratio", "norm_a", "kappa",
-                 "residual_naive", "residual_shifted_bch", "residual_recovery")
-
 # Amplitude at which sweep operand pairs are evaluated in the shifted-BCH
 # identity; raw surrogate generators sit far outside its convergence radius
 # (their dominant part is ln(1+kappa) I), so the centered operands are
@@ -129,20 +126,15 @@ class SweepRow:
     residual_recovery: float
 
 
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
+
+
 @dataclass(frozen=True)
 class SweepReport:
     family: DiscretizedFamily
     t: float
     s: float
     rows: tuple[SweepRow, ...]
-
-    def norm_slope(self) -> float:
-        """Log-log slope of ||A_n||_1 versus n."""
-        ns = np.log([r.n for r in self.rows])
-        vals = np.log([r.norm_A for r in self.rows])
-        if len(self.rows) < 2:
-            return float("nan")
-        return float(np.polyfit(ns, vals, 1)[0])
 
     def band_ratio(self) -> float:
         """max/min of ||a_n(t, s)||_1 across the sweep."""
@@ -152,16 +144,7 @@ class SweepReport:
     def to_csv(self) -> str:
         lines = [",".join(SWEEP_COLUMNS)]
         for r in self.rows:
-            lines.append(",".join([
-                str(r.n),
-                format(r.norm_A, ".17g"),
-                format(r.norm_A_ratio, ".17g"),
-                format(r.norm_a, ".17g"),
-                format(r.kappa, ".17g"),
-                format(r.residual_naive, ".17g"),
-                format(r.residual_shifted_bch, ".17g"),
-                format(r.residual_recovery, ".17g"),
-            ]))
+            lines.append(",".join(format(v, ".17g") for v in astuple(r)))
         return "\n".join(lines) + "\n"
 
 

@@ -58,9 +58,9 @@ def test_grade_sweep_one_row_has_no_slope():
 def test_matfun_contour_time_is_charged_to_its_own_case(monkeypatch):
     oracle = campaigns.logm_contour
 
-    def slow_contour(m, spec):
+    def slow_contour(m):
         time.sleep(0.01)
-        return oracle(m, spec)
+        return oracle(m)
 
     monkeypatch.setattr(campaigns, "logm_contour", slow_contour)
     cases = {r.case: r for r in campaigns.suite_matfun(42, dims=(2,), count=5)}

@@ -72,6 +72,27 @@ def test_semigroup_time_dependent():
     assert check_semigroup(g, 0.0, 0.45, 0.9, 512) <= 1e-6
 
 
+def test_semigroup_composes_through_one_march(monkeypatch):
+    import shiftlog.evolution as evolution
+    rng = np.random.default_rng(4)
+    g = GeneratorSpec.from_table([0.0, 0.5, 1.0], [rand_c(rng, 4, 1.0) for _ in range(3)])
+    legs = []
+    inner = evolution.propagate
+
+    def recording(g, t, s, steps, stepper="rk4"):
+        legs.append((t, s, steps))
+        return inner(g, t, s, steps, stepper)
+
+    monkeypatch.setattr(evolution, "propagate", recording)
+    residual = check_semigroup(g, 0.0, 0.4, 0.9, 512)
+    # the product legs are the march's segments (228 and 285 steps at 512 / 0.9
+    # per unit), then U(t, s) in one propagation of all 512 steps
+    segments = march_segments(0.0, (0.4, 0.9), 512 / 0.9)
+    assert [(b, a, k) for a, b, k in segments] == legs[:2] == [(0.4, 0.0, 228), (0.9, 0.4, 285)]
+    assert legs[2:] == [(0.9, 0.0, 512)]
+    assert residual <= 1e-6
+
+
 def test_stepper_order_ratios():
     rng = np.random.default_rng(5)
     base = rand_c(rng, 3, 1.0)

@@ -10,9 +10,10 @@ from shiftlog.linalg import (
     matrix_from_json,
     norm_1,
     off_branch_cut,
+    ray_gap,
     solve,
-    spectral_enclosure,
 )
+from shiftlog.matfun import contour_for
 
 
 def rand_c(rng, n, scale=1.0):
@@ -88,25 +89,47 @@ def test_norm_1_submultiplicative():
 
 
 def test_enclosure_diagonal():
-    # point discs at 1 and 5: the covering disc is centered between them
-    assert spectral_enclosure(np.diag([1.0, 5.0])) == (3.0 + 0j, 2.0)
+    # point discs at 1 and 5: the circle is centered between them, covering
+    # radius 2 times the clearance factor 1.15
+    assert contour_for(np.diag([1.0, 5.0])) == (3.0 + 0j, 2.0 * 1.15, "col")
 
 
 def test_enclosure_symmetric_covering_disc():
-    assert gershgorin_discs(np.array([[0.0, 1.0], [1.0, 0.0]])) == ((0j, 1.0), (0j, 1.0))
-    center, radius = spectral_enclosure(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert center == 0j and radius == 1.0
+    centers, radii = gershgorin_discs(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    np.testing.assert_array_equal(centers, [0j, 0j])
+    np.testing.assert_array_equal(radii, [1.0, 1.0])
+    assert contour_for(np.array([[3.0, 1.0], [1.0, 3.0]])) == (3.0 + 0j, 1.15, "col")
+
+
+def test_gershgorin_families_are_arrays():
+    a = np.array([[1.0, 2.0, 0.0], [-1.0, 4.0, 3.0], [0.5, 0.0, 6.0]])
+    centers, radii = gershgorin_discs(a, "col")
+    np.testing.assert_array_equal(centers, [1.0, 4.0, 6.0])
+    np.testing.assert_array_equal(radii, [1.5, 2.0, 3.0])
+    centers, radii = gershgorin_discs(a, "row")
+    np.testing.assert_array_equal(centers, [1.0, 4.0, 6.0])
+    np.testing.assert_array_equal(radii, [2.0, 4.0, 0.5])
+    # the contour is drawn around the family whose covering disc about the
+    # mean diagonal entry is smaller: here rows (radius 14/3 against 16/3)
+    shifted = a + 10.0 * np.eye(3)
+    assert contour_for(shifted)[2] == "row"
+    assert contour_for(shifted.T)[2] == "col"
+
+
+def test_ray_gap_is_elementwise():
+    gaps = ray_gap(np.array([2.0, -1.0 + 3.0j, 3.0 + 4.0j]), np.array([1.0, 1.0, 5.0]))
+    np.testing.assert_array_equal(gaps, [1.0, 2.0, 0.0])
+    assert ray_gap(-2.0, 0.5) == -0.5
 
 
 def test_covering_disc_contains_all_discs():
-    # the covering disc contains every disc of one Gershgorin family
+    # the contour circle strictly contains every disc of the family it names
     rng = np.random.default_rng(17)
     for _ in range(20):
-        a = rand_c(rng, 6, 2.0)
-        center, radius = spectral_enclosure(a)
-        assert any(all(abs(c - center) + r <= radius + 1e-12
-                       for c, r in gershgorin_discs(a, axis))
-                   for axis in ("col", "row"))
+        a = rand_c(rng, 6, 2.0) + 6.0 * np.eye(6)
+        center, radius, axis = contour_for(a)
+        centers, radii = gershgorin_discs(a, axis)
+        assert np.all(np.abs(centers - center) + radii < radius)
 
 
 def test_gershgorin_contains_eigenvalues():
@@ -116,9 +139,9 @@ def test_gershgorin_contains_eigenvalues():
             a = rand_c(rng, n, rng.uniform(0.5, 3.0))
             eigs = charpoly_eigvals(a)
             for axis in ("col", "row"):
-                discs = gershgorin_discs(a, axis)
+                centers, radii = gershgorin_discs(a, axis)
                 for lam in eigs:
-                    assert min(abs(lam - c) - r for c, r in discs) <= 1e-7
+                    assert (np.abs(lam - centers) - radii).min() <= 1e-7
 
 
 def test_off_branch_cut_decisions():
@@ -126,6 +149,8 @@ def test_off_branch_cut_decisions():
     assert off_branch_cut(np.diag([2.0, 3.0]))
     # nilpotent offset: wide discs but point spectrum at 1
     assert off_branch_cut(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # the same about the mean diagonal entry 3, where the center 1 fails
+    assert off_branch_cut(np.array([[3.0, 5.0], [0.0, 3.0]]))
     assert not off_branch_cut(np.diag([-1.0, 2.0]))
     assert not off_branch_cut(np.zeros((2, 2)))
 

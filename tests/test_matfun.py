@@ -9,10 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftlog.errors import BranchCutError, ContourError, SingularMatrixError
+from shiftlog import matfun
 from shiftlog.linalg import eye, norm_1, solve
 from shiftlog.matfun import (
     CONTOUR_NODES,
-    ContourSpec,
     FdConfig,
     contour_for,
     expm,
@@ -128,12 +128,12 @@ def test_logm_iss_branch_cut_rejection():
 
 
 def test_logm_contour_identity():
-    value = logm_contour(np.eye(2), ContourSpec(1.0, 0.5))
+    value = logm_contour(np.eye(2))
     assert norm_1(value) <= 1e-12
 
 
 def test_logm_contour_diagonal():
-    value = logm_contour(np.diag([2.0, 3.0]), ContourSpec(2.5, 1.2))
+    value = logm_contour(np.diag([2.0, 3.0]))
     np.testing.assert_allclose(value, np.diag([math.log(2), math.log(3)]),
                                atol=1e-9)
 
@@ -143,7 +143,7 @@ def test_logm_contour_shifted_agreement():
     for _ in range(5):
         m = expm(rand_c(rng, 4, 0.5)) + 3.0 * np.eye(4)
         ref = logm_iss(m)
-        value = logm_contour(m, contour_for(m))
+        value = logm_contour(m)
         assert norm_1(value - ref) <= 1e-8 * norm_1(ref)
 
 
@@ -153,24 +153,26 @@ def test_logm_agreement_random_dims():
         a = rand_c(rng, n, 0.4)
         m = expm(a)
         ref = logm_iss(m)
-        assert norm_1(logm_contour(m, contour_for(m)) - ref) <= 1e-8 * norm_1(ref)
+        assert norm_1(logm_contour(m) - ref) <= 1e-8 * norm_1(ref)
 
 
-def _logm_contour_loop(m, spec):
-    """Reference: one solve per node, every level from scratch.
+def _logm_contour_loop(m):
+    """Reference: one solve per node, every level from scratch, on the
+    circle of ``contour_for``.
 
     Returns the converged value and the node count of the converged level.
     """
     ident = eye(m.shape[0])
+    center, radius, _ = contour_for(m)
 
     def quadrature(nodes):
         theta = 2.0 * np.pi * np.arange(nodes) / nodes
-        lam = spec.center + spec.radius * np.exp(1j * theta)
+        lam = center + radius * np.exp(1j * theta)
         total = np.zeros_like(ident)
         for lam_k, theta_k in zip(lam, theta):
             resolvent = solve(lam_k * ident - m, ident)
             total = total + np.log(lam_k) * resolvent * np.exp(1j * theta_k)
-        return spec.radius / nodes * total
+        return radius / nodes * total
 
     nodes = CONTOUR_NODES
     prev = quadrature(nodes)
@@ -202,11 +204,10 @@ def test_logm_contour_matches_node_loop_with_reuse(monkeypatch):
     for n in (2, 4, 8, 16):
         for _ in range(3):
             m = expm(rand_log_admissible(rng, n))
-            spec = contour_for(m)
-            ref, converged_nodes = _logm_contour_loop(m, spec)
+            ref, converged_nodes = _logm_contour_loop(m)
             calls = []
             _record_inverse(monkeypatch, calls)
-            value = logm_contour(m, spec)
+            value = logm_contour(m)
             monkeypatch.undo()
             assert norm_1(value - ref) <= 1e-13 * norm_1(ref), n
             # each level adds only its new nodes: 64, then 64, 128, ...
@@ -229,7 +230,7 @@ def _singular(out):
 def test_logm_contour_guard_rejects_bad_resolvents(monkeypatch, transform):
     _record_inverse(monkeypatch, [], transform)
     with pytest.raises(SingularMatrixError):
-        logm_contour(np.diag([2.0, 3.0]), ContourSpec(2.5, 1.2))
+        logm_contour(np.diag([2.0, 3.0]))
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -238,13 +239,13 @@ def test_logm_contour_guard_rejects_bad_resolvents(monkeypatch, transform):
 def test_varah_bound_holds_at_every_node(seed, n, norm, shift):
     m = rand_c(np.random.default_rng(seed), n, norm) + shift * np.eye(n)
     try:
-        spec = contour_for(m)
+        contour_for(m)
     except ContourError:
         assume(False)
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         _record_inverse(mp, calls)
-        logm_contour(m, spec)
+        logm_contour(m)
     for stack, inverse in calls:
         absb = np.abs(stack)
         diag = np.abs(np.diagonal(stack, axis1=-2, axis2=-1))
@@ -265,21 +266,21 @@ def test_logm_forward_error_against_mpmath():
         m = expm(rand_log_admissible(rng, n))
         ref = _mpmath_reference(mpmath.logm, m)
         scale = norm_1(ref)
-        assert norm_1(logm_contour(m, contour_for(m)) - ref) <= 1e-13 * scale, n
+        assert norm_1(logm_contour(m) - ref) <= 1e-13 * scale, n
         assert norm_1(logm_iss(m) - ref) <= 1e-13 * scale, n
 
 
-def test_contour_validation():
+def test_contour_validation(monkeypatch):
+    # no admissible contour for spectra hugging the cut, or enclosing the origin
+    for m in (np.diag([1e-4, 4.0]), np.diag([-1.0, 1.0])):
+        with pytest.raises(ContourError):
+            contour_for(m)
+        with pytest.raises(ContourError):
+            logm_contour(m)
+    # the oracle still confirms its precondition: a family outside the circle
+    monkeypatch.setattr(matfun, "contour_for", lambda m: (1.0 + 0j, 0.5, "col"))
     with pytest.raises(ContourError):
-        ContourSpec(0.0, 1.0)  # encloses the origin and crosses the cut
-    with pytest.raises(ValueError):
-        ContourSpec(1.0, -1.0)
-    # spectrum not enclosed by a valid circle elsewhere
-    with pytest.raises(ContourError):
-        logm_contour(np.diag([5.0, 6.0]), ContourSpec(1.0, 0.5))
-    # no admissible contour for spectra hugging the cut
-    with pytest.raises(ContourError):
-        contour_for(np.diag([1e-4, 4.0]))
+        logm_contour(np.diag([5.0, 6.0]))
 
 
 # --- finite differences ---
