@@ -22,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceRadiusError
-from .evolution import GeneratorSpec, march
 from .linalg import as_matrix, eye, norm_1, solve
 from .matfun import FdConfig, expm, fd_derivative, logm_iss
 
@@ -97,21 +96,18 @@ def bch_truncated(x, y, order: int) -> np.ndarray:
     return total
 
 
-def kappa_shifted_bch(a1, a2, kappa, order: int = 2) -> float:
+def kappa_shifted_bch(a1, a2, kappa) -> float:
     """Residual in 1-norm of expm(a1) expm(a2) + kappa*I against the
     shifted-BCH closed form
 
         exp( ln(kappa+1) I + (kappa+1)^-1 (a1 + a2)
-             + 1/2 (kappa+1)^-1 [a1, a2] )      (order 2; order 1 drops the
-                                                 commutator term).
+             + 1/2 (kappa+1)^-1 [a1, a2] ).
 
     The residual shrinks cubically under a -> eps*a whenever (a1 + a2)^2
     vanishes; for generic pairs the omitted square terms enter at second
     order.  Precondition (series convergence radius): the order-2 product
     expansion divided by kappa+1 must have 1-norm below one.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
     A1 = as_matrix(a1)
     A2 = as_matrix(a2)
     kap = complex(kappa)
@@ -128,9 +124,7 @@ def kappa_shifted_bch(a1, a2, kappa, order: int = 2) -> float:
     n = A1.shape[0]
     ident = eye(n)
     lhs = expm(A1) @ expm(A2) + kap * ident
-    exponent = np.log(kap + 1.0) * ident + sigma / (kap + 1.0)
-    if order >= 2:
-        exponent = exponent + 0.5 / (kap + 1.0) * comm
+    exponent = np.log(kap + 1.0) * ident + sigma / (kap + 1.0) + 0.5 / (kap + 1.0) * comm
     return norm_1(lhs - expm(exponent))
 
 
@@ -154,7 +148,7 @@ def von_neumann_second_derivative(x, y) -> np.ndarray:
             return zero
         return log_product(s * X, s * Y)
 
-    return fd_derivative(curve, 0.0, VON_NEUMANN_FD, order=2)
+    return fd_derivative(curve, 0.0, VON_NEUMANN_FD)[1]
 
 
 def _simpson_integral(f: Callable[[float], np.ndarray], upper: float,
@@ -189,8 +183,7 @@ def log_product_expansion(a1_family: Callable[[float], np.ndarray],
     a1_0 = as_matrix(a1_family(0.0))
     a2_0 = as_matrix(a2_family(0.0))
     zero = np.zeros_like(a1_0)
-    drift = fd_derivative(lambda s: a1_family(s) + a2_family(s), 0.0, VON_NEUMANN_FD,
-                          order=1)
+    drift = fd_derivative(lambda s: a1_family(s) + a2_family(s), 0.0, VON_NEUMANN_FD)[0]
 
     def curve(sigma: float) -> np.ndarray:
         if sigma == 0.0:
@@ -198,8 +191,7 @@ def log_product_expansion(a1_family: Callable[[float], np.ndarray],
         return log_product(_simpson_integral(a1_family, sigma),
                            _simpson_integral(a2_family, sigma))
 
-    first = fd_derivative(curve, 0.0, VON_NEUMANN_FD, order=1)
-    second = fd_derivative(curve, 0.0, VON_NEUMANN_FD, order=2)
+    first, second = fd_derivative(curve, 0.0, VON_NEUMANN_FD)
     return ExpansionReport(norm_1(first - (a1_0 + a2_0)),
                            norm_1(second - (commutator(a1_0, a2_0) + drift)))
 
@@ -218,18 +210,16 @@ def von_neumann_rhs(rho0, h_op, hbar: float, tgrid) -> VonNeumannReport:
     """Evolve d rho/dt = (i/hbar) [rho, H] from t = 0 and check the commutator
     against the second derivative of the logarithm at every grid point.
 
-    The state is rho(t) = U rho0 U^-1, where U(t, 0) is generated by
-    -(i/hbar) H and read off one :func:`evolution.march` through the grid
-    (RK4 at 512 steps per unit time); U^-1 is applied by a linear solve.  A
-    state that commutes with H is stationary and is returned as is: U is not
-    propagated, since at a tiny hbar its RK4 steps would overflow.  The grid
-    times must be non-negative and non-decreasing.  The reported residual at
-    time t is the hbar-free identity residual
-    || [rho(t), H] - d^2_s Log(e^{rho s} e^{H s})|_0 ||_1, so a tiny hbar does
-    not inflate it (the prefactor i/hbar is linear and graded on its own).
-    Since rho(t) is a similarity transform of rho0, its trace is conserved up
-    to rounding, and the drift is reported.  A propagation that overflows
-    raises :class:`PropagationError`.
+    The state is rho(t) = U rho0 U^-1 with U = expm(-(i/hbar) t H), taken at
+    each grid time on its own; U^-1 is applied by a linear solve.  A state
+    that commutes with H is stationary and is returned as is, so a tiny hbar
+    does not matter there.  Otherwise ||t H / hbar||_1 above 1e4 raises
+    ``OverflowError`` (:func:`matfun.expm`'s limit).  The grid times must be
+    non-negative.  The reported residual at time t is the hbar-free identity
+    residual || [rho(t), H] - d^2_s Log(e^{rho s} e^{H s})|_0 ||_1, so a tiny
+    hbar does not inflate it (the prefactor i/hbar is linear and graded on
+    its own).  Since rho(t) is a similarity transform of rho0, its trace is
+    conserved up to rounding, and the drift is reported.
     """
     if not 0.0 < hbar or math.isinf(1.0 / hbar):
         raise ValueError("hbar must be positive with 1/hbar finite")
@@ -238,15 +228,14 @@ def von_neumann_rhs(rho0, h_op, hbar: float, tgrid) -> VonNeumannReport:
     if rho.shape != H.shape:
         raise ValueError("rho0 and H must have equal dimensions")
     ts = [float(t) for t in tgrid]
-    if sorted(ts) != ts:
-        raise ValueError("tgrid must be non-decreasing")
-    if ts and ts[0] < 0.0:
-        raise ValueError(f"time grid must not start before t = 0, got {ts[0]}")
+    if ts and min(ts) < 0.0:
+        raise ValueError(f"time grid must not start before t = 0, got {min(ts)}")
     if np.any(commutator(rho, H)):
-        g = GeneratorSpec.constant(-(1j / hbar) * H, horizon=max(ts, default=0.0))
-        u_at = march(g, 0.0, ts, 512, "rk4")
-        # (U rho0 U^-1)^T = U^-T (U rho0)^T
-        states = [solve(u_at[t].T, (u_at[t] @ rho).T).T for t in ts]
+        states = []
+        for t in ts:
+            u = expm((-1j / hbar * t) * H)
+            # (U rho0 U^-1)^T = U^-T (U rho0)^T
+            states.append(solve(u.T, (u @ rho).T).T)
     else:
         states = [rho for _ in ts]
     trace0 = complex(np.trace(rho))

@@ -28,7 +28,7 @@ import numpy as np
 from .bch import bch_terms, bch_truncated, log_product, von_neumann_rhs
 from .campaigns import (DEFAULT_DIMS, DEFAULT_TOLERANCES, SUITES, Recorder, grade_sweep,
                         grade_von_neumann_demo, run_suites)
-from .errors import BudgetExceededError, ConfigError, PropagationError, ShiftlogError
+from .errors import BudgetExceededError, ConfigError, ShiftlogError
 from .linalg import matrix_from_json, norm_1
 from .report import all_passed, render_csv, render_json, summary_lines
 from .unbounded import DEFAULT_SWEEP_BUDGET, DiscretizedFamily, refinement_sweep
@@ -199,7 +199,7 @@ def cmd_vn_demo(args) -> int:
     rec = Recorder("von_neumann")
     try:
         demo = von_neumann_rhs(rho0, h_op, hbar, np.linspace(start, stop, points))
-    except (ValueError, PropagationError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     grade_von_neumann_demo(rec, demo)
 

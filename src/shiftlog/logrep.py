@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import SingularMatrixError
 from .linalg import as_matrix, eye, norm_1, solve
-from .matfun import FdConfig, expm, fd_derivative, fd_half_widths, logm_iss
+from .matfun import FdConfig, expm, fd_derivative, fd_probes, logm_iss
 from .evolution import GeneratorSpec, march
 
 
@@ -42,11 +42,8 @@ def alt_generator(u, kappa) -> np.ndarray:
 
 def recovery_chain(times, cfg: FdConfig) -> list[float]:
     """The probe times of recovering A(t) at every t of ``times`` under ``cfg``:
-    t and t +- w for every half-width w of :func:`fd_half_widths`, in
-    increasing order."""
-    widths = fd_half_widths(cfg)
-    return sorted({x for t in times for x in (t, *(t + w for w in widths),
-                                               *(t - w for w in widths))})
+    the union of :func:`fd_probes` over ``times``, in increasing order."""
+    return sorted({x for t in times for x in fd_probes(t, cfg)})
 
 
 def recovery_march(g: GeneratorSpec, s: float, times, cfg: FdConfig,
@@ -75,18 +72,14 @@ def recover_generator(a_at: dict[float, np.ndarray], t: float, kappa,
     A(t) = (I - kappa exp(-a(t, s)))^-1 d/dt a(t, s).
 
     ``a_at`` maps each probe time tau of :func:`recovery_march` to
-    a(tau, s) = Log(U(tau, s) + kappa*I); the time derivative is the central
-    difference of ``cfg`` over those values, and a time that is not a key
-    raises ``KeyError``.  Exact when d/dt U commutes with U (commuting
-    families); otherwise the output is a diagnostic, not the generator.
+    a(tau, s) = Log(U(tau, s) + kappa*I); the time derivative is the first
+    derivative of :func:`fd_derivative` over those values, and a probe time
+    that is not a key raises ``KeyError`` naming it.  Exact when d/dt U
+    commutes with U (commuting families); otherwise the output is a
+    diagnostic, not the generator.
     """
-    def a_of(tau: float) -> np.ndarray:
-        if tau not in a_at:
-            raise KeyError(f"probe time {tau!r} is not a knot of the propagation chain")
-        return a_at[tau]
-
-    da = fd_derivative(a_of, t, cfg, order=1)
-    a_ts = a_of(t)
+    da = fd_derivative(a_at.__getitem__, t, cfg)[0]
+    a_ts = a_at[t]
     lhs = eye(a_ts.shape[0]) - complex(kappa) * expm(-a_ts)
     try:
         return solve(lhs, da)

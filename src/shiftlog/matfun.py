@@ -248,41 +248,38 @@ class FdConfig:
             raise ValueError("richardson_levels must be in 0..3")
 
 
-def fd_half_widths(cfg: FdConfig) -> list[float]:
-    """Stencil half-widths h / 2**j, j = 0..richardson_levels, in the order
-    :func:`fd_derivative` uses them; it evaluates the curve at t0 +- each."""
-    return [cfg.h / 2**j for j in range(cfg.richardson_levels + 1)]
+def fd_probes(t0: float, cfg: FdConfig) -> list[float]:
+    """The sample times of :func:`fd_derivative` at ``t0``: t0 and t0 +- h / 2**j
+    for j = 0..richardson_levels, in increasing order."""
+    widths = [cfg.h / 2**j for j in range(cfg.richardson_levels + 1)]
+    return sorted({t0, *(t0 + w for w in widths), *(t0 - w for w in widths)})
 
 
-def fd_derivative(f: Callable[[float], np.ndarray], t0: float, cfg: FdConfig,
-                  order: int = 1) -> np.ndarray:
-    """Central-difference derivative of a matrix-valued curve.
+def fd_derivative(f: Callable[[float], np.ndarray], t0: float,
+                  cfg: FdConfig) -> tuple[np.ndarray, np.ndarray]:
+    """First and second central-difference derivatives ``(first, second)`` of a
+    matrix-valued curve at ``t0``.
 
-    ``order`` selects the first or second derivative.  Richardson
-    extrapolation is applied ``cfg.richardson_levels`` times, giving error
-    O(h^(2 + 2*levels)) on smooth curves.  The curve must be evaluable on
-    [t0 - h, t0 + h]: the widest stencil reaches t0 +- h, the finer
-    Richardson levels use the half-widths of :func:`fd_half_widths`.
+    ``f`` is called once at each time of :func:`fd_probes`, so the curve must
+    be evaluable on [t0 - h, t0 + h]; both derivatives are read off that one
+    sampling.  Each is Richardson-extrapolated ``cfg.richardson_levels``
+    times, giving error O(h^(2 + 2*levels)) on smooth curves.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
+    values = {t: f(t) for t in fd_probes(t0, cfg)}
+    f0 = values[t0]
+    first, second = [], []
+    for j in range(cfg.richardson_levels + 1):
+        h = cfg.h / 2**j
+        up, down = values[t0 + h], values[t0 - h]
+        first.append((up - down) / (2.0 * h))
+        second.append((up - 2.0 * f0 + down) / (h * h))
+    return _richardson(first), _richardson(second)
 
-    if order == 1:
-        def stencil(h):
-            return (f(t0 + h) - f(t0 - h)) / (2.0 * h)
-    else:
-        f0 = None
 
-        def stencil(h):
-            nonlocal f0
-            if f0 is None:
-                f0 = f(t0)
-            return (f(t0 + h) - 2.0 * f0 + f(t0 - h)) / (h * h)
-
-    levels = cfg.richardson_levels
-    table = [np.asarray(stencil(h), dtype=np.complex128) for h in fd_half_widths(cfg)]
+def _richardson(stencils: list) -> np.ndarray:
+    table = [np.asarray(d, dtype=np.complex128) for d in stencils]
     # Standard Richardson triangle; the error expansion has only even powers.
-    for m in range(1, levels + 1):
+    for m in range(1, len(table)):
         factor = 4.0**m
         table = [(factor * table[j + 1] - table[j]) / (factor - 1.0)
                  for j in range(len(table) - 1)]

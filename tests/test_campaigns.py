@@ -80,6 +80,21 @@ def test_hbar_scaling_fails_when_the_prefactor_ignores_hbar(monkeypatch):
     assert not cases["hbar_scaling"].passed
 
 
+def test_order_law_takes_each_exact_logarithm_once(monkeypatch):
+    calls = []
+    exact = bch.log_product
+
+    def counting(x, y):
+        calls.append(1)
+        return exact(x, y)
+
+    monkeypatch.setattr(bch, "log_product", counting)
+    cases = {r.case: r for r in campaigns.suite_bch(42)}
+    assert all(cases[f"order_law_k{k}"].passed for k in (1, 2, 3))
+    # 10 pairs at 5 scales; the orders 1, 2 and 3 read the same logarithm
+    assert len(calls) == 50
+
+
 def test_suite_logrep_propagates_each_operator_once(monkeypatch):
     calls = []
     propagate = evolution.propagate

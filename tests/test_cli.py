@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +202,20 @@ def test_vn_demo_tiny_hbar_grades_the_identity(tmp_path):
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_verify_imports_no_quadrature(tmp_path):
+    # A fresh interpreter: the test process may already hold scipy.integrate.
+    code = ("import sys; from shiftlog.cli import main; "
+            "rc = main(['verify', '--suite', 'evolution']); "
+            "print(rc, 'scipy.integrate' in sys.modules)")
+    src = str(README.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_readme_examples_run(tmp_path, monkeypatch):

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from shiftlog.errors import BranchCutError, ContourError, SingularMatrixError
 from shiftlog import matfun
-from shiftlog.linalg import eye, norm_1, solve
+from shiftlog.linalg import eye, norm_1, off_branch_cut, solve
 from shiftlog.matfun import (
     CONTOUR_NODES,
     FdConfig,
     contour_for,
     expm,
     fd_derivative,
+    fd_probes,
     logm_contour,
     logm_iss,
     sqrtm_db,
@@ -287,21 +288,20 @@ def test_contour_validation(monkeypatch):
 
 def test_fd_linear_curve_exact():
     a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    d = fd_derivative(lambda t: t * a, 0.4, FdConfig(h=1e-3), order=1)
+    d = fd_derivative(lambda t: t * a, 0.4, FdConfig(h=1e-3))[0]
     np.testing.assert_allclose(d, a, atol=1e-12)
 
 
 def test_fd_matrix_exponential_derivative():
     rng = np.random.default_rng(41)
     a = rand_c(rng, 3, 0.9)
-    d = fd_derivative(lambda t: expm(t * a), 0.0,
-                      FdConfig(h=1e-3, richardson_levels=1), order=1)
+    d = fd_derivative(lambda t: expm(t * a), 0.0, FdConfig(h=1e-3, richardson_levels=1))[0]
     assert norm_1(d - a) <= 1e-8
 
 
 def test_fd_second_derivative_quadratic():
     c = np.array([[0.5, 0.1], [0.0, -0.2]], dtype=complex)
-    d = fd_derivative(lambda t: t * t * c, 0.0, FdConfig(h=1e-3), order=2)
+    d = fd_derivative(lambda t: t * t * c, 0.0, FdConfig(h=1e-3))[1]
     assert norm_1(d - 2.0 * c) <= 1e-10
 
 
@@ -313,7 +313,7 @@ def test_fd_halving_reduces_error():
         errs = []
         for h in (4e-2, 2e-2):
             cfg = FdConfig(h=h, richardson_levels=levels)
-            errs.append(norm_1(fd_derivative(curve, 0.0, cfg, 1) - a))
+            errs.append(norm_1(fd_derivative(curve, 0.0, cfg)[0] - a))
         assert errs[0] / errs[1] >= 3.5
 
 
@@ -322,5 +322,39 @@ def test_fd_config_validation():
         FdConfig(h=0.0)
     with pytest.raises(ValueError):
         FdConfig(h=1e-3, richardson_levels=4)
-    with pytest.raises(ValueError):
-        fd_derivative(lambda t: np.eye(2), 0.0, FdConfig(), order=3)
+
+
+@pytest.mark.parametrize("levels", [0, 1, 2, 3])
+def test_fd_derivative_samples_each_probe_once(levels):
+    a = np.array([[0.3, 1.0], [-0.5, 0.2]], dtype=complex)
+    cfg = FdConfig(h=1e-2, richardson_levels=levels)
+    asked = []
+
+    def curve(t):
+        asked.append(t)
+        return expm(t * a)
+
+    first, second = fd_derivative(curve, 0.25, cfg)
+    probes = fd_probes(0.25, cfg)
+    assert len(probes) == 2 * levels + 3 and probes == sorted(probes)
+    assert sorted(asked) == probes
+    u = expm(0.25 * a)
+    assert norm_1(first - a @ u) <= 1e-4
+    assert norm_1(second - a @ a @ u) <= 1e-4
+
+
+def test_constructible_contour_implies_enclosure_off_the_cut():
+    # contour_for's circle clears the cut by 0.12 r and holds every disc of its
+    # family within r / 1.15 of the center, so each disc clears it by > 0.25 r
+    rng = np.random.default_rng(61)
+    constructible = 0
+    for _ in range(2000):
+        n = int(rng.integers(2, 9))
+        m = expm(rand_c(rng, n, rng.uniform(0.05, 4.0)))
+        try:
+            contour_for(m)
+        except ContourError:
+            continue
+        constructible += 1
+        assert off_branch_cut(m)
+    assert constructible >= 200
