@@ -45,7 +45,6 @@ from .logrep import (
     alt_generator,
     check_asymmetry,
     recover_generator,
-    recovery_march,
     select_kappa,
 )
 from .bch import (
@@ -65,7 +64,6 @@ from .unbounded import (
     DiscretizedFamily,
     SweepReport,
     advection_matrix,
-    build,
     diffusion_matrix,
     grid_potential,
     refinement_sweep,

@@ -32,7 +32,7 @@ from .sampling import (
     rand_complex,
     rand_log_admissible,
 )
-from .unbounded import (NORM_GROWTH_ORDER, DiscretizedFamily, SweepReport, build,
+from .unbounded import (NORM_GROWTH_ORDER, DiscretizedFamily, SweepReport,
                         refinement_sweep, semigroup_residual, tdep_modulation)
 
 SUITES = ("matfun", "evolution", "logrep", "bch", "von_neumann", "sweep")
@@ -234,7 +234,7 @@ def suite_evolution(seed: int, tolerances: dict | None = None) -> list[Verificat
     rec.add("growth_bound", "norm-growth-envelope",
             0.0 if (ok and not bad) else 1.0)
 
-    g_adv = build("advection_tdep", 16)
+    g_adv = DiscretizedFamily("advection_tdep", (16,)).member(16)
     u_a = propagate(g_adv, 0.5, 0.0, 256, "magnus2")
     excess = max(0.0, norm_1(u_a) - np.sqrt(16) * (1.0 + 1e-6))
     rec.add("unitary_norm_proxy", "skew-hermitian-isometry", excess)
@@ -242,10 +242,9 @@ def suite_evolution(seed: int, tolerances: dict | None = None) -> list[Verificat
 
 
 def _recovery_case(g: GeneratorSpec, probes) -> float:
-    # One march from 0 through the FD probe times of every probe gives kappa,
-    # a(tau, 0) and each recovery.
+    # One march from 0 through every FD probe gives kappa, a(tau, 0) and each recovery.
     fd = FdConfig(h=1e-2, richardson_levels=1)
-    u_at = logrep_mod.recovery_march(g, 0.0, probes, fd, 256, "rk4")
+    u_at = march(g, 0.0, logrep_mod.recovery_chain(probes, fd), 256, "rk4")
     kappa = logrep_mod.select_kappa([u_at[t] for t in probes])
     a_at = {tau: logrep_mod.alt_generator(u, kappa) for tau, u in u_at.items()}
     return max(norm_1(logrep_mod.recover_generator(a_at, t, kappa, fd) - g.eval(t))

@@ -1,8 +1,8 @@
 """Two-parameter evolution operators U(t, s) for time-dependent generators.
 
-A :class:`GeneratorSpec` wraps a matrix family t -> A(t) on a finite horizon,
-either closed-form (constant, or a fixed matrix times a scalar function of t)
-or sampled (linear interpolation between tabulated matrices).
+A :class:`GeneratorSpec` wraps a matrix family t -> A(t), either closed-form
+(constant, or a fixed matrix times a scalar function of t; every t >= 0) or
+sampled (linear interpolation between tabulated matrices, up to the last).
 :func:`propagate` integrates dU/dt = A(t) U, U(s, s) = I with fixed-step RK4
 or a midpoint Magnus stepper and returns the matrix U(t, s); :func:`march`
 composes such propagations into U(tau, s) at a sorted set of times.
@@ -25,7 +25,7 @@ STEPPERS = ("rk4", "magnus2")
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A time-dependent generator family t -> A(t) on [0, T]."""
+    """A time-dependent generator family t -> A(t) on [0, T], T possibly inf."""
 
     dim: int
     T: float
@@ -42,15 +42,15 @@ class GeneratorSpec:
     # --- constructors ---
 
     @staticmethod
-    def constant(matrix, horizon: float = 1.0) -> "GeneratorSpec":
+    def constant(matrix) -> "GeneratorSpec":
         A = as_matrix(matrix)
-        return GeneratorSpec(A.shape[0], horizon, lambda t: A)
+        return GeneratorSpec(A.shape[0], math.inf, lambda t: A)
 
     @staticmethod
-    def modulated(matrix, f: Callable[[float], float], horizon: float = 1.0) -> "GeneratorSpec":
+    def modulated(matrix, f: Callable[[float], float]) -> "GeneratorSpec":
         """A(t) = f(t) * A0 for a scalar function f; the values A(t) commute."""
         A = as_matrix(matrix)
-        return GeneratorSpec(A.shape[0], horizon, lambda t: f(t) * A)
+        return GeneratorSpec(A.shape[0], math.inf, lambda t: f(t) * A)
 
     @staticmethod
     def from_table(times, matrices) -> "GeneratorSpec":
@@ -107,8 +107,9 @@ def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
                 tau = s + k * h
                 if stepper == "rk4":
                     k1 = g.eval(tau) @ u
-                    k2 = g.eval(tau + 0.5 * h) @ (u + 0.5 * h * k1)
-                    k3 = g.eval(tau + 0.5 * h) @ (u + 0.5 * h * k2)
+                    a_mid = g.eval(tau + 0.5 * h)
+                    k2 = a_mid @ (u + 0.5 * h * k1)
+                    k3 = a_mid @ (u + 0.5 * h * k2)
                     k4 = g.eval(tau + h) @ (u + h * k3)
                     u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 else:

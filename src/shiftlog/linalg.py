@@ -114,9 +114,10 @@ def off_branch_cut(a) -> bool:
         while exponent <= 16:
             if bound < gap:
                 return True
-            if bound == 0.0 or bound > 1e60:
+            if bound == 0.0 or not bound <= 1e60:  # an overflowed power reads inf or NaN
                 break
-            power = power @ power
+            with np.errstate(over="ignore", invalid="ignore"):
+                power = power @ power
             exponent *= 2
             bound = norm_1(power) ** (1.0 / exponent)
     return False

@@ -14,7 +14,6 @@ import numpy as np
 from .errors import SingularMatrixError
 from .linalg import as_matrix, eye, norm_1, solve
 from .matfun import FdConfig, expm, fd_derivative, fd_probes, logm_iss
-from .evolution import GeneratorSpec, march
 
 
 def select_kappa(family) -> complex:
@@ -42,28 +41,9 @@ def alt_generator(u, kappa) -> np.ndarray:
 
 def recovery_chain(times, cfg: FdConfig) -> list[float]:
     """The probe times of recovering A(t) at every t of ``times`` under ``cfg``:
-    the union of :func:`fd_probes` over ``times``, in increasing order."""
+    the union of :func:`fd_probes` over ``times``, in increasing order: the
+    knots of the ``evolution.march`` from s whose U(tau, s) the recovery reads."""
     return sorted({x for t in times for x in fd_probes(t, cfg)})
-
-
-def recovery_march(g: GeneratorSpec, s: float, times, cfg: FdConfig,
-                   steps_per_unit: float, stepper: str) -> dict[float, np.ndarray]:
-    """U(tau, s) at every probe time tau of recovering A(t) under ``cfg`` for
-    each t of ``times``, off one :func:`evolution.march` from s through the
-    knots of :func:`recovery_chain`.
-
-    Callers pick kappa from its U(t, s), so kappa, a(t, s) and the recovery
-    share one propagation.
-    """
-    for t in times:
-        if not s < t <= g.T:
-            raise ValueError("need s < t <= T")
-        if t + 1.01 * cfg.h > g.T:
-            raise ValueError("FD probes exceed the generator horizon")
-        if t - cfg.h < s:
-            raise ValueError(f"FD window [t - h, t + h] = [{t - cfg.h:g}, {t + cfg.h:g}] "
-                             f"starts before s = {s:g}")
-    return march(g, s, recovery_chain(times, cfg), steps_per_unit, stepper)
 
 
 def recover_generator(a_at: dict[float, np.ndarray], t: float, kappa,
@@ -71,12 +51,12 @@ def recover_generator(a_at: dict[float, np.ndarray], t: float, kappa,
     """Recover A(t) from the surrogate family via
     A(t) = (I - kappa exp(-a(t, s)))^-1 d/dt a(t, s).
 
-    ``a_at`` maps each probe time tau of :func:`recovery_march` to
-    a(tau, s) = Log(U(tau, s) + kappa*I); the time derivative is the first
-    derivative of :func:`fd_derivative` over those values, and a probe time
-    that is not a key raises ``KeyError`` naming it.  Exact when d/dt U
-    commutes with U (commuting families); otherwise the output is a
-    diagnostic, not the generator.
+    ``a_at`` maps each probe time tau of :func:`recovery_chain` to
+    a(tau, s) = Log(U(tau, s) + kappa*I), U off the march through them; the
+    time derivative is the first derivative of :func:`fd_derivative` over
+    those values, and a probe time that is not a key raises ``KeyError``
+    naming it.  Exact when d/dt U commutes with U (commuting families);
+    otherwise the output is a diagnostic, not the generator.
     """
     da = fd_derivative(a_at.__getitem__, t, cfg)[0]
     a_ts = a_at[t]

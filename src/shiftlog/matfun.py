@@ -134,16 +134,16 @@ def logm_iss(m) -> np.ndarray:
     return (2.0**k) * total
 
 
-def contour_for(m) -> tuple[complex, float, str]:
-    """Circular contour (center, radius, axis) around a Gershgorin family of ``m``.
+def contour_for(m) -> tuple[complex, float, str, tuple[np.ndarray, np.ndarray]]:
+    """Circle (center, radius) around a Gershgorin family (axis, family) of ``m``.
 
     The circle is centered at the mean diagonal entry and drawn around the
-    family (``axis``, "col" or "row") whose covering disc about that center is
-    smaller, columns on ties.  It must keep the resolvent poles well inside
-    (covering radius times 1.15) and the branch-cut singularity of the
-    logarithm well outside (a gap of 0.12 times the radius, which also keeps
-    the origin out); both clearances set the geometric convergence rate of the
-    trapezoid rule.
+    family (``axis``, "col" or "row"; ``family`` its discs (centers, radii))
+    whose covering disc about that center is smaller, columns on ties.  It
+    must keep the resolvent poles well inside (covering radius times 1.15)
+    and the branch-cut singularity of the logarithm well outside (a gap of
+    0.12 times the radius, which also keeps the origin out); both clearances
+    set the geometric convergence rate of the trapezoid rule.
 
     Raises :class:`ContourError` if no such circle exists, e.g. when the
     family reaches too close to the cut.
@@ -154,19 +154,20 @@ def contour_for(m) -> tuple[complex, float, str]:
     for axis in ("col", "row"):
         centers, radii = gershgorin_discs(M, axis)
         offset = centers - center
-        covers.append((float((np.hypot(offset.real, offset.imag) + radii).max()), axis))
-    cover, axis = min(covers)  # columns on ties: "col" sorts first
+        covers.append((float((np.hypot(offset.real, offset.imag) + radii).max()),
+                       axis, (centers, radii)))
+    cover, axis, family = min(covers, key=lambda c: c[:2])  # "col" sorts first on ties
     radius = cover * 1.15 if cover > 0.0 else max(abs(center) * 0.1, 0.1)
     if ray_gap(center, radius) <= 0.12 * radius:
         raise ContourError("no circular contour with enough branch-cut clearance")
-    return center, radius, axis
+    return center, radius, axis, family
 
 
 def logm_contour(m) -> np.ndarray:
     """Principal logarithm by trapezoidal resolvent quadrature on a circle.
 
-    The circle is :func:`contour_for`'s, drawn around one Gershgorin family
-    of ``m``.  Evaluates (1/2*pi*i) * contour integral of
+    The circle and the Gershgorin family of ``m`` it is drawn around are
+    :func:`contour_for`'s.  Evaluates (1/2*pi*i) * contour integral of
     log(lam) (lam I - M)^-1 dlam with the node count doubled until two
     successive levels agree to 1e-9 in 1-norm.  Geometric convergence holds
     because the integrand is analytic in an annulus around the circle.
@@ -198,8 +199,7 @@ def logm_contour(m) -> np.ndarray:
         If agreement is not reached by 4096 nodes.
     """
     M = as_matrix(m)
-    center, radius, axis = contour_for(M)
-    centers, radii = gershgorin_discs(M, axis)
+    center, radius, axis, (centers, radii) = contour_for(M)
     if not (np.abs(centers - center) + radii < radius).all():
         raise ContourError("Gershgorin family is not strictly inside the contour")
     # Column discs bound the 1-norm (column sums), row discs the inf-norm.

@@ -24,8 +24,8 @@ from .errors import (
 )
 from .linalg import eye, norm_1
 from .matfun import FdConfig, expm
-from .evolution import GeneratorSpec, check_semigroup, march_segments
-from .logrep import alt_generator, recover_generator, recovery_chain, recovery_march, select_kappa
+from .evolution import GeneratorSpec, check_semigroup, march, march_segments
+from .logrep import alt_generator, recover_generator, recovery_chain, select_kappa
 from .bch import bch_truncated, kappa_shifted_bch
 
 # Order p of the norm growth ||A_n||_1 ~ n^p under refinement, per family kind.
@@ -66,18 +66,6 @@ def tdep_modulation(t: float) -> float:
     return 1.0 + 0.5 * math.sin(2.0 * math.pi * t)
 
 
-def build(kind: str, n: int, speed: float = 1.0, viscosity: float = 1.0,
-          horizon: float = 1.0) -> GeneratorSpec:
-    """GeneratorSpec for one member of a discretized family."""
-    if kind == "advection":
-        return GeneratorSpec.constant(advection_matrix(n, speed), horizon)
-    if kind == "diffusion":
-        return GeneratorSpec.constant(diffusion_matrix(n, viscosity), horizon)
-    if kind == "advection_tdep":
-        return GeneratorSpec.modulated(advection_matrix(n, speed), tdep_modulation, horizon)
-    raise ValueError(f"unknown family kind {kind!r}")
-
-
 def grid_potential(n: int) -> np.ndarray:
     """Bounded diagonal multiplication operator cos(2 pi x) on the same grid;
     the second leg of the BCH experiments."""
@@ -103,8 +91,13 @@ class DiscretizedFamily:
             raise ValueError(f"dims must be non-empty and strictly increasing, "
                              f"got {list(self.dims)}")
 
-    def member(self, n: int, horizon: float = 1.0) -> GeneratorSpec:
-        return build(self.kind, n, self.speed, self.viscosity, horizon)
+    def member(self, n: int) -> GeneratorSpec:
+        if self.kind == "diffusion":
+            return GeneratorSpec.constant(diffusion_matrix(n, self.viscosity))
+        a = advection_matrix(n, self.speed)
+        if self.kind == "advection":
+            return GeneratorSpec.constant(a)
+        return GeneratorSpec.modulated(a, tdep_modulation)
 
 
 # Amplitude at which sweep operand pairs are evaluated in the shifted-BCH
@@ -182,10 +175,9 @@ def sweep_cost(family: DiscretizedFamily, t: float, s: float) -> float:
     samples.
     """
     interval = t - s
-    horizon = max(1.0, t + 0.1)
     cost = 0.0
     for n in family.dims:
-        g = family.member(n, horizon=horizon)
+        g = family.member(n)
         steps = _calibrated_steps(norm_1(g.eval(s)), interval)
         h = interval / steps
         reused = np.array_equal(g.eval(s + 0.5 * h), g.eval(s + 1.5 * h))
@@ -205,8 +197,10 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
     combination on the raw generators (inf when the exponential rejects the
     combination outright), the shifted-BCH identity on centered, amplitude-
     normalized surrogate pairs, and the generator recovery error.  The member
-    is marched once (:func:`recovery_march`, magnus2 at the calibrated step
-    density); its U(t, s) gives kappa, a(t, s) and the recovery alike.
+    is marched once from s through the probe times of
+    :func:`logrep.recovery_chain` (``evolution.march``, magnus2 at the
+    calibrated step density); its U(t, s) gives kappa, a(t, s) and the
+    recovery alike.
 
     ``budget`` caps the estimated total work (:func:`sweep_cost`); the sweep
     raises :class:`BudgetExceededError` before starting if it would be
@@ -222,11 +216,11 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
     rows = []
     first_norm = None
     for n in family.dims:
-        g = family.member(n, horizon=max(1.0, t + 0.1))
+        g = family.member(n)
         a_raw = g.eval(s)
         norm_an = norm_1(a_raw)
         steps = _calibrated_steps(norm_an, interval)
-        u_at = recovery_march(g, s, [t], _RECOVERY_FD, steps / interval, "magnus2")
+        u_at = march(g, s, recovery_chain([t], _RECOVERY_FD), steps / interval, "magnus2")
         b_raw = grid_potential(n)
         u2_matrix = expm(interval * b_raw)
         kappa = select_kappa([u_at[t], u2_matrix])
@@ -277,6 +271,6 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
 
 def semigroup_residual(family: DiscretizedFamily, n: int, t: float, s: float) -> float:
     """Semigroup residual of the propagated member at the calibrated step count."""
-    g = family.member(n, horizon=max(1.0, t + 0.1))
+    g = family.member(n)
     steps = _calibrated_steps(norm_1(g.eval(s)), t - s)
     return check_semigroup(g, s, 0.5 * (s + t), t, steps, "magnus2")

@@ -333,13 +333,16 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
     ("vn-demo", {**VN_CONFIG, "grid": {"start": -1, "stop": 0, "points": 3}}),
     ("sweep", {"family": {"kind": "advection_tdep", "dims": [16, 32]}, "t": 0.004, "s": 0.0}),
     ("verify", {"dims": [True, 2], "suites": ["matfun"]}),
+    # ||tH/hbar||_1 <= 3001 passes the expm guard, but the shifted-product
+    # logarithm of the residual leaves the domain of logm_iss
+    ("vn-demo", {**VN_CONFIG, "hamiltonian": matrix_to_json(np.array([[3e3, 1.0], [1.0, -3e3]]))}),
 ], ids=["sweep-dims-int", "sweep-t-null", "sweep-budget-null", "sweep-t-inf",
         "sweep-speed-zero", "vn-hbar-str", "bch-shape-mismatch", "bch-branch-cut",
         "bch-norm-above-expm-limit", "vn-trajectory-int", "vn-tolerance-key",
         "vn-hbar-underflow", "vn-hbar-overflow", "sweep-output-format",
         "verify-seed-negative", "verify-seed-flag-negative", "verify-tolerance-inf",
         "verify-tolerance-nan", "verify-tolerance-negative", "vn-grid-before-zero",
-        "sweep-fd-window-before-s", "verify-dims-bool"])
+        "sweep-fd-window-before-s", "verify-dims-bool", "vn-hamiltonian-branch-cut"])
 def test_bad_input_is_one_stderr_line(tmp_path, capsys, verb, payload):
     if verb == "bch":
         argv = ["bch", write_json(tmp_path / "x.json", matrix_to_json(payload[0])),

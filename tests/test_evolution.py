@@ -17,6 +17,7 @@ from shiftlog.evolution import (
 )
 from shiftlog.linalg import norm_1
 from shiftlog.matfun import expm
+from shiftlog.unbounded import DiscretizedFamily
 
 
 def rand_c(rng, n, scale=1.0):
@@ -123,8 +124,7 @@ def test_growth_bound_cases():
 
 
 def test_magnus_preserves_unitary_norm():
-    from shiftlog.unbounded import build
-    g = build("advection_tdep", 16)
+    g = DiscretizedFamily("advection_tdep", (16,)).member(16)
     u = propagate(g, 0.5, 0.0, 256, "magnus2")
     assert norm_1(u) <= np.sqrt(16) * (1.0 + 1e-6)
 
@@ -134,11 +134,29 @@ def test_propagate_validates_inputs():
     with pytest.raises(ValueError):
         propagate(g, 0.5, 0.7, 16)
     with pytest.raises(ValueError):
-        propagate(g, 2.0, 0.0, 16)
+        propagate(GeneratorSpec.from_table([0.0, 1.0], [np.eye(2), np.eye(2)]), 2.0, 0.0, 16)
     with pytest.raises(ValueError):
         propagate(g, 0.5, 0.0, 0)
     with pytest.raises(ValueError):
         propagate(g, 0.5, 0.0, 16, "euler")
+
+
+def test_closed_forms_are_defined_for_every_time():
+    # no horizon: a constant generator propagates past t = 1
+    a = rand_c(np.random.default_rng(4), 3, 1.0)
+    u = propagate(GeneratorSpec.constant(a), 2.0, 0.0, 512)
+    assert norm_1(u - expm(2.0 * a)) <= 1e-10
+    g = GeneratorSpec.modulated(a, lambda t: 1.0 + t)
+    assert np.array_equal(g.eval(5.0), 6.0 * a)
+
+
+def test_rk4_samples_the_midpoint_once_per_step():
+    times = []
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    g = GeneratorSpec(2, math.inf, lambda t: times.append(t) or (1.0 + t) * a)
+    propagate(g, 0.5, 0.0, 8, "rk4")
+    h = 0.5 / 8
+    assert times == [x for k in range(8) for x in (k * h, k * h + 0.5 * h, k * h + h)]
 
 
 def test_propagate_flags_non_finite():
@@ -177,7 +195,7 @@ def test_march_composes_its_segment_propagations(stepper):
 
 def test_march_flags_a_composition_that_overflows():
     # each segment's U is finite (about 1e87); their product after four is not
-    g = GeneratorSpec.constant(600.0 * np.eye(2), horizon=2.0)
+    g = GeneratorSpec.constant(600.0 * np.eye(2))
     with pytest.raises(PropagationError, match="march to 2.0"):
         march(g, 0.0, [0.5, 1.0, 1.5, 2.0], 64, "rk4")
 
@@ -211,11 +229,10 @@ def _magnus2_reference(g, t, s, steps):
 
 
 def test_magnus2_reuses_step_exponential_for_constant_generators(monkeypatch):
-    from shiftlog.unbounded import build
     rng = np.random.default_rng(8)
     calls = _count_expm(monkeypatch)
     for g, steps in ((GeneratorSpec.constant(rand_c(rng, 4, 3.0)), 37),
-                     (build("diffusion", 16), 64)):
+                     (DiscretizedFamily("diffusion", (16,)).member(16), 64)):
         calls.clear()
         u = propagate(g, 0.9, 0.1, steps, "magnus2")
         assert len(calls) == 1
@@ -223,8 +240,7 @@ def test_magnus2_reuses_step_exponential_for_constant_generators(monkeypatch):
 
 
 def test_magnus2_time_dependent_generator_takes_expm_every_step(monkeypatch):
-    from shiftlog.unbounded import build
-    g = build("advection_tdep", 16)
+    g = DiscretizedFamily("advection_tdep", (16,)).member(16)
     calls = _count_expm(monkeypatch)
     # The modulation 1 + sin(2 pi t)/2 is strictly increasing on [0, 0.2], so
     # no two midpoint samples coincide.

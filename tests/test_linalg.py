@@ -91,14 +91,14 @@ def test_norm_1_submultiplicative():
 def test_enclosure_diagonal():
     # point discs at 1 and 5: the circle is centered between them, covering
     # radius 2 times the clearance factor 1.15
-    assert contour_for(np.diag([1.0, 5.0])) == (3.0 + 0j, 2.0 * 1.15, "col")
+    assert contour_for(np.diag([1.0, 5.0]))[:3] == (3.0 + 0j, 2.0 * 1.15, "col")
 
 
 def test_enclosure_symmetric_covering_disc():
     centers, radii = gershgorin_discs(np.array([[0.0, 1.0], [1.0, 0.0]]))
     np.testing.assert_array_equal(centers, [0j, 0j])
     np.testing.assert_array_equal(radii, [1.0, 1.0])
-    assert contour_for(np.array([[3.0, 1.0], [1.0, 3.0]])) == (3.0 + 0j, 1.15, "col")
+    assert contour_for(np.array([[3.0, 1.0], [1.0, 3.0]]))[:3] == (3.0 + 0j, 1.15, "col")
 
 
 def test_gershgorin_families_are_arrays():
@@ -124,11 +124,14 @@ def test_ray_gap_is_elementwise():
 
 def test_covering_disc_contains_all_discs():
     # the contour circle strictly contains every disc of the family it names
+    # and returns
     rng = np.random.default_rng(17)
     for _ in range(20):
         a = rand_c(rng, 6, 2.0) + 6.0 * np.eye(6)
-        center, radius, axis = contour_for(a)
-        centers, radii = gershgorin_discs(a, axis)
+        center, radius, axis, (centers, radii) = contour_for(a)
+        expected_centers, expected_radii = gershgorin_discs(a, axis)
+        np.testing.assert_array_equal(centers, expected_centers)
+        np.testing.assert_array_equal(radii, expected_radii)
         assert np.all(np.abs(centers - center) + radii < radius)
 
 

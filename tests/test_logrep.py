@@ -9,14 +9,13 @@ import pytest
 
 from shiftlog import logrep
 from shiftlog.errors import BranchCutError
-from shiftlog.evolution import GeneratorSpec, propagate
+from shiftlog.evolution import GeneratorSpec, march, propagate
 from shiftlog.linalg import norm_1, solve
 from shiftlog.logrep import (
     alt_generator,
     check_asymmetry,
     recover_generator,
     recovery_chain,
-    recovery_march,
     select_kappa,
 )
 from shiftlog.matfun import FdConfig, expm, fd_derivative
@@ -85,7 +84,7 @@ def test_alt_generator_small_kappa_rejected():
 def recover(g, s, t, kappa, cfg=FdConfig(h=1e-2, richardson_levels=1),
             steps_per_unit=256, stepper="rk4"):
     """Recover A(t) the way the campaign does: one march, one logarithm per knot."""
-    u_at = recovery_march(g, s, [t], cfg, steps_per_unit, stepper)
+    u_at = march(g, s, recovery_chain([t], cfg), steps_per_unit, stepper)
     return recover_generator({tau: alt_generator(u, kappa) for tau, u in u_at.items()},
                              t, kappa, cfg)
 
@@ -160,7 +159,7 @@ def test_recovery_chain_knots_are_the_fd_probe_times(monkeypatch, levels):
     knots = recovery_chain([0.5], cfg)
     assert len(knots) == 2 * levels + 3
     assert sorted(asked) == knots
-    assert list(recovery_march(g, 0.0, [0.5], cfg, 256, "rk4")) == knots
+    assert list(march(g, 0.0, knots, 256, "rk4")) == knots
 
 
 def test_recovery_rejects_a_probe_off_the_chain(monkeypatch):
@@ -179,7 +178,7 @@ def test_recovery_chain_is_exact_for_a_constant_generator(monkeypatch):
     g = GeneratorSpec.constant(a)
     cfg = FdConfig(h=1e-2, richardson_levels=2)
     asked = probe_recorder(monkeypatch)
-    u_at = recovery_march(g, 0.1, [0.6], cfg, 100, "magnus2")
+    u_at = march(g, 0.1, recovery_chain([0.6], cfg), 100, "magnus2")
     recover_generator({tau: alt_generator(u, 3.0) for tau, u in u_at.items()}, 0.6, 3.0, cfg)
     assert sorted(asked) == list(u_at) and 0.6 in asked
     for tau, u in u_at.items():
@@ -188,10 +187,19 @@ def test_recovery_chain_is_exact_for_a_constant_generator(monkeypatch):
 
 def test_recovery_rejects_fd_window_before_s():
     g = GeneratorSpec.constant(np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="FD window"):
-        recovery_march(g, 0.0, [0.004], FdConfig(h=5e-3), 256, "rk4")
-    with pytest.raises(ValueError, match="FD window"):
-        recovery_march(g, 0.3, [0.5, 0.305], FdConfig(h=1e-2), 256, "rk4")
+    with pytest.raises(ValueError, match="precedes"):
+        march(g, 0.0, recovery_chain([0.004], FdConfig(h=5e-3)), 256, "rk4")
+    with pytest.raises(ValueError, match="precedes"):
+        march(g, 0.3, recovery_chain([0.5, 0.305], FdConfig(h=1e-2)), 256, "rk4")
+
+
+def test_recovery_rejects_a_probe_past_the_table():
+    # a table ends at its last time; the probe t + h = 1.005 lies past it
+    g = GeneratorSpec.from_table([0.0, 1.0], [np.zeros((2, 2)), np.eye(2)])
+    cfg = FdConfig(h=5e-3)
+    march(g, 0.0, recovery_chain([0.995], cfg), 256, "rk4")
+    with pytest.raises(ValueError, match="T=1.0"):
+        march(g, 0.0, recovery_chain([0.999], cfg), 256, "rk4")
 
 
 def test_asymmetry_vanishes_at_zero_kappa():

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftlog.errors import BranchCutError, ContourError, SingularMatrixError
-from shiftlog import matfun
-from shiftlog.linalg import eye, norm_1, off_branch_cut, solve
+from shiftlog import linalg, matfun
+from shiftlog.linalg import eye, gershgorin_discs, norm_1, off_branch_cut, solve
 from shiftlog.matfun import (
     CONTOUR_NODES,
     FdConfig,
@@ -164,7 +164,7 @@ def _logm_contour_loop(m):
     Returns the converged value and the node count of the converged level.
     """
     ident = eye(m.shape[0])
-    center, radius, _ = contour_for(m)
+    center, radius = contour_for(m)[:2]
 
     def quadrature(nodes):
         theta = 2.0 * np.pi * np.arange(nodes) / nodes
@@ -279,9 +279,27 @@ def test_contour_validation(monkeypatch):
         with pytest.raises(ContourError):
             logm_contour(m)
     # the oracle still confirms its precondition: a family outside the circle
-    monkeypatch.setattr(matfun, "contour_for", lambda m: (1.0 + 0j, 0.5, "col"))
+    monkeypatch.setattr(matfun, "contour_for",
+                        lambda m: (1.0 + 0j, 0.5, "col", gershgorin_discs(m, "col")))
     with pytest.raises(ContourError):
         logm_contour(np.diag([5.0, 6.0]))
+
+
+def test_logm_contour_builds_each_gershgorin_family_once(monkeypatch):
+    # contour_for builds the column and the row family, and the oracle
+    # integrates around the one it returns instead of building it again
+    calls = []
+
+    def counting_discs(a, axis="col"):
+        calls.append(axis)
+        return gershgorin_discs(a, axis)
+
+    for module in (linalg, matfun):
+        monkeypatch.setattr(module, "gershgorin_discs", counting_discs)
+    m = expm(rand_c(np.random.default_rng(3), 4, 0.5))
+    log_m = logm_contour(m)
+    assert sorted(calls) == ["col", "row"]
+    assert norm_1(log_m - logm_iss(m)) <= 1e-8
 
 
 # --- finite differences ---

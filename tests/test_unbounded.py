@@ -5,9 +5,9 @@ import pytest
 
 from shiftlog import logrep, unbounded
 from shiftlog.errors import BudgetExceededError
-from shiftlog.evolution import GeneratorSpec, march_segments
+from shiftlog.evolution import GeneratorSpec, march, march_segments
 from shiftlog.linalg import norm_1
-from shiftlog.logrep import alt_generator, recovery_chain, recovery_march, select_kappa
+from shiftlog.logrep import alt_generator, recovery_chain, select_kappa
 from shiftlog.matfun import expm
 from shiftlog.unbounded import (
     DEFAULT_SWEEP_BUDGET,
@@ -16,7 +16,6 @@ from shiftlog.unbounded import (
     _calibrated_steps,
     DiscretizedFamily,
     advection_matrix,
-    build,
     diffusion_matrix,
     grid_potential,
     refinement_sweep,
@@ -50,16 +49,14 @@ def test_diffusion_negative_semidefinite():
 
 
 def test_modulation_normalized_at_zero():
-    g = build("advection_tdep", 8)
+    g = DiscretizedFamily("advection_tdep", (8,)).member(8)
     np.testing.assert_allclose(g.eval(0.0), advection_matrix(8, 1.0))
 
 
 def test_build_rejects_small_grids():
     for kind in ("advection", "diffusion", "advection_tdep"):
         with pytest.raises(ValueError):
-            build(kind, 2)
-    with pytest.raises(ValueError):
-        build("spectral", 8)
+            DiscretizedFamily(kind, (8,)).member(2)
 
 
 def test_family_validation():
@@ -186,8 +183,8 @@ def test_sweep_member_marches_once_from_s(monkeypatch):
     logs = []
     member = DiscretizedFamily.member
 
-    def logged_member(self, n, horizon=1.0):
-        g, times = member(self, n, horizon), []
+    def logged_member(self, n):
+        g, times = member(self, n), []
         logs.append(times)
         return GeneratorSpec(g.dim, g.T, lambda tau: times.append(tau) or g.func(tau))
 
@@ -208,7 +205,7 @@ def test_sweep_kappa_comes_from_the_march():
     for row in report.rows:
         g = family.member(row.n)
         steps = _calibrated_steps(norm_1(g.eval(0.0)), 0.1)
-        u_at = recovery_march(g, 0.0, [0.1], _RECOVERY_FD, steps / 0.1, "magnus2")
+        u_at = march(g, 0.0, recovery_chain([0.1], _RECOVERY_FD), steps / 0.1, "magnus2")
         kappa = select_kappa([u_at[0.1], expm(0.1 * grid_potential(row.n))])
         assert row.kappa == float(np.real(kappa))
 
