@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConvergenceRadiusError
 from .linalg import as_matrix, eye, norm_1, solve
-from .matfun import FdConfig, expm, fd_derivative, logm_iss
+from .matfun import FdConfig, expm, fd_derivative, fd_probes, logm_iss
 
 
 def commutator(a, b) -> np.ndarray:
@@ -139,14 +139,24 @@ def von_neumann_second_derivative(x, y) -> np.ndarray:
     The product series gives Log(e^{Xs} e^{Ys}) = (X+Y)s + 1/2 [X,Y] s^2
     + O(s^3), so the value equals [X, Y] up to finite-difference error.
     """
-    X = as_matrix(x)
-    Y = as_matrix(y)
-    zero = np.zeros_like(X)
+    return _second_derivative(as_matrix(x), _probe_exponentials(as_matrix(y)))
+
+
+def _probe_exponentials(y: np.ndarray) -> dict[float, np.ndarray]:
+    """e^{Ys} at the nonzero finite-difference probes s of ``VON_NEUMANN_FD``."""
+    return {s: expm(s * y) for s in fd_probes(0.0, VON_NEUMANN_FD) if s != 0.0}
+
+
+def _second_derivative(x: np.ndarray, exp_y: dict[float, np.ndarray]) -> np.ndarray:
+    """:func:`von_neumann_second_derivative` of X and the Y whose probe
+    exponentials :func:`_probe_exponentials` are ``exp_y``."""
+    zero = np.zeros_like(x)
 
     def curve(s: float) -> np.ndarray:
         if s == 0.0:
             return zero
-        return log_product(s * X, s * Y)
+        # log_product(s X, s Y) with e^{Ys} read from the table
+        return logm_iss(expm(s * x) @ exp_y[s])
 
     return fd_derivative(curve, 0.0, VON_NEUMANN_FD)[1]
 
@@ -218,8 +228,9 @@ def von_neumann_rhs(rho0, h_op, hbar: float, tgrid) -> VonNeumannReport:
     non-negative.  The reported residual at time t is the hbar-free identity
     residual || [rho(t), H] - d^2_s Log(e^{rho s} e^{H s})|_0 ||_1, so a tiny
     hbar does not inflate it (the prefactor i/hbar is linear and graded on
-    its own).  Since rho(t) is a similarity transform of rho0, its trace is
-    conserved up to rounding, and the drift is reported.
+    its own); the probe exponentials e^{Hs} are taken once for all states.
+    Since rho(t) is a similarity transform of rho0, its trace is conserved
+    up to rounding, and the drift is reported.
     """
     if not 0.0 < hbar or math.isinf(1.0 / hbar):
         raise ValueError("hbar must be positive with 1/hbar finite")
@@ -239,7 +250,8 @@ def von_neumann_rhs(rho0, h_op, hbar: float, tgrid) -> VonNeumannReport:
     else:
         states = [rho for _ in ts]
     trace0 = complex(np.trace(rho))
-    residuals = [float(norm_1(commutator(r, H) - von_neumann_second_derivative(r, H)))
+    exp_h = _probe_exponentials(H)
+    residuals = [float(norm_1(commutator(r, H) - _second_derivative(r, exp_h)))
                  for r in states]
     drift = max((abs(complex(np.trace(r)) - trace0) for r in states), default=0.0)
     return VonNeumannReport(tuple(ts), tuple(states), tuple(residuals), float(drift))

@@ -2,22 +2,25 @@
 
 Everything downstream (matrix functions, propagation, the shifted-log
 machinery) goes through the handful of primitives here: validated square
-complex matrices, an LU solve with an explicit singularity threshold, the
-induced 1-norm, and Gershgorin disc families.  All functions are pure
-and operate on plain ``numpy`` arrays of dtype complex128.
+complex matrices, an LU solve with an explicit singularity threshold (LAPACK
+``zgetrf``/``zgetrs`` called directly), the induced 1-norm, and Gershgorin
+disc families.  All functions are pure and operate on plain ``numpy`` arrays
+of dtype complex128.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .errors import SingularMatrixError
 
 # Pivot magnitudes below PIVOT_RTOL * ||A||_1 are treated as singular.
 PIVOT_RTOL = 1e-14
+
+# The complex128 LU factor and solve, fetched once: scipy's lu_factor/lu_solve
+# wrap the same two routines with per-call dispatch and checks.
+_GETRF, _GETRS = get_lapack_funcs(("getrf", "getrs"), (np.empty((1, 1), np.complex128),))
 
 
 def as_matrix(a) -> np.ndarray:
@@ -43,7 +46,8 @@ def norm_1(a) -> float:
 
 
 def solve(a, b) -> np.ndarray:
-    """Solve A X = B by LU with partial pivoting.
+    """Solve A X = B by LU with partial pivoting (LAPACK ``zgetrf``, then
+    ``zgetrs``); the result equals scipy's ``lu_solve(lu_factor(A), B)``.
 
     Raises
     ------
@@ -57,16 +61,14 @@ def solve(a, b) -> np.ndarray:
     scale = norm_1(A)
     if scale == 0.0:
         raise SingularMatrixError("zero matrix has no inverse")
-    with warnings.catch_warnings():
-        # singularity is detected below via the pivot threshold
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(A, check_finite=False)
+    # getrf's info > 0 (an exactly zero pivot) is caught by the threshold below.
+    lu, piv, _ = _GETRF(A)
     pivots = np.abs(np.diag(lu))
     if pivots.min() < PIVOT_RTOL * scale:
         raise SingularMatrixError(
             f"pivot {pivots.min():.3e} below threshold {PIVOT_RTOL * scale:.3e}"
         )
-    x = lu_solve((lu, piv), B, check_finite=False)
+    x, _ = _GETRS(lu, piv, B)
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("solve produced non-finite entries")
     return x

@@ -300,6 +300,26 @@ def test_von_neumann_small_hbar_follows_the_closed_form():
     assert rep.trace_drift <= 1e-9
 
 
+def test_von_neumann_takes_each_probe_exponential_once(monkeypatch):
+    # the campaign's demo: 20 states U, 80 e^{s rho(t)} and 4 e^{s H} shared
+    # by every state; taking e^{s H} per state made 180 calls
+    calls = []
+    exact = bch.expm
+
+    def counting(a):
+        calls.append(1)
+        return exact(a)
+
+    monkeypatch.setattr(bch, "expm", counting)
+    h_op = np.diag([1.0, -1.0]).astype(complex)
+    rho0 = 0.5 * np.ones((2, 2), dtype=complex)
+    rep = von_neumann_rhs(rho0, h_op, 1.0, np.linspace(0.05, 1.0, 20))
+    assert len(calls) == 104
+    for state, residual in zip(rep.states, rep.residuals):
+        assert residual == float(norm_1(commutator(state, h_op)
+                                        - von_neumann_second_derivative(state, h_op)))
+
+
 def test_von_neumann_hbar_prefactor():
     h_op = np.diag([1.0, -1.0]).astype(complex)
     rho0 = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)

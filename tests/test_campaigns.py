@@ -95,6 +95,13 @@ def test_order_law_takes_each_exact_logarithm_once(monkeypatch):
     assert len(calls) == 50
 
 
+def test_campaign_pass_solve_count(solve_calls):
+    # one LU solve per Denman-Beavers iteration; with two it was 4172
+    reports = campaigns.run_suites(campaigns.SUITES, 42)
+    assert all(r.passed for r in reports)
+    assert 0 < len(solve_calls) <= 2105
+
+
 def test_suite_logrep_propagates_each_operator_once(monkeypatch):
     calls = []
     propagate = evolution.propagate

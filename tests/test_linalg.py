@@ -1,10 +1,14 @@
 """Kernel tests: solve, norms, Gershgorin enclosures, matrix JSON decoding."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from shiftlog.errors import SingularMatrixError
 from shiftlog.linalg import (
+    PIVOT_RTOL,
     as_matrix,
     gershgorin_discs,
     matrix_from_json,
@@ -55,10 +59,27 @@ def test_solve_multiply_round_trip():
 
 
 def test_solve_rejects_singular():
-    with pytest.raises(SingularMatrixError):
-        solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
-    with pytest.raises(SingularMatrixError):
-        solve(np.zeros((2, 2)), np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a zero pivot raises, and nothing warns
+        for a in (np.array([[1.0, 1.0], [1.0, 1.0]]),  # exactly zero pivot
+                  np.diag([1.0, 0.9 * PIVOT_RTOL])):   # just under PIVOT_RTOL * ||A||_1
+            with pytest.raises(SingularMatrixError, match="pivot"):
+                solve(a, np.eye(2))
+        with pytest.raises(SingularMatrixError):
+            solve(np.zeros((2, 2)), np.eye(2))
+        x = solve(np.diag([1.0, 1.1 * PIVOT_RTOL]), np.eye(2))  # just over
+    np.testing.assert_allclose(x, np.diag([1.0, 1.0 / (1.1 * PIVOT_RTOL)]))
+
+
+def test_solve_equals_scipy_lu_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 4, 7, 16, 33, 64, 128):
+        a = rand_c(rng, n, rng.uniform(0.1, 10.0))
+        for b in (np.eye(n, dtype=complex), rand_c(rng, n, 1.0)[:, :3],
+                  rand_c(rng, n, 1.0)[:, 0]):
+            x = solve(a, b)
+            ref = lu_solve(lu_factor(a), b)
+            assert x.shape == ref.shape and np.array_equal(x, ref), (n, b.shape)
 
 
 def test_inv_round_trip():

@@ -100,6 +100,38 @@ def test_sqrtm_branch_cut_rejection():
         sqrtm_db(np.diag([-4.0, 1.0]))
 
 
+def test_sqrtm_forward_error_against_mpmath():
+    rng = np.random.default_rng(61)
+    shift = np.diag(np.ones(5), 1)  # nilpotent: I + 3N is one Jordan block
+    cases = [expm(rand_log_admissible(rng, n)) for n in (2, 4, 8, 16)]
+    for m in cases + [np.eye(6) + 3.0 * shift]:
+        ref = _mpmath_reference(mpmath.sqrtm, m)
+        assert norm_1(sqrtm_db(m) - ref) <= 1e-13 * norm_1(ref), m.shape
+
+
+def test_sqrtm_takes_one_solve_per_iteration(monkeypatch):
+    inverses = []
+
+    def recording(a, b):
+        x = solve(a, b)
+        inverses.append(x)
+        return x
+
+    monkeypatch.setattr(matfun, "solve", recording)
+    m = expm(rand_c(np.random.default_rng(5), 6, 1.0))
+    root = sqrtm_db(m)
+    # Replay Y_{k+1} = 1/2 Y_k (I + P_k^-1) on the recorded inverses: one per
+    # iteration, so the stopping rule first holds after the last of them.
+    ident, y, stops = eye(6), m, []
+    for p_inv in inverses:
+        y_next = 0.5 * y @ (ident + p_inv)
+        stops.append(norm_1(y_next - y) <= 1e-13 * norm_1(y))
+        y = y_next
+    assert len(inverses) >= 3
+    assert stops == [False] * (len(inverses) - 1) + [True]
+    assert np.array_equal(root, y)
+
+
 # --- logm, both algorithms ---
 
 def test_logm_iss_identity_and_diagonal():

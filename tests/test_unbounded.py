@@ -199,6 +199,13 @@ def test_sweep_member_marches_once_from_s(monkeypatch):
     assert all(a <= b + 1e-12 for a, b in zip(march, march[1:]))
 
 
+def test_advection_tdep_sweep_solve_count(solve_calls):
+    # the benchmark's time-dependent sweep; with two LU solves per
+    # Denman-Beavers iteration it made 1110
+    refinement_sweep(DiscretizedFamily("advection_tdep", (16, 32, 64, 128)), 0.1, 0.0)
+    assert 0 < len(solve_calls) <= 557
+
+
 def test_sweep_kappa_comes_from_the_march():
     family = DiscretizedFamily("advection_tdep", (16, 32))
     report = refinement_sweep(family, t=0.1, s=0.0)
