@@ -131,6 +131,8 @@ def kappa_shifted_bch(a1, a2, kappa) -> float:
 # Central differences of step 1e-2 with one Richardson level: the
 # finite-difference rule of every second-derivative-of-logarithm check.
 VON_NEUMANN_FD = FdConfig(h=1e-2, richardson_levels=1)
+# Panels of the composite Simpson rule of :func:`log_product_expansion`.
+SIMPSON_PANELS = 16
 
 
 def von_neumann_second_derivative(x, y) -> np.ndarray:
@@ -161,12 +163,12 @@ def _second_derivative(x: np.ndarray, exp_y: dict[float, np.ndarray]) -> np.ndar
     return fd_derivative(curve, 0.0, VON_NEUMANN_FD)[1]
 
 
-def _simpson_integral(f: Callable[[float], np.ndarray], upper: float,
-                      panels: int = 16) -> np.ndarray:
-    """Composite Simpson rule for a matrix-valued integrand on [0, upper]."""
-    h = upper / (2 * panels)
+def _simpson_integral(f: Callable[[float], np.ndarray], upper: float) -> np.ndarray:
+    """Composite Simpson rule on ``SIMPSON_PANELS`` panels for a matrix-valued
+    integrand on [0, upper]."""
+    h = upper / (2 * SIMPSON_PANELS)
     total = f(0.0) + f(upper)
-    for k in range(1, 2 * panels):
+    for k in range(1, 2 * SIMPSON_PANELS):
         total = total + (4.0 if k % 2 else 2.0) * f(k * h)
     return (h / 3.0) * total
 

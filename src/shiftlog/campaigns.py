@@ -39,6 +39,13 @@ SUITES = ("matfun", "evolution", "logrep", "bch", "von_neumann", "sweep")
 
 DEFAULT_DIMS = (2, 4, 8, 16)
 
+# Defaults shared with the CLI verbs: the sweep suite's grid sizes, the
+# refinement sweep's horizon (t, s) and the von Neumann demo's time grid
+# (start, stop, points).
+DEFAULT_SWEEP_DIMS = (8, 16, 32, 64)
+SWEEP_HORIZON = (0.1, 0.0)
+VON_NEUMANN_GRID = (0.05, 1.0, 20)
+
 # Stated tolerances for every case, overridable per campaign.  Window cases
 # carry tolerance 0 and encode the window distance in the residual.
 DEFAULT_TOLERANCES = {
@@ -365,7 +372,7 @@ def suite_von_neumann(seed: int, tolerances: dict | None = None) -> list[Verific
     # Rotating-coherence demo: H = diag(1, -1), rho0 = |+><+|.
     h_op = np.diag([1.0, -1.0]).astype(np.complex128)
     rho0 = 0.5 * np.ones((2, 2), dtype=np.complex128)
-    tgrid = np.linspace(0.05, 1.0, 20)
+    tgrid = np.linspace(*VON_NEUMANN_GRID)
     grade_von_neumann_demo(rec, bch_mod.von_neumann_rhs(rho0, h_op, 1.0, tgrid))
 
     # The prefactor i/hbar rescales time: rho(t; hbar) = rho(t / hbar; 1).
@@ -390,18 +397,18 @@ def suite_von_neumann(seed: int, tolerances: dict | None = None) -> list[Verific
     return rec.reports
 
 
-def suite_sweep(seed: int, dims=(8, 16, 32, 64),
+def suite_sweep(seed: int, dims=DEFAULT_SWEEP_DIMS,
                 tolerances: dict | None = None) -> list[VerificationReport]:
     """Refinement sweep: raw norms blow up, surrogate norms stay in a band."""
     rec = Recorder("sweep", tolerances)
     family = DiscretizedFamily("diffusion", tuple(dims), viscosity=0.01)
-    grade_sweep(rec, refinement_sweep(family, t=0.1, s=0.0))
+    grade_sweep(rec, refinement_sweep(family, *SWEEP_HORIZON))
     rec.add("semigroup_calibrated", "two-parameter-composition",
-            max(semigroup_residual(family, n, 0.1, 0.0) for n in dims))
+            max(semigroup_residual(family, n, *SWEEP_HORIZON) for n in dims))
     return rec.reports
 
 
-def run_suites(suites, seed: int, dims=DEFAULT_DIMS, sweep_dims=(8, 16, 32, 64),
+def run_suites(suites, seed: int, dims=DEFAULT_DIMS, sweep_dims=DEFAULT_SWEEP_DIMS,
                tolerances: dict | None = None) -> list[VerificationReport]:
     """Run the selected suites in canonical order with a shared seed."""
     seed, tolerances = int(seed), tolerances or {}

@@ -26,11 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bch import bch_terms, bch_truncated, log_product, von_neumann_rhs
-from .campaigns import (DEFAULT_DIMS, DEFAULT_TOLERANCES, SUITES, Recorder, grade_sweep,
+from .campaigns import (DEFAULT_DIMS, DEFAULT_SWEEP_DIMS, DEFAULT_TOLERANCES, SUITES,
+                        SWEEP_HORIZON, VON_NEUMANN_GRID, Recorder, grade_sweep,
                         grade_von_neumann_demo, run_suites)
 from .errors import BudgetExceededError, ConfigError, ShiftlogError
 from .linalg import matrix_from_json, norm_1
-from .report import all_passed, render_csv, render_json, summary_lines
+from .report import all_passed, render_csv, render_json, render_table, summary_lines
 from .unbounded import DEFAULT_SWEEP_BUDGET, DiscretizedFamily, refinement_sweep
 
 
@@ -41,7 +42,7 @@ class CampaignConfig:
     seed: int = 42
     suites: tuple[str, ...] = SUITES
     dims: tuple[int, ...] = DEFAULT_DIMS
-    sweep_dims: tuple[int, ...] = (8, 16, 32, 64)
+    sweep_dims: tuple[int, ...] = DEFAULT_SWEEP_DIMS
     tolerances: dict = field(default_factory=dict)
     out_path: str | None = None
     out_format: str = "json"
@@ -185,8 +186,9 @@ def cmd_vn_demo(args) -> int:
     if abs(complex(np.trace(rho0)) - 1.0) > 1e-9:
         raise ConfigError("trace(rho0) must equal 1 within 1e-9")
     hbar = _number(raw, "hbar", default=1.0)
-    grid = raw.get("grid", {"start": 0.05, "stop": 1.0, "points": 20})
-    _object(grid, "config field 'grid'", ("start", "stop", "points"))
+    grid_keys = ("start", "stop", "points")
+    grid = raw.get("grid", dict(zip(grid_keys, VON_NEUMANN_GRID)))
+    _object(grid, "config field 'grid'", grid_keys)
     start, stop = _number(grid, "start", "grid."), _number(grid, "stop", "grid.")
     points = grid.get("points")
     if type(points) is not int or points < 1:
@@ -208,11 +210,9 @@ def cmd_vn_demo(args) -> int:
     n = rho0.shape[0]
     header = ["t"] + [f"rho_{i}{j}_{part}" for i in range(n) for j in range(n)
                       for part in ("re", "im")] + ["residual"]
-    lines = [",".join(header)]
-    for t, state, res in zip(demo.times, demo.states, demo.residuals):
-        cells = [t, *np.stack((state.real, state.imag), axis=-1).ravel(), res]
-        lines.append(",".join(format(x, ".17g") for x in cells))
-    _write_text(traj_path, "\n".join(lines) + "\n")
+    rows = ([t, *np.stack((state.real, state.imag), axis=-1).ravel(), res]
+            for t, state, res in zip(demo.times, demo.states, demo.residuals))
+    _write_text(traj_path, render_table(header, rows))
     print(f"trajectory written to {traj_path}")
     return _finish(rec.reports, out_path, out_format, {"hbar": hbar})
 
@@ -228,7 +228,8 @@ def cmd_sweep(args) -> int:
         raise _fail("family.dims", "must be a list of integers")
     speed = _number(fam, "speed", "family.", 1.0)
     viscosity = _number(fam, "viscosity", "family.", 1.0)
-    t, s = _number(raw, "t", default=0.1), _number(raw, "s", default=0.0)
+    t = _number(raw, "t", default=SWEEP_HORIZON[0])
+    s = _number(raw, "s", default=SWEEP_HORIZON[1])
     budget = _number(raw, "budget", default=DEFAULT_SWEEP_BUDGET)
     path, _ = _output(raw, ("path",))  # the sweep table is always CSV
     csv_path = "sweep.csv" if path is None else path

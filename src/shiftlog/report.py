@@ -9,6 +9,7 @@ the one nondeterministic field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 _FIELDS = ("suite", "case", "anchor", "residual", "tolerance", "pass", "runtime_ms")
@@ -37,13 +38,8 @@ class VerificationReport:
 
 def fmt_float(x: float) -> str:
     """Render a float at 17 significant digits; non-finite values as strings."""
-    if x != x:
-        return '"nan"'
-    if x == float("inf"):
-        return '"inf"'
-    if x == float("-inf"):
-        return '"-inf"'
-    return format(float(x), ".17g")
+    text = format(float(x), ".17g")
+    return text if math.isfinite(x) else f'"{text}"'
 
 
 def _json_value(v) -> str:
@@ -67,15 +63,8 @@ def _json_value(v) -> str:
 
 
 def _record(r: VerificationReport) -> dict:
-    return {
-        "suite": r.suite,
-        "case": r.case,
-        "anchor": r.anchor,
-        "residual": float(r.residual),
-        "tolerance": float(r.tolerance),
-        "pass": r.passed,
-        "runtime_ms": 0.0,
-    }
+    return dict(zip(_FIELDS, (r.suite, r.case, r.anchor, float(r.residual),
+                              float(r.tolerance), r.passed, 0.0)))
 
 
 def render_json(reports, meta: dict | None = None) -> str:
@@ -92,12 +81,17 @@ def render_json(reports, meta: dict | None = None) -> str:
     return "{\n  " + ",\n  ".join(body) + "\n}\n"
 
 
+def render_table(columns, rows) -> str:
+    """CSV text: a header line of ``columns``, then one line per row, each
+    cell rendered as in the JSON reports, unquoted (``inf``, ``nan``)."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_json_value(v).strip('"') for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def render_csv(reports) -> str:
     ordered = sorted(reports, key=lambda r: (r.suite, r.case))
-    lines = [",".join(_FIELDS)]
-    for r in ordered:
-        lines.append(",".join(_json_value(v).strip('"') for v in _record(r).values()))
-    return "\n".join(lines) + "\n"
+    return render_table(_FIELDS, (_record(r).values() for r in ordered))
 
 
 def all_passed(reports) -> bool:

@@ -1,24 +1,41 @@
 """Shared fixtures."""
 
+import os
 import sys
+
+# One BLAS thread, as perfbench's worker pins it: every matrix here is small
+# enough that extra threads only add overhead.  Set before numpy is imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import pytest
 
 from shiftlog import linalg
 
 
+def _counted(monkeypatch, name: str) -> list:
+    """Count calls of ``linalg.<name>`` made through any shiftlog module,
+    ``linalg`` included; returns the list that gets one entry per call."""
+    calls = []
+    exact = getattr(linalg, name)
+
+    def counting(*args):
+        calls.append(1)
+        return exact(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("shiftlog") and getattr(module, name, None) is exact:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """Count calls of ``linalg.solve`` made through any shiftlog module; the
-    fixture's value is the list that gets one entry per call."""
-    calls = []
-    exact = linalg.solve
+    """The calls of ``linalg.solve``, one list entry each."""
+    return _counted(monkeypatch, "solve")
 
-    def counting(a, b):
-        calls.append(1)
-        return exact(a, b)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("shiftlog") and getattr(module, "solve", None) is exact:
-            monkeypatch.setattr(module, "solve", counting)
-    return calls
+@pytest.fixture
+def norm_1_calls(monkeypatch):
+    """The calls of ``linalg.norm_1``, one list entry each."""
+    return _counted(monkeypatch, "norm_1")

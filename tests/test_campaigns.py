@@ -102,6 +102,14 @@ def test_campaign_pass_solve_count(solve_calls):
     assert 0 < len(solve_calls) <= 2105
 
 
+def test_campaign_pass_norm_1_count(norm_1_calls):
+    # the logarithm's series runs to a degree fixed by the square-root
+    # chain's last distance; measuring two norms per term it made 23,520
+    reports = campaigns.run_suites(campaigns.SUITES, 42)
+    assert all(r.passed for r in reports)
+    assert 0 < len(norm_1_calls) <= 10538
+
+
 def test_suite_logrep_propagates_each_operator_once(monkeypatch):
     calls = []
     propagate = evolution.propagate

@@ -301,6 +301,14 @@ def test_logm_forward_error_against_mpmath():
         scale = norm_1(ref)
         assert norm_1(logm_contour(m) - ref) <= 1e-13 * scale, n
         assert norm_1(logm_iss(m) - ref) <= 1e-13 * scale, n
+    # ||M - I||_1 <= 1/4 takes no square root: the series alone does the work,
+    # at its longest (0.2499), shortest (1e-8) and non-normal (I + 0.2 N).
+    # At n = 16 only the longest series: mpmath takes 2 s more for the others.
+    near = [eye(n) + rand_c(rng, n, d) for n in (2, 4, 8) for d in (0.2499, 1e-3, 1e-8)]
+    near.append(eye(16) + rand_c(rng, 16, 0.2499))
+    for m in near + [eye(6) + 0.2 * np.diag(np.ones(5), 1)]:
+        ref = _mpmath_reference(mpmath.logm, m)
+        assert norm_1(logm_iss(m) - ref) <= 1e-13 * norm_1(ref), (m.shape, norm_1(m - eye(len(m))))
 
 
 def test_contour_validation(monkeypatch):
