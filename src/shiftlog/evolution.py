@@ -4,7 +4,8 @@ A :class:`GeneratorSpec` wraps a matrix family t -> A(t), either closed-form
 (constant, or a fixed matrix times a scalar function of t; every t >= 0) or
 sampled (linear interpolation between tabulated matrices, up to the last).
 :func:`propagate` integrates dU/dt = A(t) U, U(s, s) = I with fixed-step RK4
-or a midpoint Magnus stepper and returns the matrix U(t, s); :func:`march`
+or a midpoint Magnus stepper and returns the matrix U(t, s); a run of steps
+over which A is constant is applied as one matrix power.  :func:`march`
 composes such propagations into U(tau, s) at a sorted set of times.
 """
 
@@ -20,12 +21,18 @@ from .errors import PropagationError
 from .linalg import as_matrix, eye, norm_1
 from .matfun import expm
 
-STEPPERS = ("rk4", "magnus2")
+# Where each stepper samples the generator within a step [tau, tau + h], as
+# fractions of h, in evaluation order.
+NODES = {"rk4": (0.0, 0.5, 1.0), "magnus2": (0.5,)}
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A time-dependent generator family t -> A(t) on [0, T], T possibly inf."""
+    """A time-dependent generator family t -> A(t) on [0, T], T possibly inf.
+
+    ``func`` must not modify an array it has returned: :func:`propagate`
+    holds on to a step's samples to compare them with the next step's.
+    """
 
     dim: int
     T: float
@@ -80,45 +87,68 @@ def _check_finite(u: np.ndarray, where: str) -> np.ndarray:
     return u
 
 
+def _step_matrix(samples: tuple, h: float, stepper: str, i: np.ndarray) -> np.ndarray:
+    """The matrix S of one step, U(tau + h) = S U(tau), from the generator
+    samples at the stepper's :data:`NODES`; ``i`` is the identity."""
+    if stepper == "magnus2":
+        return expm(h * samples[0])
+    # classical RK4 on the linear ODE, applied to the identity
+    a0, am, a1 = samples
+    k2 = am @ (i + 0.5 * h * a0)
+    k3 = am @ (i + 0.5 * h * k2)
+    k4 = a1 @ (i + h * k3)
+    return i + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _runs(g: GeneratorSpec, s: float, h: float, steps: int, stepper: str):
+    """(samples, first step, length) of each maximal run of consecutive steps
+    whose generator samples are bitwise equal.  Every step is sampled, in
+    order; a sample that is the previous step's very array is equal to it
+    without a comparison."""
+    run = None
+    for k in range(steps):
+        tau = s + k * h
+        samples = tuple(g.eval(tau + c * h) for c in NODES[stepper])
+        if run is not None and all(a is b or np.array_equal(a, b)
+                                   for a, b in zip(samples, run[0])):
+            run[2] += 1
+            continue
+        if run is not None:
+            yield run
+        run = [samples, k, 1]
+    yield run
+
+
 def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
               stepper: str = "rk4") -> np.ndarray:
     """Integrate dU/dtau = A(tau) U from U(s, s) = I up to tau = t.
 
     ``rk4`` takes classical fourth-order steps on the matrix ODE (global
-    error O(h^4) for smooth A); ``magnus2`` applies expm(h A(midpoint)) per
-    step (O(h^2) generally, exact for constant A up to expm accuracy).  When
-    consecutive midpoint samples h A(midpoint) are bitwise identical, as for
-    a time-invariant generator, magnus2 reuses the previous step exponential
-    instead of recomputing it; the result is the same to the last bit.
+    error O(h^4) for smooth A); ``magnus2`` steps by expm(h A(midpoint))
+    (O(h^2) generally, exact for constant A up to expm accuracy).  Either
+    way a step is a matrix S built from the step's generator samples and
+    applied as U <- S U.  Consecutive steps whose samples are bitwise equal,
+    as for a time-invariant generator, form a run: its S is built once and
+    applied as U <- S^k U, with S^k by binary powering (about log2 k
+    squarings instead of k products).  A run of one step is the plain
+    product S U, so a generator that changes at every step is integrated
+    one product per step.
     """
     if not 0.0 <= s <= t <= g.T + 1e-12:
         raise ValueError(f"need 0 <= s <= t <= T, got s={s}, t={t}, T={g.T}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if stepper not in STEPPERS:
+    if stepper not in NODES:
         raise ValueError(f"unknown stepper {stepper!r}")
-    u = eye(g.dim)
+    u = identity = eye(g.dim)
     if t > s:
         h = (t - s) / steps
-        m_prev = step = None
         # overflow surfaces as PropagationError, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(steps):
-                tau = s + k * h
-                if stepper == "rk4":
-                    k1 = g.eval(tau) @ u
-                    a_mid = g.eval(tau + 0.5 * h)
-                    k2 = a_mid @ (u + 0.5 * h * k1)
-                    k3 = a_mid @ (u + 0.5 * h * k2)
-                    k4 = g.eval(tau + h) @ (u + h * k3)
-                    u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                else:
-                    m = h * g.eval(tau + 0.5 * h)
-                    if m_prev is None or not np.array_equal(m, m_prev):
-                        step = expm(m)
-                        m_prev = m
-                    u = step @ u
-                _check_finite(u, f"{stepper} step {k}")
+            for samples, first, k in _runs(g, s, h, steps, stepper):
+                step = _step_matrix(samples, h, stepper, identity)
+                u = _check_finite(np.linalg.matrix_power(step, k) @ u,
+                                  f"{stepper} step {first + k - 1}")
     return u
 
 

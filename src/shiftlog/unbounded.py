@@ -146,25 +146,40 @@ DEFAULT_SWEEP_BUDGET = 5e9
 
 # Work model of one sweep member, in units of n^3 times about 1.3 ns on a
 # 2-vCPU Xeon VM with one BLAS thread.  A member takes the magnus2 steps of
-# its one march (:func:`march_segments`).  A step costs one n x n product when
-# magnus2 reuses its step exponential, and an expm plus the product when A(t)
-# changes between steps.  The six logarithms and the exponentials and solves
-# outside the steps add a fixed amount.  Fitted on single-member sweep timings
-# at n = 64..128: the reused step is the measured product time, the fixed cost
-# the mean remainder of the constant members, and the fresh step the
-# least-squares remainder per step of the advection_tdep members.
-_STEP_COST_REUSED = 0.13
-_STEP_COST_FRESH = 1.5
-_MEMBER_FIXED_COST = 206.0
+# its one march (:func:`march_segments`), one propagation per segment.  When
+# A(t) changes between steps, each step costs its exponential and one n x n
+# product.  When A is constant, a segment of k steps is one run: one
+# exponential, then S^k U by binary powering, which makes
+# floor(log2 k) + popcount(k) - 1 products, plus one for S U.  The six
+# logarithms and the exponentials and solves outside the march add a fixed
+# amount.  The product is the measured n x n product time (0.09-0.18 units
+# at n = 64..256); a fresh step, exponential and product, is the
+# least-squares remainder per step of the advection_tdep members at
+# n = 64..128 (1.5 units).  The fixed cost is the remainder of one timed
+# diffusion member at n = 256 (nu = 0.01, t = 0.1, 2098 steps): 2.65, 2.76
+# and 3.00 s, 122 units at the fastest, of which the march model takes 14.
+# Smaller members leave more per n^3 (153 units at n = 128, 0.42 s), but
+# little in absolute terms.
+_PRODUCT_COST = 0.13
+_EXPM_COST = 1.37
+_MEMBER_FIXED_COST = 108.0
+
+
+def _segment_cost(steps: int, constant: bool) -> float:
+    """Modelled march work of one segment of ``steps`` magnus2 steps."""
+    if not constant:
+        return steps * (_EXPM_COST + _PRODUCT_COST)
+    products = steps.bit_length() + bin(steps).count("1") - 1
+    return _EXPM_COST + products * _PRODUCT_COST
 
 
 def sweep_cost(family: DiscretizedFamily, t: float, s: float) -> float:
     """Estimated work of :func:`refinement_sweep` in the units of its budget.
 
-    Per member, the step count is the recovery march's, and whether magnus2
-    can reuse its step exponential is read off the generator the same way
-    ``evolution.propagate`` decides it: by comparing the first two midpoint
-    samples.
+    Per member, the segments are the recovery march's, and whether A is
+    constant along them is read off the generator the way
+    ``evolution.propagate`` finds its runs: by comparing the first two
+    midpoint samples.
     """
     interval = t - s
     cost = 0.0
@@ -172,10 +187,10 @@ def sweep_cost(family: DiscretizedFamily, t: float, s: float) -> float:
         g = family.member(n)
         steps = _calibrated_steps(norm_1(g.eval(s)), interval)
         h = interval / steps
-        reused = np.array_equal(g.eval(s + 0.5 * h), g.eval(s + 1.5 * h))
-        per_step = _STEP_COST_REUSED if reused else _STEP_COST_FRESH
+        constant = np.array_equal(g.eval(s + 0.5 * h), g.eval(s + 1.5 * h))
         chain = march_segments(s, recovery_chain([t], _RECOVERY_FD), steps / interval)
-        cost += float(n) ** 3 * (sum(k for _, _, k in chain) * per_step + _MEMBER_FIXED_COST)
+        cost += float(n) ** 3 * (sum(_segment_cost(k, constant) for _, _, k in chain)
+                                 + _MEMBER_FIXED_COST)
     return cost
 
 

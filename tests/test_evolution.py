@@ -228,7 +228,28 @@ def _magnus2_reference(g, t, s, steps):
     return u
 
 
+def _rk4_reference(g, t, s, steps):
+    """rk4 stepped on the state U itself, one step after another."""
+    h = (t - s) / steps
+    u = np.eye(g.dim, dtype=np.complex128)
+    for k in range(steps):
+        tau = s + k * h
+        k1 = g.eval(tau) @ u
+        a_mid = g.eval(tau + 0.5 * h)
+        k2 = a_mid @ (u + 0.5 * h * k1)
+        k3 = a_mid @ (u + 0.5 * h * k2)
+        k4 = g.eval(tau + h) @ (u + h * k3)
+        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return u
+
+
+def _relative_error(u, ref):
+    return norm_1(u - ref) / norm_1(ref)
+
+
 def test_magnus2_reuses_step_exponential_for_constant_generators(monkeypatch):
+    # One expm per constant run; the run is then powered, so the result
+    # agrees with the step-by-step product up to rounding, not bitwise.
     rng = np.random.default_rng(8)
     calls = _count_expm(monkeypatch)
     for g, steps in ((GeneratorSpec.constant(rand_c(rng, 4, 3.0)), 37),
@@ -236,7 +257,27 @@ def test_magnus2_reuses_step_exponential_for_constant_generators(monkeypatch):
         calls.clear()
         u = propagate(g, 0.9, 0.1, steps, "magnus2")
         assert len(calls) == 1
-        assert np.array_equal(u, _magnus2_reference(g, 0.9, 0.1, steps))
+        assert _relative_error(u, _magnus2_reference(g, 0.9, 0.1, steps)) <= 1e-13
+
+
+@pytest.mark.parametrize("stepper", ["rk4", "magnus2"])
+def test_run_boundary_between_constant_and_varying_generator(monkeypatch, stepper):
+    # Constant on [0, 0.5], then varying.  Small-integer entries and dyadic
+    # step times keep the interpolated samples on [0, 0.5] bitwise equal to
+    # a, so the first half is one run; each step after it is a run of one.
+    a = np.array([[-2.0, 1.0, 0.0], [1.0, -2.0, 1.0], [3.0, 0.0, -1.0]])
+    b = rand_c(np.random.default_rng(11), 3, 2.0)
+    g = GeneratorSpec.from_table([0.0, 0.5, 1.0], [a, a, b])
+    steps = 16
+    calls = _count_expm(monkeypatch)
+    u = propagate(g, 1.0, 0.0, steps, stepper)
+    if stepper == "magnus2":
+        assert len(calls) == 1 + steps // 2
+        reference = _magnus2_reference(g, 1.0, 0.0, steps)
+    else:
+        assert not calls
+        reference = _rk4_reference(g, 1.0, 0.0, steps)
+    assert _relative_error(u, reference) <= 1e-13
 
 
 def test_magnus2_time_dependent_generator_takes_expm_every_step(monkeypatch):
