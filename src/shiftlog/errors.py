@@ -31,9 +31,9 @@ class ConvergenceRadiusError(ShiftlogError):
     """An input violates the series convergence-radius condition of an identity."""
 
 
-class BudgetExceededError(ShiftlogError):
-    """A sweep would exceed its configured work budget."""
-
-
 class ConfigError(ShiftlogError):
     """A campaign configuration file is malformed or inconsistent."""
+
+
+class BudgetExceededError(ConfigError):
+    """A sweep would exceed its configured work budget."""

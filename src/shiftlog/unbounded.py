@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BranchCutError, BudgetExceededError, NoConvergenceError, SingularMatrixError
 from .linalg import eye, norm_1
 from .matfun import FdConfig, expm
-from .evolution import GeneratorSpec, check_semigroup, march, march_segments
+from .evolution import GeneratorSpec, march, march_segments, propagate
 from .logrep import alt_generator, recover_generator, recovery_chain, select_kappa
 from .bch import bch_truncated, kappa_shifted_bch
 from .report import render_table
@@ -82,9 +82,10 @@ class DiscretizedFamily:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if not (0.0 < self.speed < math.inf and 0.0 < self.viscosity < math.inf):
             raise ValueError("speed and viscosity must be positive and finite")
-        if not self.dims or any(a >= b for a, b in zip(self.dims, self.dims[1:])):
-            raise ValueError(f"dims must be non-empty and strictly increasing, "
-                             f"got {list(self.dims)}")
+        if (not self.dims or any(type(n) is not int or not 4 <= n <= 256 for n in self.dims)
+                or any(a >= b for a, b in zip(self.dims, self.dims[1:]))):
+            raise ValueError(f"dims must be non-empty, strictly increasing integers "
+                             f"in 4..256, got {list(self.dims)}")
 
     def member(self, n: int) -> GeneratorSpec:
         if self.kind == "diffusion":
@@ -145,32 +146,25 @@ def _calibrated_steps(norm_a: float, interval: float) -> int:
 DEFAULT_SWEEP_BUDGET = 5e9
 
 # Work model of one sweep member, in units of n^3 times about 1.3 ns on a
-# 2-vCPU Xeon VM with one BLAS thread.  A member takes the magnus2 steps of
-# its one march (:func:`march_segments`), one propagation per segment.  When
-# A(t) changes between steps, each step costs its exponential and one n x n
-# product.  When A is constant, a segment of k steps is one run: one
-# exponential, then S^k U by binary powering, which makes
-# floor(log2 k) + popcount(k) - 1 products, plus one for S U.  The six
-# logarithms and the exponentials and solves outside the march add a fixed
-# amount.  The product is the measured n x n product time (0.09-0.18 units
-# at n = 64..256); a fresh step, exponential and product, is the
-# least-squares remainder per step of the advection_tdep members at
-# n = 64..128 (1.5 units).  The fixed cost is the remainder of one timed
-# diffusion member at n = 256 (nu = 0.01, t = 0.1, 2098 steps): 2.65, 2.76
-# and 3.00 s, 122 units at the fastest, of which the march model takes 14.
-# Smaller members leave more per n^3 (153 units at n = 128, 0.42 s), but
-# little in absolute terms.
-_PRODUCT_COST = 0.13
-_EXPM_COST = 1.37
+# 2-vCPU Xeon VM with one BLAS thread: a step cost per step matrix its
+# magnus2 march builds, plus a fixed cost.  The march builds one step matrix
+# per run of equal generator samples: one per segment when A is constant,
+# one per step when A(t) changes.  The step cost, an exponential and the
+# product S U, is the least-squares remainder per step of the advection_tdep
+# members at n = 64..128.  The log2 k products that power a constant run of
+# k steps (0.09-0.18 units each at n = 64..256) are left out: at t = 0.1 they
+# are at most 11% of a price, and pricing them moves no verdict at the
+# default budget (with -> without): advection_tdep 16..128 6.30e8 -> 6.30e8;
+# diffusion nu = 0.01 16..96 1.40e8 -> 1.37e8 and 32..256 2.33e9 -> 2.21e9;
+# advection 32..256 2.27e9 -> 2.21e9; diffusion nu = 1 32..256 2.46e9 ->
+# 2.21e9; advection_tdep 32..256 7.95e9 -> 7.95e9, rejected.  The fixed cost
+# covers the six logarithms and the exponentials and solves outside the
+# march: the remainder of one timed diffusion member at n = 256 (nu = 0.01,
+# t = 0.1, 2098 steps; 2.65, 2.76 and 3.00 s, 122 units at the fastest, 14
+# of them the march).  Smaller members leave more per n^3 (153 units at
+# n = 128, 0.42 s), but little in absolute terms.
+_STEP_COST = 1.5
 _MEMBER_FIXED_COST = 108.0
-
-
-def _segment_cost(steps: int, constant: bool) -> float:
-    """Modelled march work of one segment of ``steps`` magnus2 steps."""
-    if not constant:
-        return steps * (_EXPM_COST + _PRODUCT_COST)
-    products = steps.bit_length() + bin(steps).count("1") - 1
-    return _EXPM_COST + products * _PRODUCT_COST
 
 
 def sweep_cost(family: DiscretizedFamily, t: float, s: float) -> float:
@@ -189,8 +183,8 @@ def sweep_cost(family: DiscretizedFamily, t: float, s: float) -> float:
         h = interval / steps
         constant = np.array_equal(g.eval(s + 0.5 * h), g.eval(s + 1.5 * h))
         chain = march_segments(s, recovery_chain([t], _RECOVERY_FD), steps / interval)
-        cost += float(n) ** 3 * (sum(_segment_cost(k, constant) for _, _, k in chain)
-                                 + _MEMBER_FIXED_COST)
+        built = len(chain) if constant else sum(k for _, _, k in chain)
+        cost += float(n) ** 3 * (built * _STEP_COST + _MEMBER_FIXED_COST)
     return cost
 
 
@@ -237,7 +231,7 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
         # Naive order-2 BCH on the raw (unbounded-scale) generators.
         try:
             z = bch_truncated(interval * a_raw, interval * b_raw, 2)
-            residual_naive = norm_1(expm(interval * a_raw) @ expm(interval * b_raw) - expm(z))
+            residual_naive = norm_1(expm(interval * a_raw) @ u2_matrix - expm(z))
         except OverflowError:
             residual_naive = float("inf")
 
@@ -276,7 +270,14 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
 
 
 def semigroup_residual(family: DiscretizedFamily, n: int, t: float, s: float) -> float:
-    """Semigroup residual of the propagated member at the calibrated step count."""
+    """1-norm residual of U(t, r) U(r, s) - U(t, s), all three on the grid of
+    the calibrated step count, r its step nearest s + 0.4 (t - s): off the grid
+    a time-dependent member adds magnus2's O(h^2) error, and at the midpoint a
+    constant member's S^k S^k is S^2k's own chain of squarings."""
     g = family.member(n)
     steps = _calibrated_steps(norm_1(g.eval(s)), t - s)
-    return check_semigroup(g, s, 0.5 * (s + t), t, steps, "magnus2")
+    k = round(0.4 * steps)
+    r = s + k * (t - s) / steps
+    # Explicit step counts: march's ceil takes 14 + 20 steps for 13 + 20 of 33.
+    legs = propagate(g, t, r, steps - k, "magnus2") @ propagate(g, r, s, k, "magnus2")
+    return norm_1(legs - propagate(g, t, s, steps, "magnus2"))

@@ -1,0 +1,34 @@
+"""The benchmark's two sweep workloads run and grade clean against the package.
+
+``perfbench/worker.py`` runs a workload's config and command line from
+``perfbench/workloads.py`` and grades each pass from the report or the CSV
+it writes: the checks and tolerances of a ``verify`` report, and the
+columns, grid sizes and exit code of a ``sweep`` table.  A change to
+``SweepRow``, ``SWEEP_COLUMNS``, the sweep's grid-size rule or its budget
+fails the benchmark's passes, so one pass of each runs here, through the
+worker itself.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["sweep_const", "sweep_tdep"])
+def test_sweep_workload_passes_the_benchmark_grading(workload, tmp_path):
+    # The worker imports the package from ``src`` under its working directory.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", workload,
+         "--seed", "0", "--mode", "run", "--seconds", "0", "--min-passes", "1",
+         "--workdir", str(tmp_path)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads((tmp_path / "result.json").read_text())
+    (one,) = result["passes"]
+    assert one["rc"] == 0 and one["error"] is None, one
+    assert one["attempted"] > 0 and one["failed"] == 0, one

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftlog.campaigns import DEFAULT_TOLERANCES
+from shiftlog import unbounded
+from shiftlog.campaigns import DEFAULT_SWEEP_DIMS, DEFAULT_TOLERANCES
 from shiftlog.cli import load_config, main
 from shiftlog.errors import ConfigError
 
@@ -245,6 +246,15 @@ def test_sweep_verb(tmp_path, capsys):
     assert lines[0].startswith("n,norm_A,")
 
 
+def test_sweep_verb_default_dims(tmp_path):
+    out = tmp_path / "sweep.csv"
+    cfg = write_json(tmp_path / "s.json", {
+        "family": {"kind": "diffusion", "viscosity": 0.01}, "output": {"path": str(out)}})
+    assert main(["sweep", "--config", cfg]) == 0
+    rows = out.read_text().strip().split("\n")[1:]
+    assert tuple(int(row.split(",")[0]) for row in rows) == DEFAULT_SWEEP_DIMS
+
+
 def test_sweep_single_dim_and_bad_dim(tmp_path):
     ok = write_json(tmp_path / "one.json", {
         "family": {"kind": "diffusion", "dims": [4], "viscosity": 0.01},
@@ -333,6 +343,9 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
     ("vn-demo", {**VN_CONFIG, "grid": {"start": -1, "stop": 0, "points": 3}}),
     ("sweep", {"family": {"kind": "advection_tdep", "dims": [16, 32]}, "t": 0.004, "s": 0.0}),
     ("verify", {"dims": [True, 2], "suites": ["matfun"]}),
+    ("sweep", {**SWEEP_CONFIG, "family": {"kind": "diffusion", "dims": [8, 257]}}),
+    ("verify", {"sweep_dims": [8, 257], "suites": ["sweep"]}),
+    ("sweep", {**SWEEP_CONFIG, "budget": 10.0}),
     # ||tH/hbar||_1 <= 3001 passes the expm guard, but the shifted-product
     # logarithm of the residual leaves the domain of logm_iss
     ("vn-demo", {**VN_CONFIG, "hamiltonian": matrix_to_json(np.array([[3e3, 1.0], [1.0, -3e3]]))}),
@@ -342,7 +355,8 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
         "vn-hbar-underflow", "vn-hbar-overflow", "sweep-output-format",
         "verify-seed-negative", "verify-seed-flag-negative", "verify-tolerance-inf",
         "verify-tolerance-nan", "verify-tolerance-negative", "vn-grid-before-zero",
-        "sweep-fd-window-before-s", "verify-dims-bool", "vn-hamiltonian-branch-cut"])
+        "sweep-fd-window-before-s", "verify-dims-bool", "sweep-dims-257",
+        "verify-sweep-dims-257", "sweep-over-budget", "vn-hamiltonian-branch-cut"])
 def test_bad_input_is_one_stderr_line(tmp_path, capsys, verb, payload):
     if verb == "bch":
         argv = ["bch", write_json(tmp_path / "x.json", matrix_to_json(payload[0])),
@@ -355,3 +369,16 @@ def test_bad_input_is_one_stderr_line(tmp_path, capsys, verb, payload):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb, payload", [
+    ("sweep", {**SWEEP_CONFIG, "family": {"kind": "diffusion", "dims": [8, 257]}}),
+    ("verify", {"sweep_dims": [8, 257], "suites": ["sweep"]}),
+], ids=["sweep", "verify"])
+def test_grid_size_above_256_builds_no_member(tmp_path, monkeypatch, verb, payload):
+    built = []
+    stencil = unbounded.diffusion_matrix
+    monkeypatch.setattr(unbounded, "diffusion_matrix",
+                        lambda n, viscosity: built.append(n) or stencil(n, viscosity))
+    assert main([verb, "--config", write_json(tmp_path / "c.json", payload)]) == 2
+    assert built == []

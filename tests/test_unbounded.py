@@ -68,6 +68,9 @@ def test_family_validation():
         DiscretizedFamily("diffusion", ())
     with pytest.raises(ValueError):
         DiscretizedFamily("unknown", (8, 16))
+    for bad in (True, 8.0, 3, 257):
+        with pytest.raises(ValueError, match="4..256"):
+            DiscretizedFamily("diffusion", (bad,))
 
 
 def test_norm_growth_ratios():
@@ -238,9 +241,11 @@ def test_sweep_kappa_comes_from_the_march():
 
 
 def test_semigroup_residual_calibrated():
+    # Above 0: at the midpoint a constant member's legs were S^16 S^16, S^32's
+    # own chain of squarings, and the residual read exactly 0.
     family = DiscretizedFamily("diffusion", (8, 16, 32), viscosity=0.01)
     for n in family.dims:
-        assert semigroup_residual(family, n, 0.1, 0.0) <= 1e-6
+        assert 0.0 < semigroup_residual(family, n, 0.1, 0.0) <= 1e-6
     tdep = DiscretizedFamily("advection_tdep", (8, 16))
     for n in tdep.dims:
-        assert semigroup_residual(tdep, n, 0.5, 0.0) <= 1e-6
+        assert 0.0 < semigroup_residual(tdep, n, 0.5, 0.0) <= 1e-6
