@@ -87,8 +87,8 @@ def _output(raw: dict, keys: tuple[str, ...]) -> tuple[str | None, str]:
     if "output" not in raw:
         return None, "json"
     out = _object(raw["output"], "config field 'output'", keys)
-    if not isinstance(out.get("path"), str):
-        raise _fail("output.path", "must be a string")
+    if not isinstance(out.get("path"), str) or not out["path"]:
+        raise _fail("output.path", "must be a non-empty string")
     fmt = out.get("format", "json")
     if fmt not in ("json", "csv"):
         raise _fail("output.format", "must be 'json' or 'csv'")
@@ -159,9 +159,6 @@ def _finish(reports, path: str | None = None, fmt: str = "json", meta: dict | No
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     if args.suite:
-        unknown = [s for s in args.suite if s not in SUITES]
-        if unknown:
-            raise ConfigError(f"unknown suite(s) {unknown}; valid: {list(SUITES)}")
         cfg.suites = tuple(args.suite)
     if args.seed is not None:
         if args.seed < 0:
@@ -269,15 +266,22 @@ def cmd_bch(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A command line argparse rejects takes the one ``config error:`` exit."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shiftlog",
         description="Verification campaigns for shifted-logarithm operator calculus.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run verification suites from a config")
     p_verify.add_argument("--config", default=None, help="JSON campaign config")
-    p_verify.add_argument("--suite", action="append",
+    p_verify.add_argument("--suite", action="append", choices=SUITES,
                           help="restrict to a suite (repeatable)")
     p_verify.add_argument("--out", default=None, help="report output path")
     p_verify.add_argument("--format", choices=("json", "csv"), default=None)
@@ -301,9 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

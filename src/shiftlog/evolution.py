@@ -31,7 +31,7 @@ class GeneratorSpec:
     """A time-dependent generator family t -> A(t) on [0, T], T possibly inf.
 
     ``func`` must not modify an array it has returned: :func:`propagate`
-    holds on to a step's samples to compare them with the next step's.
+    takes a step sampling the previous step's very arrays as the same step.
     """
 
     dim: int
@@ -102,15 +102,14 @@ def _step_matrix(samples: tuple, h: float, stepper: str, i: np.ndarray) -> np.nd
 
 def _runs(g: GeneratorSpec, s: float, h: float, steps: int, stepper: str):
     """(samples, first step, length) of each maximal run of consecutive steps
-    whose generator samples are bitwise equal.  Every step is sampled, in
-    order; a sample that is the previous step's very array is equal to it
-    without a comparison."""
+    whose generator samples are the previous step's very arrays (``a is b``).
+    Every step is sampled, in order; equal values in distinct arrays start a
+    new run, so a run never rests on a comparison of floating-point data."""
     run = None
     for k in range(steps):
         tau = s + k * h
         samples = tuple(g.eval(tau + c * h) for c in NODES[stepper])
-        if run is not None and all(a is b or np.array_equal(a, b)
-                                   for a, b in zip(samples, run[0])):
+        if run is not None and all(a is b for a, b in zip(samples, run[0])):
             run[2] += 1
             continue
         if run is not None:
@@ -127,12 +126,12 @@ def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
     error O(h^4) for smooth A); ``magnus2`` steps by expm(h A(midpoint))
     (O(h^2) generally, exact for constant A up to expm accuracy).  Either
     way a step is a matrix S built from the step's generator samples and
-    applied as U <- S U.  Consecutive steps whose samples are bitwise equal,
-    as for a time-invariant generator, form a run: its S is built once and
-    applied as U <- S^k U, with S^k by binary powering (about log2 k
-    squarings instead of k products).  A run of one step is the plain
-    product S U, so a generator that changes at every step is integrated
-    one product per step.
+    applied as U <- S U.  Consecutive steps whose samples are the same
+    arrays, as :meth:`GeneratorSpec.constant` returns at every t, form a run:
+    its S is built once and applied as U <- S^k U, with S^k by binary
+    powering (about log2 k squarings instead of k products).  A run of one
+    step is the plain product S U, so a generator that returns a new array
+    per step is integrated one product per step.
     """
     if not 0.0 <= s <= t <= g.T + 1e-12:
         raise ValueError(f"need 0 <= s <= t <= T, got s={s}, t={t}, T={g.T}")
@@ -156,12 +155,15 @@ def march_segments(s: float, knots, steps_per_unit: float) -> list[tuple[float, 
     """Segments (start, end, steps) of the :func:`march` from s through ``knots``.
 
     The segment ends are the distinct knots after s in increasing order; each
-    segment takes ``max(1, ceil(steps_per_unit * (end - start)))`` steps.
+    segment takes ``max(1, ceil(steps_per_unit * (end - start) - 1e-9))``
+    steps.  The slack is absolute, in steps: a knot on the step grid, say
+    s + k / steps_per_unit, computed in floating point lands a few ulps off
+    k steps, and a plain ceil would give its segment an extra step.
     """
     ends = sorted(set(knots))
     if ends and ends[0] < s:
         raise ValueError(f"knot {ends[0]} precedes the march start s = {s}")
-    return [(a, b, max(1, math.ceil(steps_per_unit * (b - a))))
+    return [(a, b, max(1, math.ceil(steps_per_unit * (b - a) - 1e-9)))
             for a, b in zip([s, *ends], ends) if b > a]
 
 
@@ -186,7 +188,7 @@ def check_semigroup(g: GeneratorSpec, s: float, r: float, t: float,
                     steps: int, stepper: str = "rk4") -> float:
     """1-norm residual of U(t, r) U(r, s) - U(t, s): the product is the
     :func:`march` from s through r and t, U(t, s) one propagation of ``steps``
-    steps, at the same step density."""
+    steps, at the same step density; an r on the step grid splits them exactly."""
     if not 0.0 <= s <= r <= t <= g.T + 1e-12:
         raise ValueError("need 0 <= s <= r <= t <= T")
     if t == s:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BranchCutError, BudgetExceededError, NoConvergenceError, SingularMatrixError
 from .linalg import eye, norm_1
 from .matfun import FdConfig, expm
-from .evolution import GeneratorSpec, march, march_segments, propagate
+from .evolution import GeneratorSpec, check_semigroup, march, march_segments
 from .logrep import alt_generator, recover_generator, recovery_chain, select_kappa
 from .bch import bch_truncated, kappa_shifted_bch
 from .report import render_table
@@ -148,21 +148,18 @@ DEFAULT_SWEEP_BUDGET = 5e9
 # Work model of one sweep member, in units of n^3 times about 1.3 ns on a
 # 2-vCPU Xeon VM with one BLAS thread: a step cost per step matrix its
 # magnus2 march builds, plus a fixed cost.  The march builds one step matrix
-# per run of equal generator samples: one per segment when A is constant,
-# one per step when A(t) changes.  The step cost, an exponential and the
-# product S U, is the least-squares remainder per step of the advection_tdep
-# members at n = 64..128.  The log2 k products that power a constant run of
-# k steps (0.09-0.18 units each at n = 64..256) are left out: at t = 0.1 they
-# are at most 11% of a price, and pricing them moves no verdict at the
-# default budget (with -> without): advection_tdep 16..128 6.30e8 -> 6.30e8;
-# diffusion nu = 0.01 16..96 1.40e8 -> 1.37e8 and 32..256 2.33e9 -> 2.21e9;
-# advection 32..256 2.27e9 -> 2.21e9; diffusion nu = 1 32..256 2.46e9 ->
-# 2.21e9; advection_tdep 32..256 7.95e9 -> 7.95e9, rejected.  The fixed cost
-# covers the six logarithms and the exponentials and solves outside the
-# march: the remainder of one timed diffusion member at n = 256 (nu = 0.01,
-# t = 0.1, 2098 steps; 2.65, 2.76 and 3.00 s, 122 units at the fastest, 14
-# of them the march).  Smaller members leave more per n^3 (153 units at
-# n = 128, 0.42 s), but little in absolute terms.
+# per run of steps sampling the same arrays: one per segment when A is
+# constant, one per step when A(t) changes.  The step cost, an exponential
+# and the product S U, is the least-squares remainder per step of the
+# advection_tdep members at n = 64..128.  The log2 k products that power a
+# constant run of k steps (0.09-0.18 units each at n = 64..256) are left
+# out: at t = 0.1 they are at most 11% of a price, and pricing them moves no
+# verdict at the default budget.  The fixed cost covers the six logarithms
+# and the exponentials and solves outside the march: the remainder of one
+# timed diffusion member at n = 256 (nu = 0.01, t = 0.1, 2098 steps; 2.65,
+# 2.76 and 3.00 s, 122 units at the fastest, 14 of them the march).
+# Smaller members leave more per n^3 (153 units at n = 128, 0.42 s), but
+# little in absolute terms.
 _STEP_COST = 1.5
 _MEMBER_FIXED_COST = 108.0
 
@@ -172,8 +169,8 @@ def sweep_cost(family: DiscretizedFamily, t: float, s: float) -> float:
 
     Per member, the segments are the recovery march's, and whether A is
     constant along them is read off the generator the way
-    ``evolution.propagate`` finds its runs: by comparing the first two
-    midpoint samples.
+    ``evolution.propagate`` finds its runs: the first two midpoint samples
+    are one array.
     """
     interval = t - s
     cost = 0.0
@@ -181,7 +178,7 @@ def sweep_cost(family: DiscretizedFamily, t: float, s: float) -> float:
         g = family.member(n)
         steps = _calibrated_steps(norm_1(g.eval(s)), interval)
         h = interval / steps
-        constant = np.array_equal(g.eval(s + 0.5 * h), g.eval(s + 1.5 * h))
+        constant = g.eval(s + 0.5 * h) is g.eval(s + 1.5 * h)
         chain = march_segments(s, recovery_chain([t], _RECOVERY_FD), steps / interval)
         built = len(chain) if constant else sum(k for _, _, k in chain)
         cost += float(n) ** 3 * (built * _STEP_COST + _MEMBER_FIXED_COST)
@@ -270,14 +267,11 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
 
 
 def semigroup_residual(family: DiscretizedFamily, n: int, t: float, s: float) -> float:
-    """1-norm residual of U(t, r) U(r, s) - U(t, s), all three on the grid of
-    the calibrated step count, r its step nearest s + 0.4 (t - s): off the grid
-    a time-dependent member adds magnus2's O(h^2) error, and at the midpoint a
-    constant member's S^k S^k is S^2k's own chain of squarings."""
+    """:func:`evolution.check_semigroup` of the member under magnus2 at the
+    calibrated step count, split at r, the grid step nearest s + 0.4 (t - s):
+    off the grid a time-dependent member adds magnus2's O(h^2) error, and at
+    the midpoint a constant member's S^k S^k is S^2k's own chain of squarings."""
     g = family.member(n)
     steps = _calibrated_steps(norm_1(g.eval(s)), t - s)
-    k = round(0.4 * steps)
-    r = s + k * (t - s) / steps
-    # Explicit step counts: march's ceil takes 14 + 20 steps for 13 + 20 of 33.
-    legs = propagate(g, t, r, steps - k, "magnus2") @ propagate(g, r, s, k, "magnus2")
-    return norm_1(legs - propagate(g, t, s, steps, "magnus2"))
+    r = s + round(0.4 * steps) * (t - s) / steps
+    return check_semigroup(g, s, r, t, steps, "magnus2")

@@ -1,11 +1,12 @@
-"""The benchmark's two sweep workloads run and grade clean against the package.
+"""The benchmark's three workloads run and grade clean against the package.
 
 ``perfbench/worker.py`` runs a workload's config and command line from
 ``perfbench/workloads.py`` and grades each pass from the report or the CSV
 it writes: the checks and tolerances of a ``verify`` report, and the
-columns, grid sizes and exit code of a ``sweep`` table.  A change to
-``SweepRow``, ``SWEEP_COLUMNS``, the sweep's grid-size rule or its budget
-fails the benchmark's passes, so one pass of each runs here, through the
+columns, grid sizes and exit code of a ``sweep`` table.  A renamed check, a
+change to the tolerance table, to ``SweepRow``, ``SWEEP_COLUMNS``, the
+sweep's grid-size rule or its budget fails the benchmark's passes, so one
+pass of each workload (seed 0 for the campaign) runs here, through the
 worker itself.
 """
 
@@ -19,7 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["sweep_const", "sweep_tdep"])
+@pytest.mark.parametrize("workload", ["campaign", "sweep_const", "sweep_tdep"])
 def test_sweep_workload_passes_the_benchmark_grading(workload, tmp_path):
     # The worker imports the package from ``src`` under its working directory.
     proc = subprocess.run(

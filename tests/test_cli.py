@@ -349,6 +349,15 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
     # ||tH/hbar||_1 <= 3001 passes the expm guard, but the shifted-product
     # logarithm of the residual leaves the domain of logm_iss
     ("vn-demo", {**VN_CONFIG, "hamiltonian": matrix_to_json(np.array([[3e3, 1.0], [1.0, -3e3]]))}),
+    ("verify", {"suites": ["bch"], "output": {"path": ""}}),
+    # command lines argparse rejects
+    ("verify", ["--format", "xml"]),
+    ("verify", ["--seed", "abc"]),
+    ("verify", ["--suite", "nope"]),
+    ("verify", ["--bogus"]),
+    ("bch", ["x.json", "y.json", "--order", "9"]),
+    ("frobnicate", []),
+    ("sweep", []),
 ], ids=["sweep-dims-int", "sweep-t-null", "sweep-budget-null", "sweep-t-inf",
         "sweep-speed-zero", "vn-hbar-str", "bch-shape-mismatch", "bch-branch-cut",
         "bch-norm-above-expm-limit", "vn-trajectory-int", "vn-tolerance-key",
@@ -356,19 +365,28 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
         "verify-seed-negative", "verify-seed-flag-negative", "verify-tolerance-inf",
         "verify-tolerance-nan", "verify-tolerance-negative", "vn-grid-before-zero",
         "sweep-fd-window-before-s", "verify-dims-bool", "sweep-dims-257",
-        "verify-sweep-dims-257", "sweep-over-budget", "vn-hamiltonian-branch-cut"])
+        "verify-sweep-dims-257", "sweep-over-budget", "vn-hamiltonian-branch-cut",
+        "verify-output-path-empty", "verify-format-flag-xml", "verify-seed-flag-str",
+        "verify-suite-flag-unknown", "verify-unknown-flag", "bch-order-9", "unknown-verb",
+        "sweep-no-config"])
 def test_bad_input_is_one_stderr_line(tmp_path, capsys, verb, payload):
-    if verb == "bch":
+    if isinstance(payload, list):
+        argv = [verb, *payload]
+    elif verb == "bch":
         argv = ["bch", write_json(tmp_path / "x.json", matrix_to_json(payload[0])),
                 write_json(tmp_path / "y.json", matrix_to_json(payload[1]))]
-    elif isinstance(payload, list):
-        argv = [verb, *payload]
     else:
         argv = [verb, "--config", write_json(tmp_path / "c.json", payload)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0 and "--suite" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("verb, payload", [

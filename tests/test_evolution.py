@@ -94,6 +94,24 @@ def test_semigroup_composes_through_one_march(monkeypatch):
     assert residual <= 1e-6
 
 
+def test_march_segments_split_on_the_step_grid_exactly():
+    # A knot k steps into a grid of `steps` takes exactly k steps, though
+    # s + k (t - s) / steps in floating point lands a few ulps off it.
+    rng = np.random.default_rng(18)
+    for _ in range(20000):
+        steps = int(rng.integers(2, 5001))
+        k = int(rng.integers(1, steps))
+        s = rng.choice([0.0, rng.uniform(0.0, 1.0)])
+        length = rng.choice([0.1, 0.5, 1.0, rng.uniform(1e-3, 2.0)])
+        r, t = s + k * length / steps, s + length
+        segments = march_segments(s, (r, t), steps / length)
+        assert [n for _, _, n in segments] == [k, steps - k], (steps, k, s, length)
+    # the calibrated sweep's splits at t = 0.1, k = round(0.4 steps)
+    for steps, legs in ((33, [13, 20]), (103, [41, 62]), (132, [53, 79])):
+        r = round(0.4 * steps) * 0.1 / steps
+        assert [n for _, _, n in march_segments(0.0, (r, 0.1), steps / 0.1)] == legs
+
+
 def test_stepper_order_ratios():
     rng = np.random.default_rng(5)
     base = rand_c(rng, 3, 1.0)
@@ -262,12 +280,12 @@ def test_magnus2_reuses_step_exponential_for_constant_generators(monkeypatch):
 
 @pytest.mark.parametrize("stepper", ["rk4", "magnus2"])
 def test_run_boundary_between_constant_and_varying_generator(monkeypatch, stepper):
-    # Constant on [0, 0.5], then varying.  Small-integer entries and dyadic
-    # step times keep the interpolated samples on [0, 0.5] bitwise equal to
-    # a, so the first half is one run; each step after it is a run of one.
-    a = np.array([[-2.0, 1.0, 0.0], [1.0, -2.0, 1.0], [3.0, 0.0, -1.0]])
+    # Constant on [0, 0.5], where every sample is the one array a, so the
+    # first half is one run; each step after it is a run of one.
+    a = np.array([[-2.0, 1.0, 0.0], [1.0, -2.0, 1.0], [3.0, 0.0, -1.0]], dtype=np.complex128)
     b = rand_c(np.random.default_rng(11), 3, 2.0)
-    g = GeneratorSpec.from_table([0.0, 0.5, 1.0], [a, a, b])
+    table = GeneratorSpec.from_table([0.0, 0.5, 1.0], [a, a, b])
+    g = GeneratorSpec(3, 1.0, lambda t: a if t <= 0.5 else table.func(t))
     steps = 16
     calls = _count_expm(monkeypatch)
     u = propagate(g, 1.0, 0.0, steps, stepper)
@@ -278,6 +296,21 @@ def test_run_boundary_between_constant_and_varying_generator(monkeypatch, steppe
         assert not calls
         reference = _rk4_reference(g, 1.0, 0.0, steps)
     assert _relative_error(u, reference) <= 1e-13
+
+
+def test_equal_samples_in_distinct_arrays_are_not_a_run(monkeypatch):
+    # Small-integer entries and dyadic step times make the interpolated
+    # samples on [0, 0.5] bitwise equal to a, but each is a new array, so
+    # every step takes its own exponential.
+    a = np.array([[-2.0, 1.0, 0.0], [1.0, -2.0, 1.0], [3.0, 0.0, -1.0]])
+    b = rand_c(np.random.default_rng(11), 3, 2.0)
+    g = GeneratorSpec.from_table([0.0, 0.5, 1.0], [a, a.copy(), b])
+    assert np.array_equal(g.eval(1 / 32), g.eval(3 / 32))
+    steps = 16
+    calls = _count_expm(monkeypatch)
+    u = propagate(g, 1.0, 0.0, steps, "magnus2")
+    assert len(calls) == steps
+    assert _relative_error(u, _magnus2_reference(g, 1.0, 0.0, steps)) <= 1e-13
 
 
 def test_magnus2_time_dependent_generator_takes_expm_every_step(monkeypatch):

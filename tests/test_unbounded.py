@@ -240,6 +240,22 @@ def test_sweep_kappa_comes_from_the_march():
         assert row.kappa == float(np.real(kappa))
 
 
+def test_semigroup_residual_splits_the_calibrated_steps(monkeypatch):
+    # diffusion nu = 0.01, n = 32, t = 0.1: 33 calibrated steps, split at 13
+    import shiftlog.evolution as evolution
+    legs = []
+    inner = evolution.propagate
+
+    def recording(g, t, s, steps, stepper="rk4"):
+        legs.append((t, s, steps))
+        return inner(g, t, s, steps, stepper)
+
+    monkeypatch.setattr(evolution, "propagate", recording)
+    semigroup_residual(DiscretizedFamily("diffusion", (32,), viscosity=0.01), 32, 0.1, 0.0)
+    r = 13 * 0.1 / 33
+    assert legs == [(r, 0.0, 13), (0.1, r, 20), (0.1, 0.0, 33)]
+
+
 def test_semigroup_residual_calibrated():
     # Above 0: at the midpoint a constant member's legs were S^16 S^16, S^32's
     # own chain of squarings, and the residual read exactly 0.
