@@ -2,7 +2,8 @@
 
 The exponential is scipy's Pade scaling and squaring behind a norm guard.  Two
 independent logarithm algorithms are provided on purpose.  The production
-path is inverse scaling-and-squaring (:func:`logm_iss`); resolvent contour
+path is inverse scaling-and-squaring after scalar centring (:func:`logm_iss`:
+Log(M) = ln(c) I + Log(M / c) before the square-root chain); resolvent contour
 quadrature (:func:`logm_contour`) is kept as a structurally unrelated oracle,
 so the two can cross-validate each other.  Both use the principal branch with
 the cut on (-inf, 0]; admissibility is decided by Gershgorin enclosure, which
@@ -33,7 +34,8 @@ from .linalg import (
 EXPM_NORM_LIMIT = 1e4
 
 # logm_iss's series runs to degree m = ceil(log(SERIES_RTOL) / log(max(d, SERIES_RTOL)))
-# at d = ||M - I||_1 <= 1/4: relative truncation error <= 1.6 d^m / (m+1) <= SERIES_RTOL.
+# at d = ||X||_1 <= 1/4 after the chain: relative truncation error of Log(M / c)
+# <= 1.6 d^m / (m+1) <= SERIES_RTOL.
 SERIES_RTOL = 1e-16
 
 # Rounding slack on the Varah bound that each contour resolvent must satisfy.
@@ -107,15 +109,30 @@ def sqrtm_db(m, check: bool = True) -> np.ndarray:
 
 
 def logm_iss(m) -> np.ndarray:
-    """Principal matrix logarithm by inverse scaling and squaring (Higham,
-    *Functions of Matrices*, 2008, sec. 11.5).
+    """Principal matrix logarithm by inverse scaling and squaring after scalar
+    centring (Higham, *Functions of Matrices*, 2008, sec. 11.5).
 
-    k Denman-Beavers square roots bring M to d = ||M - I||_1 <= 1/4.  The
-    series of log(I + X), X = M - I, is summed in Horner form to degree
-    m = ceil(log(SERIES_RTOL) / log(max(d, SERIES_RTOL))) (m <= 27, and 1 for
-    X = 0) and scaled back by 2**k.  As ||X^j||_1 <= d^j, the tail is at most
-    d^(m+1) / ((m+1)(1-d)) against ||log(I + X)||_1 >= 5d/6: a relative
-    truncation error of at most 1.6 d^m / (m+1) <= ``SERIES_RTOL``.
+    Centring: if ||M - I||_1 > 1/4, M is divided by c = mean |m_jj|, and
+    Log(M) = ln(c) I + Log(M / c) holds exactly for real c > 0.  A spectrum
+    clustered near c, such as the shifted U + kappa I, then needs few square
+    roots or none instead of the three or four that walk c down to 1.  c > 0:
+    an admissible M never has an all-zero diagonal, since Gershgorin discs
+    centred at 0 touch the cut, the Gelfand bound about 1 needs
+    rho(M - I) < 1 while tr M = 0 puts an eigenvalue at Re lam <= 0, and a
+    mean-diagonal centre of 0 is skipped.  Inputs within 1/4 of I keep c = 1:
+    dividing would round entries near 1 by a relative 1e-16, while their
+    logarithm may be as small as ||M - I||_1.
+
+    k Denman-Beavers square roots then bring M / c to d = ||M / c - I||_1
+    <= 1/4.  The series of log(I + X), X = M / c - I, is summed in Horner
+    form to degree m = ceil(log(SERIES_RTOL) / log(max(d, SERIES_RTOL)))
+    (m <= 27, and 1 for X = 0) and scaled back by 2**k.  As ||X^j||_1 <= d^j,
+    the tail is at most d^(m+1) / ((m+1)(1-d)) against ||log(I + X)||_1 >=
+    5d/6: a truncation error of at most 1.6 d^m / (m+1) <= ``SERIES_RTOL``
+    relative to ||Log(M / c)||_1.  ln(c) I is added after the series, and
+    ||Log(M / c)||_1 <= ||Log(M)||_1 + |ln c|, so relative to ||Log(M)||_1
+    the truncation error is at most
+    ``SERIES_RTOL`` (||Log(M)||_1 + |ln c|) / ||Log(M)||_1.
 
     Raises
     ------
@@ -130,6 +147,10 @@ def logm_iss(m) -> np.ndarray:
     if not off_branch_cut(M):
         raise BranchCutError("spectral enclosure of input touches (-inf, 0]")
     ident = eye(M.shape[0])
+    c = 1.0
+    if norm_1(M - ident) > 0.25:
+        c = float(np.abs(np.diagonal(M)).mean())
+        M = M / c
     k = 0
     # Each square root roughly halves the distance of the spectrum from 1.
     while (dist := norm_1(M - ident)) > 0.25:
@@ -143,7 +164,8 @@ def logm_iss(m) -> np.ndarray:
     t = ident / degree
     for j in range(degree - 1, 0, -1):
         t = ident / j - x @ t
-    return (2.0**k) * (x @ t)
+    log = (2.0**k) * (x @ t)
+    return log if c == 1.0 else log + math.log(c) * ident
 
 
 def contour_for(m) -> tuple[complex, float, str, tuple[np.ndarray, np.ndarray]]:

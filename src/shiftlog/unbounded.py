@@ -156,12 +156,11 @@ DEFAULT_SWEEP_BUDGET = 5e9
 # out: at t = 0.1 they are at most 11% of a price, and pricing them moves no
 # verdict at the default budget.  The fixed cost covers the six logarithms
 # and the exponentials and solves outside the march: the remainder of one
-# timed diffusion member at n = 256 (nu = 0.01, t = 0.1, 2098 steps; 2.65,
-# 2.76 and 3.00 s, 122 units at the fastest, 14 of them the march).
-# Smaller members leave more per n^3 (153 units at n = 128, 0.42 s), but
-# little in absolute terms.
+# timed diffusion member at n = 256 (nu = 0.01, t = 0.1, 2098 steps; 1.79,
+# 1.93 and 2.02 s, 82 units at the fastest, 7.5 of them the march's price).
+# The n = 128 member leaves about as much per n^3 (74 units, 0.20 s).
 _STEP_COST = 1.5
-_MEMBER_FIXED_COST = 108.0
+_MEMBER_FIXED_COST = 75.0
 
 
 def sweep_cost(family: DiscretizedFamily, t: float, s: float) -> float:

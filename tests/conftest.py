@@ -10,18 +10,18 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import pytest
 
-from shiftlog import linalg
+from shiftlog import linalg, matfun
 
 
-def _counted(monkeypatch, name: str) -> list:
-    """Count calls of ``linalg.<name>`` made through any shiftlog module,
-    ``linalg`` included; returns the list that gets one entry per call."""
+def _counted(monkeypatch, home, name: str) -> list:
+    """Count calls of ``<home>.<name>`` made through any shiftlog module,
+    ``home`` included; returns the list that gets one entry per call."""
     calls = []
-    exact = getattr(linalg, name)
+    exact = getattr(home, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return exact(*args)
+        return exact(*args, **kwargs)
 
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("shiftlog") and getattr(module, name, None) is exact:
@@ -32,10 +32,16 @@ def _counted(monkeypatch, name: str) -> list:
 @pytest.fixture
 def solve_calls(monkeypatch):
     """The calls of ``linalg.solve``, one list entry each."""
-    return _counted(monkeypatch, "solve")
+    return _counted(monkeypatch, linalg, "solve")
 
 
 @pytest.fixture
 def norm_1_calls(monkeypatch):
     """The calls of ``linalg.norm_1``, one list entry each."""
-    return _counted(monkeypatch, "norm_1")
+    return _counted(monkeypatch, linalg, "norm_1")
+
+
+@pytest.fixture
+def sqrtm_db_calls(monkeypatch):
+    """The calls of ``matfun.sqrtm_db``, one list entry each."""
+    return _counted(monkeypatch, matfun, "sqrtm_db")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from shiftlog.errors import BranchCutError, ContourError, SingularMatrixError
 from shiftlog import linalg, matfun
 from shiftlog.linalg import eye, gershgorin_discs, norm_1, off_branch_cut, solve
+from shiftlog.logrep import select_kappa
 from shiftlog.matfun import (
     CONTOUR_NODES,
     FdConfig,
@@ -158,6 +159,10 @@ def test_logm_iss_round_trips():
 def test_logm_iss_branch_cut_rejection():
     with pytest.raises(BranchCutError):
         logm_iss(np.diag([-2.0, 1.0]))
+    # an all-zero diagonal is never admissible, so the centre c is never 0
+    for m in ([[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]], np.zeros((3, 3))):
+        with pytest.raises(BranchCutError):
+            logm_iss(np.array(m))
 
 
 def test_logm_contour_identity():
@@ -309,6 +314,35 @@ def test_logm_forward_error_against_mpmath():
     for m in near + [eye(6) + 0.2 * np.diag(np.ones(5), 1)]:
         ref = _mpmath_reference(mpmath.logm, m)
         assert norm_1(logm_iss(m) - ref) <= 1e-13 * norm_1(ref), (m.shape, norm_1(m - eye(len(m))))
+
+
+def test_logm_iss_centred_against_mpmath():
+    # spectra far from 1, which the chain takes after the scalar centring:
+    # the sweep's U + kappa I, and diagonals spread over six decades
+    rng = np.random.default_rng(13)
+    cases = []
+    for n in (2, 4, 8):
+        for zeta in (0.5, 3.0, 10.0):
+            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            h = z + z.conj().T
+            u = zeta * expm(1j * zeta * h / norm_1(h))
+            cases.append(u + select_kappa([u]) * eye(n))
+    cases += [np.diag([1e-3, 1.0, 1e3]), np.diag([0.01, 100.0]) + np.diag([1e-5], 1)]
+    for m in cases:
+        assert norm_1(m - eye(len(m))) > 0.25
+        ref = _mpmath_reference(mpmath.logm, m)
+        assert norm_1(logm_iss(m) - ref) <= 1e-13 * norm_1(ref), m.shape
+
+
+def test_logm_iss_scale_equivariance():
+    # Log(cM) = ln(c) I + Log(M) for real c > 0; without the centring the
+    # square roots walked c down to 1 and the gap read 8e-15 to 7e-14
+    rng = np.random.default_rng(17)
+    m = expm(0.05 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))))
+    log_m = logm_iss(m)
+    for c in (1e-3, 7.0, 1e3):
+        gap = norm_1(logm_iss(c * m) - math.log(c) * eye(6) - log_m)
+        assert gap <= 1e-14 * norm_1(log_m), c
 
 
 def test_contour_validation(monkeypatch):

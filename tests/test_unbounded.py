@@ -150,7 +150,7 @@ def test_sweep_budget_accepts_benchmark_configs():
 
 def test_sweep_budget_admits_diffusion_to_256():
     # Each member's march is five powered constant runs; the whole sweep
-    # took 3.3 s on a 2-vCPU Xeon VM with one BLAS thread.
+    # took 1.9 s on a 2-vCPU Xeon VM with one BLAS thread.
     family = DiscretizedFamily("diffusion", (32, 64, 128, 256), viscosity=0.01)
     assert sweep_cost(family, 0.1, 0.0) <= DEFAULT_SWEEP_BUDGET
 
@@ -222,11 +222,21 @@ def test_sweep_member_marches_once_from_s(monkeypatch):
     assert all(a <= b + 1e-12 for a, b in zip(march, march[1:]))
 
 
-def test_advection_tdep_sweep_solve_count(solve_calls):
+def test_advection_tdep_sweep_solve_count(solve_calls, sqrtm_db_calls):
     # the benchmark's time-dependent sweep; with two LU solves per
-    # Denman-Beavers iteration it made 1110
+    # Denman-Beavers iteration it made 1110 solves.  Before the logarithm
+    # centred U + kappa I on ln(c) I it made 557 solves in 95 square roots.
     refinement_sweep(DiscretizedFamily("advection_tdep", (16, 32, 64, 128)), 0.1, 0.0)
-    assert 0 < len(solve_calls) <= 557
+    assert 0 < len(solve_calls) <= 116
+    assert 0 < len(sqrtm_db_calls) <= 23
+
+
+def test_diffusion_sweep_sqrtm_count(sqrtm_db_calls):
+    # the benchmark's constant-generator sweep; 72 square roots before the
+    # logarithm centred U + kappa I
+    family = DiscretizedFamily("diffusion", (16, 32, 64, 96), viscosity=0.01)
+    refinement_sweep(family, 0.1, 0.0)
+    assert 0 < len(sqrtm_db_calls) <= 15
 
 
 def test_sweep_kappa_comes_from_the_march():
