@@ -189,8 +189,8 @@ def cmd_vn_demo(args) -> int:
     _object(grid, "config field 'grid'", grid_keys)
     start, stop = _number(grid, "start", "grid."), _number(grid, "stop", "grid.")
     points = grid.get("points")
-    if type(points) is not int or points < 1:
-        raise _fail("grid.points", f"must be an integer of at least 1, got {points!r}")
+    if type(points) is not int or not 1 <= points <= 10_000:
+        raise _fail("grid.points", f"must be an integer in 1..10000, got {points!r}")
     traj_path = raw.get("trajectory", "vn_trajectory.csv")
     if not isinstance(traj_path, str):
         raise _fail("trajectory", "must be a string")

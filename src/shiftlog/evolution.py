@@ -4,15 +4,16 @@ A :class:`GeneratorSpec` wraps a matrix family t -> A(t), either closed-form
 (constant, or a fixed matrix times a scalar function of t; every t >= 0) or
 sampled (linear interpolation between tabulated matrices, up to the last).
 :func:`propagate` integrates dU/dt = A(t) U, U(s, s) = I with fixed-step RK4
-or a midpoint Magnus stepper and returns the matrix U(t, s); a run of steps
-over which A is constant is applied as one matrix power.  :func:`march`
-composes such propagations into U(tau, s) at a sorted set of times.
+or a midpoint Magnus stepper and returns the matrix U(t, s): a constant
+generator's one step matrix is powered, any other generator is stepped one
+product at a time.  :func:`march` composes such propagations into U(tau, s)
+at a sorted set of times.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -30,13 +31,14 @@ NODES = {"rk4": (0.0, 0.5, 1.0), "magnus2": (0.5,)}
 class GeneratorSpec:
     """A time-dependent generator family t -> A(t) on [0, T], T possibly inf.
 
-    ``func`` must not modify an array it has returned: :func:`propagate`
-    takes a step sampling the previous step's very arrays as the same step.
+    ``matrix`` is the one A of a family built by :meth:`constant`, and None
+    for every other family, whatever its values.
     """
 
     dim: int
     T: float
     func: Callable[[float], np.ndarray]
+    matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def eval(self, t: float) -> np.ndarray:
         if not -1e-12 <= t <= self.T + 1e-12:
@@ -51,7 +53,9 @@ class GeneratorSpec:
     @staticmethod
     def constant(matrix) -> "GeneratorSpec":
         A = as_matrix(matrix)
-        return GeneratorSpec(A.shape[0], math.inf, lambda t: A)
+        g = GeneratorSpec(A.shape[0], math.inf, lambda t: A)
+        object.__setattr__(g, "matrix", A)
+        return g
 
     @staticmethod
     def modulated(matrix, f: Callable[[float], float]) -> "GeneratorSpec":
@@ -100,24 +104,6 @@ def _step_matrix(samples: tuple, h: float, stepper: str, i: np.ndarray) -> np.nd
     return i + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _runs(g: GeneratorSpec, s: float, h: float, steps: int, stepper: str):
-    """(samples, first step, length) of each maximal run of consecutive steps
-    whose generator samples are the previous step's very arrays (``a is b``).
-    Every step is sampled, in order; equal values in distinct arrays start a
-    new run, so a run never rests on a comparison of floating-point data."""
-    run = None
-    for k in range(steps):
-        tau = s + k * h
-        samples = tuple(g.eval(tau + c * h) for c in NODES[stepper])
-        if run is not None and all(a is b for a, b in zip(samples, run[0])):
-            run[2] += 1
-            continue
-        if run is not None:
-            yield run
-        run = [samples, k, 1]
-    yield run
-
-
 def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
               stepper: str = "rk4") -> np.ndarray:
     """Integrate dU/dtau = A(tau) U from U(s, s) = I up to tau = t.
@@ -125,13 +111,11 @@ def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
     ``rk4`` takes classical fourth-order steps on the matrix ODE (global
     error O(h^4) for smooth A); ``magnus2`` steps by expm(h A(midpoint))
     (O(h^2) generally, exact for constant A up to expm accuracy).  Either
-    way a step is a matrix S built from the step's generator samples and
-    applied as U <- S U.  Consecutive steps whose samples are the same
-    arrays, as :meth:`GeneratorSpec.constant` returns at every t, form a run:
-    its S is built once and applied as U <- S^k U, with S^k by binary
-    powering (about log2 k squarings instead of k products).  A run of one
-    step is the plain product S U, so a generator that returns a new array
-    per step is integrated one product per step.
+    way a step is a matrix S built from the generator at the stepper's
+    :data:`NODES`.  A :meth:`GeneratorSpec.constant` generator has one S,
+    built from its ``matrix`` without sampling ``func``, and U(t, s) is
+    S^steps by binary powering (about log2 steps squarings).  Any other
+    generator is sampled at every step and applied as U <- S_k U.
     """
     if not 0.0 <= s <= t <= g.T + 1e-12:
         raise ValueError(f"need 0 <= s <= t <= T, got s={s}, t={t}, T={g.T}")
@@ -144,10 +128,15 @@ def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
         h = (t - s) / steps
         # overflow surfaces as PropagationError, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            for samples, first, k in _runs(g, s, h, steps, stepper):
-                step = _step_matrix(samples, h, stepper, identity)
-                u = _check_finite(np.linalg.matrix_power(step, k) @ u,
-                                  f"{stepper} step {first + k - 1}")
+            if g.matrix is not None:
+                step = _step_matrix((g.matrix,) * len(NODES[stepper]), h, stepper, identity)
+                return _check_finite(np.linalg.matrix_power(step, steps),
+                                     f"{stepper} step {steps - 1}")
+            for k in range(steps):
+                tau = s + k * h
+                samples = tuple(g.eval(tau + c * h) for c in NODES[stepper])
+                u = _check_finite(_step_matrix(samples, h, stepper, identity) @ u,
+                                  f"{stepper} step {k}")
     return u
 
 

@@ -148,16 +148,16 @@ DEFAULT_SWEEP_BUDGET = 5e9
 # Work model of one sweep member, in units of n^3 times about 1.3 ns on a
 # 2-vCPU Xeon VM with one BLAS thread: a step cost per step matrix its
 # magnus2 march builds, plus a fixed cost.  The march builds one step matrix
-# per run of steps sampling the same arrays: one per segment when A is
-# constant, one per step when A(t) changes.  The step cost, an exponential
-# and the product S U, is the least-squares remainder per step of the
-# advection_tdep members at n = 64..128.  The log2 k products that power a
-# constant run of k steps (0.09-0.18 units each at n = 64..256) are left
-# out: at t = 0.1 they are at most 11% of a price, and pricing them moves no
-# verdict at the default budget.  The fixed cost covers the six logarithms
-# and the exponentials and solves outside the march: the remainder of one
-# timed diffusion member at n = 256 (nu = 0.01, t = 0.1, 2098 steps; 1.79,
-# 1.93 and 2.02 s, 82 units at the fastest, 7.5 of them the march's price).
+# per segment for a constant generator and one per step otherwise.  The step
+# cost, an exponential and the product S U, is the least-squares remainder
+# per step of the advection_tdep members at n = 64..128.  The log2 k
+# products that power a constant segment of k steps (0.09-0.18 units each
+# at n = 64..256) are left out: at t = 0.1 they are at most 11% of a price,
+# and pricing them moves no verdict at the default budget.  The fixed cost
+# covers the six logarithms and the exponentials and solves outside the
+# march: the remainder of one timed diffusion member at n = 256 (nu = 0.01,
+# t = 0.1, 2098 steps; 1.79, 1.93 and 2.02 s, 82 units at the fastest, 7.5
+# of them the march's price).
 # The n = 128 member leaves about as much per n^3 (74 units, 0.20 s).
 _STEP_COST = 1.5
 _MEMBER_FIXED_COST = 75.0
@@ -166,20 +166,17 @@ _MEMBER_FIXED_COST = 75.0
 def sweep_cost(family: DiscretizedFamily, t: float, s: float) -> float:
     """Estimated work of :func:`refinement_sweep` in the units of its budget.
 
-    Per member, the segments are the recovery march's, and whether A is
-    constant along them is read off the generator the way
-    ``evolution.propagate`` finds its runs: the first two midpoint samples
-    are one array.
+    Per member, the segments are the recovery march's; the march builds one
+    step matrix per segment for a constant generator (``GeneratorSpec.matrix``
+    set) and one per step otherwise.
     """
     interval = t - s
     cost = 0.0
     for n in family.dims:
         g = family.member(n)
         steps = _calibrated_steps(norm_1(g.eval(s)), interval)
-        h = interval / steps
-        constant = g.eval(s + 0.5 * h) is g.eval(s + 1.5 * h)
         chain = march_segments(s, recovery_chain([t], _RECOVERY_FD), steps / interval)
-        built = len(chain) if constant else sum(k for _, _, k in chain)
+        built = len(chain) if g.matrix is not None else sum(k for _, _, k in chain)
         cost += float(n) ** 3 * (built * _STEP_COST + _MEMBER_FIXED_COST)
     return cost
 

@@ -8,14 +8,17 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
+import numpy as np
 import pytest
 
 from shiftlog import linalg, matfun
+from shiftlog.evolution import GeneratorSpec
 
 
 def _counted(monkeypatch, home, name: str) -> list:
-    """Count calls of ``<home>.<name>`` made through any shiftlog module,
-    ``home`` included; returns the list that gets one entry per call."""
+    """Count calls of ``<home>.<name>`` made through ``home`` (a module or a
+    class) or any shiftlog module that imported it; returns the list that
+    gets one entry per call."""
     calls = []
     exact = getattr(home, name)
 
@@ -23,9 +26,11 @@ def _counted(monkeypatch, home, name: str) -> list:
         calls.append(1)
         return exact(*args, **kwargs)
 
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("shiftlog") and getattr(module, name, None) is exact:
-            monkeypatch.setattr(module, name, counting)
+    owners = [home] + [module for module_name, module in sys.modules.items()
+                       if module_name.startswith("shiftlog")]
+    for owner in owners:
+        if getattr(owner, name, None) is exact:
+            monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -45,3 +50,15 @@ def norm_1_calls(monkeypatch):
 def sqrtm_db_calls(monkeypatch):
     """The calls of ``matfun.sqrtm_db``, one list entry each."""
     return _counted(monkeypatch, matfun, "sqrtm_db")
+
+
+@pytest.fixture
+def eval_calls(monkeypatch):
+    """The calls of ``GeneratorSpec.eval``, one list entry each."""
+    return _counted(monkeypatch, GeneratorSpec, "eval")
+
+
+@pytest.fixture
+def matrix_power_calls(monkeypatch):
+    """The calls of ``np.linalg.matrix_power``, one list entry each."""
+    return _counted(monkeypatch, np.linalg, "matrix_power")

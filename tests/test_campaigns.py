@@ -112,6 +112,25 @@ def test_campaign_pass_norm_1_count(norm_1_calls):
     assert 0 < len(norm_1_calls) <= 7774
 
 
+def test_campaign_pass_eval_and_matrix_power_count(eval_calls, matrix_power_calls):
+    # a constant generator is powered from its matrix without sampling, and
+    # any other is stepped without a matrix power; when propagate sampled
+    # every step and powered each run of identical samples, one pass made
+    # 14,775 evaluations and 2,862 matrix powers
+    reports = campaigns.run_suites(campaigns.SUITES, 42)
+    assert all(r.passed for r in reports)
+    assert 0 < len(eval_calls) <= 7026
+    assert 0 < len(matrix_power_calls) <= 58
+
+
+def test_constant_sweep_eval_count(eval_calls):
+    # the benchmark's constant-generator sweep samples each member only for
+    # its norm and its recovery reference; sampled at every step it made 1,534
+    reports = campaigns.run_suites(["sweep"], 42, sweep_dims=(16, 32, 64, 96))
+    assert all(r.passed for r in reports)
+    assert 0 < len(eval_calls) <= 16
+
+
 def test_suite_logrep_propagates_each_operator_once(monkeypatch):
     calls = []
     propagate = evolution.propagate

@@ -341,6 +341,7 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
     ("verify", {"tolerances": {"bch.order_law_k1": math.nan}}),
     ("verify", {"tolerances": {"bch.order_law_k1": -1.0}}),
     ("vn-demo", {**VN_CONFIG, "grid": {"start": -1, "stop": 0, "points": 3}}),
+    ("vn-demo", {**VN_CONFIG, "grid": {"start": 0.05, "stop": 1.0, "points": 10**15}}),
     ("sweep", {"family": {"kind": "advection_tdep", "dims": [16, 32]}, "t": 0.004, "s": 0.0}),
     ("verify", {"dims": [True, 2], "suites": ["matfun"]}),
     ("sweep", {**SWEEP_CONFIG, "family": {"kind": "diffusion", "dims": [8, 257]}}),
@@ -364,6 +365,7 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
         "vn-hbar-underflow", "vn-hbar-overflow", "sweep-output-format",
         "verify-seed-negative", "verify-seed-flag-negative", "verify-tolerance-inf",
         "verify-tolerance-nan", "verify-tolerance-negative", "vn-grid-before-zero",
+        "vn-grid-points-huge",
         "sweep-fd-window-before-s", "verify-dims-bool", "sweep-dims-257",
         "verify-sweep-dims-257", "sweep-over-budget", "vn-hamiltonian-branch-cut",
         "verify-output-path-empty", "verify-format-flag-xml", "verify-seed-flag-str",

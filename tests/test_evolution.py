@@ -266,7 +266,7 @@ def _relative_error(u, ref):
 
 
 def test_magnus2_reuses_step_exponential_for_constant_generators(monkeypatch):
-    # One expm per constant run; the run is then powered, so the result
+    # One expm per constant generator, then powered, so the result
     # agrees with the step-by-step product up to rounding, not bitwise.
     rng = np.random.default_rng(8)
     calls = _count_expm(monkeypatch)
@@ -278,39 +278,57 @@ def test_magnus2_reuses_step_exponential_for_constant_generators(monkeypatch):
         assert _relative_error(u, _magnus2_reference(g, 0.9, 0.1, steps)) <= 1e-13
 
 
+def _same_array_generator(a, b):
+    return GeneratorSpec(3, math.inf, lambda t: a)
+
+
+def _bitwise_equal_table(a, b):
+    # Small-integer entries and dyadic step times make the interpolated
+    # samples on [0, 0.5] bitwise equal to a, each a new array.
+    g = GeneratorSpec.from_table([0.0, 0.5, 1.0], [a, a.copy(), b])
+    assert np.array_equal(g.eval(1 / 32), g.eval(3 / 32))
+    return g
+
+
 @pytest.mark.parametrize("stepper", ["rk4", "magnus2"])
-def test_run_boundary_between_constant_and_varying_generator(monkeypatch, stepper):
-    # Constant on [0, 0.5], where every sample is the one array a, so the
-    # first half is one run; each step after it is a run of one.
+@pytest.mark.parametrize("build", [_same_array_generator, _bitwise_equal_table],
+                         ids=["same-array", "bitwise-equal-table"])
+def test_generator_not_built_by_constant_is_stepped(monkeypatch, eval_calls, build, stepper):
+    # Only GeneratorSpec.constant marks a generator constant: one that
+    # returns the same values at every t is still sampled at every node and
+    # takes one step matrix per step.
     a = np.array([[-2.0, 1.0, 0.0], [1.0, -2.0, 1.0], [3.0, 0.0, -1.0]], dtype=np.complex128)
-    b = rand_c(np.random.default_rng(11), 3, 2.0)
-    table = GeneratorSpec.from_table([0.0, 0.5, 1.0], [a, a, b])
-    g = GeneratorSpec(3, 1.0, lambda t: a if t <= 0.5 else table.func(t))
+    g = build(a, rand_c(np.random.default_rng(11), 3, 2.0))
+    assert g.matrix is None
     steps = 16
+    eval_calls.clear()
     calls = _count_expm(monkeypatch)
     u = propagate(g, 1.0, 0.0, steps, stepper)
     if stepper == "magnus2":
-        assert len(calls) == 1 + steps // 2
+        assert len(eval_calls) == len(calls) == steps
         reference = _magnus2_reference(g, 1.0, 0.0, steps)
     else:
-        assert not calls
+        assert len(eval_calls) == 3 * steps and not calls
         reference = _rk4_reference(g, 1.0, 0.0, steps)
     assert _relative_error(u, reference) <= 1e-13
 
 
-def test_equal_samples_in_distinct_arrays_are_not_a_run(monkeypatch):
-    # Small-integer entries and dyadic step times make the interpolated
-    # samples on [0, 0.5] bitwise equal to a, but each is a new array, so
-    # every step takes its own exponential.
-    a = np.array([[-2.0, 1.0, 0.0], [1.0, -2.0, 1.0], [3.0, 0.0, -1.0]])
-    b = rand_c(np.random.default_rng(11), 3, 2.0)
-    g = GeneratorSpec.from_table([0.0, 0.5, 1.0], [a, a.copy(), b])
-    assert np.array_equal(g.eval(1 / 32), g.eval(3 / 32))
-    steps = 16
-    calls = _count_expm(monkeypatch)
-    u = propagate(g, 1.0, 0.0, steps, "magnus2")
-    assert len(calls) == steps
-    assert _relative_error(u, _magnus2_reference(g, 1.0, 0.0, steps)) <= 1e-13
+@pytest.mark.parametrize("stepper", ["rk4", "magnus2"])
+def test_constant_generator_is_one_powered_step_matrix(monkeypatch, eval_calls, stepper):
+    import shiftlog.evolution as evolution
+    a = rand_c(np.random.default_rng(12), 4, 3.0)
+    g = GeneratorSpec.constant(a)
+    built = []
+    step_matrix = evolution._step_matrix
+    monkeypatch.setattr(evolution, "_step_matrix",
+                        lambda *args: built.append(step_matrix(*args)) or built[-1])
+    steps = 37
+    u = propagate(g, 0.9, 0.1, steps, stepper)
+    assert not eval_calls
+    assert len(built) == 1
+    if stepper == "magnus2":
+        assert np.array_equal(built[0], expm(((0.9 - 0.1) / steps) * a))
+    assert u.tobytes() == np.linalg.matrix_power(built[0], steps).tobytes()
 
 
 def test_magnus2_time_dependent_generator_takes_expm_every_step(monkeypatch):

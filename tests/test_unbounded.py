@@ -149,7 +149,7 @@ def test_sweep_budget_accepts_benchmark_configs():
 
 
 def test_sweep_budget_admits_diffusion_to_256():
-    # Each member's march is five powered constant runs; the whole sweep
+    # Each member's march is five powered constant segments; the whole sweep
     # took 1.9 s on a 2-vCPU Xeon VM with one BLAS thread.
     family = DiscretizedFamily("diffusion", (32, 64, 128, 256), viscosity=0.01)
     assert sweep_cost(family, 0.1, 0.0) <= DEFAULT_SWEEP_BUDGET
@@ -164,8 +164,8 @@ def test_sweep_budget_rejects_advection_tdep_to_256():
 
 
 def test_powered_march_matches_expm_at_n128():
-    # The sweep's march of a diffusion member, powered run by run, against
-    # one exponential of the whole interval.
+    # The sweep's march of a diffusion member, powered segment by segment,
+    # against one exponential of the whole interval.
     g = DiscretizedFamily("diffusion", (128,), viscosity=0.01).member(128)
     a = g.eval(0.0)
     steps = _calibrated_steps(norm_1(a), 0.1)
