@@ -3,11 +3,12 @@
 A :class:`GeneratorSpec` wraps a matrix family t -> A(t), either closed-form
 (constant, or a fixed matrix times a scalar function of t; every t >= 0) or
 sampled (linear interpolation between tabulated matrices, up to the last).
-:func:`propagate` integrates dU/dt = A(t) U, U(s, s) = I with fixed-step RK4
-or a midpoint Magnus stepper and returns the matrix U(t, s): a constant
-generator's one step matrix is powered, any other generator is stepped one
-product at a time.  :func:`march` composes such propagations into U(tau, s)
-at a sorted set of times.
+:func:`propagate` integrates dU/dt = A(t) U, U(s, s) = I with fixed-step RK4,
+the second-order midpoint Magnus step or the fourth-order Gauss-Legendre
+Magnus step, and returns the matrix U(t, s): a constant generator's one step
+matrix is powered, any other generator is stepped one product at a time.
+:func:`march` composes such propagations into U(tau, s) at a sorted set of
+times.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from .linalg import as_matrix, eye, norm_1
 from .matfun import expm
 
 # Where each stepper samples the generator within a step [tau, tau + h], as
-# fractions of h, in evaluation order.
-NODES = {"rk4": (0.0, 0.5, 1.0), "magnus2": (0.5,)}
+# fractions of h, in evaluation order: rk4 at both ends and the midpoint,
+# magnus2 at the midpoint, magnus4 at the two Gauss-Legendre nodes.
+NODES = {"rk4": (0.0, 0.5, 1.0), "magnus2": (0.5,),
+         "magnus4": (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)}
 
 
 @dataclass(frozen=True)
@@ -93,15 +96,26 @@ def _check_finite(u: np.ndarray, where: str) -> np.ndarray:
 
 def _step_matrix(samples: tuple, h: float, stepper: str, i: np.ndarray) -> np.ndarray:
     """The matrix S of one step, U(tau + h) = S U(tau), from the generator
-    samples at the stepper's :data:`NODES`; ``i`` is the identity."""
-    if stepper == "magnus2":
-        return expm(h * samples[0])
-    # classical RK4 on the linear ODE, applied to the identity
-    a0, am, a1 = samples
-    k2 = am @ (i + 0.5 * h * a0)
-    k3 = am @ (i + 0.5 * h * k2)
-    k4 = a1 @ (i + h * k3)
-    return i + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+    samples at the stepper's :data:`NODES`; ``i`` is the identity.
+
+    A Magnus step is S = expm(Omega): magnus2 takes Omega = h A(midpoint),
+    magnus4 (Iserles and Norsett, Phil. Trans. R. Soc. A 357, 1999) takes
+    Omega = h/2 (A1 + A2) + (sqrt(3)/12) h^2 [A2, A1] from its two samples.
+    Samples that are one array, a constant generator's, give Omega = h A:
+    the Magnus series of a constant generator ends there at every order.
+    """
+    if stepper == "rk4":
+        # classical RK4 on the linear ODE, applied to the identity
+        a0, am, a1 = samples
+        k2 = am @ (i + 0.5 * h * a0)
+        k3 = am @ (i + 0.5 * h * k2)
+        k4 = a1 @ (i + h * k3)
+        return i + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+    a = samples[0]
+    if all(x is a for x in samples):
+        return expm(h * a)
+    a1, a2 = samples
+    return expm(0.5 * h * (a1 + a2) + (math.sqrt(3.0) / 12.0) * h * h * (a2 @ a1 - a1 @ a2))
 
 
 def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
@@ -110,8 +124,10 @@ def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
 
     ``rk4`` takes classical fourth-order steps on the matrix ODE (global
     error O(h^4) for smooth A); ``magnus2`` steps by expm(h A(midpoint))
-    (O(h^2) generally, exact for constant A up to expm accuracy).  Either
-    way a step is a matrix S built from the generator at the stepper's
+    (O(h^2)); ``magnus4`` steps by the exponential of the two-node Gauss-
+    Legendre Magnus expansion with its commutator term (O(h^4)).  Both Magnus
+    steps are expm(h A) for a constant A, exact up to expm accuracy.  Every
+    stepper's step is a matrix S built from the generator at its
     :data:`NODES`.  A :meth:`GeneratorSpec.constant` generator has one S,
     built from its ``matrix`` without sampling ``func``, and U(t, s) is
     S^steps by binary powering (about log2 steps squarings).  Any other

@@ -87,6 +87,12 @@ class DiscretizedFamily:
             raise ValueError(f"dims must be non-empty, strictly increasing integers "
                              f"in 4..256, got {list(self.dims)}")
 
+    def norm(self, n: int, s: float) -> float:
+        """||A_n(s)||_1 in closed form, without building the member."""
+        if self.kind == "diffusion":
+            return 4.0 * self.viscosity * n * n
+        return self.speed * n * (tdep_modulation(s) if self.kind == "advection_tdep" else 1.0)
+
     def member(self, n: int) -> GeneratorSpec:
         if self.kind == "diffusion":
             return GeneratorSpec.constant(diffusion_matrix(n, self.viscosity))
@@ -137,46 +143,57 @@ class SweepReport:
 # FD rule of the sweep's generator recovery.
 _RECOVERY_FD = FdConfig(h=5e-3, richardson_levels=1)
 
+# The stepper of every sweep march.
+SWEEP_STEPPER = "magnus4"
+
 
 def _calibrated_steps(norm_a: float, interval: float) -> int:
-    # Step count grows with ||A|| (t - s) so stiff members stay accurate.
-    return max(32, int(math.ceil(8.0 * norm_a * interval)))
+    # At least 32 steps, and h ||A(s)||_1 <= 1/2.  A constant member's march
+    # is expm(h A) powered, exact up to expm accuracy at any h.  A member
+    # A(tau) = f(tau) A0 commutes with itself, so its magnus4 march is
+    # expm(w_h A0) with w_h the two-point Gauss-Legendre sum for
+    # w = int_s^t f, and |w_h - w| <= (t - s) h^4 max|f^(4)| / 4320.  The
+    # relative 1-norm error of U(t, s) is then at most e^d - 1 with
+    # d = ||A0||_1 |w_h - w|.  For advection_tdep (f >= 1/2, so h ||A0||_1
+    # <= 1; max|f^(4)| = 8 pi^4; h <= (t - s) / 32) that gives
+    # d <= 5.5e-6 (t - s)^4: 5.5e-10 at the sweep's t - s = 0.1.
+    return max(32, int(math.ceil(2.0 * norm_a * interval)))
 
 
 DEFAULT_SWEEP_BUDGET = 5e9
 
 # Work model of one sweep member, in units of n^3 times about 1.3 ns on a
 # 2-vCPU Xeon VM with one BLAS thread: a step cost per step matrix its
-# magnus2 march builds, plus a fixed cost.  The march builds one step matrix
+# magnus4 march builds, plus a fixed cost.  The march builds one step matrix
 # per segment for a constant generator and one per step otherwise.  The step
-# cost, an exponential and the product S U, is the least-squares remainder
-# per step of the advection_tdep members at n = 64..128.  The log2 k
-# products that power a constant segment of k steps (0.09-0.18 units each
-# at n = 64..256) are left out: at t = 0.1 they are at most 11% of a price,
-# and pricing them moves no verdict at the default budget.  The fixed cost
-# covers the six logarithms and the exponentials and solves outside the
-# march: the remainder of one timed diffusion member at n = 256 (nu = 0.01,
-# t = 0.1, 2098 steps; 1.79, 1.93 and 2.02 s, 82 units at the fastest, 7.5
-# of them the march's price).
-# The n = 128 member leaves about as much per n^3 (74 units, 0.20 s).
-_STEP_COST = 1.5
-_MEMBER_FIXED_COST = 75.0
+# cost, two samples, Omega with its commutator, the exponential and the
+# product S U, is the mean of the timed advection_tdep step at n = 128 and
+# 256 (5.3 and 36.6 ms, 1.93 and 1.68 units; medians of 5).  The fixed cost
+# covers the six logarithms, the exponentials and solves outside the march
+# and, for a constant member, the log2 k products that power a segment of k
+# steps (2.3 units at n = 128, 12.7 at n = 256, where S underflows).  It is
+# fitted to the median times of single members at t = 0.1, so that each
+# price is within 20% of them: advection_tdep 0.36 s at n = 128 (priced
+# 10% under) and 3.20 s at n = 256 (9% over), diffusion (nu = 0.01) 0.17 s
+# and 1.37 s (1% and 4% over).
+_STEP_COST = 1.8
+_MEMBER_FIXED_COST = 56.0
 
 
 def sweep_cost(family: DiscretizedFamily, t: float, s: float) -> float:
     """Estimated work of :func:`refinement_sweep` in the units of its budget.
 
-    Per member, the segments are the recovery march's; the march builds one
-    step matrix per segment for a constant generator (``GeneratorSpec.matrix``
-    set) and one per step otherwise.
+    Per member, the segments are the recovery march's at the step count of
+    the closed-form ``family.norm``, so no member is built; the march builds
+    one step matrix per segment for a constant member and one per step for
+    an ``advection_tdep`` one.
     """
     interval = t - s
     cost = 0.0
     for n in family.dims:
-        g = family.member(n)
-        steps = _calibrated_steps(norm_1(g.eval(s)), interval)
+        steps = _calibrated_steps(family.norm(n, s), interval)
         chain = march_segments(s, recovery_chain([t], _RECOVERY_FD), steps / interval)
-        built = len(chain) if g.matrix is not None else sum(k for _, _, k in chain)
+        built = sum(k for _, _, k in chain) if family.kind == "advection_tdep" else len(chain)
         cost += float(n) ** 3 * (built * _STEP_COST + _MEMBER_FIXED_COST)
     return cost
 
@@ -192,8 +209,8 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
     combination outright), the shifted-BCH identity on centered, amplitude-
     normalized surrogate pairs, and the generator recovery error.  The member
     is marched once from s through the probe times of
-    :func:`logrep.recovery_chain` (``evolution.march``, magnus2 at the
-    calibrated step density); its U(t, s) gives kappa, a(t, s) and the
+    :func:`logrep.recovery_chain` (``evolution.march``, :data:`SWEEP_STEPPER`
+    at the calibrated step density); its U(t, s) gives kappa, a(t, s) and the
     recovery alike.
 
     ``budget`` caps the estimated total work (:func:`sweep_cost`); the sweep
@@ -213,8 +230,8 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
         g = family.member(n)
         a_raw = g.eval(s)
         norm_an = norm_1(a_raw)
-        steps = _calibrated_steps(norm_an, interval)
-        u_at = march(g, s, recovery_chain([t], _RECOVERY_FD), steps / interval, "magnus2")
+        steps = _calibrated_steps(family.norm(n, s), interval)
+        u_at = march(g, s, recovery_chain([t], _RECOVERY_FD), steps / interval, SWEEP_STEPPER)
         b_raw = grid_potential(n)
         u2_matrix = expm(interval * b_raw)
         kappa = select_kappa([u_at[t], u2_matrix])
@@ -263,11 +280,12 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
 
 
 def semigroup_residual(family: DiscretizedFamily, n: int, t: float, s: float) -> float:
-    """:func:`evolution.check_semigroup` of the member under magnus2 at the
-    calibrated step count, split at r, the grid step nearest s + 0.4 (t - s):
-    off the grid a time-dependent member adds magnus2's O(h^2) error, and at
-    the midpoint a constant member's S^k S^k is S^2k's own chain of squarings."""
-    g = family.member(n)
-    steps = _calibrated_steps(norm_1(g.eval(s)), t - s)
+    """:func:`evolution.check_semigroup` of the member under :data:`SWEEP_STEPPER`
+    at the calibrated step count, split at r, the grid step nearest
+    s + 0.4 (t - s): on the grid it grades composition alone, where off it a
+    time-dependent member adds the gap between two marches' quadrature
+    errors, and at the midpoint a constant member's S^k S^k is S^2k's own
+    chain of squarings."""
+    steps = _calibrated_steps(family.norm(n, s), t - s)
     r = s + round(0.4 * steps) * (t - s) / steps
-    return check_semigroup(g, s, r, t, steps, "magnus2")
+    return check_semigroup(family.member(n), s, r, t, steps, SWEEP_STEPPER)

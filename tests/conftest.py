@@ -47,6 +47,12 @@ def norm_1_calls(monkeypatch):
 
 
 @pytest.fixture
+def expm_calls(monkeypatch):
+    """The calls of ``matfun.expm``, one list entry each."""
+    return _counted(monkeypatch, matfun, "expm")
+
+
+@pytest.fixture
 def sqrtm_db_calls(monkeypatch):
     """The calls of ``matfun.sqrtm_db``, one list entry each."""
     return _counted(monkeypatch, matfun, "sqrtm_db")

@@ -106,8 +106,9 @@ def test_march_segments_split_on_the_step_grid_exactly():
         r, t = s + k * length / steps, s + length
         segments = march_segments(s, (r, t), steps / length)
         assert [n for _, _, n in segments] == [k, steps - k], (steps, k, s, length)
-    # the calibrated sweep's splits at t = 0.1, k = round(0.4 steps)
-    for steps, legs in ((33, [13, 20]), (103, [41, 62]), (132, [53, 79])):
+    # splits at k = round(0.4 steps) of calibrated sweep step counts, t = 0.1
+    for steps, legs in ((32, [13, 19]), (52, [21, 31]), (525, [210, 315]),
+                        (33, [13, 20]), (103, [41, 62]), (132, [53, 79])):
         r = round(0.4 * steps) * 0.1 / steps
         assert [n for _, _, n in march_segments(0.0, (r, 0.1), steps / 0.1)] == legs
 
@@ -126,6 +127,9 @@ def test_stepper_order_ratios():
 
     assert 11.0 <= ratio("rk4") <= 22.0
     assert 3.0 <= ratio("magnus2") <= 5.5
+    # A(t) does not commute with A(t'), so magnus4's commutator term and its
+    # sign decide its order; without either it falls to second order.
+    assert 11.0 <= ratio("magnus4") <= 22.0
 
 
 def test_growth_bound_cases():
@@ -194,7 +198,7 @@ def test_march_segments_step_rule():
         march_segments(0.5, [0.25, 0.75], 10)
 
 
-@pytest.mark.parametrize("stepper", ["rk4", "magnus2"])
+@pytest.mark.parametrize("stepper", ["rk4", "magnus2", "magnus4"])
 def test_march_composes_its_segment_propagations(stepper):
     rng = np.random.default_rng(9)
     base, drift = rand_c(rng, 3, 1.0), rand_c(rng, 3, 1.0)
@@ -313,7 +317,7 @@ def test_generator_not_built_by_constant_is_stepped(monkeypatch, eval_calls, bui
     assert _relative_error(u, reference) <= 1e-13
 
 
-@pytest.mark.parametrize("stepper", ["rk4", "magnus2"])
+@pytest.mark.parametrize("stepper", ["rk4", "magnus2", "magnus4"])
 def test_constant_generator_is_one_powered_step_matrix(monkeypatch, eval_calls, stepper):
     import shiftlog.evolution as evolution
     a = rand_c(np.random.default_rng(12), 4, 3.0)
@@ -326,7 +330,7 @@ def test_constant_generator_is_one_powered_step_matrix(monkeypatch, eval_calls, 
     u = propagate(g, 0.9, 0.1, steps, stepper)
     assert not eval_calls
     assert len(built) == 1
-    if stepper == "magnus2":
+    if stepper != "rk4":
         assert np.array_equal(built[0], expm(((0.9 - 0.1) / steps) * a))
     assert u.tobytes() == np.linalg.matrix_power(built[0], steps).tobytes()
 

@@ -1,17 +1,20 @@
 """Refinement-family tests: stencils, norm growth, sweep invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
 from shiftlog import logrep, unbounded
 from shiftlog.errors import BudgetExceededError
-from shiftlog.evolution import GeneratorSpec, march, march_segments
+from shiftlog.evolution import GeneratorSpec, check_semigroup, march, march_segments
 from shiftlog.linalg import norm_1
 from shiftlog.logrep import alt_generator, recovery_chain, select_kappa
 from shiftlog.matfun import expm
 from shiftlog.unbounded import (
     DEFAULT_SWEEP_BUDGET,
     SWEEP_COLUMNS,
+    SWEEP_STEPPER,
     _RECOVERY_FD,
     _calibrated_steps,
     DiscretizedFamily,
@@ -155,29 +158,73 @@ def test_sweep_budget_admits_diffusion_to_256():
     assert sweep_cost(family, 0.1, 0.0) <= DEFAULT_SWEEP_BUDGET
 
 
+def test_sweep_budget_admits_advection_tdep_to_256():
+    # A(t) changes at every step, so nothing is powered; the n = 256 member
+    # takes 58 magnus4 steps.  The whole sweep took 3.3 s on a 2-vCPU Xeon VM
+    # with one BLAS thread.
+    family = DiscretizedFamily("advection_tdep", (32, 64, 128, 256))
+    assert sweep_cost(family, 0.1, 0.0) <= DEFAULT_SWEEP_BUDGET
+
+
 def test_sweep_budget_rejects_advection_tdep_to_256():
-    # A(t) changes at every step, so nothing is powered: the fresh steps of
-    # the n = 256 member alone are priced at about 5.5e9.
+    # The n = 256 member alone is priced at about 2.7e9.
     family = DiscretizedFamily("advection_tdep", (32, 64, 128, 256))
     with pytest.raises(BudgetExceededError):
-        refinement_sweep(family, t=0.1, s=0.0)
+        refinement_sweep(family, t=0.1, s=0.0, budget=2e9)
 
 
 def test_powered_march_matches_expm_at_n128():
     # The sweep's march of a diffusion member, powered segment by segment,
     # against one exponential of the whole interval.
-    g = DiscretizedFamily("diffusion", (128,), viscosity=0.01).member(128)
-    a = g.eval(0.0)
-    steps = _calibrated_steps(norm_1(a), 0.1)
-    u = march(g, 0.0, recovery_chain([0.1], _RECOVERY_FD), steps / 0.1, "magnus2")[0.1]
-    exact = expm(0.1 * a)
+    family = DiscretizedFamily("diffusion", (128,), viscosity=0.01)
+    g = family.member(128)
+    steps = _calibrated_steps(family.norm(128, 0.0), 0.1)
+    u = march(g, 0.0, recovery_chain([0.1], _RECOVERY_FD), steps / 0.1, SWEEP_STEPPER)[0.1]
+    exact = expm(0.1 * g.eval(0.0))
     assert norm_1(u - exact) <= 1e-12 * norm_1(exact)
 
 
-# What a fresh magnus2 step adds to a reused one: the expm of one calibrated
-# advection step, measured at n = 64, 96, 128 (0.52, 1.13, 2.35 ms on a
+def test_family_norm_is_the_members_norm():
+    for family in (DiscretizedFamily("diffusion", (8,), viscosity=0.01),
+                   DiscretizedFamily("advection", (8,), speed=0.3),
+                   DiscretizedFamily("advection_tdep", (8,), speed=2.0)):
+        for n in (8, 96, 256):
+            for s in (0.0, 0.1, 0.37):
+                measured = norm_1(family.member(n).eval(s))
+                assert abs(family.norm(n, s) - measured) <= 1e-14 * measured
+
+
+def test_calibrated_tdep_march_matches_the_closed_form():
+    # The sweep's march of U(0.1, 0).  A(tau) = (1 + sin(2 pi tau) / 2) A0
+    # commutes with itself, so U = expm(w A0) with w the integral of the
+    # modulation over [0, 0.1].  magnus2 at 8 ||A|| (t - s) steps was 2.0e-6
+    # to 5.1e-6 off here.
+    family = DiscretizedFamily("advection_tdep", (16, 32, 64, 128))
+    w = 0.1 + (1.0 - math.cos(0.2 * math.pi)) / (4.0 * math.pi)
+    for n in family.dims:
+        steps = _calibrated_steps(family.norm(n, 0.0), 0.1)
+        u = march(family.member(n), 0.0, recovery_chain([0.1], _RECOVERY_FD), steps / 0.1,
+                  SWEEP_STEPPER)[0.1]
+        exact = expm(w * advection_matrix(n))
+        assert norm_1(u - exact) <= 1e-9 * norm_1(exact)
+
+
+def test_calibrated_tdep_semigroup_holds_off_the_step_grid():
+    # r = 0.4 t exactly, so the legs step at another h than U(t, s); the
+    # calibrated magnus2 march read 5.3e-5, 2.0e-5, 1.1e-6 and 7.3e-7 for
+    # n = 8, 16 (t = 0.5) and 32, 64 (t = 0.1), against the sweep's 1e-6.
+    family = DiscretizedFamily("advection_tdep", (8, 16, 32, 64, 128))
+    for n in family.dims:
+        t = 0.5 if n <= 16 else 0.1
+        steps = _calibrated_steps(family.norm(n, 0.0), t)
+        assert check_semigroup(family.member(n), 0.0, 0.4 * t, t, steps, SWEEP_STEPPER) <= 1e-6
+
+
+# What a fresh magnus4 step adds to a reused one: two samples, Omega, its
+# exponential and the product S U of one calibrated advection_tdep step,
+# measured at n = 64, 96, 128 (1.01, 2.55, 5.27 ms, medians of 5 on a
 # 2-vCPU Xeon VM with one BLAS thread), in the budget's units of 1.3 ns x n^3.
-MEASURED_EXPM_STEP = {64: 1.52, 96: 0.98, 128: 0.86}
+MEASURED_EXPM_STEP = {64: 2.96, 96: 2.22, 128: 1.93}
 
 
 def test_sweep_cost_charges_expm_per_step_only_when_generator_changes():
@@ -185,7 +232,7 @@ def test_sweep_cost_charges_expm_per_step_only_when_generator_changes():
     for n, measured in MEASURED_EXPM_STEP.items():
         const = sweep_cost(DiscretizedFamily("advection", (n,)), 0.1, 0.0)
         tdep = sweep_cost(DiscretizedFamily("advection_tdep", (n,)), 0.1, 0.0)
-        steps = _calibrated_steps(norm_1(advection_matrix(n)), 0.1)
+        steps = _calibrated_steps(float(n), 0.1)
         segments = march_segments(0.0, recovery_chain([0.1], _RECOVERY_FD), steps / 0.1)
         per_step = (tdep - const) / (n ** 3 * sum(k for _, _, k in segments))
         assert 0.5 * measured <= per_step <= 2.0 * measured
@@ -222,13 +269,16 @@ def test_sweep_member_marches_once_from_s(monkeypatch):
     assert all(a <= b + 1e-12 for a, b in zip(march, march[1:]))
 
 
-def test_advection_tdep_sweep_solve_count(solve_calls, sqrtm_db_calls):
+def test_advection_tdep_sweep_solve_count(solve_calls, sqrtm_db_calls, expm_calls):
     # the benchmark's time-dependent sweep; with two LU solves per
     # Denman-Beavers iteration it made 1110 solves.  Before the logarithm
     # centred U + kappa I on ln(c) I it made 557 solves in 95 square roots.
+    # Its magnus4 marches take 140 step exponentials, and each member 7
+    # more; magnus2 at 8 ||A|| (t - s) steps made 266 expm calls.
     refinement_sweep(DiscretizedFamily("advection_tdep", (16, 32, 64, 128)), 0.1, 0.0)
     assert 0 < len(solve_calls) <= 116
     assert 0 < len(sqrtm_db_calls) <= 23
+    assert 0 < len(expm_calls) <= 168
 
 
 def test_diffusion_sweep_sqrtm_count(sqrtm_db_calls):
@@ -243,15 +293,15 @@ def test_sweep_kappa_comes_from_the_march():
     family = DiscretizedFamily("advection_tdep", (16, 32))
     report = refinement_sweep(family, t=0.1, s=0.0)
     for row in report.rows:
-        g = family.member(row.n)
-        steps = _calibrated_steps(norm_1(g.eval(0.0)), 0.1)
-        u_at = march(g, 0.0, recovery_chain([0.1], _RECOVERY_FD), steps / 0.1, "magnus2")
+        steps = _calibrated_steps(family.norm(row.n, 0.0), 0.1)
+        u_at = march(family.member(row.n), 0.0, recovery_chain([0.1], _RECOVERY_FD),
+                     steps / 0.1, SWEEP_STEPPER)
         kappa = select_kappa([u_at[0.1], expm(0.1 * grid_potential(row.n))])
         assert row.kappa == float(np.real(kappa))
 
 
 def test_semigroup_residual_splits_the_calibrated_steps(monkeypatch):
-    # diffusion nu = 0.01, n = 32, t = 0.1: 33 calibrated steps, split at 13
+    # diffusion nu = 0.01, n = 32, t = 0.1: 32 calibrated steps, split at 13
     import shiftlog.evolution as evolution
     legs = []
     inner = evolution.propagate
@@ -262,8 +312,8 @@ def test_semigroup_residual_splits_the_calibrated_steps(monkeypatch):
 
     monkeypatch.setattr(evolution, "propagate", recording)
     semigroup_residual(DiscretizedFamily("diffusion", (32,), viscosity=0.01), 32, 0.1, 0.0)
-    r = 13 * 0.1 / 33
-    assert legs == [(r, 0.0, 13), (0.1, r, 20), (0.1, 0.0, 33)]
+    r = 13 * 0.1 / 32
+    assert legs == [(r, 0.0, 13), (0.1, r, 19), (0.1, 0.0, 32)]
 
 
 def test_semigroup_residual_calibrated():
