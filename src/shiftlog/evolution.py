@@ -6,7 +6,9 @@ sampled (linear interpolation between tabulated matrices, up to the last).
 :func:`propagate` integrates dU/dt = A(t) U, U(s, s) = I with fixed-step RK4,
 the second-order midpoint Magnus step or the fourth-order Gauss-Legendre
 Magnus step, and returns the matrix U(t, s): a constant generator's one step
-matrix is powered, any other generator is stepped one product at a time.
+matrix is powered, and so is a scalar-modulated generator's under a Magnus
+stepper, whose samples commute; any other generator is stepped one product
+at a time.
 :func:`march` composes such propagations into U(tau, s) at a sorted set of
 times.
 """
@@ -34,14 +36,18 @@ NODES = {"rk4": (0.0, 0.5, 1.0), "magnus2": (0.5,),
 class GeneratorSpec:
     """A time-dependent generator family t -> A(t) on [0, T], T possibly inf.
 
-    ``matrix`` is the one A of a family built by :meth:`constant`, and None
-    for every other family, whatever its values.
+    ``matrix`` is the one A of a family built by :meth:`constant`, the A0 of
+    one built by :meth:`modulated`, and None for every other family, whatever
+    its values.  ``scale`` is the f of a :meth:`modulated` family, and None
+    for every other family.
     """
 
     dim: int
     T: float
     func: Callable[[float], np.ndarray]
     matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    scale: Callable[[float], float] | None = field(default=None, init=False, repr=False,
+                                                  compare=False)
 
     def eval(self, t: float) -> np.ndarray:
         if not -1e-12 <= t <= self.T + 1e-12:
@@ -62,9 +68,13 @@ class GeneratorSpec:
 
     @staticmethod
     def modulated(matrix, f: Callable[[float], float]) -> "GeneratorSpec":
-        """A(t) = f(t) * A0 for a scalar function f; the values A(t) commute."""
+        """A(t) = f(t) * A0 for a real scalar function f; the values A(t)
+        commute.  Records A0 as ``matrix`` and f as ``scale``."""
         A = as_matrix(matrix)
-        return GeneratorSpec(A.shape[0], math.inf, lambda t: f(t) * A)
+        g = GeneratorSpec(A.shape[0], math.inf, lambda t: f(t) * A)
+        object.__setattr__(g, "matrix", A)
+        object.__setattr__(g, "scale", f)
+        return g
 
     @staticmethod
     def from_table(times, matrices) -> "GeneratorSpec":
@@ -130,8 +140,14 @@ def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
     stepper's step is a matrix S built from the generator at its
     :data:`NODES`.  A :meth:`GeneratorSpec.constant` generator has one S,
     built from its ``matrix`` without sampling ``func``, and U(t, s) is
-    S^steps by binary powering (about log2 steps squarings).  Any other
-    generator is sampled at every step and applied as U <- S_k U.
+    S^steps by binary powering (about log2 steps squarings).  So has a
+    :meth:`GeneratorSpec.modulated` generator f(tau) A0 under a Magnus
+    stepper: its samples commute, so step k is expm(h_k A0) with h_k = h
+    times the mean of f at the step's nodes, and the march is expm(hbar A0)
+    powered, hbar the mean of the h_k.  Only f is sampled, at the nodes of
+    every step.  Any other generator, and a modulated one under rk4, whose
+    step is a polynomial in h A0, is sampled at every step and applied as
+    U <- S_k U.
     """
     if not 0.0 <= s <= t <= g.T + 1e-12:
         raise ValueError(f"need 0 <= s <= t <= T, got s={s}, t={t}, T={g.T}")
@@ -144,13 +160,19 @@ def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
         h = (t - s) / steps
         # overflow surfaces as PropagationError, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            if g.matrix is not None:
-                step = _step_matrix((g.matrix,) * len(NODES[stepper]), h, stepper, identity)
+            nodes = NODES[stepper]
+            if g.matrix is not None and (g.scale is None or stepper != "rk4"):
+                if g.scale is not None:
+                    # f at every step's nodes, at the stepped march's times, in step order
+                    f_mean = math.fsum(g.scale((s + k * h) + c * h)
+                                       for k in range(steps) for c in nodes) / (steps * len(nodes))
+                    h *= f_mean
+                step = _step_matrix((g.matrix,) * len(nodes), h, stepper, identity)
                 return _check_finite(np.linalg.matrix_power(step, steps),
                                      f"{stepper} step {steps - 1}")
             for k in range(steps):
                 tau = s + k * h
-                samples = tuple(g.eval(tau + c * h) for c in NODES[stepper])
+                samples = tuple(g.eval(tau + c * h) for c in nodes)
                 u = _check_finite(_step_matrix(samples, h, stepper, identity) @ u,
                                   f"{stepper} step {k}")
     return u

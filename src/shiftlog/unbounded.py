@@ -151,9 +151,10 @@ def _calibrated_steps(norm_a: float, interval: float) -> int:
     # At least 32 steps, and h ||A(s)||_1 <= 1/2.  A constant member's march
     # is expm(h A) powered, exact up to expm accuracy at any h.  A member
     # A(tau) = f(tau) A0 commutes with itself, so its magnus4 march is
-    # expm(w_h A0) with w_h the two-point Gauss-Legendre sum for
-    # w = int_s^t f, and |w_h - w| <= (t - s) h^4 max|f^(4)| / 4320.  The
-    # relative 1-norm error of U(t, s) is then at most e^d - 1 with
+    # expm(w_h A0), computed as expm(w_h A0 / steps) powered, with w_h the
+    # two-point Gauss-Legendre sum for w = int_s^t f: the step count costs
+    # only scalar samples of f, and |w_h - w| <= (t - s) h^4 max|f^(4)| /
+    # 4320.  The relative 1-norm error of U(t, s) is then at most e^d - 1 with
     # d = ||A0||_1 |w_h - w|.  For advection_tdep (f >= 1/2, so h ||A0||_1
     # <= 1; max|f^(4)| = 8 pi^4; h <= (t - s) / 32) that gives
     # d <= 5.5e-6 (t - s)^4: 5.5e-10 at the sweep's t - s = 0.1.
@@ -165,17 +166,20 @@ DEFAULT_SWEEP_BUDGET = 5e9
 # Work model of one sweep member, in units of n^3 times about 1.3 ns on a
 # 2-vCPU Xeon VM with one BLAS thread: a step cost per step matrix its
 # magnus4 march builds, plus a fixed cost.  The march builds one step matrix
-# per segment for a constant generator and one per step otherwise.  The step
-# cost, two samples, Omega with its commutator, the exponential and the
-# product S U, is the mean of the timed advection_tdep step at n = 128 and
-# 256 (5.3 and 36.6 ms, 1.93 and 1.68 units; medians of 5).  The fixed cost
-# covers the six logarithms, the exponentials and solves outside the march
-# and, for a constant member, the log2 k products that power a segment of k
-# steps (2.3 units at n = 128, 12.7 at n = 256, where S underflows).  It is
-# fitted to the median times of single members at t = 0.1, so that each
-# price is within 20% of them: advection_tdep 0.36 s at n = 128 (priced
-# 10% under) and 3.20 s at n = 256 (9% over), diffusion (nu = 0.01) 0.17 s
-# and 1.37 s (1% and 4% over).
+# per segment and powers it, for every family kind: expm(h A) for a constant
+# member, expm(hbar A0) for an advection_tdep one.  The step cost is that
+# exponential, with the log2 k products that power a segment of k steps: one
+# powered advection_tdep segment took 1.81 units at n = 128 and 1.80 at
+# n = 256 (4.9 and 39.2 ms, medians of 7).  The fixed cost covers the six
+# logarithms, the exponentials and solves outside the march, and the slower
+# powering of a diffusion S, whose entries underflow (12.7 units at n = 256).
+# At t = 0.1 the march has five segments, so every member is priced 65
+# units.  Single members measured (medians of 5 and 7): advection_tdep
+# 83-91 units at n = 128 (0.23-0.25 s) and 54-57 at n = 256 (1.18-1.24 s),
+# diffusion (nu = 0.01) 64-70 and 69-71.  No one price per n^3 holds all
+# four within 20%, because the logarithm takes 8 square roots on the
+# advection_tdep member at n = 128, 6 at n = 256 and 5 on diffusion.  65
+# puts the widest miss, up to 29% under, on the 0.25 s member at n = 128.
 _STEP_COST = 1.8
 _MEMBER_FIXED_COST = 56.0
 
@@ -185,16 +189,14 @@ def sweep_cost(family: DiscretizedFamily, t: float, s: float) -> float:
 
     Per member, the segments are the recovery march's at the step count of
     the closed-form ``family.norm``, so no member is built; the march builds
-    one step matrix per segment for a constant member and one per step for
-    an ``advection_tdep`` one.
+    one step matrix per segment and powers it, for every family kind.
     """
     interval = t - s
     cost = 0.0
     for n in family.dims:
         steps = _calibrated_steps(family.norm(n, s), interval)
         chain = march_segments(s, recovery_chain([t], _RECOVERY_FD), steps / interval)
-        built = sum(k for _, _, k in chain) if family.kind == "advection_tdep" else len(chain)
-        cost += float(n) ** 3 * (built * _STEP_COST + _MEMBER_FIXED_COST)
+        cost += float(n) ** 3 * (len(chain) * _STEP_COST + _MEMBER_FIXED_COST)
     return cost
 
 
@@ -211,7 +213,8 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
     is marched once from s through the probe times of
     :func:`logrep.recovery_chain` (``evolution.march``, :data:`SWEEP_STEPPER`
     at the calibrated step density); its U(t, s) gives kappa, a(t, s) and the
-    recovery alike.
+    recovery alike.  Every family kind is constant or scalar-modulated, so
+    each segment of that march is one step matrix, powered.
 
     ``budget`` caps the estimated total work (:func:`sweep_cost`); the sweep
     raises :class:`BudgetExceededError` before starting if it would be

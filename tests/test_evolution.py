@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shiftlog.errors import PropagationError
 from shiftlog.evolution import (
@@ -16,8 +18,8 @@ from shiftlog.evolution import (
     propagate,
 )
 from shiftlog.linalg import norm_1
-from shiftlog.matfun import expm
-from shiftlog.unbounded import DiscretizedFamily
+from shiftlog.matfun import EXPM_NORM_LIMIT, expm
+from shiftlog.unbounded import DiscretizedFamily, tdep_modulation
 
 
 def rand_c(rng, n, scale=1.0):
@@ -335,11 +337,104 @@ def test_constant_generator_is_one_powered_step_matrix(monkeypatch, eval_calls, 
     assert u.tobytes() == np.linalg.matrix_power(built[0], steps).tobytes()
 
 
+def _stepped(g):
+    """The same family with no recorded matrix, so propagate steps it."""
+    return GeneratorSpec(g.dim, g.T, g.func)
+
+
 def test_magnus2_time_dependent_generator_takes_expm_every_step(monkeypatch):
-    g = DiscretizedFamily("advection_tdep", (16,)).member(16)
+    g = _stepped(DiscretizedFamily("advection_tdep", (16,)).member(16))
+    assert g.matrix is None
     calls = _count_expm(monkeypatch)
     # The modulation 1 + sin(2 pi t)/2 is strictly increasing on [0, 0.2], so
     # no two midpoint samples coincide.
     u = propagate(g, 0.2, 0.0, 40, "magnus2")
     assert len(calls) == 40
     assert np.array_equal(u, _magnus2_reference(g, 0.2, 0.0, 40))
+
+
+@pytest.mark.parametrize("stepper", ["magnus2", "magnus4"])
+def test_modulated_generator_is_one_powered_step_matrix(monkeypatch, eval_calls, stepper):
+    # f(tau) A0 commutes with itself, so the Magnus march is one step matrix
+    # expm(hbar A0) powered, hbar = h times the mean of f at every node.
+    import shiftlog.evolution as evolution
+    a0 = rand_c(np.random.default_rng(13), 4, 3.0)
+    g = GeneratorSpec.modulated(a0, tdep_modulation)
+    built = []
+    step_matrix = evolution._step_matrix
+    monkeypatch.setattr(evolution, "_step_matrix",
+                        lambda *args: built.append(step_matrix(*args)) or built[-1])
+    calls = _count_expm(monkeypatch)
+    steps = 37
+    u = propagate(g, 0.9, 0.1, steps, stepper)
+    assert not eval_calls
+    assert len(calls) == len(built) == 1
+    assert u.tobytes() == np.linalg.matrix_power(built[0], steps).tobytes()
+    assert _relative_error(u, propagate(_stepped(g), 0.9, 0.1, steps, stepper)) <= 1e-13
+
+
+def test_rk4_steps_a_modulated_generator(eval_calls):
+    # An rk4 step is a polynomial in h A0, not an exponential: not powered.
+    g = GeneratorSpec.modulated(rand_c(np.random.default_rng(14), 3, 1.0), tdep_modulation)
+    steps = 24
+    u = propagate(g, 0.8, 0.0, steps, "rk4")
+    assert len(eval_calls) == 3 * steps
+    assert u.tobytes() == propagate(_stepped(g), 0.8, 0.0, steps, "rk4").tobytes()
+
+
+def test_modulated_march_whose_total_exponent_exceeds_the_expm_limit():
+    # ||(t - s) fbar A0||_1 = 1.66e4 > EXPM_NORM_LIMIT, but every step's
+    # exponent is <= 1/2, so the powered march propagates as a stepped one
+    # would.  A0 generates rotations: U = expm(w A0) turns by w * 1e4, and
+    # the march by w_h * 1e4, w_h the stepper's quadrature of w.  The
+    # midpoint rule is off by at most t h^2 max|f''| / 24 (max|f''| = 2 pi^2),
+    # the two-node Gauss rule by t h^4 max|f''''| / 4320, about 1e-22; a turn
+    # by d moves U by at most 2 |d| in the 1-norm.
+    a0 = 1e4 * np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=np.complex128)
+    g = GeneratorSpec.modulated(a0, tdep_modulation)
+    t, steps = 1.5, 45_000
+    w = t + 2.0 / (4.0 * math.pi)
+    assert norm_1(w * a0) > EXPM_NORM_LIMIT
+    assert (t / steps) * 1.5 * norm_1(a0) <= 0.5
+    with pytest.raises(OverflowError):
+        expm(w * a0)
+    c, s = math.cos(w * 1e4), math.sin(w * 1e4)
+    exact = np.array([[c, s], [-s, c]])
+    h = t / steps
+    midpoint = t * h * h * 2.0 * math.pi ** 2 / 24.0
+    for stepper, quadrature in (("magnus2", midpoint), ("magnus4", 0.0)):
+        u = propagate(g, t, 0.0, steps, stepper)
+        assert norm_1(u - exact) <= 2e4 * quadrature + 1e-9
+
+
+# Powered against stepped.  Both compute expm(w_h A0), w_h the same node sum,
+# so they differ by rounding only.  Let u = 2^-53, L = ||A0||_1, F = max |f|
+# and W = (t - s) F L, which bounds the 1-norm of every partial exponent.  A
+# computed exponential of X, ||X||_1 <= 2, is within c u e^||X|| of e^X with
+# c <= n + 4 (backward error <= u ||X|| by the Pade degree, and rounding of a
+# Pade quotient whose denominator is near I).  A product of two matrices
+# adds n u times the product of their norms.  The stepped march takes steps
+# exponentials and products; the powered one takes one exponential of a
+# weight within 3u relative of the stepped sum, and at most 2 log2(steps)
+# products, whose errors the remaining powers amplify by at most steps.
+# Either is then within steps (2n + 7) u e^W of e^(w_h A0), and since
+# ||U||_1 >= 1 / ||U^-1||_1 >= e^-W the two are within
+# 2 steps (2n + 7) u e^(2W) of each other, relatively.
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), scale=st.floats(0.05, 1.0),
+       a=st.floats(0.1, 1.0), ratio=st.floats(-0.99, 0.99),
+       omega=st.floats(0.0, 20.0), phi=st.floats(0.0, 2.0 * math.pi),
+       s=st.floats(0.0, 0.99), span=st.floats(1e-3, 1.0), steps=st.integers(1, 64),
+       stepper=st.sampled_from(["magnus2", "magnus4"]))
+def test_powered_modulated_march_matches_the_stepped_march(
+        seed, n, scale, a, ratio, omega, phi, s, span, steps, stepper):
+    t = min(1.0, s + span)
+    assume(t > s)
+    b = ratio * a
+    a0 = rand_c(np.random.default_rng(seed), n, scale)
+    g = GeneratorSpec.modulated(a0, lambda tau: a + b * math.sin(omega * tau + phi))
+    u = propagate(g, t, s, steps, stepper)
+    ref = propagate(_stepped(g), t, s, steps, stepper)
+    big_w = (t - s) * (a + abs(b)) * scale
+    bound = 2 * steps * (2 * n + 7) * 2.0 ** -53 * math.exp(2 * big_w)
+    assert _relative_error(u, ref) <= bound

@@ -15,7 +15,9 @@ from shiftlog.unbounded import (
     DEFAULT_SWEEP_BUDGET,
     SWEEP_COLUMNS,
     SWEEP_STEPPER,
+    _MEMBER_FIXED_COST,
     _RECOVERY_FD,
+    _STEP_COST,
     _calibrated_steps,
     DiscretizedFamily,
     advection_matrix,
@@ -159,18 +161,20 @@ def test_sweep_budget_admits_diffusion_to_256():
 
 
 def test_sweep_budget_admits_advection_tdep_to_256():
-    # A(t) changes at every step, so nothing is powered; the n = 256 member
-    # takes 58 magnus4 steps.  The whole sweep took 3.3 s on a 2-vCPU Xeon VM
-    # with one BLAS thread.
+    # A(t) = f(t) A0 commutes with itself, so each segment of the march is
+    # one powered step matrix; the n = 256 member's march is 58 magnus4 steps
+    # in five segments.  The whole sweep took 1.4-1.6 s on a 2-vCPU Xeon VM
+    # with one BLAS thread (3.5-3.9 s when every step built its own
+    # exponential).
     family = DiscretizedFamily("advection_tdep", (32, 64, 128, 256))
     assert sweep_cost(family, 0.1, 0.0) <= DEFAULT_SWEEP_BUDGET
 
 
 def test_sweep_budget_rejects_advection_tdep_to_256():
-    # The n = 256 member alone is priced at about 2.7e9.
+    # The sweep is priced at about 1.25e9, 1.09e9 of it the n = 256 member.
     family = DiscretizedFamily("advection_tdep", (32, 64, 128, 256))
     with pytest.raises(BudgetExceededError):
-        refinement_sweep(family, t=0.1, s=0.0, budget=2e9)
+        refinement_sweep(family, t=0.1, s=0.0, budget=1e9)
 
 
 def test_powered_march_matches_expm_at_n128():
@@ -220,22 +224,23 @@ def test_calibrated_tdep_semigroup_holds_off_the_step_grid():
         assert check_semigroup(family.member(n), 0.0, 0.4 * t, t, steps, SWEEP_STEPPER) <= 1e-6
 
 
-# What a fresh magnus4 step adds to a reused one: two samples, Omega, its
-# exponential and the product S U of one calibrated advection_tdep step,
-# measured at n = 64, 96, 128 (1.01, 2.55, 5.27 ms, medians of 5 on a
-# 2-vCPU Xeon VM with one BLAS thread), in the budget's units of 1.3 ns x n^3.
-MEASURED_EXPM_STEP = {64: 2.96, 96: 2.22, 128: 1.93}
+# One powered segment of the calibrated advection_tdep march: the samples of
+# f, the exponential and the binary powering of S, measured at n = 64, 96,
+# 128 (0.89, 2.42, 4.93 ms, medians of 7 on a 2-vCPU Xeon VM with one BLAS
+# thread), in the budget's units of 1.3 ns x n^3.
+MEASURED_SEGMENT = {64: 2.60, 96: 2.11, 128: 1.81}
 
 
-def test_sweep_cost_charges_expm_per_step_only_when_generator_changes():
-    # Same grid, step count and logarithms: the whole gap is per step.
-    for n, measured in MEASURED_EXPM_STEP.items():
+def test_sweep_cost_charges_one_step_matrix_per_segment():
+    # Same grid, step count and logarithms: a modulated member is priced as
+    # the constant one, one step matrix per segment.
+    for n, measured in MEASURED_SEGMENT.items():
         const = sweep_cost(DiscretizedFamily("advection", (n,)), 0.1, 0.0)
         tdep = sweep_cost(DiscretizedFamily("advection_tdep", (n,)), 0.1, 0.0)
         steps = _calibrated_steps(float(n), 0.1)
         segments = march_segments(0.0, recovery_chain([0.1], _RECOVERY_FD), steps / 0.1)
-        per_step = (tdep - const) / (n ** 3 * sum(k for _, _, k in segments))
-        assert 0.5 * measured <= per_step <= 2.0 * measured
+        assert tdep == const == n ** 3 * (len(segments) * _STEP_COST + _MEMBER_FIXED_COST)
+        assert 0.5 * measured <= _STEP_COST <= 2.0 * measured
 
 
 def test_sweep_member_takes_six_logarithms(monkeypatch):
@@ -269,16 +274,20 @@ def test_sweep_member_marches_once_from_s(monkeypatch):
     assert all(a <= b + 1e-12 for a, b in zip(march, march[1:]))
 
 
-def test_advection_tdep_sweep_solve_count(solve_calls, sqrtm_db_calls, expm_calls):
+def test_advection_tdep_sweep_solve_count(solve_calls, sqrtm_db_calls, expm_calls, eval_calls):
     # the benchmark's time-dependent sweep; with two LU solves per
     # Denman-Beavers iteration it made 1110 solves.  Before the logarithm
     # centred U + kappa I on ln(c) I it made 557 solves in 95 square roots.
-    # Its magnus4 marches take 140 step exponentials, and each member 7
-    # more; magnus2 at 8 ||A|| (t - s) steps made 266 expm calls.
+    # Its magnus4 marches power one step exponential per segment, 20 in all,
+    # and each member takes 7 more; a step exponential at every one of the
+    # 140 steps made 168 expm calls, and magnus2 at 8 ||A|| (t - s) steps
+    # 266.  Each member evaluates A(s) and A(t) only; stepped, the marches
+    # made 280 evaluations more.
     refinement_sweep(DiscretizedFamily("advection_tdep", (16, 32, 64, 128)), 0.1, 0.0)
     assert 0 < len(solve_calls) <= 116
     assert 0 < len(sqrtm_db_calls) <= 23
-    assert 0 < len(expm_calls) <= 168
+    assert 0 < len(expm_calls) <= 48
+    assert 0 < len(eval_calls) <= 8
 
 
 def test_diffusion_sweep_sqrtm_count(sqrtm_db_calls):
