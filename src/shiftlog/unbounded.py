@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BranchCutError, BudgetExceededError, NoConvergenceError, SingularMatrixError
 from .linalg import eye, norm_1
 from .matfun import FdConfig, expm
-from .evolution import GeneratorSpec, check_semigroup, march, march_segments
+from .evolution import GeneratorSpec, check_semigroup, march
 from .logrep import alt_generator, recover_generator, recovery_chain, select_kappa
 from .bch import bch_truncated, kappa_shifted_bch
 from .report import render_table
@@ -163,41 +163,28 @@ def _calibrated_steps(norm_a: float, interval: float) -> int:
 
 DEFAULT_SWEEP_BUDGET = 5e9
 
-# Work model of one sweep member, in units of n^3 times about 1.3 ns on a
-# 2-vCPU Xeon VM with one BLAS thread: a step cost per step matrix its
-# magnus4 march builds, plus a fixed cost.  The march builds one step matrix
-# per segment and powers it, for every family kind: expm(h A) for a constant
-# member, expm(hbar A0) for an advection_tdep one.  The step cost is that
-# exponential, with the log2 k products that power a segment of k steps: one
-# powered advection_tdep segment took 1.81 units at n = 128 and 1.80 at
-# n = 256 (4.9 and 39.2 ms, medians of 7).  The fixed cost covers the six
-# logarithms, the exponentials and solves outside the march, and the slower
-# powering of a diffusion S, whose entries underflow (12.7 units at n = 256).
-# At t = 0.1 the march has five segments, so every member is priced 65
-# units.  Single members measured (medians of 5 and 7): advection_tdep
-# 83-91 units at n = 128 (0.23-0.25 s) and 54-57 at n = 256 (1.18-1.24 s),
-# diffusion (nu = 0.01) 64-70 and 69-71.  No one price per n^3 holds all
-# four within 20%, because the logarithm takes 8 square roots on the
-# advection_tdep member at n = 128, 6 at n = 256 and 5 on diffusion.  65
-# puts the widest miss, up to 29% under, on the 0.25 s member at n = 128.
-_STEP_COST = 1.8
-_MEMBER_FIXED_COST = 56.0
+# Price of one sweep member, in units of about 1.3 ns on a 2-vCPU Xeon VM
+# with one BLAS thread: MEMBER_COST per n^3 for its matrix work, plus
+# STEP_COST per calibrated step for the samples of f that a modulated
+# member's powered march takes in Python.  Single members at t - s = 0.1
+# measured 54-98 units per n^3 (medians of 5, n = 64..256, diffusion and
+# advection_tdep), so the price is a guard, not a prediction.  The samples
+# took 446-887 units per step (n = 16 and 64, 2e5 steps).
+MEMBER_COST = 65.0
+STEP_COST = 600.0
 
 
 def sweep_cost(family: DiscretizedFamily, t: float, s: float) -> float:
-    """Estimated work of :func:`refinement_sweep` in the units of its budget.
-
-    Per member, the segments are the recovery march's at the step count of
-    the closed-form ``family.norm``, so no member is built; the march builds
-    one step matrix per segment and powers it, for every family kind.
+    """Estimated work of :func:`refinement_sweep` in the units of its budget:
+    per member, ``MEMBER_COST * n**3 + STEP_COST * steps``, with the march's
+    calibrated step count from the closed-form ``family.norm``, so no member
+    is built.  A constant member's powered march does no per-step work, so
+    its price is high past a few million steps: 8.4e6 steps alone exceed
+    :data:`DEFAULT_SWEEP_BUDGET`.
     """
-    interval = t - s
-    cost = 0.0
-    for n in family.dims:
-        steps = _calibrated_steps(family.norm(n, s), interval)
-        chain = march_segments(s, recovery_chain([t], _RECOVERY_FD), steps / interval)
-        cost += float(n) ** 3 * (len(chain) * _STEP_COST + _MEMBER_FIXED_COST)
-    return cost
+    return sum(MEMBER_COST * n ** 3
+               + STEP_COST * _calibrated_steps(family.norm(n, s), t - s)
+               for n in family.dims)
 
 
 def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
@@ -216,13 +203,17 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
     recovery alike.  Every family kind is constant or scalar-modulated, so
     each segment of that march is one step matrix, powered.
 
-    ``budget`` caps the estimated total work (:func:`sweep_cost`); the sweep
-    raises :class:`BudgetExceededError` before starting if it would be
-    exceeded.
+    Before any member is built, the sweep raises ``ValueError`` when the
+    recovery's first probe time precedes s, and :class:`BudgetExceededError`
+    when the estimated total work (:func:`sweep_cost`) exceeds ``budget``.
     """
     if not -math.inf < s < t < math.inf:
         raise ValueError("need finite s < t")
     interval = t - s
+    chain = recovery_chain([t], _RECOVERY_FD)
+    if chain[0] < s:
+        raise ValueError(f"the generator recovery probes U(tau, s) at tau = {chain[0]}, "
+                         f"before s = {s}")
     cost = sweep_cost(family, t, s)
     if cost > budget:
         raise BudgetExceededError(f"estimated work {cost:.3e} exceeds budget {budget:.3e}")
@@ -234,7 +225,7 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
         a_raw = g.eval(s)
         norm_an = norm_1(a_raw)
         steps = _calibrated_steps(family.norm(n, s), interval)
-        u_at = march(g, s, recovery_chain([t], _RECOVERY_FD), steps / interval, SWEEP_STEPPER)
+        u_at = march(g, s, chain, steps / interval, SWEEP_STEPPER)
         b_raw = grid_potential(n)
         u2_matrix = expm(interval * b_raw)
         kappa = select_kappa([u_at[t], u2_matrix])

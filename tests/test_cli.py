@@ -347,6 +347,9 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
     ("sweep", {**SWEEP_CONFIG, "family": {"kind": "diffusion", "dims": [8, 257]}}),
     ("verify", {"sweep_dims": [8, 257], "suites": ["sweep"]}),
     ("sweep", {**SWEEP_CONFIG, "budget": 10.0}),
+    # 3.2e8 magnus4 steps, each sampling the modulation twice in Python
+    ("sweep", {**SWEEP_CONFIG, "family": {"kind": "advection_tdep", "dims": [16], "speed": 1e7},
+               "t": 1.0, "s": 0.0}),
     # ||tH/hbar||_1 <= 3001 passes the expm guard, but the shifted-product
     # logarithm of the residual leaves the domain of logm_iss
     ("vn-demo", {**VN_CONFIG, "hamiltonian": matrix_to_json(np.array([[3e3, 1.0], [1.0, -3e3]]))}),
@@ -367,7 +370,8 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
         "verify-tolerance-nan", "verify-tolerance-negative", "vn-grid-before-zero",
         "vn-grid-points-huge",
         "sweep-fd-window-before-s", "verify-dims-bool", "sweep-dims-257",
-        "verify-sweep-dims-257", "sweep-over-budget", "vn-hamiltonian-branch-cut",
+        "verify-sweep-dims-257", "sweep-over-budget", "sweep-modulated-steps-over-budget",
+        "vn-hamiltonian-branch-cut",
         "verify-output-path-empty", "verify-format-flag-xml", "verify-seed-flag-str",
         "verify-suite-flag-unknown", "verify-unknown-flag", "bch-order-9", "unknown-verb",
         "sweep-no-config"])
@@ -394,7 +398,9 @@ def test_help_exits_0(capsys):
 @pytest.mark.parametrize("verb, payload", [
     ("sweep", {**SWEEP_CONFIG, "family": {"kind": "diffusion", "dims": [8, 257]}}),
     ("verify", {"sweep_dims": [8, 257], "suites": ["sweep"]}),
-], ids=["sweep", "verify"])
+    # the recovery's FD window [t - 5e-3, t + 5e-3] starts before s
+    ("sweep", {**SWEEP_CONFIG, "t": 0.004, "s": 0.0}),
+], ids=["sweep", "verify", "sweep-fd-window-before-s"])
 def test_grid_size_above_256_builds_no_member(tmp_path, monkeypatch, verb, payload):
     built = []
     stencil = unbounded.diffusion_matrix

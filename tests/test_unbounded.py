@@ -1,23 +1,26 @@
 """Refinement-family tests: stencils, norm growth, sweep invariants."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shiftlog import logrep, unbounded
 from shiftlog.errors import BudgetExceededError
-from shiftlog.evolution import GeneratorSpec, check_semigroup, march, march_segments
+from shiftlog.campaigns import DEFAULT_SWEEP_DIMS, SWEEP_HORIZON
+from shiftlog.evolution import GeneratorSpec, check_semigroup, march
 from shiftlog.linalg import norm_1
 from shiftlog.logrep import alt_generator, recovery_chain, select_kappa
 from shiftlog.matfun import expm
 from shiftlog.unbounded import (
     DEFAULT_SWEEP_BUDGET,
+    MEMBER_COST,
+    STEP_COST,
     SWEEP_COLUMNS,
     SWEEP_STEPPER,
-    _MEMBER_FIXED_COST,
     _RECOVERY_FD,
-    _STEP_COST,
     _calibrated_steps,
     DiscretizedFamily,
     advection_matrix,
@@ -143,31 +146,52 @@ def test_sweep_budget_accepts_diffusion_to_128():
     assert len(reports) == 4 and all(r.passed for r in reports)
 
 
-def test_sweep_budget_accepts_benchmark_configs():
-    # The campaign's default sweep, the sweep suite at n = 16..96 and the
-    # time-dependent advection sweep to n = 128, all at t = 0.1, s = 0.
-    configs = [DiscretizedFamily("diffusion", (8, 16, 32, 64), viscosity=0.01),
-               DiscretizedFamily("diffusion", (16, 32, 64, 96), viscosity=0.01),
-               DiscretizedFamily("advection_tdep", (16, 32, 64, 128))]
-    for family in configs:
-        assert sweep_cost(family, 0.1, 0.0) <= DEFAULT_SWEEP_BUDGET
+def _load_benchmark_workloads() -> dict:
+    # perfbench/workloads.py is data only; load it by path, as no package holds it.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
 
 
-def test_sweep_budget_admits_diffusion_to_256():
-    # Each member's march is five powered constant segments; the whole sweep
-    # took 1.9 s on a 2-vCPU Xeon VM with one BLAS thread.
-    family = DiscretizedFamily("diffusion", (32, 64, 128, 256), viscosity=0.01)
-    assert sweep_cost(family, 0.1, 0.0) <= DEFAULT_SWEEP_BUDGET
+BENCHMARK_WORKLOADS = _load_benchmark_workloads()
 
 
-def test_sweep_budget_admits_advection_tdep_to_256():
-    # A(t) = f(t) A0 commutes with itself, so each segment of the march is
-    # one powered step matrix; the n = 256 member's march is 58 magnus4 steps
-    # in five segments.  The whole sweep took 1.4-1.6 s on a 2-vCPU Xeon VM
-    # with one BLAS thread (3.5-3.9 s when every step built its own
-    # exponential).
-    family = DiscretizedFamily("advection_tdep", (32, 64, 128, 256))
-    assert sweep_cost(family, 0.1, 0.0) <= DEFAULT_SWEEP_BUDGET
+def _benchmark_sweep(workload: str) -> tuple:
+    """(family, t, s) of the refinement sweep a benchmark workload runs: the
+    ``sweep`` verb's config, or the campaign's diffusion sweep under ``verify``."""
+    spec = BENCHMARK_WORKLOADS[workload]
+    cfg = spec["config"]
+    if spec["argv"][0] == "verify":
+        dims = cfg.get("sweep_dims", DEFAULT_SWEEP_DIMS)
+        return DiscretizedFamily("diffusion", tuple(dims), viscosity=0.01), *SWEEP_HORIZON
+    fam = cfg["family"]
+    stencil = {key: fam[key] for key in ("speed", "viscosity") if key in fam}
+    family = DiscretizedFamily(fam["kind"], tuple(fam.get("dims", DEFAULT_SWEEP_DIMS)), **stencil)
+    return family, cfg.get("t", SWEEP_HORIZON[0]), cfg.get("s", SWEEP_HORIZON[1])
+
+
+@pytest.mark.parametrize("family, t, s", [
+    *map(_benchmark_sweep, BENCHMARK_WORKLOADS),
+    # Each n = 256 member's march is five powered segments; the diffusion sweep
+    # took 1.9 s and the advection_tdep one 1.4-1.6 s on a 2-vCPU Xeon VM with
+    # one BLAS thread.
+    (DiscretizedFamily("diffusion", (32, 64, 128, 256), viscosity=0.01), 0.1, 0.0),
+    (DiscretizedFamily("advection_tdep", (32, 64, 128, 256)), 0.1, 0.0),
+], ids=[*BENCHMARK_WORKLOADS, "diffusion-to-256", "advection_tdep-to-256"])
+def test_sweep_budget_admits(family, t, s):
+    assert sweep_cost(family, t, s) <= DEFAULT_SWEEP_BUDGET
+
+
+def test_sweep_budget_rejects_modulated_steps():
+    # The powered march of f(tau) A0 samples f at both magnus4 nodes of every
+    # step in Python.  At speed 1e5 (3.2e6 steps) the n = 16 member ran
+    # 1.6-3.0 s; speed 1e7 takes 3.2e8 steps.
+    family = DiscretizedFamily("advection_tdep", (16,), speed=1e7)
+    assert sweep_cost(family, 1.0, 0.0) > DEFAULT_SWEEP_BUDGET
+    with pytest.raises(BudgetExceededError):
+        refinement_sweep(family, t=1.0, s=0.0)
 
 
 def test_sweep_budget_rejects_advection_tdep_to_256():
@@ -224,23 +248,26 @@ def test_calibrated_tdep_semigroup_holds_off_the_step_grid():
         assert check_semigroup(family.member(n), 0.0, 0.4 * t, t, steps, SWEEP_STEPPER) <= 1e-6
 
 
-# One powered segment of the calibrated advection_tdep march: the samples of
-# f, the exponential and the binary powering of S, measured at n = 64, 96,
-# 128 (0.89, 2.42, 4.93 ms, medians of 7 on a 2-vCPU Xeon VM with one BLAS
-# thread), in the budget's units of 1.3 ns x n^3.
-MEASURED_SEGMENT = {64: 2.60, 96: 2.11, 128: 1.81}
+# Measured on a 2-vCPU Xeon VM with one BLAS thread, in the budget's units of
+# 1.3 ns: one refinement_sweep member at t = 0.1, s = 0, per n^3 (medians of
+# 5), and one step of a modulated magnus4 march, (T(201000) - T(1000)) /
+# 200000 steps at n = 16 and 64 (lowest and highest of 8 timings).
+MEASURED_MEMBER = {("diffusion", 64): 74.6, ("diffusion", 128): 64.2,
+                   ("diffusion", 256): 57.1, ("advection_tdep", 64): 98.2,
+                   ("advection_tdep", 128): 63.5, ("advection_tdep", 256): 54.4}
+MEASURED_STEP = (446.0, 887.0)
 
 
-def test_sweep_cost_charges_one_step_matrix_per_segment():
-    # Same grid, step count and logarithms: a modulated member is priced as
-    # the constant one, one step matrix per segment.
-    for n, measured in MEASURED_SEGMENT.items():
-        const = sweep_cost(DiscretizedFamily("advection", (n,)), 0.1, 0.0)
-        tdep = sweep_cost(DiscretizedFamily("advection_tdep", (n,)), 0.1, 0.0)
-        steps = _calibrated_steps(float(n), 0.1)
-        segments = march_segments(0.0, recovery_chain([0.1], _RECOVERY_FD), steps / 0.1)
-        assert tdep == const == n ** 3 * (len(segments) * _STEP_COST + _MEMBER_FIXED_COST)
-        assert 0.5 * measured <= _STEP_COST <= 2.0 * measured
+def test_sweep_cost_is_member_cost_n3_plus_step_cost_per_step():
+    # 32 steps at the floor; 2 * 2621.44 * 0.1 -> 525; 2 * 1.6e6 * 1 = 3.2e6.
+    assert sweep_cost(DiscretizedFamily("advection", (64,)), 0.1, 0.0) == (
+        MEMBER_COST * 64 ** 3 + STEP_COST * 32)
+    assert sweep_cost(DiscretizedFamily("diffusion", (64, 256), viscosity=0.01), 0.1, 0.0) == (
+        MEMBER_COST * 64 ** 3 + STEP_COST * 33 + MEMBER_COST * 256 ** 3 + STEP_COST * 525)
+    assert sweep_cost(DiscretizedFamily("advection_tdep", (16,), speed=1e5), 1.0, 0.0) == (
+        MEMBER_COST * 16 ** 3 + STEP_COST * 3_200_000)
+    assert all(0.5 * m <= MEMBER_COST <= 2.0 * m for m in MEASURED_MEMBER.values())
+    assert all(0.5 * m <= STEP_COST <= 2.0 * m for m in MEASURED_STEP)
 
 
 def test_sweep_member_takes_six_logarithms(monkeypatch):
