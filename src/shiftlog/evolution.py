@@ -3,12 +3,11 @@
 A :class:`GeneratorSpec` wraps a matrix family t -> A(t), either closed-form
 (constant, or a fixed matrix times a scalar function of t; every t >= 0) or
 sampled (linear interpolation between tabulated matrices, up to the last).
-:func:`propagate` integrates dU/dt = A(t) U, U(s, s) = I with fixed-step RK4,
-the second-order midpoint Magnus step or the fourth-order Gauss-Legendre
-Magnus step, and returns the matrix U(t, s): a constant generator's one step
-matrix is powered, and so is a scalar-modulated generator's under a Magnus
-stepper, whose samples commute; any other generator is stepped one product
-at a time.
+:func:`propagate` integrates dU/dt = A(t) U, U(s, s) = I with fixed-step RK4
+or the fourth-order Gauss-Legendre Magnus step, and returns the matrix
+U(t, s): a constant generator's one step matrix is powered, and so is a
+scalar-modulated generator's under the Magnus stepper, whose samples
+commute; any other generator is stepped one product at a time.
 :func:`march` composes such propagations into U(tau, s) at a sorted set of
 times.
 """
@@ -27,8 +26,8 @@ from .matfun import expm
 
 # Where each stepper samples the generator within a step [tau, tau + h], as
 # fractions of h, in evaluation order: rk4 at both ends and the midpoint,
-# magnus2 at the midpoint, magnus4 at the two Gauss-Legendre nodes.
-NODES = {"rk4": (0.0, 0.5, 1.0), "magnus2": (0.5,),
+# magnus4 at the two Gauss-Legendre nodes.
+NODES = {"rk4": (0.0, 0.5, 1.0),
          "magnus4": (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)}
 
 
@@ -108,11 +107,11 @@ def _step_matrix(samples: tuple, h: float, stepper: str, i: np.ndarray) -> np.nd
     """The matrix S of one step, U(tau + h) = S U(tau), from the generator
     samples at the stepper's :data:`NODES`; ``i`` is the identity.
 
-    A Magnus step is S = expm(Omega): magnus2 takes Omega = h A(midpoint),
-    magnus4 (Iserles and Norsett, Phil. Trans. R. Soc. A 357, 1999) takes
-    Omega = h/2 (A1 + A2) + (sqrt(3)/12) h^2 [A2, A1] from its two samples.
-    Samples that are one array, a constant generator's, give Omega = h A:
-    the Magnus series of a constant generator ends there at every order.
+    The magnus4 step (Iserles and Norsett, Phil. Trans. R. Soc. A 357, 1999)
+    is S = expm(Omega), Omega = h/2 (A1 + A2) + (sqrt(3)/12) h^2 [A2, A1]
+    from its two samples.  Samples that are one array, a constant
+    generator's, give Omega = h A: the Magnus series of a constant generator
+    ends there at every order.
     """
     if stepper == "rk4":
         # classical RK4 on the linear ODE, applied to the identity
@@ -121,10 +120,9 @@ def _step_matrix(samples: tuple, h: float, stepper: str, i: np.ndarray) -> np.nd
         k3 = am @ (i + 0.5 * h * k2)
         k4 = a1 @ (i + h * k3)
         return i + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
-    a = samples[0]
-    if all(x is a for x in samples):
-        return expm(h * a)
     a1, a2 = samples
+    if a1 is a2:
+        return expm(h * a1)
     return expm(0.5 * h * (a1 + a2) + (math.sqrt(3.0) / 12.0) * h * h * (a2 @ a1 - a1 @ a2))
 
 
@@ -133,21 +131,19 @@ def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
     """Integrate dU/dtau = A(tau) U from U(s, s) = I up to tau = t.
 
     ``rk4`` takes classical fourth-order steps on the matrix ODE (global
-    error O(h^4) for smooth A); ``magnus2`` steps by expm(h A(midpoint))
-    (O(h^2)); ``magnus4`` steps by the exponential of the two-node Gauss-
-    Legendre Magnus expansion with its commutator term (O(h^4)).  Both Magnus
-    steps are expm(h A) for a constant A, exact up to expm accuracy.  Every
-    stepper's step is a matrix S built from the generator at its
-    :data:`NODES`.  A :meth:`GeneratorSpec.constant` generator has one S,
-    built from its ``matrix`` without sampling ``func``, and U(t, s) is
-    S^steps by binary powering (about log2 steps squarings).  So has a
-    :meth:`GeneratorSpec.modulated` generator f(tau) A0 under a Magnus
-    stepper: its samples commute, so step k is expm(h_k A0) with h_k = h
-    times the mean of f at the step's nodes, and the march is expm(hbar A0)
-    powered, hbar the mean of the h_k.  Only f is sampled, at the nodes of
-    every step.  Any other generator, and a modulated one under rk4, whose
-    step is a polynomial in h A0, is sampled at every step and applied as
-    U <- S_k U.
+    error O(h^4) for smooth A); ``magnus4`` steps by the exponential of the
+    two-node Gauss-Legendre Magnus expansion with its commutator term
+    (O(h^4)), which is expm(h A) for a constant A, exact up to expm
+    accuracy.  Every stepper's step is a matrix S built from the generator
+    at its :data:`NODES`.  A :meth:`GeneratorSpec.constant` generator has
+    one S, built from its ``matrix`` without sampling ``func``, and U(t, s)
+    is S^steps by binary powering (about log2 steps squarings).  So has a
+    :meth:`GeneratorSpec.modulated` generator f(tau) A0 under magnus4: its
+    samples commute, so step k is expm(h_k A0) with h_k = h times the mean
+    of f at the step's nodes, and the march is expm(hbar A0) powered, hbar
+    the mean of the h_k.  Only f is sampled, at the nodes of every step.
+    Any other generator, and a modulated one under rk4, whose step is a
+    polynomial in h A0, is sampled at every step and applied as U <- S_k U.
     """
     if not 0.0 <= s <= t <= g.T + 1e-12:
         raise ValueError(f"need 0 <= s <= t <= T, got s={s}, t={t}, T={g.T}")

@@ -203,12 +203,13 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
     recovery alike.  Every family kind is constant or scalar-modulated, so
     each segment of that march is one step matrix, powered.
 
-    Before any member is built, the sweep raises ``ValueError`` when the
-    recovery's first probe time precedes s, and :class:`BudgetExceededError`
-    when the estimated total work (:func:`sweep_cost`) exceeds ``budget``.
+    Before any member is built, the sweep raises ``ValueError`` unless
+    0 <= s < t < inf, or when the recovery's first probe time precedes s,
+    and :class:`BudgetExceededError` when the estimated total work
+    (:func:`sweep_cost`) exceeds ``budget``.
     """
-    if not -math.inf < s < t < math.inf:
-        raise ValueError("need finite s < t")
+    if not 0.0 <= s < t < math.inf:
+        raise ValueError(f"need finite 0 <= s < t, got s={s}, t={t}")
     interval = t - s
     chain = recovery_chain([t], _RECOVERY_FD)
     if chain[0] < s:

@@ -80,6 +80,47 @@ def test_hbar_scaling_fails_when_the_prefactor_ignores_hbar(monkeypatch):
     assert not cases["hbar_scaling"].passed
 
 
+def _magnus4_commutator_scaled(sign):
+    """``evolution._step_matrix`` with magnus4's commutator term times sign."""
+    step_matrix = evolution._step_matrix
+
+    def faulty(samples, h, stepper, i):
+        if stepper != "magnus4" or samples[0] is samples[1]:
+            return step_matrix(samples, h, stepper, i)
+        a1, a2 = samples
+        commutator = a2 @ a1 - a1 @ a2
+        return evolution.expm(0.5 * h * (a1 + a2)
+                              + sign * (math.sqrt(3.0) / 12.0) * h * h * commutator)
+
+    return faulty
+
+
+@pytest.mark.parametrize("sign", [-1.0, 0.0], ids=["flipped", "dropped"])
+def test_magnus4_order_window_fails_without_its_commutator(monkeypatch, sign):
+    reports = campaigns.suite_evolution(42)
+    assert len(reports) == 8 and all(r.passed for r in reports)
+    monkeypatch.setattr(evolution, "_step_matrix", _magnus4_commutator_scaled(sign))
+    failed = [r.case for r in campaigns.suite_evolution(42) if not r.passed]
+    assert failed == ["magnus4_order_window"]
+
+
+def test_evolution_suite_steps_every_stepper_through_time(monkeypatch):
+    # A stepper that no check steps on samples that differ is offered but
+    # never graded: a constant generator's identical samples hide its
+    # time-dependent terms.
+    steppers = set()
+    step_matrix = evolution._step_matrix
+
+    def recording(samples, h, stepper, i):
+        if any(x is not samples[0] for x in samples):
+            steppers.add(stepper)
+        return step_matrix(samples, h, stepper, i)
+
+    monkeypatch.setattr(evolution, "_step_matrix", recording)
+    assert all(r.passed for r in campaigns.suite_evolution(42))
+    assert steppers == set(evolution.NODES)
+
+
 def test_order_law_takes_each_exact_logarithm_once(monkeypatch):
     calls = []
     exact = bch.log_product
@@ -114,8 +155,8 @@ def test_campaign_pass_norm_1_count(norm_1_calls):
 
 def test_campaign_pass_eval_and_matrix_power_count(eval_calls, matrix_power_calls):
     # a constant generator is powered from its matrix without sampling, and
-    # so is a modulated one under a Magnus stepper (unitary_norm_proxy's 256
-    # magnus2 steps: one power instead of 256 evaluations); any other is
+    # so is a modulated one under magnus4 (unitary_norm_proxy's 256 magnus4
+    # steps: one power instead of 512 evaluations); any other is
     # stepped without a matrix power.  When propagate sampled every step and
     # powered each run of identical samples, one pass made 14,775
     # evaluations and 2,862 matrix powers; with modulated generators stepped,

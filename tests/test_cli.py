@@ -400,7 +400,9 @@ def test_help_exits_0(capsys):
     ("verify", {"sweep_dims": [8, 257], "suites": ["sweep"]}),
     # the recovery's FD window [t - 5e-3, t + 5e-3] starts before s
     ("sweep", {**SWEEP_CONFIG, "t": 0.004, "s": 0.0}),
-], ids=["sweep", "verify", "sweep-fd-window-before-s"])
+    # the generator is defined from time 0 on
+    ("sweep", {**SWEEP_CONFIG, "s": -1.0}),
+], ids=["sweep", "verify", "sweep-fd-window-before-s", "sweep-negative-s"])
 def test_grid_size_above_256_builds_no_member(tmp_path, monkeypatch, verb, payload):
     built = []
     stencil = unbounded.diffusion_matrix

@@ -128,7 +128,6 @@ def test_stepper_order_ratios():
         return norm_1(u1 - u2) / norm_1(u2 - u4)
 
     assert 11.0 <= ratio("rk4") <= 22.0
-    assert 3.0 <= ratio("magnus2") <= 5.5
     # A(t) does not commute with A(t'), so magnus4's commutator term and its
     # sign decide its order; without either it falls to second order.
     assert 11.0 <= ratio("magnus4") <= 22.0
@@ -149,7 +148,7 @@ def test_growth_bound_cases():
 
 def test_magnus_preserves_unitary_norm():
     g = DiscretizedFamily("advection_tdep", (16,)).member(16)
-    u = propagate(g, 0.5, 0.0, 256, "magnus2")
+    u = propagate(g, 0.5, 0.0, 256, "magnus4")
     assert norm_1(u) <= np.sqrt(16) * (1.0 + 1e-6)
 
 
@@ -200,7 +199,7 @@ def test_march_segments_step_rule():
         march_segments(0.5, [0.25, 0.75], 10)
 
 
-@pytest.mark.parametrize("stepper", ["rk4", "magnus2", "magnus4"])
+@pytest.mark.parametrize("stepper", ["rk4", "magnus4"])
 def test_march_composes_its_segment_propagations(stepper):
     rng = np.random.default_rng(9)
     base, drift = rand_c(rng, 3, 1.0), rand_c(rng, 3, 1.0)
@@ -243,12 +242,17 @@ def _count_expm(monkeypatch):
     return calls
 
 
-def _magnus2_reference(g, t, s, steps):
-    """magnus2 with a fresh expm(h A(midpoint)) at every step."""
+def _magnus4_reference(g, t, s, steps):
+    """magnus4 with a fresh expm(Omega) at every step, Omega from the
+    samples at the two Gauss-Legendre nodes."""
     h = (t - s) / steps
+    c1, c2 = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
     u = np.eye(g.dim, dtype=np.complex128)
     for k in range(steps):
-        u = expm(h * g.eval(s + k * h + 0.5 * h)) @ u
+        tau = s + k * h
+        a1, a2 = g.eval(tau + c1 * h), g.eval(tau + c2 * h)
+        omega = 0.5 * h * (a1 + a2) + (math.sqrt(3.0) / 12.0) * h * h * (a2 @ a1 - a1 @ a2)
+        u = expm(omega) @ u
     return u
 
 
@@ -271,19 +275,6 @@ def _relative_error(u, ref):
     return norm_1(u - ref) / norm_1(ref)
 
 
-def test_magnus2_reuses_step_exponential_for_constant_generators(monkeypatch):
-    # One expm per constant generator, then powered, so the result
-    # agrees with the step-by-step product up to rounding, not bitwise.
-    rng = np.random.default_rng(8)
-    calls = _count_expm(monkeypatch)
-    for g, steps in ((GeneratorSpec.constant(rand_c(rng, 4, 3.0)), 37),
-                     (DiscretizedFamily("diffusion", (16,)).member(16), 64)):
-        calls.clear()
-        u = propagate(g, 0.9, 0.1, steps, "magnus2")
-        assert len(calls) == 1
-        assert _relative_error(u, _magnus2_reference(g, 0.9, 0.1, steps)) <= 1e-13
-
-
 def _same_array_generator(a, b):
     return GeneratorSpec(3, math.inf, lambda t: a)
 
@@ -296,7 +287,7 @@ def _bitwise_equal_table(a, b):
     return g
 
 
-@pytest.mark.parametrize("stepper", ["rk4", "magnus2"])
+@pytest.mark.parametrize("stepper", ["rk4", "magnus4"])
 @pytest.mark.parametrize("build", [_same_array_generator, _bitwise_equal_table],
                          ids=["same-array", "bitwise-equal-table"])
 def test_generator_not_built_by_constant_is_stepped(monkeypatch, eval_calls, build, stepper):
@@ -310,16 +301,29 @@ def test_generator_not_built_by_constant_is_stepped(monkeypatch, eval_calls, bui
     eval_calls.clear()
     calls = _count_expm(monkeypatch)
     u = propagate(g, 1.0, 0.0, steps, stepper)
-    if stepper == "magnus2":
-        assert len(eval_calls) == len(calls) == steps
-        reference = _magnus2_reference(g, 1.0, 0.0, steps)
+    if stepper == "magnus4":
+        assert len(eval_calls) == 2 * steps and len(calls) == steps
+        reference = _magnus4_reference(g, 1.0, 0.0, steps)
     else:
         assert len(eval_calls) == 3 * steps and not calls
         reference = _rk4_reference(g, 1.0, 0.0, steps)
     assert _relative_error(u, reference) <= 1e-13
 
 
-@pytest.mark.parametrize("stepper", ["rk4", "magnus2", "magnus4"])
+def test_magnus4_reuses_step_exponential_for_constant_generators(monkeypatch):
+    # One expm per constant generator, then powered, so the result
+    # agrees with the step-by-step product up to rounding, not bitwise.
+    rng = np.random.default_rng(8)
+    calls = _count_expm(monkeypatch)
+    for g, steps in ((GeneratorSpec.constant(rand_c(rng, 4, 3.0)), 37),
+                     (DiscretizedFamily("diffusion", (16,)).member(16), 64)):
+        calls.clear()
+        u = propagate(g, 0.9, 0.1, steps, "magnus4")
+        assert len(calls) == 1
+        assert _relative_error(u, _magnus4_reference(g, 0.9, 0.1, steps)) <= 1e-13
+
+
+@pytest.mark.parametrize("stepper", ["rk4", "magnus4"])
 def test_constant_generator_is_one_powered_step_matrix(monkeypatch, eval_calls, stepper):
     import shiftlog.evolution as evolution
     a = rand_c(np.random.default_rng(12), 4, 3.0)
@@ -342,18 +346,17 @@ def _stepped(g):
     return GeneratorSpec(g.dim, g.T, g.func)
 
 
-def test_magnus2_time_dependent_generator_takes_expm_every_step(monkeypatch):
+def test_magnus4_time_dependent_generator_takes_expm_every_step(monkeypatch, eval_calls):
     g = _stepped(DiscretizedFamily("advection_tdep", (16,)).member(16))
     assert g.matrix is None
     calls = _count_expm(monkeypatch)
-    # The modulation 1 + sin(2 pi t)/2 is strictly increasing on [0, 0.2], so
-    # no two midpoint samples coincide.
-    u = propagate(g, 0.2, 0.0, 40, "magnus2")
-    assert len(calls) == 40
-    assert np.array_equal(u, _magnus2_reference(g, 0.2, 0.0, 40))
+    # every sample is a new array, so each step takes its own exponential
+    u = propagate(g, 0.2, 0.0, 40, "magnus4")
+    assert len(calls) == 40 and len(eval_calls) == 80
+    assert np.array_equal(u, _magnus4_reference(g, 0.2, 0.0, 40))
 
 
-@pytest.mark.parametrize("stepper", ["magnus2", "magnus4"])
+@pytest.mark.parametrize("stepper", ["magnus4"])
 def test_modulated_generator_is_one_powered_step_matrix(monkeypatch, eval_calls, stepper):
     # f(tau) A0 commutes with itself, so the Magnus march is one step matrix
     # expm(hbar A0) powered, hbar = h times the mean of f at every node.
@@ -386,9 +389,8 @@ def test_modulated_march_whose_total_exponent_exceeds_the_expm_limit():
     # ||(t - s) fbar A0||_1 = 1.66e4 > EXPM_NORM_LIMIT, but every step's
     # exponent is <= 1/2, so the powered march propagates as a stepped one
     # would.  A0 generates rotations: U = expm(w A0) turns by w * 1e4, and
-    # the march by w_h * 1e4, w_h the stepper's quadrature of w.  The
-    # midpoint rule is off by at most t h^2 max|f''| / 24 (max|f''| = 2 pi^2),
-    # the two-node Gauss rule by t h^4 max|f''''| / 4320, about 1e-22; a turn
+    # the march by w_h * 1e4, w_h magnus4's two-node Gauss quadrature of w,
+    # which is off by at most t h^4 max|f''''| / 4320, about 1e-22; a turn
     # by d moves U by at most 2 |d| in the 1-norm.
     a0 = 1e4 * np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=np.complex128)
     g = GeneratorSpec.modulated(a0, tdep_modulation)
@@ -400,11 +402,8 @@ def test_modulated_march_whose_total_exponent_exceeds_the_expm_limit():
         expm(w * a0)
     c, s = math.cos(w * 1e4), math.sin(w * 1e4)
     exact = np.array([[c, s], [-s, c]])
-    h = t / steps
-    midpoint = t * h * h * 2.0 * math.pi ** 2 / 24.0
-    for stepper, quadrature in (("magnus2", midpoint), ("magnus4", 0.0)):
-        u = propagate(g, t, 0.0, steps, stepper)
-        assert norm_1(u - exact) <= 2e4 * quadrature + 1e-9
+    u = propagate(g, t, 0.0, steps, "magnus4")
+    assert norm_1(u - exact) <= 1e-9
 
 
 # Powered against stepped.  Both compute expm(w_h A0), w_h the same node sum,
@@ -424,17 +423,16 @@ def test_modulated_march_whose_total_exponent_exceeds_the_expm_limit():
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), scale=st.floats(0.05, 1.0),
        a=st.floats(0.1, 1.0), ratio=st.floats(-0.99, 0.99),
        omega=st.floats(0.0, 20.0), phi=st.floats(0.0, 2.0 * math.pi),
-       s=st.floats(0.0, 0.99), span=st.floats(1e-3, 1.0), steps=st.integers(1, 64),
-       stepper=st.sampled_from(["magnus2", "magnus4"]))
+       s=st.floats(0.0, 0.99), span=st.floats(1e-3, 1.0), steps=st.integers(1, 64))
 def test_powered_modulated_march_matches_the_stepped_march(
-        seed, n, scale, a, ratio, omega, phi, s, span, steps, stepper):
+        seed, n, scale, a, ratio, omega, phi, s, span, steps):
     t = min(1.0, s + span)
     assume(t > s)
     b = ratio * a
     a0 = rand_c(np.random.default_rng(seed), n, scale)
     g = GeneratorSpec.modulated(a0, lambda tau: a + b * math.sin(omega * tau + phi))
-    u = propagate(g, t, s, steps, stepper)
-    ref = propagate(_stepped(g), t, s, steps, stepper)
+    u = propagate(g, t, s, steps, "magnus4")
+    ref = propagate(_stepped(g), t, s, steps, "magnus4")
     big_w = (t - s) * (a + abs(b)) * scale
     bound = 2 * steps * (2 * n + 7) * 2.0 ** -53 * math.exp(2 * big_w)
     assert _relative_error(u, ref) <= bound

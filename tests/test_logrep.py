@@ -135,7 +135,7 @@ def probe_recorder(monkeypatch):
     return asked
 
 
-@pytest.mark.parametrize("stepper", ["rk4", "magnus2"])
+@pytest.mark.parametrize("stepper", ["rk4", "magnus4"])
 def test_recovery_evaluates_the_generator_on_one_march(stepper):
     g = GeneratorSpec.modulated(np.diag([1.0, -1.0]), lambda t: 1.0 + t)
     times = []
@@ -178,7 +178,7 @@ def test_recovery_chain_is_exact_for_a_constant_generator(monkeypatch):
     g = GeneratorSpec.constant(a)
     cfg = FdConfig(h=1e-2, richardson_levels=2)
     asked = probe_recorder(monkeypatch)
-    u_at = march(g, 0.1, recovery_chain([0.6], cfg), 100, "magnus2")
+    u_at = march(g, 0.1, recovery_chain([0.6], cfg), 100, "magnus4")
     recover_generator({tau: alt_generator(u, 3.0) for tau, u in u_at.items()}, 0.6, 3.0, cfg)
     assert sorted(asked) == list(u_at) and 0.6 in asked
     for tau, u in u_at.items():
