@@ -3,7 +3,8 @@
 The exponential is scipy's Pade scaling and squaring behind a norm guard.  Two
 independent logarithm algorithms are provided on purpose.  The production
 path is inverse scaling-and-squaring after scalar centring (:func:`logm_iss`:
-Log(M) = ln(c) I + Log(M / c) before the square-root chain); resolvent contour
+Log(M) = ln(c) I + Log(M / c) before the square-root chain, then a
+Paterson-Stockmeyer series on ||X||_1 <= 1/2); resolvent contour
 quadrature (:func:`logm_contour`) is kept as a structurally unrelated oracle,
 so the two can cross-validate each other.  Both use the principal branch with
 the cut on (-inf, 0]; admissibility is decided by Gershgorin enclosure, which
@@ -33,9 +34,10 @@ from .linalg import (
 # expm rejects inputs with 1-norm above this rather than lose accuracy silently.
 EXPM_NORM_LIMIT = 1e4
 
-# logm_iss's series runs to degree m = ceil(log(SERIES_RTOL) / log(max(d, SERIES_RTOL)))
-# at d = ||X||_1 <= 1/4 after the chain: relative truncation error of Log(M / c)
-# <= 1.6 d^m / (m+1) <= SERIES_RTOL.
+# logm_iss sums the series of log(I + X) on d = ||X||_1 <= SERIES_DISC, to
+# degree m = ceil(log(SERIES_RTOL) / log(max(d, SERIES_RTOL))) <= 54: relative
+# truncation error of Log(M / c) <= 3.3 d^m / (m+1) <= SERIES_RTOL.
+SERIES_DISC = 0.5
 SERIES_RTOL = 1e-16
 
 # Rounding slack on the Varah bound that each contour resolvent must satisfy.
@@ -112,27 +114,32 @@ def logm_iss(m) -> np.ndarray:
     """Principal matrix logarithm by inverse scaling and squaring after scalar
     centring (Higham, *Functions of Matrices*, 2008, sec. 11.5).
 
-    Centring: if ||M - I||_1 > 1/4, M is divided by c = mean |m_jj|, and
-    Log(M) = ln(c) I + Log(M / c) holds exactly for real c > 0.  A spectrum
-    clustered near c, such as the shifted U + kappa I, then needs few square
-    roots or none instead of the three or four that walk c down to 1.  c > 0:
-    an admissible M never has an all-zero diagonal, since Gershgorin discs
-    centred at 0 touch the cut, the Gelfand bound about 1 needs
-    rho(M - I) < 1 while tr M = 0 puts an eigenvalue at Re lam <= 0, and a
-    mean-diagonal centre of 0 is skipped.  Inputs within 1/4 of I keep c = 1:
-    dividing would round entries near 1 by a relative 1e-16, while their
-    logarithm may be as small as ||M - I||_1.
+    Centring: if ||M - I||_1 > 1/2 (``SERIES_DISC``), M is divided by
+    c = mean |m_jj|, and Log(M) = ln(c) I + Log(M / c) holds exactly for real
+    c > 0.  A spectrum clustered near c, such as the shifted U + kappa I, then
+    needs few square roots or none instead of the three or four that walk c
+    down to 1.  c > 0: an admissible M never has an all-zero diagonal, since
+    Gershgorin discs centred at 0 touch the cut, the Gelfand bound about 1
+    needs rho(M - I) < 1 while tr M = 0 puts an eigenvalue at Re lam <= 0, and
+    a mean-diagonal centre of 0 is skipped.  Inputs within 1/2 of I keep
+    c = 1: dividing would round entries near 1 by a relative 1e-16, while
+    their logarithm may be as small as ||M - I||_1.
 
     k Denman-Beavers square roots then bring M / c to d = ||M / c - I||_1
-    <= 1/4.  The series of log(I + X), X = M / c - I, is summed in Horner
-    form to degree m = ceil(log(SERIES_RTOL) / log(max(d, SERIES_RTOL)))
-    (m <= 27, and 1 for X = 0) and scaled back by 2**k.  As ||X^j||_1 <= d^j,
-    the tail is at most d^(m+1) / ((m+1)(1-d)) against ||log(I + X)||_1 >=
-    5d/6: a truncation error of at most 1.6 d^m / (m+1) <= ``SERIES_RTOL``
-    relative to ||Log(M / c)||_1.  ln(c) I is added after the series, and
+    <= 1/2.  The series of log(I + X), X = M / c - I, runs to degree
+    m = ceil(log(SERIES_RTOL) / log(max(d, SERIES_RTOL))) (m <= 54, and 1 for
+    X = 0) and is scaled back by 2**k.  As ||X^j||_1 <= d^j, the tail is at
+    most d^(m+1) / ((m+1)(1-d)) against ||log(I + X)||_1 >= 2d + ln(1-d) >=
+    (2 - 2 ln 2) d: a truncation error of at most 3.3 d^m / (m+1) <=
+    ``SERIES_RTOL`` relative to ||Log(M / c)||_1 (for m <= 2, d <= 1e-8 and
+    the constant is 1 + O(d)).  ln(c) I is added after the series, and
     ||Log(M / c)||_1 <= ||Log(M)||_1 + |ln c|, so relative to ||Log(M)||_1
     the truncation error is at most
-    ``SERIES_RTOL`` (||Log(M)||_1 + |ln c|) / ||Log(M)||_1.
+    ``SERIES_RTOL`` (||Log(M)||_1 + |ln c|) / ||Log(M)||_1.  The series is
+    evaluated by Paterson and Stockmeyer (SIAM J. Comput. 2(1), 1973): with
+    s = ceil(sqrt(m)), it forms X^2 .. X^s, contracts I .. X^(s-1) with the
+    coefficients into blocks of degree below s, and runs Horner in X^s over
+    the blocks: s - 1 + floor(m / s) products, 13 at m = 54.
 
     Raises
     ------
@@ -148,23 +155,33 @@ def logm_iss(m) -> np.ndarray:
         raise BranchCutError("spectral enclosure of input touches (-inf, 0]")
     ident = eye(M.shape[0])
     c = 1.0
-    if norm_1(M - ident) > 0.25:
+    if norm_1(M - ident) > SERIES_DISC:
         c = float(np.abs(np.diagonal(M)).mean())
         M = M / c
     k = 0
     # Each square root roughly halves the distance of the spectrum from 1.
-    while (dist := norm_1(M - ident)) > 0.25:
+    while (dist := norm_1(M - ident)) > SERIES_DISC:
         if k >= 40:
             raise NoConvergenceError("square-root chain failed to approach identity")
         M = sqrtm_db(M, check=False)
         k += 1
-    x = M - ident
     degree = math.ceil(math.log(SERIES_RTOL) / math.log(max(dist, SERIES_RTOL)))
-    # log(I + X) = X T with T = sum_{j=1..degree} (-X)^(j-1) / j, innermost first.
-    t = ident / degree
-    for j in range(degree - 1, 0, -1):
-        t = ident / j - x @ t
-    log = (2.0**k) * (x @ t)
+    s = math.isqrt(degree - 1) + 1
+    # powers[j] = X^j for j = 0..s
+    powers = np.empty((s + 1, *M.shape), dtype=np.complex128)
+    powers[0] = ident
+    powers[1] = M - ident
+    for j in range(2, s + 1):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    # log(I + X) = sum_j (-1)^(j+1) X^j / j; block b holds j = b s .. b s + s - 1.
+    j = np.arange(1, degree + 1)
+    coef = np.zeros((degree // s + 1) * s)
+    coef[j] = (-1.0) ** (j + 1) / j
+    blocks = np.tensordot(coef.reshape(-1, s), powers[:s], axes=1)
+    log = blocks[-1]
+    for block in blocks[-2::-1]:
+        log = block + powers[s] @ log
+    log = (2.0**k) * log
     return log if c == 1.0 else log + math.log(c) * ident
 
 

@@ -167,10 +167,10 @@ DEFAULT_SWEEP_BUDGET = 5e9
 # with one BLAS thread: MEMBER_COST per n^3 for its matrix work, plus
 # STEP_COST per calibrated step for the samples of f that a modulated
 # member's powered march takes in Python.  Single members at t - s = 0.1
-# measured 54-98 units per n^3 (medians of 5, n = 64..256, diffusion and
+# measured 31-57 units per n^3 (medians of 7, n = 64..256, diffusion and
 # advection_tdep), so the price is a guard, not a prediction.  The samples
 # took 446-887 units per step (n = 16 and 64, 2e5 steps).
-MEMBER_COST = 65.0
+MEMBER_COST = 40.0
 STEP_COST = 600.0
 
 

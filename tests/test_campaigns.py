@@ -137,20 +137,22 @@ def test_order_law_takes_each_exact_logarithm_once(monkeypatch):
 
 
 def test_campaign_pass_solve_count(solve_calls):
-    # one LU solve per Denman-Beavers iteration; with two it was 4172, and
-    # 2105 before the logarithm centred its input
+    # one LU solve per Denman-Beavers iteration; with two it was 4172,
+    # 2105 before the logarithm centred its input, and 1077 while the series
+    # disc was 1/4
     reports = campaigns.run_suites(campaigns.SUITES, 42)
     assert all(r.passed for r in reports)
-    assert 0 < len(solve_calls) <= 1077
+    assert 0 < len(solve_calls) <= 366
 
 
 def test_campaign_pass_norm_1_count(norm_1_calls):
     # the logarithm's series runs to a degree fixed by the square-root
     # chain's last distance; measuring two norms per term it made 23,520,
-    # and 10,535 before the logarithm centred its input
+    # 10,535 before the logarithm centred its input, and 7,287 while the
+    # series disc was 1/4
     reports = campaigns.run_suites(campaigns.SUITES, 42)
     assert all(r.passed for r in reports)
-    assert 0 < len(norm_1_calls) <= 7774
+    assert 0 < len(norm_1_calls) <= 5009
 
 
 def test_campaign_pass_eval_and_matrix_power_count(eval_calls, matrix_power_calls):

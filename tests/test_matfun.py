@@ -14,6 +14,7 @@ from shiftlog.linalg import eye, gershgorin_discs, norm_1, off_branch_cut, solve
 from shiftlog.logrep import select_kappa
 from shiftlog.matfun import (
     CONTOUR_NODES,
+    SERIES_DISC,
     FdConfig,
     contour_for,
     expm,
@@ -307,8 +308,8 @@ def test_logm_forward_error_against_mpmath():
         assert norm_1(logm_contour(m) - ref) <= 1e-13 * scale, n
         assert norm_1(logm_iss(m) - ref) <= 1e-13 * scale, n
     # ||M - I||_1 <= 1/4 takes no square root: the series alone does the work,
-    # at its longest (0.2499), shortest (1e-8) and non-normal (I + 0.2 N).
-    # At n = 16 only the longest series: mpmath takes 2 s more for the others.
+    # at 0.2499, at its shortest (1e-8) and non-normal (I + 0.2 N).  At
+    # n = 16 only 0.2499: mpmath takes 2 s more for the others.
     near = [eye(n) + rand_c(rng, n, d) for n in (2, 4, 8) for d in (0.2499, 1e-3, 1e-8)]
     near.append(eye(16) + rand_c(rng, 16, 0.2499))
     for m in near + [eye(6) + 0.2 * np.diag(np.ones(5), 1)]:
@@ -329,9 +330,47 @@ def test_logm_iss_centred_against_mpmath():
             cases.append(u + select_kappa([u]) * eye(n))
     cases += [np.diag([1e-3, 1.0, 1e3]), np.diag([0.01, 100.0]) + np.diag([1e-5], 1)]
     for m in cases:
-        assert norm_1(m - eye(len(m))) > 0.25
+        assert norm_1(m - eye(len(m))) > SERIES_DISC
         ref = _mpmath_reference(mpmath.logm, m)
         assert norm_1(logm_iss(m) - ref) <= 1e-13 * norm_1(ref), m.shape
+
+
+def test_logm_iss_series_disc_against_mpmath(sqrtm_db_calls):
+    # ||X||_1 up to 1/2 is the series' alone: no square root, at degree up to
+    # 54 on normal and on upper-triangular (non-normal) X.  Chaining a root
+    # below 1/4 first read up to 5.9e-15 here.
+    rng = np.random.default_rng(25)
+    cases = []
+    for n in (2, 4, 8):
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q = np.linalg.qr(z)[0]
+        normal = q @ np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n)) @ q.conj().T
+        upper = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        for x in (normal, upper):
+            cases += [eye(n) + x * (d / norm_1(x)) for d in (0.3, 0.4, 0.45, SERIES_DISC)]
+    for m in cases:
+        ref = _mpmath_reference(mpmath.logm, m)
+        assert norm_1(logm_iss(m) - ref) <= 1e-13 * norm_1(ref), (m.shape, norm_1(m - eye(len(m))))
+    assert len(sqrtm_db_calls) == 0
+
+
+def test_logm_iss_centring_adds_no_root(sqrtm_db_calls):
+    # Shaped like the seed-42 campaign inputs on which the centring once cost
+    # a root: the diagonal near 1 (in [0.86, 1.10]) and off-diagonal mass
+    # putting ||M - I||_1 in (1/4, 1/2].  Centred by mean |m_jj| and chained
+    # to 1/4, they took one root; within the series disc they take none.
+    rng = np.random.default_rng(19)
+    cases = [np.array([[0.86, 0.35], [0.13, 1.10]]), np.array([[1.10, 0.02], [0.38, 0.86]])]
+    for n, spread, dist in ((4, 0.12, 0.3), (8, 0.06, 0.45), (8, 0.12, 0.49)):
+        off = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        np.fill_diagonal(off, 0.0)
+        diag = np.diag(1.0 + rng.uniform(-spread, spread, n))
+        cases.append(diag + off * ((dist - norm_1(diag - eye(n))) / norm_1(off)))
+    for m in cases:
+        assert 0.25 < norm_1(m - eye(len(m))) <= SERIES_DISC
+        ref = logm_contour(m)
+        assert norm_1(logm_iss(m) - ref) <= 1e-12 * norm_1(ref), m.shape
+    assert len(sqrtm_db_calls) == 0
 
 
 def test_logm_iss_scale_equivariance():
