@@ -8,7 +8,8 @@ class ShiftlogError(Exception):
 
 
 class SingularMatrixError(ShiftlogError, np.linalg.LinAlgError):
-    """A pivot fell below the singularity threshold during a linear solve."""
+    """A linear solve met a matrix whose reciprocal condition number is below
+    the singularity threshold."""
 
 
 class NoConvergenceError(ShiftlogError):

@@ -2,25 +2,21 @@
 
 Everything downstream (matrix functions, propagation, the shifted-log
 machinery) goes through the handful of primitives here: validated square
-complex matrices, an LU solve with an explicit singularity threshold (LAPACK
-``zgetrf``/``zgetrs`` called directly), the induced 1-norm, and Gershgorin
-disc families.  All functions are pure and operate on plain ``numpy`` arrays
-of dtype complex128.
+complex matrices, a solve (``numpy.linalg.solve``, LAPACK's LU with partial
+pivoting) that rejects matrices whose reciprocal 1-norm condition number
+falls below an explicit threshold, the induced 1-norm, and Gershgorin disc
+families.  All functions are pure and operate on plain ``numpy`` arrays of
+dtype complex128.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import SingularMatrixError
 
-# Pivot magnitudes below PIVOT_RTOL * ||A||_1 are treated as singular.
-PIVOT_RTOL = 1e-14
-
-# The complex128 LU factor and solve, fetched once: scipy's lu_factor/lu_solve
-# wrap the same two routines with per-call dispatch and checks.
-_GETRF, _GETRS = get_lapack_funcs(("getrf", "getrs"), (np.empty((1, 1), np.complex128),))
+# Matrices with 1 / (||A||_1 ||A^-1||_1) below RCOND_MIN are treated as singular.
+RCOND_MIN = 1e-14
 
 
 def as_matrix(a) -> np.ndarray:
@@ -46,13 +42,18 @@ def norm_1(a) -> float:
 
 
 def solve(a, b) -> np.ndarray:
-    """Solve A X = B by LU with partial pivoting (LAPACK ``zgetrf``, then
-    ``zgetrs``); the result equals scipy's ``lu_solve(lu_factor(A), B)``.
+    """Solve A X = B by LU with partial pivoting (``numpy.linalg.solve``:
+    LAPACK ``zgesv``, that is ``zgetrf`` then ``zgetrs``).
+
+    The guard is the reciprocal condition number 1 / (||A||_1 ||A^-1||_1).
+    For B = I, A^-1 is X itself; any other B costs one more factorisation
+    (``numpy.linalg.inv``).
 
     Raises
     ------
     SingularMatrixError
-        If any pivot magnitude falls below ``PIVOT_RTOL * norm_1(A)``.
+        If the reciprocal condition number falls below ``RCOND_MIN``; an
+        exactly zero pivot reads as 0.
     """
     A = as_matrix(a)
     B = np.asarray(b, dtype=np.complex128)
@@ -61,14 +62,17 @@ def solve(a, b) -> np.ndarray:
     scale = norm_1(A)
     if scale == 0.0:
         raise SingularMatrixError("zero matrix has no inverse")
-    # getrf's info > 0 (an exactly zero pivot) is caught by the threshold below.
-    lu, piv, _ = _GETRF(A)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() < PIVOT_RTOL * scale:
+    try:
+        x = np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:  # getrf met an exactly zero pivot
+        rcond = 0.0
+    else:
+        inv = x if np.array_equal(B, eye(A.shape[0])) else np.linalg.inv(A)
+        rcond = 1.0 / (scale * norm_1(inv))
+    # An inverse with a NaN entry fails this comparison too.
+    if not rcond >= RCOND_MIN:
         raise SingularMatrixError(
-            f"pivot {pivots.min():.3e} below threshold {PIVOT_RTOL * scale:.3e}"
-        )
-    x, _ = _GETRS(lu, piv, B)
+            f"reciprocal condition {rcond:.3e} below threshold {RCOND_MIN:.0e}")
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("solve produced non-finite entries")
     return x

@@ -1,8 +1,9 @@
 """Matrix functions: exponential, principal logarithm, square root, derivatives.
 
-The exponential is scipy's Pade scaling and squaring behind a norm guard.  Two
-independent logarithm algorithms are provided on purpose.  The production
-path is inverse scaling-and-squaring after scalar centring (:func:`logm_iss`:
+The exponential is Higham's Pade scaling and squaring on a ladder of degrees
+3 to 13, in numpy, behind a norm guard.  Two independent logarithm
+algorithms are provided on purpose.  The production path is inverse
+scaling-and-squaring after scalar centring (:func:`logm_iss`:
 Log(M) = ln(c) I + Log(M / c) before the square-root chain, then a
 Paterson-Stockmeyer series on ||X||_1 <= 1/2); resolvent contour
 quadrature (:func:`logm_contour`) is kept as a structurally unrelated oracle,
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BranchCutError, ContourError, NoConvergenceError, SingularMatrixError
 from .linalg import (
@@ -33,6 +33,22 @@ from .linalg import (
 
 # expm rejects inputs with 1-norm above this rather than lose accuracy silently.
 EXPM_NORM_LIMIT = 1e4
+
+# expm's [m/m] Pade degrees m and the 1-norm bounds theta_m up to which each
+# has backward error at most 2^-53 (Higham, SIAM J. Matrix Anal. Appl. 26(4),
+# 2005, Table 2.3); tests/test_matfun.py derives them again with mpmath.
+EXPM_THETA = {
+    3: 1.495585217958292e-2,
+    5: 2.539398330063230e-1,
+    7: 9.504178996162932e-1,
+    9: 2.097847961257068e0,
+    13: 5.371920351148152e0,
+}
+
+# Coefficients of the numerator p_m(x) = sum_j b_j x^j of the [m/m] Pade
+# approximant of e^x, b_j = (2m - j)! / (j! (m - j)!); the denominator is p_m(-x).
+_PADE = {m: [float(math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j)))
+             for j in range(m + 1)] for m in EXPM_THETA}
 
 # logm_iss sums the series of log(I + X) on d = ||X||_1 <= SERIES_DISC, to
 # degree m = ceil(log(SERIES_RTOL) / log(max(d, SERIES_RTOL))) <= 54: relative
@@ -49,8 +65,15 @@ CONTOUR_NODES = 64
 
 
 def expm(a) -> np.ndarray:
-    """Matrix exponential: ``scipy.linalg.expm``, the Pade scaling-and-squaring
-    algorithm of Al-Mohy and Higham (SIAM J. Matrix Anal. Appl., 2009).
+    """Matrix exponential by Pade scaling and squaring (Higham, SIAM J. Matrix
+    Anal. Appl. 26(4), 2005, Algorithm 2.3).
+
+    With d = ||A||_1, the [m/m] Pade approximant r_m = p_m / q_m of e^x is
+    taken at the lowest degree m in 3, 5, 7, 9 with d <= theta_m
+    (``EXPM_THETA``).  Above theta_9 it is r_13(A / 2^s), squared s times,
+    with s = max(0, ceil(log2(d / theta_13))).  p_m(A) = V + U and
+    q_m(A) = V - U with U odd and V even in A, and the quotient is one LU
+    solve; ``d``, the guard's norm, is the only norm taken.
 
     Raises
     ------
@@ -63,7 +86,37 @@ def expm(a) -> np.ndarray:
         raise OverflowError(
             f"norm_1 = {scale:.3e} exceeds expm limit {EXPM_NORM_LIMIT:.0e}"
         )
-    return scipy.linalg.expm(A)
+    ident = eye(A.shape[0])
+    squarings = 0
+    for m, theta in EXPM_THETA.items():
+        if scale <= theta:
+            break
+    else:
+        squarings = math.ceil(math.log2(scale / theta))
+        A = A * 2.0**-squarings
+    b = _PADE[m]
+    a2 = A @ A
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = A @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    else:
+        # Even powers I, A^2, .., A^(m-1); U = A sum b_(2j+1) A^2j, V = sum b_2j A^2j.
+        power = a2
+        u = b[1] * ident + b[3] * a2
+        v = b[0] * ident + b[2] * a2
+        for j in range(4, m, 2):
+            power = power @ a2
+            u = u + b[j + 1] * power
+            v = v + b[j] * power
+        u = A @ u
+    x = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        x = x @ x
+    return x
 
 
 def sqrtm_db(m, check: bool = True) -> np.ndarray:
@@ -75,7 +128,7 @@ def sqrtm_db(m, check: bool = True) -> np.ndarray:
         P_{k+1} = 1/2 (I + 1/2 (P_k + P_k^-1)),
 
     so Y_k -> M^(1/2) and P_k -> I.  Each iteration takes one inverse, by the
-    pivot-guarded :func:`linalg.solve`, where the pair form takes two.
+    condition-guarded :func:`linalg.solve`, where the pair form takes two.
 
     Parameters
     ----------
@@ -155,16 +208,19 @@ def logm_iss(m) -> np.ndarray:
         raise BranchCutError("spectral enclosure of input touches (-inf, 0]")
     ident = eye(M.shape[0])
     c = 1.0
-    if norm_1(M - ident) > SERIES_DISC:
+    dist = norm_1(M - ident)
+    if dist > SERIES_DISC:
         c = float(np.abs(np.diagonal(M)).mean())
         M = M / c
+        dist = norm_1(M - ident)
     k = 0
     # Each square root roughly halves the distance of the spectrum from 1.
-    while (dist := norm_1(M - ident)) > SERIES_DISC:
+    while dist > SERIES_DISC:
         if k >= 40:
             raise NoConvergenceError("square-root chain failed to approach identity")
         M = sqrtm_db(M, check=False)
         k += 1
+        dist = norm_1(M - ident)
     degree = math.ceil(math.log(SERIES_RTOL) / math.log(max(dist, SERIES_RTOL)))
     s = math.isqrt(degree - 1) + 1
     # powers[j] = X^j for j = 0..s

@@ -8,7 +8,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from shiftlog.errors import SingularMatrixError
 from shiftlog.linalg import (
-    PIVOT_RTOL,
+    RCOND_MIN,
     as_matrix,
     gershgorin_discs,
     matrix_from_json,
@@ -62,13 +62,27 @@ def test_solve_rejects_singular():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a zero pivot raises, and nothing warns
         for a in (np.array([[1.0, 1.0], [1.0, 1.0]]),  # exactly zero pivot
-                  np.diag([1.0, 0.9 * PIVOT_RTOL])):   # just under PIVOT_RTOL * ||A||_1
-            with pytest.raises(SingularMatrixError, match="pivot"):
+                  np.diag([1.0, 0.9 * RCOND_MIN])):   # condition just under RCOND_MIN
+            with pytest.raises(SingularMatrixError, match="reciprocal condition"):
                 solve(a, np.eye(2))
         with pytest.raises(SingularMatrixError):
             solve(np.zeros((2, 2)), np.eye(2))
-        x = solve(np.diag([1.0, 1.1 * PIVOT_RTOL]), np.eye(2))  # just over
-    np.testing.assert_allclose(x, np.diag([1.0, 1.0 / (1.1 * PIVOT_RTOL)]))
+        x = solve(np.diag([1.0, 1.1 * RCOND_MIN]), np.eye(2))  # just over
+    np.testing.assert_allclose(x, np.diag([1.0, 1.0 / (1.1 * RCOND_MIN)]))
+
+
+def test_solve_rejects_a_perturbed_rank_one_matrix():
+    # not diagonal: the condition, not a diagonal entry, decides; the inverse
+    # that a general right-hand side needs is computed for the guard
+    rng = np.random.default_rng(29)
+    u, v = rand_c(rng, 4, 1.0)[:, :2].T
+    near = np.outer(u, v) + 1e-16 * rand_c(rng, 4, 1.0)
+    well = rand_c(rng, 4, 1.0) + 2.0 * np.eye(4)
+    for b in (np.eye(4), rand_c(rng, 4, 1.0)[:, :2]):
+        with pytest.raises(SingularMatrixError, match="reciprocal condition"):
+            solve(near, b)
+        x = solve(well, b)
+        assert norm_1(well @ x - b) <= 1e-14 * norm_1(b)
 
 
 def test_solve_equals_scipy_lu_bit_for_bit():

@@ -14,6 +14,7 @@ from shiftlog.linalg import eye, gershgorin_discs, norm_1, off_branch_cut, solve
 from shiftlog.logrep import select_kappa
 from shiftlog.matfun import (
     CONTOUR_NODES,
+    EXPM_THETA,
     SERIES_DISC,
     FdConfig,
     contour_for,
@@ -79,6 +80,49 @@ def test_expm_forward_error_against_mpmath():
             a = rand_c(rng, n, norm)
             ref = _mpmath_reference(mpmath.expm, a)
             assert norm_1(expm(a) - ref) <= 1e-14 * norm_1(ref), (n, norm)
+
+
+def test_expm_every_ladder_step_against_mpmath():
+    # one input per Pade degree 3, 5, 7, 9, then [13/13] with 0, 1 and 4 squarings
+    norms = (0.01, 0.2, 0.9, 2.0, 5.0, 50.0)
+    thetas = list(EXPM_THETA.values())
+    assert [sum(norm > theta for theta in thetas) for norm in norms] == [0, 1, 2, 3, 4, 5]
+    rng = np.random.default_rng(41)
+    for n in (2, 4, 8):
+        # non-normal: a real diagonal in [-1, 1] under an upper triangle of norm 40..130
+        tri = np.triu(rand_c(rng, n), 1)
+        tri = tri * (rng.uniform(40.0, 130.0) / norm_1(tri)) + np.diag(rng.uniform(-1.0, 1.0, n))
+        for a in [rand_c(rng, n, norm) for norm in norms] + [tri]:
+            ref = _mpmath_reference(mpmath.expm, a)
+            assert norm_1(expm(a) - ref) <= 1e-13 * norm_1(ref), (n, norm_1(a))
+
+
+def _pade_theta(m: int, terms: int = 160) -> float:
+    """theta_m of Higham (2005): the root of sum_{k > 2m} |c_k| theta^(k-1)
+    = 2^-53, where c_k are the Taylor coefficients of h(x) = log(e^-x r_m(x))
+    and r_m is the [m/m] Pade approximant of e^x; mpmath, 40 digits."""
+    with mpmath.workdps(40):
+        p = [mpmath.factorial(2 * m - j) / (mpmath.factorial(j) * mpmath.factorial(m - j))
+             for j in range(m + 1)]
+        q = [(-1) ** j * pj for j, pj in enumerate(p)]
+        r = []  # r_m = p / q as a power series: sum_j q_j r_(k-j) = p_k
+        for k in range(terms):
+            rk = (p[k] if k <= m else 0) - mpmath.fsum(q[j] * r[k - j]
+                                                       for j in range(1, min(k, m) + 1))
+            r.append(rk / q[0])
+        g = [mpmath.fsum((-1) ** j / mpmath.factorial(j) * r[k - j] for j in range(k + 1))
+             for k in range(terms)]  # e^-x r_m(x), g_0 = 1
+        c = [mpmath.mpf(0)] * terms  # log g by k c_k = k g_k - sum_j j c_j g_(k-j)
+        for k in range(1, terms):
+            c[k] = g[k] - mpmath.fsum(j * c[j] * g[k - j] for j in range(1, k)) / k
+        tail = [(k - 1, abs(c[k])) for k in range(2 * m + 1, terms)]
+        bound = lambda t: mpmath.fsum(ck * t**j for j, ck in tail) - mpmath.mpf(2) ** -53
+        return float(mpmath.findroot(bound, (mpmath.mpf(0), mpmath.mpf(8)), solver="bisect"))
+
+
+@pytest.mark.parametrize("m", sorted(EXPM_THETA))
+def test_expm_theta_derived_from_the_backward_error_series(m):
+    assert _pade_theta(m) == pytest.approx(EXPM_THETA[m], rel=1e-12)
 
 
 # --- sqrtm ---
