@@ -6,7 +6,7 @@ sampled (linear interpolation between tabulated matrices, up to the last).
 :func:`propagate` integrates dU/dt = A(t) U, U(s, s) = I with fixed-step RK4
 or the fourth-order Gauss-Legendre Magnus step, and returns the matrix
 U(t, s): a constant generator's one step matrix is powered, and so is a
-scalar-modulated generator's under the Magnus stepper, whose samples
+scalar-modulated generator's under the Magnus stepper, whose values
 commute; any other generator is stepped one product at a time.
 :func:`march` composes such propagations into U(tau, s) at a sorted set of
 times.
@@ -37,16 +37,16 @@ class GeneratorSpec:
 
     ``matrix`` is the one A of a family built by :meth:`constant`, the A0 of
     one built by :meth:`modulated`, and None for every other family, whatever
-    its values.  ``scale`` is the f of a :meth:`modulated` family, and None
-    for every other family.
+    its values.  ``integral`` is the (s, t) -> int_s^t f of a
+    :meth:`modulated` family, and None for every other family.
     """
 
     dim: int
     T: float
     func: Callable[[float], np.ndarray]
     matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    scale: Callable[[float], float] | None = field(default=None, init=False, repr=False,
-                                                  compare=False)
+    integral: Callable[[float, float], float] | None = field(default=None, init=False,
+                                                             repr=False, compare=False)
 
     def eval(self, t: float) -> np.ndarray:
         if not -1e-12 <= t <= self.T + 1e-12:
@@ -66,13 +66,16 @@ class GeneratorSpec:
         return g
 
     @staticmethod
-    def modulated(matrix, f: Callable[[float], float]) -> "GeneratorSpec":
+    def modulated(matrix, f: Callable[[float], float],
+                  integral: Callable[[float, float], float]) -> "GeneratorSpec":
         """A(t) = f(t) * A0 for a real scalar function f; the values A(t)
-        commute.  Records A0 as ``matrix`` and f as ``scale``."""
+        commute.  ``integral(s, t)`` is int_s^t f, written without
+        cancellation (not as F(t) - F(s)), so that it keeps its relative
+        accuracy when t - s is small against s.  Records A0 as ``matrix``."""
         A = as_matrix(matrix)
         g = GeneratorSpec(A.shape[0], math.inf, lambda t: f(t) * A)
         object.__setattr__(g, "matrix", A)
-        object.__setattr__(g, "scale", f)
+        object.__setattr__(g, "integral", integral)
         return g
 
     @staticmethod
@@ -139,11 +142,11 @@ def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
     one S, built from its ``matrix`` without sampling ``func``, and U(t, s)
     is S^steps by binary powering (about log2 steps squarings).  So has a
     :meth:`GeneratorSpec.modulated` generator f(tau) A0 under magnus4: its
-    samples commute, so step k is expm(h_k A0) with h_k = h times the mean
-    of f at the step's nodes, and the march is expm(hbar A0) powered, hbar
-    the mean of the h_k.  Only f is sampled, at the nodes of every step.
-    Any other generator, and a modulated one under rk4, whose step is a
-    polynomial in h A0, is sampled at every step and applied as U <- S_k U.
+    values commute, so U(t, s) = expm(w A0) exactly, w = int_s^t f, the
+    first Magnus term, and the march is S = expm((w / steps) A0) powered,
+    w from the generator's ``integral``; f is not sampled.  Any other
+    generator, and a modulated one under rk4, whose step is a polynomial in
+    h A0, is sampled at every step and applied as U <- S_k U.
     """
     if not 0.0 <= s <= t <= g.T + 1e-12:
         raise ValueError(f"need 0 <= s <= t <= T, got s={s}, t={t}, T={g.T}")
@@ -157,13 +160,9 @@ def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
         # overflow surfaces as PropagationError, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             nodes = NODES[stepper]
-            if g.matrix is not None and (g.scale is None or stepper != "rk4"):
-                if g.scale is not None:
-                    # f at every step's nodes, at the stepped march's times, in step order
-                    f_mean = math.fsum(g.scale((s + k * h) + c * h)
-                                       for k in range(steps) for c in nodes) / (steps * len(nodes))
-                    h *= f_mean
-                step = _step_matrix((g.matrix,) * len(nodes), h, stepper, identity)
+            if g.matrix is not None and (g.integral is None or stepper != "rk4"):
+                w = t - s if g.integral is None else g.integral(s, t)
+                step = _step_matrix((g.matrix,) * len(nodes), w / steps, stepper, identity)
                 return _check_finite(np.linalg.matrix_power(step, steps),
                                      f"{stepper} step {steps - 1}")
             for k in range(steps):

@@ -61,6 +61,12 @@ def tdep_modulation(t: float) -> float:
     return 1.0 + 0.5 * math.sin(2.0 * math.pi * t)
 
 
+def tdep_integral(s: float, t: float) -> float:
+    """int_s^t of :func:`tdep_modulation` as (t - s) + sin(pi (t + s)) sin(pi (t - s)) / (2 pi),
+    without the cancellation of F(t) - F(s) when t - s is small against s."""
+    return (t - s) + math.sin(math.pi * (t + s)) * math.sin(math.pi * (t - s)) / (2.0 * math.pi)
+
+
 def grid_potential(n: int) -> np.ndarray:
     """Bounded diagonal multiplication operator cos(2 pi x) on the same grid;
     the second leg of the BCH experiments."""
@@ -99,7 +105,7 @@ class DiscretizedFamily:
         a = advection_matrix(n, self.speed)
         if self.kind == "advection":
             return GeneratorSpec.constant(a)
-        return GeneratorSpec.modulated(a, tdep_modulation)
+        return GeneratorSpec.modulated(a, tdep_modulation, tdep_integral)
 
 
 # Amplitude at which sweep operand pairs are evaluated in the shifted-BCH
@@ -148,43 +154,29 @@ SWEEP_STEPPER = "magnus4"
 
 
 def _calibrated_steps(norm_a: float, interval: float) -> int:
-    # At least 32 steps, and h ||A(s)||_1 <= 1/2.  A constant member's march
-    # is expm(h A) powered, exact up to expm accuracy at any h.  A member
-    # A(tau) = f(tau) A0 commutes with itself, so its magnus4 march is
-    # expm(w_h A0), computed as expm(w_h A0 / steps) powered, with w_h the
-    # two-point Gauss-Legendre sum for w = int_s^t f: the step count costs
-    # only scalar samples of f, and |w_h - w| <= (t - s) h^4 max|f^(4)| /
-    # 4320.  The relative 1-norm error of U(t, s) is then at most e^d - 1 with
-    # d = ||A0||_1 |w_h - w|.  For advection_tdep (f >= 1/2, so h ||A0||_1
-    # <= 1; max|f^(4)| = 8 pi^4; h <= (t - s) / 32) that gives
-    # d <= 5.5e-6 (t - s)^4: 5.5e-10 at the sweep's t - s = 0.1.
+    # At least 32 steps, and h ||A(s)||_1 <= 1/2.  Every member's magnus4
+    # march is one step exponential powered, expm(h A) or, for A(tau) =
+    # f(tau) A0, expm((w / steps) A0) with w = int_s^t f: exact up to expm
+    # accuracy at any step count.  So the rule only keeps each step's exponent
+    # inside EXPM_NORM_LIMIT: 1/2 if constant, <= 3/2 if f is in [1/2, 3/2].
     return max(32, int(math.ceil(2.0 * norm_a * interval)))
 
 
 DEFAULT_SWEEP_BUDGET = 5e9
 
 # Price of one sweep member, in units of about 1.3 ns on a 2-vCPU Xeon VM
-# with one BLAS thread: MEMBER_COST per n^3 for its matrix work, plus
-# STEP_COST per calibrated step for the samples of f that a modulated
-# member's powered march takes in Python.  Single members at t - s = 0.1
-# measured 31-57 units per n^3 (medians of 7, n = 64..256, diffusion and
-# advection_tdep), so the price is a guard, not a prediction.  The samples
-# took 446-887 units per step (n = 16 and 64, 2e5 steps).
+# with one BLAS thread, per n^3 for its matrix work.  Single members at
+# t - s = 0.1 measured 31-57 units per n^3 (medians of 7, n = 64..256,
+# diffusion and advection_tdep), so the price is a guard, not a prediction.
 MEMBER_COST = 40.0
-STEP_COST = 600.0
 
 
-def sweep_cost(family: DiscretizedFamily, t: float, s: float) -> float:
-    """Estimated work of :func:`refinement_sweep` in the units of its budget:
-    per member, ``MEMBER_COST * n**3 + STEP_COST * steps``, with the march's
-    calibrated step count from the closed-form ``family.norm``, so no member
-    is built.  A constant member's powered march does no per-step work, so
-    its price is high past a few million steps: 8.4e6 steps alone exceed
-    :data:`DEFAULT_SWEEP_BUDGET`.
-    """
-    return sum(MEMBER_COST * n ** 3
-               + STEP_COST * _calibrated_steps(family.norm(n, s), t - s)
-               for n in family.dims)
+def sweep_cost(family: DiscretizedFamily) -> float:
+    """Estimated work of :func:`refinement_sweep` in the units of its budget,
+    ``MEMBER_COST * n**3`` per member.  A member's march is a few powered
+    step exponentials however many steps it takes, so the price depends on
+    n alone and no member is built."""
+    return sum(MEMBER_COST * n ** 3 for n in family.dims)
 
 
 def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
@@ -215,7 +207,7 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
     if chain[0] < s:
         raise ValueError(f"the generator recovery probes U(tau, s) at tau = {chain[0]}, "
                          f"before s = {s}")
-    cost = sweep_cost(family, t, s)
+    cost = sweep_cost(family)
     if cost > budget:
         raise BudgetExceededError(f"estimated work {cost:.3e} exceeds budget {budget:.3e}")
 
@@ -276,11 +268,8 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
 
 def semigroup_residual(family: DiscretizedFamily, n: int, t: float, s: float) -> float:
     """:func:`evolution.check_semigroup` of the member under :data:`SWEEP_STEPPER`
-    at the calibrated step count, split at r, the grid step nearest
-    s + 0.4 (t - s): on the grid it grades composition alone, where off it a
-    time-dependent member adds the gap between two marches' quadrature
-    errors, and at the midpoint a constant member's S^k S^k is S^2k's own
-    chain of squarings."""
+    at the calibrated step count, split at r = s + 0.4 (t - s): its legs
+    step at another h than U(t, s), where at the midpoint a constant
+    member's S^k S^k would be S^2k's own chain of squarings."""
     steps = _calibrated_steps(family.norm(n, s), t - s)
-    r = s + round(0.4 * steps) * (t - s) / steps
-    return check_semigroup(family.member(n), s, r, t, steps, SWEEP_STEPPER)
+    return check_semigroup(family.member(n), s, s + 0.4 * (t - s), t, steps, SWEEP_STEPPER)

@@ -204,7 +204,8 @@ def test_suite_logrep_propagates_each_operator_once(monkeypatch):
 
 @pytest.mark.parametrize("g, probes", [
     (GeneratorSpec.constant(np.array([[0.0, 1.0], [-1.0, 0.0]])), (0.3, 0.5, 0.7)),
-    (GeneratorSpec.modulated(np.diag([1.0, -1.0]), lambda t: 1.0 + t), (0.2, 0.3, 0.4)),
+    (GeneratorSpec.modulated(np.diag([1.0, -1.0]), campaigns._ramp, campaigns._ramp_integral),
+     (0.2, 0.3, 0.4)),
 ])
 def test_recovery_case_marches_once_across_its_probes(g, probes):
     times = []

@@ -19,7 +19,8 @@ from shiftlog.evolution import (
 )
 from shiftlog.linalg import norm_1
 from shiftlog.matfun import EXPM_NORM_LIMIT, expm
-from shiftlog.unbounded import DiscretizedFamily, tdep_modulation
+from shiftlog.campaigns import _ramp, _ramp_integral
+from shiftlog.unbounded import DiscretizedFamily, tdep_integral, tdep_modulation
 
 
 def rand_c(rng, n, scale=1.0):
@@ -49,7 +50,7 @@ def test_commuting_family_quadrature_oracle():
     # U(t, 0) = expm(int_0^t f) A0); the weight comes from scalar quadrature.
     rng = np.random.default_rng(2)
     a0 = rand_c(rng, 3, 1.0)
-    g = GeneratorSpec.modulated(a0, lambda t: 1.0 + 0.5 * math.sin(2.0 * math.pi * t))
+    g = GeneratorSpec.modulated(a0, tdep_modulation, tdep_integral)
     weight, _ = scipy.integrate.quad(
         lambda t: 1.0 + 0.5 * np.sin(2.0 * np.pi * t), 0.0, 0.7,
         epsabs=1e-13, epsrel=1e-13)
@@ -108,7 +109,7 @@ def test_march_segments_split_on_the_step_grid_exactly():
         r, t = s + k * length / steps, s + length
         segments = march_segments(s, (r, t), steps / length)
         assert [n for _, _, n in segments] == [k, steps - k], (steps, k, s, length)
-    # splits at k = round(0.4 steps) of calibrated sweep step counts, t = 0.1
+    # splits at k = round(0.4 steps) of step counts the sweep calibrates, t = 0.1
     for steps, legs in ((32, [13, 19]), (52, [21, 31]), (525, [210, 315]),
                         (33, [13, 20]), (103, [41, 62]), (132, [53, 79])):
         r = round(0.4 * steps) * 0.1 / steps
@@ -169,7 +170,7 @@ def test_closed_forms_are_defined_for_every_time():
     a = rand_c(np.random.default_rng(4), 3, 1.0)
     u = propagate(GeneratorSpec.constant(a), 2.0, 0.0, 512)
     assert norm_1(u - expm(2.0 * a)) <= 1e-10
-    g = GeneratorSpec.modulated(a, lambda t: 1.0 + t)
+    g = GeneratorSpec.modulated(a, _ramp, _ramp_integral)
     assert np.array_equal(g.eval(5.0), 6.0 * a)
 
 
@@ -359,10 +360,10 @@ def test_magnus4_time_dependent_generator_takes_expm_every_step(monkeypatch, eva
 @pytest.mark.parametrize("stepper", ["magnus4"])
 def test_modulated_generator_is_one_powered_step_matrix(monkeypatch, eval_calls, stepper):
     # f(tau) A0 commutes with itself, so the Magnus march is one step matrix
-    # expm(hbar A0) powered, hbar = h times the mean of f at every node.
+    # expm((w / steps) A0) powered, w the integral of f over [s, t].
     import shiftlog.evolution as evolution
     a0 = rand_c(np.random.default_rng(13), 4, 3.0)
-    g = GeneratorSpec.modulated(a0, tdep_modulation)
+    g = GeneratorSpec.modulated(a0, tdep_modulation, tdep_integral)
     built = []
     step_matrix = evolution._step_matrix
     monkeypatch.setattr(evolution, "_step_matrix",
@@ -372,13 +373,28 @@ def test_modulated_generator_is_one_powered_step_matrix(monkeypatch, eval_calls,
     u = propagate(g, 0.9, 0.1, steps, stepper)
     assert not eval_calls
     assert len(calls) == len(built) == 1
+    assert np.array_equal(built[0], expm((tdep_integral(0.1, 0.9) / steps) * a0))
     assert u.tobytes() == np.linalg.matrix_power(built[0], steps).tobytes()
-    assert _relative_error(u, propagate(_stepped(g), 0.9, 0.1, steps, stepper)) <= 1e-13
+
+
+def test_magnus4_never_samples_the_modulation():
+    # Summing f over both Gauss-Legendre nodes of every step, the powered
+    # march called f 2 steps times; it now reads the integral once.
+    calls = []
+    g = GeneratorSpec.modulated(rand_c(np.random.default_rng(15), 3, 1.0),
+                                lambda tau: calls.append(tau) or tdep_modulation(tau),
+                                tdep_integral)
+    steps = 37
+    propagate(g, 0.9, 0.1, steps, "magnus4")
+    assert calls == []
+    propagate(g, 0.9, 0.1, steps, "rk4")
+    assert len(calls) == 3 * steps
 
 
 def test_rk4_steps_a_modulated_generator(eval_calls):
     # An rk4 step is a polynomial in h A0, not an exponential: not powered.
-    g = GeneratorSpec.modulated(rand_c(np.random.default_rng(14), 3, 1.0), tdep_modulation)
+    g = GeneratorSpec.modulated(rand_c(np.random.default_rng(14), 3, 1.0), tdep_modulation,
+                                tdep_integral)
     steps = 24
     u = propagate(g, 0.8, 0.0, steps, "rk4")
     assert len(eval_calls) == 3 * steps
@@ -389,11 +405,10 @@ def test_modulated_march_whose_total_exponent_exceeds_the_expm_limit():
     # ||(t - s) fbar A0||_1 = 1.66e4 > EXPM_NORM_LIMIT, but every step's
     # exponent is <= 1/2, so the powered march propagates as a stepped one
     # would.  A0 generates rotations: U = expm(w A0) turns by w * 1e4, and
-    # the march by w_h * 1e4, w_h magnus4's two-node Gauss quadrature of w,
-    # which is off by at most t h^4 max|f''''| / 4320, about 1e-22; a turn
-    # by d moves U by at most 2 |d| in the 1-norm.
+    # the march by the same angle up to the rounding of w and of 45,000
+    # steps; a turn by d moves U by at most 2 |d| in the 1-norm.
     a0 = 1e4 * np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=np.complex128)
-    g = GeneratorSpec.modulated(a0, tdep_modulation)
+    g = GeneratorSpec.modulated(a0, tdep_modulation, tdep_integral)
     t, steps = 1.5, 45_000
     w = t + 2.0 / (4.0 * math.pi)
     assert norm_1(w * a0) > EXPM_NORM_LIMIT
@@ -406,33 +421,69 @@ def test_modulated_march_whose_total_exponent_exceeds_the_expm_limit():
     assert norm_1(u - exact) <= 1e-9
 
 
-# Powered against stepped.  Both compute expm(w_h A0), w_h the same node sum,
-# so they differ by rounding only.  Let u = 2^-53, L = ||A0||_1, F = max |f|
-# and W = (t - s) F L, which bounds the 1-norm of every partial exponent.  A
+def _sine_modulation(a, b, omega, phi):
+    """f(tau) = a + b sin(omega tau + phi) and its integral over [s, t] in
+    product form, a (t - s) + b sin(omega (t + s) / 2 + phi) (t - s)
+    sinc(omega (t - s) / 2): no difference of primitives, which loses the b
+    term's digits when omega (t - s) is small."""
+    def integral(s, t):
+        return (a * (t - s) + b * math.sin(0.5 * omega * (t + s) + phi)
+                * (t - s) * float(np.sinc(0.5 * omega * (t - s) / math.pi)))
+    return (lambda tau: a + b * math.sin(omega * tau + phi)), integral
+
+
+# Rounding of a march.  Let u = 2^-53, L = ||A0||_1, F = max |f| and
+# W = (t - s) F L, which bounds the 1-norm of every partial exponent.  A
 # computed exponential of X, ||X||_1 <= 2, is within c u e^||X|| of e^X with
 # c <= n + 4 (backward error <= u ||X|| by the Pade degree, and rounding of a
 # Pade quotient whose denominator is near I).  A product of two matrices
 # adds n u times the product of their norms.  The stepped march takes steps
-# exponentials and products; the powered one takes one exponential of a
-# weight within 3u relative of the stepped sum, and at most 2 log2(steps)
-# products, whose errors the remaining powers amplify by at most steps.
-# Either is then within steps (2n + 7) u e^W of e^(w_h A0), and since
-# ||U||_1 >= 1 / ||U^-1||_1 >= e^-W the two are within
-# 2 steps (2n + 7) u e^(2W) of each other, relatively.
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), scale=st.floats(0.05, 1.0),
-       a=st.floats(0.1, 1.0), ratio=st.floats(-0.99, 0.99),
-       omega=st.floats(0.0, 20.0), phi=st.floats(0.0, 2.0 * math.pi),
-       s=st.floats(0.0, 0.99), span=st.floats(1e-3, 1.0), steps=st.integers(1, 64))
-def test_powered_modulated_march_matches_the_stepped_march(
-        seed, n, scale, a, ratio, omega, phi, s, span, steps):
+# exponentials and products; the powered one takes one exponential and at
+# most 2 log2(steps) products, whose errors the remaining powers amplify by
+# at most steps.  Either is then within steps (2n + 7) u e^W of the
+# exponential of its exact weight, and since ||U||_1 >= 1 / ||U^-1||_1 >=
+# e^-W, two such are within 2 steps (2n + 7) u e^(2W) of each other,
+# relatively.
+MARCH_EXAMPLES = dict(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), scale=st.floats(0.05, 1.0),
+    a=st.floats(0.1, 1.0), ratio=st.floats(-0.99, 0.99),
+    omega=st.floats(0.0, 20.0), phi=st.floats(0.0, 2.0 * math.pi),
+    s=st.floats(0.0, 0.99), span=st.floats(1e-3, 1.0), steps=st.integers(1, 64))
+
+
+def _sine_march(seed, n, scale, a, ratio, omega, phi, s, span, steps):
+    """(g, t, A0, rounding bound) of a march of a sine-modulated generator."""
     t = min(1.0, s + span)
     assume(t > s)
     b = ratio * a
     a0 = rand_c(np.random.default_rng(seed), n, scale)
-    g = GeneratorSpec.modulated(a0, lambda tau: a + b * math.sin(omega * tau + phi))
+    g = GeneratorSpec.modulated(a0, *_sine_modulation(a, b, omega, phi))
+    big_w = (t - s) * (a + abs(b)) * scale
+    return g, t, a0, 2 * steps * (2 * n + 7) * 2.0 ** -53 * math.exp(2 * big_w)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(**MARCH_EXAMPLES)
+def test_powered_modulated_march_matches_the_closed_form(
+        seed, n, scale, a, ratio, omega, phi, s, span, steps):
+    # The powered march computes expm(w A0) with w the generator's integral:
+    # it differs from that closed form by rounding only.
+    g, t, a0, rounding = _sine_march(seed, n, scale, a, ratio, omega, phi, s, span, steps)
+    u = propagate(g, t, s, steps, "magnus4")
+    assert _relative_error(u, expm(g.integral(s, t) * a0)) <= rounding
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(**MARCH_EXAMPLES)
+def test_stepped_modulated_march_matches_the_powered_march(
+        seed, n, scale, a, ratio, omega, phi, s, span, steps):
+    # The stepped march computes expm(w_h A0), w_h the two-node Gauss-Legendre
+    # sum for w, |w_h - w| <= (t - s) h^4 max|f| / 4320 with max|f| =
+    # |b| omega^4.  With d = L |w_h - w|, ||e^(w_h A0) - e^(w A0)||_1 <=
+    # ||e^(w_h A0)||_1 e^d (e^d - 1); the rest is rounding.
+    g, t, a0, rounding = _sine_march(seed, n, scale, a, ratio, omega, phi, s, span, steps)
+    h = (t - s) / steps
+    d = (t - s) * h ** 4 * norm_1(a0) * abs(ratio * a) * omega ** 4 / 4320.0
     u = propagate(g, t, s, steps, "magnus4")
     ref = propagate(_stepped(g), t, s, steps, "magnus4")
-    big_w = (t - s) * (a + abs(b)) * scale
-    bound = 2 * steps * (2 * n + 7) * 2.0 ** -53 * math.exp(2 * big_w)
-    assert _relative_error(u, ref) <= bound
+    assert _relative_error(u, ref) <= math.exp(d) * math.expm1(d) + rounding

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from shiftlog import logrep
+from shiftlog.campaigns import _ramp, _ramp_integral
 from shiftlog.errors import BranchCutError
 from shiftlog.evolution import GeneratorSpec, march, propagate
 from shiftlog.linalg import norm_1, solve
@@ -106,7 +107,7 @@ def test_recover_constant_rotation():
 
 def test_recover_commuting_modulated():
     a0 = np.diag([1.0, -1.0]).astype(complex)
-    g = GeneratorSpec.modulated(a0, lambda t: 1.0 + 1.0 * t)
+    g = GeneratorSpec.modulated(a0, _ramp, _ramp_integral)
     ops = [propagate(g, t, 0.0, 256) for t in (0.2, 0.3, 0.4)]
     kappa = select_kappa(ops)
     for t in (0.2, 0.3, 0.4):
@@ -137,7 +138,7 @@ def probe_recorder(monkeypatch):
 
 @pytest.mark.parametrize("stepper", ["rk4", "magnus4"])
 def test_recovery_evaluates_the_generator_on_one_march(stepper):
-    g = GeneratorSpec.modulated(np.diag([1.0, -1.0]), lambda t: 1.0 + t)
+    g = GeneratorSpec.modulated(np.diag([1.0, -1.0]), _ramp, _ramp_integral)
     times = []
     cfg = FdConfig(h=1e-2, richardson_levels=1)
     recover(logged_generator(g, times), 0.1, 0.4, 3.0, cfg,

@@ -4,12 +4,13 @@ import importlib.util
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from shiftlog import logrep, unbounded
 from shiftlog.errors import BudgetExceededError
-from shiftlog.campaigns import DEFAULT_SWEEP_DIMS, SWEEP_HORIZON
+from shiftlog.campaigns import DEFAULT_SWEEP_DIMS, _ramp_integral
 from shiftlog.evolution import GeneratorSpec, check_semigroup, march
 from shiftlog.linalg import norm_1
 from shiftlog.logrep import alt_generator, recovery_chain, select_kappa
@@ -17,7 +18,6 @@ from shiftlog.matfun import expm
 from shiftlog.unbounded import (
     DEFAULT_SWEEP_BUDGET,
     MEMBER_COST,
-    STEP_COST,
     SWEEP_COLUMNS,
     SWEEP_STEPPER,
     _RECOVERY_FD,
@@ -29,6 +29,7 @@ from shiftlog.unbounded import (
     refinement_sweep,
     semigroup_residual,
     sweep_cost,
+    tdep_integral,
 )
 
 
@@ -59,6 +60,22 @@ def test_diffusion_negative_semidefinite():
 def test_modulation_normalized_at_zero():
     g = DiscretizedFamily("advection_tdep", (8,)).member(8)
     np.testing.assert_allclose(g.eval(0.0), advection_matrix(8, 1.0))
+
+
+@pytest.mark.parametrize("integral, f", [
+    (tdep_integral, lambda tau: 1 + mpmath.sin(2 * mpmath.pi * tau) / 2),
+    (_ramp_integral, lambda tau: 1 + tau),
+], ids=["advection_tdep", "campaign-ramp"])
+def test_modulation_integral_keeps_its_relative_accuracy(integral, f):
+    # A difference of primitives F(t) - F(s) for tdep_integral lost up to
+    # 1e-11 relative over these cases with s <= 1, and 2e-8 with s >= 100.
+    with mpmath.workdps(40):
+        for s in (0.0, 0.3, 100.0, 1000.0):
+            for span in (1e-6, 2.5e-3, 0.1, 1.0):
+                t = s + span
+                exact = mpmath.quad(f, [mpmath.mpf(s), mpmath.mpf(t)])
+                error = abs((mpmath.mpf(integral(s, t)) - exact) / exact)
+                assert error <= (1e-15 if s <= 1.0 else 1e-12), (s, span, float(error))
 
 
 def test_build_rejects_small_grids():
@@ -158,44 +175,33 @@ def _load_benchmark_workloads() -> dict:
 BENCHMARK_WORKLOADS = _load_benchmark_workloads()
 
 
-def _benchmark_sweep(workload: str) -> tuple:
-    """(family, t, s) of the refinement sweep a benchmark workload runs: the
+def _benchmark_family(workload: str) -> DiscretizedFamily:
+    """The family of the refinement sweep a benchmark workload runs: the
     ``sweep`` verb's config, or the campaign's diffusion sweep under ``verify``."""
     spec = BENCHMARK_WORKLOADS[workload]
     cfg = spec["config"]
     if spec["argv"][0] == "verify":
         dims = cfg.get("sweep_dims", DEFAULT_SWEEP_DIMS)
-        return DiscretizedFamily("diffusion", tuple(dims), viscosity=0.01), *SWEEP_HORIZON
+        return DiscretizedFamily("diffusion", tuple(dims), viscosity=0.01)
     fam = cfg["family"]
     stencil = {key: fam[key] for key in ("speed", "viscosity") if key in fam}
-    family = DiscretizedFamily(fam["kind"], tuple(fam.get("dims", DEFAULT_SWEEP_DIMS)), **stencil)
-    return family, cfg.get("t", SWEEP_HORIZON[0]), cfg.get("s", SWEEP_HORIZON[1])
+    return DiscretizedFamily(fam["kind"], tuple(fam.get("dims", DEFAULT_SWEEP_DIMS)), **stencil)
 
 
-@pytest.mark.parametrize("family, t, s", [
-    *map(_benchmark_sweep, BENCHMARK_WORKLOADS),
+@pytest.mark.parametrize("family", [
+    *map(_benchmark_family, BENCHMARK_WORKLOADS),
     # Each n = 256 member's march is five powered segments; the diffusion sweep
     # took 0.97-1.02 s and the advection_tdep one 0.84-0.86 s on a 2-vCPU Xeon
-    # VM with one BLAS thread.
-    (DiscretizedFamily("diffusion", (32, 64, 128, 256), viscosity=0.01), 0.1, 0.0),
-    (DiscretizedFamily("advection_tdep", (32, 64, 128, 256)), 0.1, 0.0),
+    # VM with one BLAS thread, at t = 0.1, s = 0.
+    DiscretizedFamily("diffusion", (32, 64, 128, 256), viscosity=0.01),
+    DiscretizedFamily("advection_tdep", (32, 64, 128, 256)),
 ], ids=[*BENCHMARK_WORKLOADS, "diffusion-to-256", "advection_tdep-to-256"])
-def test_sweep_budget_admits(family, t, s):
-    assert sweep_cost(family, t, s) <= DEFAULT_SWEEP_BUDGET
-
-
-def test_sweep_budget_rejects_modulated_steps():
-    # The powered march of f(tau) A0 samples f at both magnus4 nodes of every
-    # step in Python.  At speed 1e5 (3.2e6 steps) the n = 16 member ran
-    # 1.6-3.0 s; speed 1e7 takes 3.2e8 steps.
-    family = DiscretizedFamily("advection_tdep", (16,), speed=1e7)
-    assert sweep_cost(family, 1.0, 0.0) > DEFAULT_SWEEP_BUDGET
-    with pytest.raises(BudgetExceededError):
-        refinement_sweep(family, t=1.0, s=0.0)
+def test_sweep_budget_admits(family):
+    assert sweep_cost(family) <= DEFAULT_SWEEP_BUDGET
 
 
 def test_sweep_budget_rejects_advection_tdep_to_256():
-    # The sweep is priced at about 7.7e8, 6.7e8 of it the n = 256 member (at
+    # The sweep is priced at 7.67e8, 6.71e8 of it the n = 256 member (at
     # MEMBER_COST = 65 it was 1.25e9 against a budget of 1e9).
     family = DiscretizedFamily("advection_tdep", (32, 64, 128, 256))
     with pytest.raises(BudgetExceededError):
@@ -226,49 +232,45 @@ def test_family_norm_is_the_members_norm():
 def test_calibrated_tdep_march_matches_the_closed_form():
     # The sweep's march of U(0.1, 0).  A(tau) = (1 + sin(2 pi tau) / 2) A0
     # commutes with itself, so U = expm(w A0) with w the integral of the
-    # modulation over [0, 0.1].  magnus2 at 8 ||A|| (t - s) steps was 2.0e-6
-    # to 5.1e-6 off here.
-    family = DiscretizedFamily("advection_tdep", (16, 32, 64, 128))
+    # modulation over [0, 0.1], here from its primitive, not from the
+    # family's integral.  magnus2 at 8 ||A|| (t - s) steps was 2.0e-6 to
+    # 5.1e-6 off here, and the Gauss-Legendre node sum 4.6e-12 to 4.0e-11.
+    family = DiscretizedFamily("advection_tdep", (16, 32, 64, 128, 256))
     w = 0.1 + (1.0 - math.cos(0.2 * math.pi)) / (4.0 * math.pi)
     for n in family.dims:
         steps = _calibrated_steps(family.norm(n, 0.0), 0.1)
         u = march(family.member(n), 0.0, recovery_chain([0.1], _RECOVERY_FD), steps / 0.1,
                   SWEEP_STEPPER)[0.1]
         exact = expm(w * advection_matrix(n))
-        assert norm_1(u - exact) <= 1e-9 * norm_1(exact)
+        assert norm_1(u - exact) <= 1e-13 * norm_1(exact)
 
 
 def test_calibrated_tdep_semigroup_holds_off_the_step_grid():
-    # r = 0.4 t exactly, so the legs step at another h than U(t, s); the
-    # calibrated magnus2 march read 5.3e-5, 2.0e-5, 1.1e-6 and 7.3e-7 for
-    # n = 8, 16 (t = 0.5) and 32, 64 (t = 0.1), against the sweep's 1e-6.
+    # r = 0.4 t exactly, so the legs step at another h than U(t, s).  Each
+    # leg is the exponential of its own integral, so only rounding is left;
+    # the Gauss-Legendre node sum read 4.7e-12 to 1.7e-8 here.
     family = DiscretizedFamily("advection_tdep", (8, 16, 32, 64, 128))
     for n in family.dims:
         t = 0.5 if n <= 16 else 0.1
         steps = _calibrated_steps(family.norm(n, 0.0), t)
-        assert check_semigroup(family.member(n), 0.0, 0.4 * t, t, steps, SWEEP_STEPPER) <= 1e-6
+        assert check_semigroup(family.member(n), 0.0, 0.4 * t, t, steps, SWEEP_STEPPER) <= 1e-12
 
 
 # Measured on a 2-vCPU Xeon VM with one BLAS thread, in the budget's units of
-# 1.3 ns: one refinement_sweep member at t = 0.1, s = 0, per n^3 (medians of
-# 7), and one step of a modulated magnus4 march, (T(201000) - T(1000)) /
-# 200000 steps at n = 16 and 64 (lowest and highest of 8 timings).
+# 1.3 ns: one refinement_sweep member at t = 0.1, s = 0, per n^3 (medians of 7).
 MEASURED_MEMBER = {("diffusion", 64): 56.7, ("diffusion", 128): 39.1,
                    ("diffusion", 256): 42.0, ("advection_tdep", 64): 46.7,
                    ("advection_tdep", 128): 39.1, ("advection_tdep", 256): 31.2}
-MEASURED_STEP = (446.0, 887.0)
 
 
-def test_sweep_cost_is_member_cost_n3_plus_step_cost_per_step():
-    # 32 steps at the floor; 2 * 2621.44 * 0.1 -> 525; 2 * 1.6e6 * 1 = 3.2e6.
-    assert sweep_cost(DiscretizedFamily("advection", (64,)), 0.1, 0.0) == (
-        MEMBER_COST * 64 ** 3 + STEP_COST * 32)
-    assert sweep_cost(DiscretizedFamily("diffusion", (64, 256), viscosity=0.01), 0.1, 0.0) == (
-        MEMBER_COST * 64 ** 3 + STEP_COST * 33 + MEMBER_COST * 256 ** 3 + STEP_COST * 525)
-    assert sweep_cost(DiscretizedFamily("advection_tdep", (16,), speed=1e5), 1.0, 0.0) == (
-        MEMBER_COST * 16 ** 3 + STEP_COST * 3_200_000)
+def test_sweep_cost_is_member_cost_n3():
+    # the step count of a member's march does not enter its price
+    assert sweep_cost(DiscretizedFamily("advection", (64,))) == MEMBER_COST * 64 ** 3
+    assert sweep_cost(DiscretizedFamily("diffusion", (64, 256), viscosity=0.01)) == (
+        MEMBER_COST * 64 ** 3 + MEMBER_COST * 256 ** 3)
+    assert sweep_cost(DiscretizedFamily("advection_tdep", (16,), speed=1e5)) == (
+        MEMBER_COST * 16 ** 3)
     assert all(0.5 * m <= MEMBER_COST <= 2.0 * m for m in MEASURED_MEMBER.values())
-    assert all(0.5 * m <= STEP_COST <= 2.0 * m for m in MEASURED_STEP)
 
 
 def test_sweep_member_takes_six_logarithms(monkeypatch):
@@ -344,7 +346,8 @@ def test_sweep_kappa_comes_from_the_march():
 
 
 def test_semigroup_residual_splits_the_calibrated_steps(monkeypatch):
-    # diffusion nu = 0.01, n = 32, t = 0.1: 32 calibrated steps, split at 13
+    # diffusion nu = 0.01, n = 32, t = 0.1: 32 calibrated steps, split at
+    # r = 0.04, off the step grid: ceil(12.8) and ceil(19.2) steps
     import shiftlog.evolution as evolution
     legs = []
     inner = evolution.propagate
@@ -355,8 +358,8 @@ def test_semigroup_residual_splits_the_calibrated_steps(monkeypatch):
 
     monkeypatch.setattr(evolution, "propagate", recording)
     semigroup_residual(DiscretizedFamily("diffusion", (32,), viscosity=0.01), 32, 0.1, 0.0)
-    r = 13 * 0.1 / 32
-    assert legs == [(r, 0.0, 13), (0.1, r, 19), (0.1, 0.0, 32)]
+    r = 0.0 + 0.4 * 0.1
+    assert legs == [(r, 0.0, 13), (0.1, r, 20), (0.1, 0.0, 32)]
 
 
 def test_semigroup_residual_calibrated():
