@@ -26,10 +26,10 @@ from .linalg import (
     solve,
 )
 from .matfun import (
-    FdConfig,
     contour_for,
     expm,
     fd_derivative,
+    fd_step,
     logm_contour,
     logm_iss,
     sqrtm_db,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConvergenceRadiusError
 from .linalg import as_matrix, eye, norm_1, solve
-from .matfun import FdConfig, expm, fd_derivative, fd_probes, logm_iss
+from .matfun import expm, fd_derivative, fd_probes, fd_step, logm_iss
 
 
 def commutator(a, b) -> np.ndarray:
@@ -128,9 +128,6 @@ def kappa_shifted_bch(a1, a2, kappa) -> float:
     return norm_1(lhs - expm(exponent))
 
 
-# Central differences of step 1e-2 with one Richardson level: the
-# finite-difference rule of every second-derivative-of-logarithm check.
-VON_NEUMANN_FD = FdConfig(h=1e-2, richardson_levels=1)
 # Panels of the composite Simpson rule of :func:`log_product_expansion`.
 SIMPSON_PANELS = 16
 
@@ -139,19 +136,22 @@ def von_neumann_second_derivative(x, y) -> np.ndarray:
     """d^2/ds^2 Log(expm(X s) expm(Y s)) at s = 0 by central differences.
 
     The product series gives Log(e^{Xs} e^{Ys}) = (X+Y)s + 1/2 [X,Y] s^2
-    + O(s^3), so the value equals [X, Y] up to finite-difference error.
+    + O(s^3), so the value equals [X, Y] up to the error of the FD step
+    ``matfun.fd_step`` of ||X||_1 + ||Y||_1.
     """
-    return _second_derivative(as_matrix(x), _probe_exponentials(as_matrix(y)))
+    x, y = as_matrix(x), as_matrix(y)
+    h = fd_step(norm_1(x) + norm_1(y))
+    return _second_derivative(x, _probe_exponentials(y, h), h)
 
 
-def _probe_exponentials(y: np.ndarray) -> dict[float, np.ndarray]:
-    """e^{Ys} at the nonzero finite-difference probes s of ``VON_NEUMANN_FD``."""
-    return {s: expm(s * y) for s in fd_probes(0.0, VON_NEUMANN_FD) if s != 0.0}
+def _probe_exponentials(y: np.ndarray, h: float) -> dict[float, np.ndarray]:
+    """e^{Ys} at the nonzero finite-difference probes s of step ``h``."""
+    return {s: expm(s * y) for s in fd_probes(0.0, h) if s != 0.0}
 
 
-def _second_derivative(x: np.ndarray, exp_y: dict[float, np.ndarray]) -> np.ndarray:
-    """:func:`von_neumann_second_derivative` of X and the Y whose probe
-    exponentials :func:`_probe_exponentials` are ``exp_y``."""
+def _second_derivative(x: np.ndarray, exp_y: dict[float, np.ndarray], h: float) -> np.ndarray:
+    """:func:`von_neumann_second_derivative` at step ``h`` of X and the Y whose
+    probe exponentials :func:`_probe_exponentials` are ``exp_y``."""
     zero = np.zeros_like(x)
 
     def curve(s: float) -> np.ndarray:
@@ -160,7 +160,7 @@ def _second_derivative(x: np.ndarray, exp_y: dict[float, np.ndarray]) -> np.ndar
         # log_product(s X, s Y) with e^{Ys} read from the table
         return logm_iss(expm(s * x) @ exp_y[s])
 
-    return fd_derivative(curve, 0.0, VON_NEUMANN_FD)[1]
+    return fd_derivative(curve, 0.0, h)[1]
 
 
 def _simpson_integral(f: Callable[[float], np.ndarray], upper: float) -> np.ndarray:
@@ -190,12 +190,13 @@ def log_product_expansion(a1_family: Callable[[float], np.ndarray],
     the drift d/dsigma (a1 + a2)|_0, which is measured and reported rather
     than adjudicated away.  For constant families the drift vanishes and
     G_i(sigma) = sigma a_i up to rounding, so the second derivative is the
-    commutator up to FD error.
+    commutator up to the error of the FD step, fd_step(||a1(0)|| + ||a2(0)||).
     """
     a1_0 = as_matrix(a1_family(0.0))
     a2_0 = as_matrix(a2_family(0.0))
     zero = np.zeros_like(a1_0)
-    drift = fd_derivative(lambda s: a1_family(s) + a2_family(s), 0.0, VON_NEUMANN_FD)[0]
+    h = fd_step(norm_1(a1_0) + norm_1(a2_0))
+    drift = fd_derivative(lambda s: a1_family(s) + a2_family(s), 0.0, h)[0]
 
     def curve(sigma: float) -> np.ndarray:
         if sigma == 0.0:
@@ -203,7 +204,7 @@ def log_product_expansion(a1_family: Callable[[float], np.ndarray],
         return log_product(_simpson_integral(a1_family, sigma),
                            _simpson_integral(a2_family, sigma))
 
-    first, second = fd_derivative(curve, 0.0, VON_NEUMANN_FD)
+    first, second = fd_derivative(curve, 0.0, h)
     return ExpansionReport(norm_1(first - (a1_0 + a2_0)),
                            norm_1(second - (commutator(a1_0, a2_0) + drift)))
 
@@ -230,9 +231,10 @@ def von_neumann_rhs(rho0, h_op, hbar: float, tgrid) -> VonNeumannReport:
     non-negative.  The reported residual at time t is the hbar-free identity
     residual || [rho(t), H] - d^2_s Log(e^{rho s} e^{H s})|_0 ||_1, so a tiny
     hbar does not inflate it (the prefactor i/hbar is linear and graded on
-    its own); the probe exponentials e^{Hs} are taken once for all states.
-    Since rho(t) is a similarity transform of rho0, its trace is conserved
-    up to rounding, and the drift is reported.
+    its own).  Every state takes the step ``matfun.fd_step`` of
+    ||H||_1 + max_t ||rho(t)||_1, so the probe exponentials e^{Hs} are taken
+    once for all states.  Since rho(t) is a similarity transform of rho0, its
+    trace is conserved up to rounding, and the drift is reported.
     """
     if not 0.0 < hbar or math.isinf(1.0 / hbar):
         raise ValueError("hbar must be positive with 1/hbar finite")
@@ -252,8 +254,9 @@ def von_neumann_rhs(rho0, h_op, hbar: float, tgrid) -> VonNeumannReport:
     else:
         states = [rho for _ in ts]
     trace0 = complex(np.trace(rho))
-    exp_h = _probe_exponentials(H)
-    residuals = [float(norm_1(commutator(r, H) - _second_derivative(r, exp_h)))
+    h = fd_step(norm_1(H) + max((norm_1(r) for r in states), default=0.0))
+    exp_h = _probe_exponentials(H, h)
+    residuals = [float(norm_1(commutator(r, H) - _second_derivative(r, exp_h, h)))
                  for r in states]
     drift = max((abs(complex(np.trace(r)) - trace0) for r in states), default=0.0)
     return VonNeumannReport(tuple(ts), tuple(states), tuple(residuals), float(drift))

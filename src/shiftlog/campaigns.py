@@ -24,7 +24,7 @@ from . import logrep as logrep_mod
 from .errors import SingularMatrixError
 from .evolution import GeneratorSpec, check_growth_bound, check_semigroup, march, propagate
 from .linalg import eye, norm_1, solve
-from .matfun import FdConfig, expm, fd_derivative, logm_contour, logm_iss
+from .matfun import expm, fd_derivative, fd_step, logm_contour, logm_iss
 from .report import VerificationReport
 from .sampling import (
     nilpotent_sum_pair,
@@ -176,13 +176,12 @@ def suite_matfun(seed: int, dims=DEFAULT_DIMS, count: int = 200,
         worst = max(worst, norm_1(expm(logm_iss(m)) - m) / norm_1(m))
     rec.add("exp_log_roundtrip", "shifted-log-reexponentiation", worst)
 
-    # FD order: halving h must cut the error by at least 3.5x per level set.
+    # FD order: one Richardson level is fourth order, so halving h cuts the
+    # error ~16-fold.  At 2e-2 vs 1e-2 the rounding floor spreads it 6.3-19.1.
     a = rand_complex(rng, 3, 0.8)
-    cfg_h = FdConfig(h=2e-2, richardson_levels=0)
-    cfg_h2 = FdConfig(h=1e-2, richardson_levels=0)
-    err = lambda cfg: norm_1(fd_derivative(lambda t: expm(t * a), 0.0, cfg)[0] - a)
-    ratio = err(cfg_h) / err(cfg_h2)
-    rec.add("fd_order_ratio", "central-difference-order", _window_excess(ratio, 3.5, 6.0))
+    err = lambda h: norm_1(fd_derivative(lambda t: expm(t * a), 0.0, h)[0] - a)
+    rec.add("fd_order_ratio", "central-difference-order",
+            _window_excess(err(4e-2) / err(2e-2), 11.0, 22.0))
     return rec.reports
 
 
@@ -263,12 +262,13 @@ def _ramp_integral(s: float, t: float) -> float:
 
 
 def _recovery_case(g: GeneratorSpec, probes) -> float:
-    # One march from 0 through every FD probe gives kappa, a(tau, 0) and each recovery.
-    fd = FdConfig(h=1e-2, richardson_levels=1)
-    u_at = march(g, 0.0, logrep_mod.recovery_chain(probes, fd), 256, "rk4")
+    # One march from 0 through every FD probe, at the largest ||A(t)||_1's step.
+    exact = {t: g.eval(t) for t in probes}
+    h = fd_step(max(norm_1(a) for a in exact.values()))
+    u_at = march(g, 0.0, logrep_mod.recovery_chain(probes, h), 256, "rk4")
     kappa = logrep_mod.select_kappa([u_at[t] for t in probes])
     a_at = {tau: logrep_mod.alt_generator(u, kappa) for tau, u in u_at.items()}
-    return max(norm_1(logrep_mod.recover_generator(a_at, t, kappa, fd) - g.eval(t))
+    return max(norm_1(logrep_mod.recover_generator(a_at, t, kappa, h) - exact[t])
                for t in probes)
 
 

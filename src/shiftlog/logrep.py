@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import SingularMatrixError
 from .linalg import as_matrix, eye, norm_1, solve
-from .matfun import FdConfig, expm, fd_derivative, fd_probes, logm_iss
+from .matfun import expm, fd_derivative, fd_probes, logm_iss
 
 
 def select_kappa(family) -> complex:
@@ -39,26 +39,26 @@ def alt_generator(u, kappa) -> np.ndarray:
     return logm_iss(m + complex(kappa) * eye(m.shape[0]))
 
 
-def recovery_chain(times, cfg: FdConfig) -> list[float]:
-    """The probe times of recovering A(t) at every t of ``times`` under ``cfg``:
+def recovery_chain(times, h: float) -> list[float]:
+    """The probe times of recovering A(t) at every t of ``times`` at step ``h``:
     the union of :func:`fd_probes` over ``times``, in increasing order: the
     knots of the ``evolution.march`` from s whose U(tau, s) the recovery reads."""
-    return sorted({x for t in times for x in fd_probes(t, cfg)})
+    return sorted({x for t in times for x in fd_probes(t, h)})
 
 
 def recover_generator(a_at: dict[float, np.ndarray], t: float, kappa,
-                      cfg: FdConfig) -> np.ndarray:
+                      h: float) -> np.ndarray:
     """Recover A(t) from the surrogate family via
     A(t) = (I - kappa exp(-a(t, s)))^-1 d/dt a(t, s).
 
     ``a_at`` maps each probe time tau of :func:`recovery_chain` to
     a(tau, s) = Log(U(tau, s) + kappa*I), U off the march through them; the
-    time derivative is the first derivative of :func:`fd_derivative` over
-    those values, and a probe time that is not a key raises ``KeyError``
-    naming it.  Exact when d/dt U commutes with U (commuting families);
-    otherwise the output is a diagnostic, not the generator.
+    time derivative is :func:`fd_derivative`'s first at step ``h``, which
+    callers take from ``matfun.fd_step`` of ||A(t)||_1, and a probe time that
+    is not a key raises ``KeyError`` naming it.  Exact when d/dt U commutes
+    with U (commuting families); otherwise the output is a diagnostic.
     """
-    da = fd_derivative(a_at.__getitem__, t, cfg)[0]
+    da = fd_derivative(a_at.__getitem__, t, h)[0]
     a_ts = a_at[t]
     lhs = eye(a_ts.shape[0]) - complex(kappa) * expm(-a_ts)
     try:

@@ -15,7 +15,6 @@ is sufficient but conservative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -341,53 +340,50 @@ def logm_contour(m) -> np.ndarray:
     raise NoConvergenceError("contour quadrature not converged at 4096 nodes")
 
 
-@dataclass(frozen=True)
-class FdConfig:
-    """Central finite-difference configuration with Richardson extrapolation."""
-
-    h: float = 1e-3
-    richardson_levels: int = 1
-
-    def __post_init__(self):
-        if self.h <= 0.0:
-            raise ValueError("step h must be positive")
-        if not 0 <= self.richardson_levels <= 3:
-            raise ValueError("richardson_levels must be in 0..3")
+# The FD step times the 1-norm of the operator differentiated; see fd_step.
+FD_STEP = 0.065
 
 
-def fd_probes(t0: float, cfg: FdConfig) -> list[float]:
-    """The sample times of :func:`fd_derivative` at ``t0``: t0 and t0 +- h / 2**j
-    for j = 0..richardson_levels, in increasing order."""
-    widths = [cfg.h / 2**j for j in range(cfg.richardson_levels + 1)]
-    return sorted({t0, *(t0 + w for w in widths), *(t0 - w for w in widths)})
+def fd_step(scale: float) -> float:
+    """The step h = FD_STEP / max(scale, 1) of :func:`fd_derivative` on a curve
+    driven by an operator of 1-norm ``scale``.
+
+    x = FD_STEP = h max(scale, 1) is taken from the second derivative, the
+    more rounding-sensitive one.  With ||f^(k)|| <= scale^k m and samples accurate
+    to u m (u = 2^-53), it errs by at most scale^2 m (T(x) + R(x)): truncation
+    T = x^4 / 1440, as 4 D(h/2) - D(h) = 3 f'' - 3 h^4 f^(6) / 1440, and
+    rounding R = (64/3) u / x^2, the weights [-1, 16, -30, 16, -1] / (3 h^2)
+    summed in magnitude.  Both stay within sqrt(u) for x in [4.7e-4, 0.0624];
+    FD_STEP is its top, to the next multiple of 1/200 (T = 1.24e-8,
+    R = 5.6e-13), since R is the term the bound understates: a sample of
+    Log(e^{sX} e^{sY}) is accurate to u against I, not against its own size,
+    and [X, Y] can be of size scale, not scale^2.  The first derivative errs
+    there by x^4 / 480 + 3 u / x = 3.7e-8 in scale m.
+    """
+    return FD_STEP / max(scale, 1.0)
+
+
+def fd_probes(t0: float, h: float) -> list[float]:
+    """The sample times t0, t0 +- h / 2, t0 +- h of :func:`fd_derivative`, sorted."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step h must be positive and finite, got {h}")
+    return sorted({t0, t0 + h, t0 + h / 2, t0 - h, t0 - h / 2})
 
 
 def fd_derivative(f: Callable[[float], np.ndarray], t0: float,
-                  cfg: FdConfig) -> tuple[np.ndarray, np.ndarray]:
+                  h: float) -> tuple[np.ndarray, np.ndarray]:
     """First and second central-difference derivatives ``(first, second)`` of a
-    matrix-valued curve at ``t0``.
+    matrix-valued curve at ``t0``, each with one Richardson level.
 
-    ``f`` is called once at each time of :func:`fd_probes`, so the curve must
-    be evaluable on [t0 - h, t0 + h]; both derivatives are read off that one
-    sampling.  Each is Richardson-extrapolated ``cfg.richardson_levels``
-    times, giving error O(h^(2 + 2*levels)) on smooth curves.
+    ``f`` is called once at each time of :func:`fd_probes`, on [t0 - h, t0 + h],
+    and both are read off that one sampling.  The error of each stencil D(w)
+    has even powers of w only, so 4 D(h/2) - D(h) cancels w^2: O(h^4).
     """
-    values = {t: f(t) for t in fd_probes(t0, cfg)}
-    f0 = values[t0]
-    first, second = [], []
-    for j in range(cfg.richardson_levels + 1):
-        h = cfg.h / 2**j
-        up, down = values[t0 + h], values[t0 - h]
-        first.append((up - down) / (2.0 * h))
-        second.append((up - 2.0 * f0 + down) / (h * h))
-    return _richardson(first), _richardson(second)
-
-
-def _richardson(stencils: list) -> np.ndarray:
-    table = [np.asarray(d, dtype=np.complex128) for d in stencils]
-    # Standard Richardson triangle; the error expansion has only even powers.
-    for m in range(1, len(table)):
-        factor = 4.0**m
-        table = [(factor * table[j + 1] - table[j]) / (factor - 1.0)
-                 for j in range(len(table) - 1)]
-    return table[0]
+    values = {t: f(t) for t in fd_probes(t0, h)}
+    f0, first, second = values[t0], [], []
+    for w in (h, h / 2):
+        up, down = values[t0 + w], values[t0 - w]
+        first.append((up - down) / (2.0 * w))
+        second.append((up - 2.0 * f0 + down) / (w * w))
+    return tuple(np.asarray((4.0 * d[1] - d[0]) / 3.0, dtype=np.complex128)
+                 for d in (first, second))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BranchCutError, BudgetExceededError, NoConvergenceError, SingularMatrixError
 from .linalg import eye, norm_1
-from .matfun import FdConfig, expm
+from .matfun import expm, fd_step
 from .evolution import GeneratorSpec, check_semigroup, march
 from .logrep import alt_generator, recover_generator, recovery_chain, select_kappa
 from .bch import bch_truncated, kappa_shifted_bch
@@ -63,8 +63,11 @@ def tdep_modulation(t: float) -> float:
 
 def tdep_integral(s: float, t: float) -> float:
     """int_s^t of :func:`tdep_modulation` as (t - s) + sin(pi (t + s)) sin(pi (t - s)) / (2 pi),
-    without the cancellation of F(t) - F(s) when t - s is small against s."""
-    return (t - s) + math.sin(math.pi * (t + s)) * math.sin(math.pi * (t - s)) / (2.0 * math.pi)
+    without the cancellation of F(t) - F(s) when t - s is small against s;
+    t and s enter sin(pi (t + s)) reduced mod 2, exactly, so a large s does
+    not round the phase."""
+    phase = math.fmod(t, 2.0) + math.fmod(s, 2.0)
+    return (t - s) + math.sin(math.pi * phase) * math.sin(math.pi * (t - s)) / (2.0 * math.pi)
 
 
 def grid_potential(n: int) -> np.ndarray:
@@ -146,9 +149,6 @@ class SweepReport:
         return render_table(SWEEP_COLUMNS, map(astuple, self.rows))
 
 
-# FD rule of the sweep's generator recovery.
-_RECOVERY_FD = FdConfig(h=5e-3, richardson_levels=1)
-
 # The stepper of every sweep march.
 SWEEP_STEPPER = "magnus4"
 
@@ -188,25 +188,26 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
     surrogate-generator norm, and three residuals: the plain order-2 BCH
     combination on the raw generators (inf when the exponential rejects the
     combination outright), the shifted-BCH identity on centered, amplitude-
-    normalized surrogate pairs, and the generator recovery error.  The member
-    is marched once from s through the probe times of
-    :func:`logrep.recovery_chain` (``evolution.march``, :data:`SWEEP_STEPPER`
-    at the calibrated step density); its U(t, s) gives kappa, a(t, s) and the
-    recovery alike.  Every family kind is constant or scalar-modulated, so
-    each segment of that march is one step matrix, powered.
+    normalized surrogate pairs, and the absolute recovery error
+    ||recovered - A_n(t)||_1.  Each member is marched once from s through its
+    own :func:`logrep.recovery_chain`, at ``matfun.fd_step`` of the closed-form
+    ||A_n(t)||_1 (``evolution.march``, :data:`SWEEP_STEPPER` at the calibrated
+    step density); its U(t, s) gives kappa, a(t, s) and the recovery alike.
+    Every family kind is constant or scalar-modulated, so each segment of
+    that march is one step matrix, powered.
 
     Before any member is built, the sweep raises ``ValueError`` unless
-    0 <= s < t < inf, or when the recovery's first probe time precedes s,
-    and :class:`BudgetExceededError` when the estimated total work
-    (:func:`sweep_cost`) exceeds ``budget``.
+    0 <= s < t < inf, or when a member's first probe time precedes s (the
+    widest window is the smallest n's), and :class:`BudgetExceededError`
+    when the estimated total work (:func:`sweep_cost`) exceeds ``budget``.
     """
     if not 0.0 <= s < t < math.inf:
         raise ValueError(f"need finite 0 <= s < t, got s={s}, t={t}")
     interval = t - s
-    chain = recovery_chain([t], _RECOVERY_FD)
-    if chain[0] < s:
-        raise ValueError(f"the generator recovery probes U(tau, s) at tau = {chain[0]}, "
-                         f"before s = {s}")
+    fd_h = {n: fd_step(family.norm(n, t)) for n in family.dims}
+    if t - max(fd_h.values()) < s:
+        raise ValueError(f"the generator recovery probes U(tau, s) at tau = "
+                         f"{t - max(fd_h.values())}, before s = {s}")
     cost = sweep_cost(family)
     if cost > budget:
         raise BudgetExceededError(f"estimated work {cost:.3e} exceeds budget {budget:.3e}")
@@ -218,7 +219,7 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
         a_raw = g.eval(s)
         norm_an = norm_1(a_raw)
         steps = _calibrated_steps(family.norm(n, s), interval)
-        u_at = march(g, s, chain, steps / interval, SWEEP_STEPPER)
+        u_at = march(g, s, recovery_chain([t], fd_h[n]), steps / interval, SWEEP_STEPPER)
         b_raw = grid_potential(n)
         u2_matrix = expm(interval * b_raw)
         kappa = select_kappa([u_at[t], u2_matrix])
@@ -249,7 +250,7 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
         try:
             a_at = {tau: a1 if tau == t else alt_generator(u, kappa)
                     for tau, u in u_at.items()}
-            recovered = recover_generator(a_at, t, kappa, _RECOVERY_FD)
+            recovered = recover_generator(a_at, t, kappa, fd_h[n])
             residual_recovery = norm_1(recovered - g.eval(t))
         except (SingularMatrixError, NoConvergenceError, BranchCutError):
             residual_recovery = float("inf")

@@ -15,10 +15,20 @@ from shiftlog import linalg, matfun
 from shiftlog.evolution import GeneratorSpec
 
 
+def _replace(monkeypatch, home, name: str, replacement) -> None:
+    """Replace ``<home>.<name>`` in ``home`` (a module or a class) and in every
+    shiftlog module that imported it."""
+    exact = getattr(home, name)
+    owners = [home] + [module for module_name, module in sys.modules.items()
+                       if module_name.startswith("shiftlog")]
+    for owner in owners:
+        if getattr(owner, name, None) is exact:
+            monkeypatch.setattr(owner, name, replacement)
+
+
 def _counted(monkeypatch, home, name: str) -> list:
-    """Count calls of ``<home>.<name>`` made through ``home`` (a module or a
-    class) or any shiftlog module that imported it; returns the list that
-    gets one entry per call."""
+    """Count calls of ``<home>.<name>`` made through ``home`` or any shiftlog
+    module that imported it; returns the list that gets one entry per call."""
     calls = []
     exact = getattr(home, name)
 
@@ -26,12 +36,15 @@ def _counted(monkeypatch, home, name: str) -> list:
         calls.append(1)
         return exact(*args, **kwargs)
 
-    owners = [home] + [module for module_name, module in sys.modules.items()
-                       if module_name.startswith("shiftlog")]
-    for owner in owners:
-        if getattr(owner, name, None) is exact:
-            monkeypatch.setattr(owner, name, counting)
+    _replace(monkeypatch, home, name, counting)
     return calls
+
+
+@pytest.fixture
+def replace_everywhere(monkeypatch):
+    """``replace(home, name, replacement)``: put a fault in place of
+    ``<home>.<name>`` wherever shiftlog reads it, for this test."""
+    return lambda home, name, replacement: _replace(monkeypatch, home, name, replacement)
 
 
 @pytest.fixture

@@ -10,9 +10,11 @@ import pytest
 
 import shiftlog
 
-from shiftlog import bch, campaigns, evolution, logrep
+from shiftlog import bch, campaigns, evolution, logrep, matfun
 from shiftlog.campaigns import Recorder, _window_excess, grade_sweep
 from shiftlog.evolution import GeneratorSpec
+from shiftlog.linalg import norm_1
+from shiftlog.matfun import fd_step
 from shiftlog.unbounded import DiscretizedFamily, SweepReport, SweepRow
 
 
@@ -78,6 +80,32 @@ def test_hbar_scaling_fails_when_the_prefactor_ignores_hbar(monkeypatch):
     monkeypatch.setattr(bch, "von_neumann_rhs", unit_hbar)
     cases = {r.case: r for r in campaigns.suite_von_neumann(42)}
     assert not cases["hbar_scaling"].passed
+
+
+def _plain_central_difference(f, t0, h):
+    """A second-order first derivative: the central difference at h alone."""
+    return (f(t0 + h) - f(t0 - h)) / (2.0 * h), None
+
+
+def _richardson_factor_3(f, t0, h):
+    """fd_derivative's first derivative with 3 D(h/2) - D(h) over 2: still
+    second order, as the h^2 term is not cancelled."""
+    d = [(f(t0 + w) - f(t0 - w)) / (2.0 * w) for w in (h, h / 2)]
+    return (3.0 * d[1] - d[0]) / 2.0, None
+
+
+@pytest.mark.parametrize("fault", [_plain_central_difference, _richardson_factor_3],
+                         ids=["plain-central", "richardson-factor-3"])
+def test_fd_order_ratio_fails_on_a_second_order_rule(replace_everywhere, fault):
+    def fd_record():
+        cases = {r.case: r for r in campaigns.suite_matfun(42, dims=(2,), count=5)}
+        return cases["fd_order_ratio"]
+
+    assert fd_record().passed
+    replace_everywhere(matfun, "fd_derivative", fault)
+    record = fd_record()
+    # the error ratio reads about 4, below the window [11, 22]
+    assert not record.passed and 6.0 <= record.residual <= 7.5
 
 
 def _magnus4_commutator_scaled(sign):
@@ -149,10 +177,13 @@ def test_campaign_pass_norm_1_count(norm_1_calls):
     # the logarithm's series runs to a degree fixed by the square-root
     # chain's last distance; measuring two norms per term it made 23,520,
     # 10,535 before the logarithm centred its input, and 7,287 while the
-    # series disc was 1/4
+    # series disc was 1/4.  The FD rule's scales add 83: ||X||_1 + ||Y||_1
+    # of 24 second derivatives, ||H||_1 and every ||rho(t)||_1 of 3 trajectories
+    # (25), ||a1(0)||_1 + ||a2(0)||_1 of 2 expansions and ||A(t)||_1 at 6
+    # recovery probes; fd_order_ratio's 4 more expm calls add 4.
     reports = campaigns.run_suites(campaigns.SUITES, 42)
     assert all(r.passed for r in reports)
-    assert 0 < len(norm_1_calls) <= 5009
+    assert 0 < len(norm_1_calls) <= 5009 + 83 + 4
 
 
 def test_campaign_pass_eval_and_matrix_power_count(eval_calls, matrix_power_calls):
@@ -197,8 +228,9 @@ def test_suite_logrep_propagates_each_operator_once(monkeypatch):
     assert g8 == [(0.0, 0.3), (0.3, 0.6), (0.6, 0.9), (0.3, 0.9)]
     # both asymmetry checks and the generic kappa read the one U(1, 0)
     assert g4 == [(0.0, 1.0)]
-    for segments, last in ((rotation, 0.7), (modulated, 0.4)):
-        assert segments[0][0] == 0.0 and segments[-1][1] == pytest.approx(last + 1e-2)
+    # each march ends at the last probe plus the step of the largest ||A(t)||_1
+    for segments, last, scale in ((rotation, 0.7, 1.0), (modulated, 0.4, 1.4)):
+        assert segments[0][0] == 0.0 and segments[-1][1] == pytest.approx(last + fd_step(scale))
         assert all(a[1] == b[0] for a, b in zip(segments, segments[1:]))
 
 
@@ -211,11 +243,12 @@ def test_recovery_case_marches_once_across_its_probes(g, probes):
     times = []
     logged = GeneratorSpec(g.dim, g.T, lambda tau: times.append(tau) or g.func(tau))
     assert campaigns._recovery_case(logged, probes) <= 1e-5
-    # One march from 0 past the last probe's FD window, then the reference
-    # A(t) at each probe.
-    march, reference = times[:-len(probes)], times[-len(probes):]
+    # The reference A(t) at each probe, which also sizes the FD step, then
+    # one march from 0 past the last probe's FD window.
+    reference, march = times[:len(probes)], times[len(probes):]
     assert reference == list(probes)
-    assert march[0] == 0.0 and march[-1] == pytest.approx(probes[-1] + 1e-2)
+    h = fd_step(max(norm_1(g.eval(t)) for t in probes))
+    assert march[0] == 0.0 and march[-1] == pytest.approx(probes[-1] + h)
     # monotone up to the rounding of tau = start + k * step
     assert all(a <= b + 1e-12 for a, b in zip(march, march[1:]))
 

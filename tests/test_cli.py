@@ -15,6 +15,7 @@ from shiftlog import unbounded
 from shiftlog.campaigns import DEFAULT_SWEEP_DIMS, DEFAULT_TOLERANCES
 from shiftlog.cli import load_config, main
 from shiftlog.errors import ConfigError
+from shiftlog.matfun import fd_step
 
 
 def matrix_to_json(a):
@@ -175,6 +176,21 @@ def test_vn_demo_validates_inputs(tmp_path):
         "rho0": matrix_to_json(np.ones((2, 2))),  # trace 2
     })
     assert main(["vn-demo", "--config", bad_rho]) == 2
+
+
+@pytest.mark.parametrize("a", [1e3, 3e3])
+def test_vn_demo_passes_on_a_large_hamiltonian(tmp_path, capsys, a):
+    # ||H||_1 = a + 1.  At a fixed FD step of 1e-2 demo_residual read 7.5e-4
+    # at a = 1e3, and at a = 3e3 the shifted-product logarithm left the
+    # domain of logm_iss (exit 2); sized by ||H||_1 + max ||rho(t)||_1 the
+    # step keeps the residual at 1.1e-6 and 7.3e-6.
+    cfg = write_json(tmp_path / "vn.json", {
+        **VN_CONFIG,
+        "hamiltonian": matrix_to_json(np.array([[a, 1.0], [1.0, -a]])),
+        "trajectory": str(tmp_path / "traj.csv"),
+    })
+    assert main(["vn-demo", "--config", cfg]) == 0
+    assert capsys.readouterr().out.endswith("2/2 checks passed\n")
 
 
 def test_vn_demo_rejects_empty_grid(tmp_path, capsys):
@@ -352,14 +368,14 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
     ("verify", {"tolerances": {"bch.order_law_k1": -1.0}}),
     ("vn-demo", {**VN_CONFIG, "grid": {"start": -1, "stop": 0, "points": 3}}),
     ("vn-demo", {**VN_CONFIG, "grid": {"start": 0.05, "stop": 1.0, "points": 10**15}}),
-    ("sweep", {"family": {"kind": "advection_tdep", "dims": [16, 32]}, "t": 0.004, "s": 0.0}),
+    # ||A_16(t)||_1 <= 24, so the FD window [t - h, t + h] of the n = 16 member
+    # reaches back past s = 0
+    ("sweep", {"family": {"kind": "advection_tdep", "dims": [16, 32]},
+               "t": 0.5 * fd_step(24.0), "s": 0.0}),
     ("verify", {"dims": [True, 2], "suites": ["matfun"]}),
     ("sweep", {**SWEEP_CONFIG, "family": {"kind": "diffusion", "dims": [8, 257]}}),
     ("verify", {"sweep_dims": [8, 257], "suites": ["sweep"]}),
     ("sweep", {**SWEEP_CONFIG, "budget": 10.0}),
-    # ||tH/hbar||_1 <= 3001 passes the expm guard, but the shifted-product
-    # logarithm of the residual leaves the domain of logm_iss
-    ("vn-demo", {**VN_CONFIG, "hamiltonian": matrix_to_json(np.array([[3e3, 1.0], [1.0, -3e3]]))}),
     ("verify", {"suites": ["bch"], "output": {"path": ""}}),
     # command lines argparse rejects
     ("verify", ["--format", "xml"]),
@@ -378,7 +394,6 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
         "vn-grid-points-huge",
         "sweep-fd-window-before-s", "verify-dims-bool", "sweep-dims-257",
         "verify-sweep-dims-257", "sweep-over-budget",
-        "vn-hamiltonian-branch-cut",
         "verify-output-path-empty", "verify-format-flag-xml", "verify-seed-flag-str",
         "verify-suite-flag-unknown", "verify-unknown-flag", "bch-order-9", "unknown-verb",
         "sweep-no-config"])
@@ -405,8 +420,9 @@ def test_help_exits_0(capsys):
 @pytest.mark.parametrize("verb, payload", [
     ("sweep", {**SWEEP_CONFIG, "family": {"kind": "diffusion", "dims": [8, 257]}}),
     ("verify", {"sweep_dims": [8, 257], "suites": ["sweep"]}),
-    # the recovery's FD window [t - 5e-3, t + 5e-3] starts before s
-    ("sweep", {**SWEEP_CONFIG, "t": 0.004, "s": 0.0}),
+    # the n = 8 member's FD window [t - h, t + h], h = fd_step(||A_8||_1 = 2.56),
+    # starts before s
+    ("sweep", {**SWEEP_CONFIG, "t": 0.5 * fd_step(2.56), "s": 0.0}),
     # the generator is defined from time 0 on
     ("sweep", {**SWEEP_CONFIG, "s": -1.0}),
 ], ids=["sweep", "verify", "sweep-fd-window-before-s", "sweep-negative-s"])

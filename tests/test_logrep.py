@@ -19,7 +19,7 @@ from shiftlog.logrep import (
     recovery_chain,
     select_kappa,
 )
-from shiftlog.matfun import FdConfig, expm, fd_derivative
+from shiftlog.matfun import FD_STEP, expm, fd_derivative, fd_step
 
 
 def rand_c(rng, n, scale=1.0):
@@ -82,12 +82,14 @@ def test_alt_generator_small_kappa_rejected():
         alt_generator(np.diag([0.5, 2.0]), -0.6)
 
 
-def recover(g, s, t, kappa, cfg=FdConfig(h=1e-2, richardson_levels=1),
-            steps_per_unit=256, stepper="rk4"):
-    """Recover A(t) the way the campaign does: one march, one logarithm per knot."""
-    u_at = march(g, s, recovery_chain([t], cfg), steps_per_unit, stepper)
+def recover(g, s, t, kappa, h=None, steps_per_unit=256, stepper="rk4"):
+    """Recover A(t) the way the campaign does: one march, one logarithm per knot,
+    at the step of ||A(t)||_1 unless ``h`` is given."""
+    if h is None:
+        h = fd_step(norm_1(g.eval(t)))
+    u_at = march(g, s, recovery_chain([t], h), steps_per_unit, stepper)
     return recover_generator({tau: alt_generator(u, kappa) for tau, u in u_at.items()},
-                             t, kappa, cfg)
+                             t, kappa, h)
 
 
 def test_recover_zero_generator():
@@ -111,7 +113,7 @@ def test_recover_commuting_modulated():
     ops = [propagate(g, t, 0.0, 256) for t in (0.2, 0.3, 0.4)]
     kappa = select_kappa(ops)
     for t in (0.2, 0.3, 0.4):
-        rec = recover(g, 0.0, t, kappa, FdConfig(h=1e-2, richardson_levels=1))
+        rec = recover(g, 0.0, t, kappa)
         assert norm_1(rec - (1.0 + t) * a0) <= 1e-6
 
 
@@ -126,11 +128,11 @@ def probe_recorder(monkeypatch):
     """Record every time fd_derivative asks the recovery for."""
     asked = []
 
-    def recording_fd(f, t0, cfg):
+    def recording_fd(f, t0, h):
         def logged(tau):
             asked.append(tau)
             return f(tau)
-        return fd_derivative(logged, t0, cfg)
+        return fd_derivative(logged, t0, h)
 
     monkeypatch.setattr(logrep, "fd_derivative", recording_fd)
     return asked
@@ -140,36 +142,38 @@ def probe_recorder(monkeypatch):
 def test_recovery_evaluates_the_generator_on_one_march(stepper):
     g = GeneratorSpec.modulated(np.diag([1.0, -1.0]), _ramp, _ramp_integral)
     times = []
-    cfg = FdConfig(h=1e-2, richardson_levels=1)
-    recover(logged_generator(g, times), 0.1, 0.4, 3.0, cfg,
-            steps_per_unit=64, stepper=stepper)
+    h = fd_step(norm_1(g.eval(0.4)))
+    recover(logged_generator(g, times), 0.1, 0.4, 3.0, h, steps_per_unit=64, stepper=stepper)
     # monotone up to the rounding of tau = start + k * step
-    assert times[0] >= 0.1 and times[-1] <= 0.4 + cfg.h + 1e-12
+    assert times[0] >= 0.1 and times[-1] <= 0.4 + h + 1e-12
     assert all(a <= b + 1e-12 for a, b in zip(times, times[1:]))
 
 
-@pytest.mark.parametrize("levels", [0, 1, 2, 3])
-def test_recovery_chain_knots_are_the_fd_probe_times(monkeypatch, levels):
-    a = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+@pytest.mark.parametrize("decade", [0, 1, 2, 3])
+def test_recovery_chain_knots_are_the_fd_probe_times(monkeypatch, decade):
+    # a rotation at 1, 10, 100 and 1000 radians per unit time, recovered at
+    # the step the rule takes from its norm: 2.0e-8 to 1.0e-6 relative, the
+    # most at 1000, where U's eigenvalues e^{+-500i} lie nearest -kappa
+    a = 10.0 ** decade * np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
     g = GeneratorSpec.constant(a)
-    # h small enough for the plain central difference (levels = 0)
-    cfg = FdConfig(h=2e-3, richardson_levels=levels)
+    h = fd_step(norm_1(a))
     asked = probe_recorder(monkeypatch)
-    rec = recover(g, 0.0, 0.5, select_kappa([propagate(g, 0.5, 0.0, 256)]), cfg)
-    assert norm_1(rec - a) <= 1e-6
-    knots = recovery_chain([0.5], cfg)
-    assert len(knots) == 2 * levels + 3
+    kappa = select_kappa([propagate(g, 0.5, 0.0, 256, "magnus4")])
+    rec = recover(g, 0.0, 0.5, kappa, h, stepper="magnus4")
+    assert norm_1(rec - a) <= 1e-5 * norm_1(a)
+    knots = recovery_chain([0.5], h)
+    assert len(knots) == 5
     assert sorted(asked) == knots
-    assert list(march(g, 0.0, knots, 256, "rk4")) == knots
+    assert list(march(g, 0.0, knots, 256, "magnus4")) == knots
 
 
 def test_recovery_rejects_a_probe_off_the_chain(monkeypatch):
-    def off_chain_fd(f, t0, cfg):
-        return f(t0 + 1.5 * cfg.h), None
+    def off_chain_fd(f, t0, h):
+        return f(t0 + 1.5 * h), None
 
     monkeypatch.setattr(logrep, "fd_derivative", off_chain_fd)
     g = GeneratorSpec.constant(np.zeros((2, 2)))
-    with pytest.raises(KeyError, match=re.escape(repr(0.5 + 1.5e-2))):
+    with pytest.raises(KeyError, match=re.escape(repr(0.5 + 1.5 * FD_STEP))):
         recover(g, 0.0, 0.5, 2.0)
 
 
@@ -177,10 +181,10 @@ def test_recovery_chain_is_exact_for_a_constant_generator(monkeypatch):
     rng = np.random.default_rng(7)
     a = rand_c(rng, 4, 1.0)
     g = GeneratorSpec.constant(a)
-    cfg = FdConfig(h=1e-2, richardson_levels=2)
+    h = fd_step(norm_1(a))
     asked = probe_recorder(monkeypatch)
-    u_at = march(g, 0.1, recovery_chain([0.6], cfg), 100, "magnus4")
-    recover_generator({tau: alt_generator(u, 3.0) for tau, u in u_at.items()}, 0.6, 3.0, cfg)
+    u_at = march(g, 0.1, recovery_chain([0.6], h), 100, "magnus4")
+    recover_generator({tau: alt_generator(u, 3.0) for tau, u in u_at.items()}, 0.6, 3.0, h)
     assert sorted(asked) == list(u_at) and 0.6 in asked
     for tau, u in u_at.items():
         assert norm_1(u - expm((tau - 0.1) * a)) <= 1e-12
@@ -189,18 +193,17 @@ def test_recovery_chain_is_exact_for_a_constant_generator(monkeypatch):
 def test_recovery_rejects_fd_window_before_s():
     g = GeneratorSpec.constant(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="precedes"):
-        march(g, 0.0, recovery_chain([0.004], FdConfig(h=5e-3)), 256, "rk4")
+        march(g, 0.0, recovery_chain([0.004], 5e-3), 256, "rk4")
     with pytest.raises(ValueError, match="precedes"):
-        march(g, 0.3, recovery_chain([0.5, 0.305], FdConfig(h=1e-2)), 256, "rk4")
+        march(g, 0.3, recovery_chain([0.5, 0.305], 1e-2), 256, "rk4")
 
 
 def test_recovery_rejects_a_probe_past_the_table():
     # a table ends at its last time; the probe t + h = 1.005 lies past it
     g = GeneratorSpec.from_table([0.0, 1.0], [np.zeros((2, 2)), np.eye(2)])
-    cfg = FdConfig(h=5e-3)
-    march(g, 0.0, recovery_chain([0.995], cfg), 256, "rk4")
+    march(g, 0.0, recovery_chain([0.995], 5e-3), 256, "rk4")
     with pytest.raises(ValueError, match="T=1.0"):
-        march(g, 0.0, recovery_chain([0.999], cfg), 256, "rk4")
+        march(g, 0.0, recovery_chain([0.999], 5e-3), 256, "rk4")
 
 
 def test_asymmetry_vanishes_at_zero_kappa():

@@ -1,6 +1,7 @@
 """Matrix-function tests: expm, sqrtm, both logm algorithms, derivatives."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -15,12 +16,13 @@ from shiftlog.logrep import select_kappa
 from shiftlog.matfun import (
     CONTOUR_NODES,
     EXPM_THETA,
+    FD_STEP,
     SERIES_DISC,
-    FdConfig,
     contour_for,
     expm,
     fd_derivative,
     fd_probes,
+    fd_step,
     logm_contour,
     logm_iss,
     sqrtm_db,
@@ -463,59 +465,86 @@ def test_logm_contour_builds_each_gershgorin_family_once(monkeypatch):
 
 def test_fd_linear_curve_exact():
     a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    d = fd_derivative(lambda t: t * a, 0.4, FdConfig(h=1e-3))[0]
+    d = fd_derivative(lambda t: t * a, 0.4, 1e-3)[0]
     np.testing.assert_allclose(d, a, atol=1e-12)
 
 
 def test_fd_matrix_exponential_derivative():
     rng = np.random.default_rng(41)
     a = rand_c(rng, 3, 0.9)
-    d = fd_derivative(lambda t: expm(t * a), 0.0, FdConfig(h=1e-3, richardson_levels=1))[0]
+    d = fd_derivative(lambda t: expm(t * a), 0.0, 1e-3)[0]
     assert norm_1(d - a) <= 1e-8
 
 
 def test_fd_second_derivative_quadratic():
     c = np.array([[0.5, 0.1], [0.0, -0.2]], dtype=complex)
-    d = fd_derivative(lambda t: t * t * c, 0.0, FdConfig(h=1e-3))[1]
+    d = fd_derivative(lambda t: t * t * c, 0.0, 1e-3)[1]
     assert norm_1(d - 2.0 * c) <= 1e-10
 
 
 def test_fd_halving_reduces_error():
+    # one Richardson level is fourth order: halving h cuts the error ~16-fold
     rng = np.random.default_rng(43)
     a = rand_c(rng, 3, 1.0)
-    curve = lambda t: expm(t * a)
-    for levels in (0, 1):
-        errs = []
-        for h in (4e-2, 2e-2):
-            cfg = FdConfig(h=h, richardson_levels=levels)
-            errs.append(norm_1(fd_derivative(curve, 0.0, cfg)[0] - a))
-        assert errs[0] / errs[1] >= 3.5
+    errs = [norm_1(fd_derivative(lambda t: expm(t * a), 0.0, h)[0] - a) for h in (4e-2, 2e-2)]
+    assert 11.0 <= errs[0] / errs[1] <= 22.0
 
 
 def test_fd_config_validation():
-    with pytest.raises(ValueError):
-        FdConfig(h=0.0)
-    with pytest.raises(ValueError):
-        FdConfig(h=1e-3, richardson_levels=4)
+    # the rule's one input is its step h, or the scale fd_step sizes it from
+    for h in (0.0, -1e-3, math.inf, math.nan, fd_step(math.inf)):
+        with pytest.raises(ValueError, match="step h"):
+            fd_probes(0.5, h)
+    assert fd_step(0.0) == fd_step(1.0) == FD_STEP
+    assert fd_step(400.0) == FD_STEP / 400.0
 
 
-@pytest.mark.parametrize("levels", [0, 1, 2, 3])
-def test_fd_derivative_samples_each_probe_once(levels):
-    a = np.array([[0.3, 1.0], [-0.5, 0.2]], dtype=complex)
-    cfg = FdConfig(h=1e-2, richardson_levels=levels)
+@pytest.mark.parametrize("decade", [0, 1, 2, 3])
+def test_fd_derivative_samples_each_probe_once(decade):
+    # a skew-Hermitian generator of 1-norm 1.3 * 10**decade at the step the
+    # rule gives it: both derivatives keep their relative accuracy as it grows
+    a = 10.0 ** decade * np.array([[0.3j, 1.0], [-1.0, 0.2j]])
+    h = fd_step(norm_1(a))
     asked = []
 
     def curve(t):
         asked.append(t)
         return expm(t * a)
 
-    first, second = fd_derivative(curve, 0.25, cfg)
-    probes = fd_probes(0.25, cfg)
-    assert len(probes) == 2 * levels + 3 and probes == sorted(probes)
+    first, second = fd_derivative(curve, 0.25, h)
+    probes = fd_probes(0.25, h)
+    assert len(probes) == 5 and probes == sorted(probes)
     assert sorted(asked) == probes
     u = expm(0.25 * a)
-    assert norm_1(first - a @ u) <= 1e-4
-    assert norm_1(second - a @ a @ u) <= 1e-4
+    assert norm_1(first - a @ u) <= 1e-6 * norm_1(a @ u)
+    assert norm_1(second - a @ a @ u) <= 1e-6 * norm_1(a @ a @ u)
+
+
+def test_fd_step_derived_from_the_second_derivative_error_model():
+    # Read the second derivative's weights on the five samples off
+    # fd_derivative itself, at h = 1, and expand them exactly in Taylor terms.
+    probes = fd_probes(0.0, 1.0)
+    basis = np.eye(len(probes))
+    weights = fd_derivative(lambda t: basis[probes.index(t)], 0.0, 1.0)[1]
+    assert np.all(weights.imag == 0.0)
+    w = [Fraction(float(x)).limit_denominator(1000) for x in weights.real]
+    offsets = [Fraction(t).limit_denominator(4) for t in probes]
+    moments = [sum(wj * oj ** k for wj, oj in zip(w, offsets)) / math.factorial(k)
+               for k in range(8)]
+    # exact on f'' through degree 5; the first term it misses is -h^4 f^(6) / 1440
+    assert moments[:6] == [0, 0, 1, 0, 0, 0] and moments[7] == 0
+    assert moments[6] == Fraction(-1, 1440)
+    assert sum(abs(wj) for wj in w) == Fraction(64, 3)
+    # FD_STEP is the top of the window in which the truncation term x^4 / 1440
+    # and the rounding term (64/3) u / x^2 both stay within sqrt(u), taken to
+    # the next multiple of 1/200
+    u = 2.0 ** -53
+    top = (1440.0 * math.sqrt(u)) ** 0.25
+    bottom = math.sqrt(64.0 / 3.0 * math.sqrt(u))
+    assert bottom == pytest.approx(4.74e-4, rel=1e-2) and top == pytest.approx(0.0624, rel=1e-3)
+    assert FD_STEP == math.ceil(200.0 * top) / 200.0
+    assert FD_STEP ** 4 / 1440.0 == pytest.approx(1.24e-8, rel=1e-2)
+    assert 64.0 / 3.0 * u / FD_STEP ** 2 == pytest.approx(5.6e-13, rel=1e-2)
 
 
 def test_constructible_contour_implies_enclosure_off_the_cut():

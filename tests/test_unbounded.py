@@ -14,13 +14,12 @@ from shiftlog.campaigns import DEFAULT_SWEEP_DIMS, _ramp_integral
 from shiftlog.evolution import GeneratorSpec, check_semigroup, march
 from shiftlog.linalg import norm_1
 from shiftlog.logrep import alt_generator, recovery_chain, select_kappa
-from shiftlog.matfun import expm
+from shiftlog.matfun import expm, fd_step
 from shiftlog.unbounded import (
     DEFAULT_SWEEP_BUDGET,
     MEMBER_COST,
     SWEEP_COLUMNS,
     SWEEP_STEPPER,
-    _RECOVERY_FD,
     _calibrated_steps,
     DiscretizedFamily,
     advection_matrix,
@@ -69,13 +68,15 @@ def test_modulation_normalized_at_zero():
 def test_modulation_integral_keeps_its_relative_accuracy(integral, f):
     # A difference of primitives F(t) - F(s) for tdep_integral lost up to
     # 1e-11 relative over these cases with s <= 1, and 2e-8 with s >= 100.
+    # Reducing t and s mod 2 before sin(pi (t + s)) took s >= 100 from up to
+    # 1.8e-12 to 2.4e-16.
     with mpmath.workdps(40):
-        for s in (0.0, 0.3, 100.0, 1000.0):
+        for s in (0.0, 0.3, 100.0, 1000.0, 12345.678):
             for span in (1e-6, 2.5e-3, 0.1, 1.0):
                 t = s + span
                 exact = mpmath.quad(f, [mpmath.mpf(s), mpmath.mpf(t)])
                 error = abs((mpmath.mpf(integral(s, t)) - exact) / exact)
-                assert error <= (1e-15 if s <= 1.0 else 1e-12), (s, span, float(error))
+                assert error <= 1e-15, (s, span, float(error))
 
 
 def test_build_rejects_small_grids():
@@ -137,9 +138,19 @@ def test_refinement_sweep_advection_band():
     norms = [r.norm_A for r in report.rows]
     assert norms == sorted(norms) and norms[0] < norms[-1]
     assert report.band_ratio() <= 4.0
-    # recovery error grows with the generator norm through the FD truncation
-    # but stays small at these scales
+    # the FD step shrinks with the generator norm, so the recovery error
+    # stays small
     assert max(r.residual_recovery for r in report.rows) <= 1e-3
+
+
+def test_advection_tdep_recovery_keeps_its_relative_accuracy_to_256():
+    # Each member's FD step is FD_STEP / ||A_n(t)||_1.  At a fixed 5e-3 the
+    # relative error grew from 1.5e-6 at n = 16 to 5.4e-2 at n = 256; now it
+    # reads 4.3e-8 to 2.9e-7.
+    family = DiscretizedFamily("advection_tdep", (16, 32, 64, 128, 256))
+    report = refinement_sweep(family, t=0.1, s=0.0)
+    for row in report.rows:
+        assert row.residual_recovery <= 1e-6 * family.norm(row.n, 0.1), row.n
 
 
 def test_sweep_csv_shape():
@@ -214,7 +225,8 @@ def test_powered_march_matches_expm_at_n128():
     family = DiscretizedFamily("diffusion", (128,), viscosity=0.01)
     g = family.member(128)
     steps = _calibrated_steps(family.norm(128, 0.0), 0.1)
-    u = march(g, 0.0, recovery_chain([0.1], _RECOVERY_FD), steps / 0.1, SWEEP_STEPPER)[0.1]
+    chain = recovery_chain([0.1], fd_step(family.norm(128, 0.1)))
+    u = march(g, 0.0, chain, steps / 0.1, SWEEP_STEPPER)[0.1]
     exact = expm(0.1 * g.eval(0.0))
     assert norm_1(u - exact) <= 1e-12 * norm_1(exact)
 
@@ -239,8 +251,8 @@ def test_calibrated_tdep_march_matches_the_closed_form():
     w = 0.1 + (1.0 - math.cos(0.2 * math.pi)) / (4.0 * math.pi)
     for n in family.dims:
         steps = _calibrated_steps(family.norm(n, 0.0), 0.1)
-        u = march(family.member(n), 0.0, recovery_chain([0.1], _RECOVERY_FD), steps / 0.1,
-                  SWEEP_STEPPER)[0.1]
+        chain = recovery_chain([0.1], fd_step(family.norm(n, 0.1)))
+        u = march(family.member(n), 0.0, chain, steps / 0.1, SWEEP_STEPPER)[0.1]
         exact = expm(w * advection_matrix(n))
         assert norm_1(u - exact) <= 1e-13 * norm_1(exact)
 
@@ -294,13 +306,14 @@ def test_sweep_member_marches_once_from_s(monkeypatch):
         return GeneratorSpec(g.dim, g.T, lambda tau: times.append(tau) or g.func(tau))
 
     monkeypatch.setattr(DiscretizedFamily, "member", logged_member)
-    refinement_sweep(DiscretizedFamily("advection_tdep", (16,)), t=0.1, s=0.0)
+    family = DiscretizedFamily("advection_tdep", (16,))
+    refinement_sweep(family, t=0.1, s=0.0)
     times = logs[-1]
     # A(s) for the naive BCH first and the reference A(t) of the recovery
     # residual last; every evaluation between them belongs to the march.
     assert times[0] == 0.0 and times[-1] == 0.1
     march = times[1:-1]
-    assert march[0] >= 0.0 and march[-1] <= 0.1 + _RECOVERY_FD.h + 1e-12
+    assert march[0] >= 0.0 and march[-1] <= 0.1 + fd_step(family.norm(16, 0.1)) + 1e-12
     assert all(a <= b + 1e-12 for a, b in zip(march, march[1:]))
 
 
@@ -308,8 +321,9 @@ def test_advection_tdep_sweep_solve_count(solve_calls, sqrtm_db_calls, expm_call
     # the benchmark's time-dependent sweep; with two LU solves per
     # Denman-Beavers iteration it made 1110 solves.  Before the logarithm
     # centred U + kappa I on ln(c) I it made 557 solves in 95 square roots,
-    # and 116 in 23 while the series disc was 1/4: now only the two n = 128
-    # probes at ||M / c - I||_1 = 0.52 and 0.53 take a root.
+    # and 116 in 23 while the series disc was 1/4.  At a fixed FD step of
+    # 5e-3 two n = 128 probes, at ||M / c - I||_1 = 0.52 and 0.53, took a
+    # root; sized by each member's norm, no probe takes one.
     # Its magnus4 marches power one step exponential per segment, 20 in all,
     # and each member takes 7 more; a step exponential at every one of the
     # 140 steps made 168 expm calls, and magnus2 at 8 ||A|| (t - s) steps
@@ -317,20 +331,23 @@ def test_advection_tdep_sweep_solve_count(solve_calls, sqrtm_db_calls, expm_call
     # made 280 evaluations more.
     refinement_sweep(DiscretizedFamily("advection_tdep", (16, 32, 64, 128)), 0.1, 0.0)
     assert 0 < len(solve_calls) <= 14
-    assert 0 < len(sqrtm_db_calls) <= 2
+    assert len(sqrtm_db_calls) == 0
     assert 0 < len(expm_calls) <= 48
     assert 0 < len(eval_calls) <= 8
+    # The fixture does count: the n = 8 member at t = 0.5 takes two roots.
+    refinement_sweep(DiscretizedFamily("advection_tdep", (8,)), 0.5, 0.0)
+    assert len(sqrtm_db_calls) == 2
 
 
 def test_diffusion_sweep_sqrtm_count(sqrtm_db_calls):
     # the benchmark's constant-generator sweep; 72 square roots before the
     # logarithm centred U + kappa I, and 15 while the series disc was 1/4.
     # Every centred U + kappa I now lies within the disc.  The fixture does
-    # count: the advection_tdep sweep takes 2 roots through it.
+    # count: the advection_tdep member n = 8 at t = 0.5 takes 2 roots through it.
     family = DiscretizedFamily("diffusion", (16, 32, 64, 96), viscosity=0.01)
     refinement_sweep(family, 0.1, 0.0)
     assert len(sqrtm_db_calls) == 0
-    refinement_sweep(DiscretizedFamily("advection_tdep", (128,)), 0.1, 0.0)
+    refinement_sweep(DiscretizedFamily("advection_tdep", (8,)), 0.5, 0.0)
     assert len(sqrtm_db_calls) == 2
 
 
@@ -339,8 +356,8 @@ def test_sweep_kappa_comes_from_the_march():
     report = refinement_sweep(family, t=0.1, s=0.0)
     for row in report.rows:
         steps = _calibrated_steps(family.norm(row.n, 0.0), 0.1)
-        u_at = march(family.member(row.n), 0.0, recovery_chain([0.1], _RECOVERY_FD),
-                     steps / 0.1, SWEEP_STEPPER)
+        chain = recovery_chain([0.1], fd_step(family.norm(row.n, 0.1)))
+        u_at = march(family.member(row.n), 0.0, chain, steps / 0.1, SWEEP_STEPPER)
         kappa = select_kappa([u_at[0.1], expm(0.1 * grid_potential(row.n))])
         assert row.kappa == float(np.real(kappa))
 
