@@ -7,9 +7,10 @@ Three families of checks live here:
   (conjugation) series :func:`adjoint_series`;
 * the kappa-shifted product identity (:func:`kappa_shifted_bch`) where the
   shifted logarithm replaces the plain one;
-* second-derivative-of-logarithm identities: the commutator of two matrices
-  recovered as d^2/ds^2 Log(e^{Xs} e^{Ys}) at s = 0, and the von Neumann
-  equation written through that second derivative.
+* second-derivative-of-logarithm identities, all read off one curve, the
+  product logarithm s -> Log(e^{G1(s)} e^{G2(s)}) near s = 0: the commutator
+  [X, Y] as its second derivative for G1 = Xs and G2 = Ys, the expansion of
+  its integrated form, and the von Neumann equation written through it.
 """
 
 from __future__ import annotations
@@ -141,26 +142,17 @@ def von_neumann_second_derivative(x, y) -> np.ndarray:
     """
     x, y = as_matrix(x), as_matrix(y)
     h = fd_step(norm_1(x) + norm_1(y))
-    return _second_derivative(x, _probe_exponentials(y, h), h)
+    return _log_product_derivatives(lambda s: expm(s * x), lambda s: expm(s * y), h, len(x))[1]
 
 
-def _probe_exponentials(y: np.ndarray, h: float) -> dict[float, np.ndarray]:
-    """e^{Ys} at the nonzero finite-difference probes s of step ``h``."""
-    return {s: expm(s * y) for s in fd_probes(0.0, h) if s != 0.0}
-
-
-def _second_derivative(x: np.ndarray, exp_y: dict[float, np.ndarray], h: float) -> np.ndarray:
-    """:func:`von_neumann_second_derivative` at step ``h`` of X and the Y whose
-    probe exponentials :func:`_probe_exponentials` are ``exp_y``."""
-    zero = np.zeros_like(x)
-
-    def curve(s: float) -> np.ndarray:
-        if s == 0.0:
-            return zero
-        # log_product(s X, s Y) with e^{Ys} read from the table
-        return logm_iss(expm(s * x) @ exp_y[s])
-
-    return fd_derivative(curve, 0.0, h)[1]
+def _log_product_derivatives(exp1: Callable[[float], np.ndarray],
+                             exp2: Callable[[float], np.ndarray], h: float,
+                             n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`matfun.fd_derivative`'s (first, second) at 0, step ``h``, of the product
+    logarithm Log(exp1(s) exp2(s)) of two n x n exponential curves: the zero matrix
+    at s = 0, where both are I, so the curves are called at the four other probes."""
+    zero = np.zeros((n, n), dtype=np.complex128)
+    return fd_derivative(lambda s: zero if s == 0.0 else logm_iss(exp1(s) @ exp2(s)), 0.0, h)
 
 
 def _simpson_integral(f: Callable[[float], np.ndarray], upper: float) -> np.ndarray:
@@ -194,17 +186,11 @@ def log_product_expansion(a1_family: Callable[[float], np.ndarray],
     """
     a1_0 = as_matrix(a1_family(0.0))
     a2_0 = as_matrix(a2_family(0.0))
-    zero = np.zeros_like(a1_0)
     h = fd_step(norm_1(a1_0) + norm_1(a2_0))
     drift = fd_derivative(lambda s: a1_family(s) + a2_family(s), 0.0, h)[0]
-
-    def curve(sigma: float) -> np.ndarray:
-        if sigma == 0.0:
-            return zero
-        return log_product(_simpson_integral(a1_family, sigma),
-                           _simpson_integral(a2_family, sigma))
-
-    first, second = fd_derivative(curve, 0.0, h)
+    first, second = _log_product_derivatives(
+        lambda sigma: expm(_simpson_integral(a1_family, sigma)),
+        lambda sigma: expm(_simpson_integral(a2_family, sigma)), h, len(a1_0))
     return ExpansionReport(norm_1(first - (a1_0 + a2_0)),
                            norm_1(second - (commutator(a1_0, a2_0) + drift)))
 
@@ -255,8 +241,9 @@ def von_neumann_rhs(rho0, h_op, hbar: float, tgrid) -> VonNeumannReport:
         states = [rho for _ in ts]
     trace0 = complex(np.trace(rho))
     h = fd_step(norm_1(H) + max((norm_1(r) for r in states), default=0.0))
-    exp_h = _probe_exponentials(H, h)
-    residuals = [float(norm_1(commutator(r, H) - _second_derivative(r, exp_h, h)))
+    exp_h = {s: expm(s * H) for s in fd_probes(0.0, h) if s != 0.0}
+    residuals = [float(norm_1(commutator(r, H) - _log_product_derivatives(
+                     lambda s: expm(s * r), exp_h.__getitem__, h, len(H))[1]))
                  for r in states]
     drift = max((abs(complex(np.trace(r)) - trace0) for r in states), default=0.0)
     return VonNeumannReport(tuple(ts), tuple(states), tuple(residuals), float(drift))

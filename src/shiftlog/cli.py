@@ -236,7 +236,7 @@ def cmd_sweep(args) -> int:
     try:
         family = DiscretizedFamily(fam["kind"], tuple(dims), **stencil)
         report = refinement_sweep(family, t, s, budget=budget)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, ShiftlogError) as exc:
         raise ConfigError(str(exc)) from exc
     grade_sweep(rec, report)
     _write_text(csv_path, report.to_csv())

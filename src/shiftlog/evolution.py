@@ -14,6 +14,7 @@ times.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -81,8 +82,8 @@ class GeneratorSpec:
     @staticmethod
     def from_table(times, matrices) -> "GeneratorSpec":
         """Piecewise-linear interpolation through sampled (t, A(t)) pairs."""
-        ts = [float(t) for t in times]
-        if len(ts) < 2 or sorted(ts) != ts or ts[0] != 0.0:
+        ts = tuple(float(t) for t in times)
+        if len(ts) < 2 or sorted(ts) != list(ts) or ts[0] != 0.0:
             raise ValueError("table times must be increasing and start at 0")
         mats = [as_matrix(m) for m in matrices]
         if len(mats) != len(ts):
@@ -92,7 +93,7 @@ class GeneratorSpec:
             raise ValueError("inconsistent matrix dimensions in table")
 
         def interp(t: float) -> np.ndarray:
-            j = int(np.searchsorted(ts, t, side="right")) - 1
+            j = bisect.bisect_right(ts, t) - 1
             j = min(max(j, 0), len(ts) - 2)
             w = (t - ts[j]) / (ts[j + 1] - ts[j])
             return (1.0 - w) * mats[j] + w * mats[j + 1]

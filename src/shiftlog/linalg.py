@@ -132,8 +132,10 @@ def off_branch_cut(a) -> bool:
 # --- JSON matrix decoding: array of rows, entries as [re, im] pairs ---
 
 def matrix_from_json(obj) -> np.ndarray:
-    try:
-        rows = [[complex(e[0], e[1]) for e in row] for row in obj]
-    except (TypeError, IndexError) as exc:
+    try:  # each entry unpacks to exactly two numbers
+        rows = [[complex(re, im) for re, im in row] for row in obj]
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
+    if any(isinstance(v, bool) for row in obj for entry in row for v in entry):
+        raise ValueError("malformed matrix JSON: a boolean is not a number")
     return as_matrix(np.array(rows, dtype=np.complex128))

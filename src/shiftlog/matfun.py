@@ -342,6 +342,8 @@ def logm_contour(m) -> np.ndarray:
 
 # The FD step times the 1-norm of the operator differentiated; see fd_step.
 FD_STEP = 0.065
+# The least step of fd_probes: fd_derivative divides by (h/2)^2, a normal float from here.
+_FD_H_MIN = 2.0 * math.sqrt(np.finfo(float).tiny)
 
 
 def fd_step(scale: float) -> float:
@@ -365,8 +367,8 @@ def fd_step(scale: float) -> float:
 
 def fd_probes(t0: float, h: float) -> list[float]:
     """The sample times t0, t0 +- h / 2, t0 +- h of :func:`fd_derivative`, sorted."""
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"step h must be positive and finite, got {h}")
+    if not _FD_H_MIN <= h < math.inf:
+        raise ValueError(f"step h must be finite and at least {_FD_H_MIN:.3e}, got {h}")
     return sorted({t0, t0 + h, t0 + h / 2, t0 - h, t0 - h / 2})
 
 

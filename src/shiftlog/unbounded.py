@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BranchCutError, BudgetExceededError, NoConvergenceError, SingularMatrixError
 from .linalg import eye, norm_1
-from .matfun import expm, fd_step
+from .matfun import expm, fd_probes, fd_step
 from .evolution import GeneratorSpec, check_semigroup, march
 from .logrep import alt_generator, recover_generator, recovery_chain, select_kappa
 from .bch import bch_truncated, kappa_shifted_bch
@@ -198,16 +198,20 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
 
     Before any member is built, the sweep raises ``ValueError`` unless
     0 <= s < t < inf, or when a member's first probe time precedes s (the
-    widest window is the smallest n's), and :class:`BudgetExceededError`
-    when the estimated total work (:func:`sweep_cost`) exceeds ``budget``.
+    widest window is the smallest n's) or :func:`matfun.fd_probes` rejects its
+    step, and :class:`BudgetExceededError` when the estimated total work
+    (:func:`sweep_cost`) exceeds ``budget``.  A built member raises ``ValueError``
+    when a centred surrogate rounds to 0 (kappa about 1e16 and up), and its
+    march :class:`errors.PropagationError` when U(t, s) is not finite.
     """
     if not 0.0 <= s < t < math.inf:
         raise ValueError(f"need finite 0 <= s < t, got s={s}, t={t}")
     interval = t - s
     fd_h = {n: fd_step(family.norm(n, t)) for n in family.dims}
-    if t - max(fd_h.values()) < s:
+    first_probe = min(fd_probes(t, h)[0] for h in fd_h.values())
+    if first_probe < s:
         raise ValueError(f"the generator recovery probes U(tau, s) at tau = "
-                         f"{t - max(fd_h.values())}, before s = {s}")
+                         f"{first_probe}, before s = {s}")
     cost = sweep_cost(family)
     if cost > budget:
         raise BudgetExceededError(f"estimated work {cost:.3e} exceeds budget {budget:.3e}")
@@ -239,8 +243,12 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
         shift = np.log(1.0 + kappa) * eye(n)
         c1 = a1 - shift
         c2 = a2 - shift
-        s1 = c1 * (SHIFTED_OPERAND_NORM / norm_1(c1))
-        s2 = c2 * (SHIFTED_OPERAND_NORM / norm_1(c2))
+        norm_c1, norm_c2 = norm_1(c1), norm_1(c2)
+        if norm_c1 == 0.0 or norm_c2 == 0.0:
+            raise ValueError(f"n = {n}: a centred surrogate a_i - ln(1 + kappa) I rounds to 0 at "
+                             f"kappa = {np.real(kappa):.3e}; the stencil is too large")
+        s1 = c1 * (SHIFTED_OPERAND_NORM / norm_c1)
+        s2 = c2 * (SHIFTED_OPERAND_NORM / norm_c2)
         residual_shifted = kappa_shifted_bch(s1, s2, kappa)
 
         # Generator recovery from a1 and the march's other probe times (the

@@ -228,17 +228,23 @@ def test_expansion_frozen_constant_families():
     assert rep.second_residual <= 1e-5
 
 
+def count_logarithms(monkeypatch):
+    """A list that grows by one at every ``bch.logm_iss`` call."""
+    calls = []
+    exact = bch.logm_iss
+
+    def counting(a):
+        calls.append(1)
+        return exact(a)
+
+    monkeypatch.setattr(bch, "logm_iss", counting)
+    return calls
+
+
 def test_expansion_takes_four_product_logarithms(monkeypatch):
     # one sampling of the curve at its four nonzero FD probes (+-h, +-h/2)
     # gives both derivatives; sigma = 0 is the zero matrix
-    calls = []
-    exact = bch.log_product
-
-    def counting(x, y):
-        calls.append(1)
-        return exact(x, y)
-
-    monkeypatch.setattr(bch, "log_product", counting)
+    calls = count_logarithms(monkeypatch)
     rng = np.random.default_rng(19)
     b1 = rand_complex(rng, 2, 0.6)
     b2 = rand_complex(rng, 2, 0.6)
@@ -318,6 +324,22 @@ def test_von_neumann_takes_each_probe_exponential_once(monkeypatch):
     for state, residual in zip(rep.states, rep.residuals):
         assert residual == float(norm_1(commutator(state, h_op)
                                         - von_neumann_second_derivative(state, h_op)))
+
+
+def test_each_product_logarithm_path_takes_four_logarithms(monkeypatch):
+    # every path reads its derivatives off one sampling of the product
+    # logarithm at the four nonzero FD probes, with sigma = 0 the zero matrix
+    calls = count_logarithms(monkeypatch)
+    rng = np.random.default_rng(23)
+    x, y = rand_complex(rng, 3, 0.5), rand_complex(rng, 3, 0.5)
+    von_neumann_second_derivative(x, y)
+    assert len(calls) == 4
+    log_product_expansion(lambda s: x, lambda s: y)
+    assert len(calls) == 8
+    h_op = np.diag([1.0, -1.0]).astype(complex)
+    rho0 = 0.5 * np.ones((2, 2), dtype=complex)
+    rep = von_neumann_rhs(rho0, h_op, 1.0, np.linspace(0.05, 1.0, 5))
+    assert len(rep.states) == 5 and len(calls) == 8 + 4 * 5
 
 
 def test_von_neumann_hbar_prefactor():

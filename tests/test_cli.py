@@ -377,6 +377,19 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
     ("verify", {"sweep_dims": [8, 257], "suites": ["sweep"]}),
     ("sweep", {**SWEEP_CONFIG, "budget": 10.0}),
     ("verify", {"suites": ["bch"], "output": {"path": ""}}),
+    # stencil coefficients so large that a centred surrogate rounds to 0
+    # (speed 1e18, viscosity 1e16) or the march overflows (1e20, 1e17)
+    ("sweep", {**SWEEP_CONFIG, "family": {"kind": "advection", "dims": [8, 16], "speed": 1e18}}),
+    ("sweep", {**SWEEP_CONFIG, "family": {"kind": "advection", "dims": [8, 16], "speed": 1e20}}),
+    ("sweep", {**SWEEP_CONFIG, "family": {"kind": "diffusion", "dims": [8, 16],
+                                          "viscosity": 1e16}}),
+    ("sweep", {**SWEEP_CONFIG, "family": {"kind": "diffusion", "dims": [8, 16],
+                                          "viscosity": 1e17}}),
+    # matrix entries that are not [re, im] pairs of real numbers
+    ("bch", ([[[1, 0, 7], [0, 0]], [[0, 0], [1, 0]]], np.zeros((2, 2)))),
+    ("bch", ([[[True, False], [0, 0]], [[0, 0], [1, 0]]], np.zeros((2, 2)))),
+    ("vn-demo", {**VN_CONFIG, "hamiltonian": [[[1, 0, 7], [0, 0]], [[0, 0], [-1, 0]]]}),
+    ("vn-demo", {**VN_CONFIG, "hamiltonian": [[[True, False], [0, 0]], [[0, 0], [-1, 0]]]}),
     # command lines argparse rejects
     ("verify", ["--format", "xml"]),
     ("verify", ["--seed", "abc"]),
@@ -394,15 +407,19 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
         "vn-grid-points-huge",
         "sweep-fd-window-before-s", "verify-dims-bool", "sweep-dims-257",
         "verify-sweep-dims-257", "sweep-over-budget",
-        "verify-output-path-empty", "verify-format-flag-xml", "verify-seed-flag-str",
+        "verify-output-path-empty", "sweep-speed-1e18", "sweep-speed-1e20",
+        "sweep-viscosity-1e16", "sweep-viscosity-1e17", "bch-entry-triple",
+        "bch-entry-bool", "vn-entry-triple", "vn-entry-bool",
+        "verify-format-flag-xml", "verify-seed-flag-str",
         "verify-suite-flag-unknown", "verify-unknown-flag", "bch-order-9", "unknown-verb",
         "sweep-no-config"])
 def test_bad_input_is_one_stderr_line(tmp_path, capsys, verb, payload):
     if isinstance(payload, list):
         argv = [verb, *payload]
-    elif verb == "bch":
-        argv = ["bch", write_json(tmp_path / "x.json", matrix_to_json(payload[0])),
-                write_json(tmp_path / "y.json", matrix_to_json(payload[1]))]
+    elif verb == "bch":  # each operand is raw JSON or a matrix to encode
+        argv = ["bch", *(write_json(tmp_path / f"{k}.json",
+                                    m if isinstance(m, list) else matrix_to_json(m))
+                         for k, m in zip("xy", payload))]
     else:
         argv = [verb, "--config", write_json(tmp_path / "c.json", payload)]
     assert main(argv) == 2

@@ -201,5 +201,7 @@ def test_matrix_json_round_trip():
 
 
 def test_matrix_json_malformed():
-    with pytest.raises(ValueError):
-        matrix_from_json([[1.0, 2.0]])
+    # every entry is exactly two real numbers; booleans are not numbers here
+    for obj in ([[1.0, 2.0]], [[[1, 0, 7]]], [[[True, False]]], [[[1.0, "0"]]], [[[1.0]]], 5):
+        with pytest.raises(ValueError):
+            matrix_from_json(obj)

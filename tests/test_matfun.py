@@ -491,8 +491,9 @@ def test_fd_halving_reduces_error():
 
 
 def test_fd_config_validation():
-    # the rule's one input is its step h, or the scale fd_step sizes it from
-    for h in (0.0, -1e-3, math.inf, math.nan, fd_step(math.inf)):
+    # the rule's one input is its step h, or the scale fd_step sizes it from;
+    # at scale 1e160 the square (h/2)^2 the second difference divides by underflows
+    for h in (0.0, -1e-3, math.inf, math.nan, fd_step(math.inf), fd_step(1e160)):
         with pytest.raises(ValueError, match="step h"):
             fd_probes(0.5, h)
     assert fd_step(0.0) == fd_step(1.0) == FD_STEP
