@@ -80,8 +80,11 @@ def solve(a, b) -> np.ndarray:
 
 def gershgorin_discs(a, axis: str = "col") -> tuple[np.ndarray, np.ndarray]:
     """Gershgorin discs of the column or row family as arrays (centers, radii):
-    the diagonal, and the off-diagonal absolute column or row sums."""
-    A = as_matrix(a)
+    the diagonal, and the off-diagonal absolute column or row sums.
+
+    Like :func:`norm_1` it does not validate ``a``; its callers pass a matrix
+    :func:`as_matrix` has already checked."""
+    A = np.asarray(a, dtype=np.complex128)
     d = np.diag(A)
     return d, np.abs(A).sum(axis=0 if axis == "col" else 1) - np.abs(d)
 

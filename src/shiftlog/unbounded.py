@@ -162,6 +162,11 @@ def _calibrated_steps(norm_a: float, interval: float) -> int:
     return max(32, int(math.ceil(2.0 * norm_a * interval)))
 
 
+# A powered march of k steps rounds like k u, u = 2^-53; the sweep refuses a
+# member whose k u exceeds the tightest tolerance the campaign puts on U(t, s),
+# sweep.semigroup_calibrated's 1e-6 (so k <= 9.0e9 steps).
+MARCH_ROUNDING_LIMIT = 1e-6
+
 DEFAULT_SWEEP_BUDGET = 5e9
 
 # Price of one sweep member, in units of about 1.3 ns on a 2-vCPU Xeon VM
@@ -199,10 +204,13 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
     Before any member is built, the sweep raises ``ValueError`` unless
     0 <= s < t < inf, or when a member's first probe time precedes s (the
     widest window is the smallest n's) or :func:`matfun.fd_probes` rejects its
-    step, and :class:`BudgetExceededError` when the estimated total work
-    (:func:`sweep_cost`) exceeds ``budget``.  A built member raises ``ValueError``
-    when a centred surrogate rounds to 0 (kappa about 1e16 and up), and its
-    march :class:`errors.PropagationError` when U(t, s) is not finite.
+    step, or when a member's calibrated step count k has k u above
+    :data:`MARCH_ROUNDING_LIMIT` (u = 2^-53; such a march cannot hold U(t, s)
+    to the campaign's 1e-6), and :class:`BudgetExceededError` when the
+    estimated total work (:func:`sweep_cost`) exceeds ``budget``.  A built
+    member raises ``ValueError`` when a centred surrogate rounds to 0 (kappa
+    about 1e16 and up), and its march :class:`errors.PropagationError` when
+    U(t, s) is not finite.
     """
     if not 0.0 <= s < t < math.inf:
         raise ValueError(f"need finite 0 <= s < t, got s={s}, t={t}")
@@ -212,6 +220,13 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
     if first_probe < s:
         raise ValueError(f"the generator recovery probes U(tau, s) at tau = "
                          f"{first_probe}, before s = {s}")
+    steps = {n: _calibrated_steps(family.norm(n, s), interval) for n in family.dims}
+    most = max(steps, key=steps.get)
+    rounding = steps[most] * 2.0 ** -53
+    if rounding > MARCH_ROUNDING_LIMIT:
+        raise ValueError(f"n = {most}: a march of {steps[most]:.3e} steps rounds like "
+                         f"{rounding:.1e}, above {MARCH_ROUNDING_LIMIT:.0e}; "
+                         f"the stencil or t - s is too large")
     cost = sweep_cost(family)
     if cost > budget:
         raise BudgetExceededError(f"estimated work {cost:.3e} exceeds budget {budget:.3e}")
@@ -222,8 +237,7 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
         g = family.member(n)
         a_raw = g.eval(s)
         norm_an = norm_1(a_raw)
-        steps = _calibrated_steps(family.norm(n, s), interval)
-        u_at = march(g, s, recovery_chain([t], fd_h[n]), steps / interval, SWEEP_STEPPER)
+        u_at = march(g, s, recovery_chain([t], fd_h[n]), steps[n] / interval, SWEEP_STEPPER)
         b_raw = grid_potential(n)
         u2_matrix = expm(interval * b_raw)
         kappa = select_kappa([u_at[t], u2_matrix])

@@ -54,6 +54,28 @@ def solve_calls(monkeypatch):
 
 
 @pytest.fixture
+def as_matrix_calls(monkeypatch):
+    """The calls of ``linalg.as_matrix``, one list entry each."""
+    return _counted(monkeypatch, linalg, "as_matrix")
+
+
+@pytest.fixture
+def resolvent_stacks(monkeypatch):
+    """The size of each stack of matrices passed to ``np.linalg.inv``, one
+    list entry per stacked call; a single matrix is not a stack."""
+    sizes = []
+    inv = np.linalg.inv
+
+    def counting(a):
+        if np.ndim(a) == 3:
+            sizes.append(len(a))
+        return inv(a)
+
+    _replace(monkeypatch, np.linalg, "inv", counting)
+    return sizes
+
+
+@pytest.fixture
 def norm_1_calls(monkeypatch):
     """The calls of ``linalg.norm_1``, one list entry each."""
     return _counted(monkeypatch, linalg, "norm_1")

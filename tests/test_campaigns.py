@@ -180,10 +180,25 @@ def test_campaign_pass_norm_1_count(norm_1_calls):
     # series disc was 1/4.  The FD rule's scales add 83: ||X||_1 + ||Y||_1
     # of 24 second derivatives, ||H||_1 and every ||rho(t)||_1 of 3 trajectories
     # (25), ||a1(0)||_1 + ||a2(0)||_1 of 2 expansions and ||A(t)||_1 at 6
-    # recovery probes; fd_order_ratio's 4 more expm calls add 4.
+    # recovery probes; fd_order_ratio's 4 more expm calls add 4.  The contour
+    # oracle takes one norm per level after its first, and a first level of 16
+    # nodes instead of 64 adds 234: of its 200 calls, 33 stop at 32 nodes
+    # (+0: from 64 they took the one check at 128), 100 at 64 (+1, the checks
+    # at 32 and 64 against one at 128) and 67 at 128 to 512 (+2, the checks at
+    # 32 and 64); 5,087 -> 5,321 measured.
     reports = campaigns.run_suites(campaigns.SUITES, 42)
     assert all(r.passed for r in reports)
-    assert 0 < len(norm_1_calls) <= 5009 + 83 + 4
+    assert 0 < len(norm_1_calls) <= 5009 + 83 + 4 + 234
+
+
+def test_campaign_pass_resolvent_count(resolvent_stacks):
+    # the contour oracle inverts one stack of resolvents per quadrature level.
+    # Doubling from 64 nodes its 200 calls computed 28,032 per pass (187 stopped
+    # at 128 nodes); from 16 they stop at 32 (33 calls), 64 (100), 128 (54),
+    # 256 (10) and 512 (3): 18,464
+    reports = campaigns.run_suites(campaigns.SUITES, 42)
+    assert all(r.passed for r in reports)
+    assert 0 < sum(resolvent_stacks) <= 18464
 
 
 def test_campaign_pass_eval_and_matrix_power_count(eval_calls, matrix_power_calls):

@@ -377,14 +377,23 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
     ("verify", {"sweep_dims": [8, 257], "suites": ["sweep"]}),
     ("sweep", {**SWEEP_CONFIG, "budget": 10.0}),
     ("verify", {"suites": ["bch"], "output": {"path": ""}}),
-    # stencil coefficients so large that a centred surrogate rounds to 0
-    # (speed 1e18, viscosity 1e16) or the march overflows (1e20, 1e17)
+    # stencil coefficients so large that the march's k steps round like
+    # k 2^-53 > 1e-6, refused before any member is built (it would also round
+    # a centred surrogate to 0 at speed 1e18 and viscosity 1e16, and overflow
+    # at 1e20 and 1e17; below those, viscosity 1e10 and 1e14 and speed 1e14
+    # and 1e16 returned a wrong U(t, s) and exited 0)
     ("sweep", {**SWEEP_CONFIG, "family": {"kind": "advection", "dims": [8, 16], "speed": 1e18}}),
     ("sweep", {**SWEEP_CONFIG, "family": {"kind": "advection", "dims": [8, 16], "speed": 1e20}}),
     ("sweep", {**SWEEP_CONFIG, "family": {"kind": "diffusion", "dims": [8, 16],
                                           "viscosity": 1e16}}),
     ("sweep", {**SWEEP_CONFIG, "family": {"kind": "diffusion", "dims": [8, 16],
                                           "viscosity": 1e17}}),
+    ("sweep", {**SWEEP_CONFIG, "family": {"kind": "diffusion", "dims": [8, 16],
+                                          "viscosity": 1e10}}),
+    ("sweep", {**SWEEP_CONFIG, "family": {"kind": "diffusion", "dims": [8, 16],
+                                          "viscosity": 1e14}}),
+    ("sweep", {**SWEEP_CONFIG, "family": {"kind": "advection", "dims": [8, 16], "speed": 1e14}}),
+    ("sweep", {**SWEEP_CONFIG, "family": {"kind": "advection", "dims": [8, 16], "speed": 1e16}}),
     # matrix entries that are not [re, im] pairs of real numbers
     ("bch", ([[[1, 0, 7], [0, 0]], [[0, 0], [1, 0]]], np.zeros((2, 2)))),
     ("bch", ([[[True, False], [0, 0]], [[0, 0], [1, 0]]], np.zeros((2, 2)))),
@@ -408,7 +417,8 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
         "sweep-fd-window-before-s", "verify-dims-bool", "sweep-dims-257",
         "verify-sweep-dims-257", "sweep-over-budget",
         "verify-output-path-empty", "sweep-speed-1e18", "sweep-speed-1e20",
-        "sweep-viscosity-1e16", "sweep-viscosity-1e17", "bch-entry-triple",
+        "sweep-viscosity-1e16", "sweep-viscosity-1e17", "sweep-viscosity-1e10",
+        "sweep-viscosity-1e14", "sweep-speed-1e14", "sweep-speed-1e16", "bch-entry-triple",
         "bch-entry-bool", "vn-entry-triple", "vn-entry-bool",
         "verify-format-flag-xml", "verify-seed-flag-str",
         "verify-suite-flag-unknown", "verify-unknown-flag", "bch-order-9", "unknown-verb",

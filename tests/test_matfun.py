@@ -345,7 +345,7 @@ def test_varah_bound_holds_at_every_node(seed, n, norm, shift):
         assert np.all((row <= 0) | (norm_row * row <= slack))
 
 
-def test_logm_forward_error_against_mpmath():
+def test_logm_forward_error_against_mpmath(resolvent_stacks):
     rng = np.random.default_rng(59)
     for n in (2, 4, 8):
         m = expm(rand_log_admissible(rng, n))
@@ -353,6 +353,19 @@ def test_logm_forward_error_against_mpmath():
         scale = norm_1(ref)
         assert norm_1(logm_contour(m) - ref) <= 1e-13 * scale, n
         assert norm_1(logm_iss(m) - ref) <= 1e-13 * scale, n
+    # the oracle's early and late stops, on the campaign's matrices: draws 2,
+    # 4, 15 and 18 of seed 7 (n cycling 2, 4, 8) converge at 32 nodes, the
+    # earliest stop of a first level of 16, and at 256, 32 and 512 nodes
+    rng = np.random.default_rng(7)
+    draws = [expm(rand_log_admissible(rng, (2, 4, 8)[i % 3])) for i in range(19)]
+    nodes = []
+    for m in (draws[2], draws[4], draws[15], draws[18]):
+        resolvent_stacks.clear()
+        log_m = logm_contour(m)
+        nodes.append(sum(resolvent_stacks))
+        ref = _mpmath_reference(mpmath.logm, m)
+        assert norm_1(log_m - ref) <= 1e-13 * norm_1(ref), (m.shape, nodes[-1])
+    assert nodes == [32, 256, 32, 512]
     # ||M - I||_1 <= 1/4 takes no square root: the series alone does the work,
     # at 0.2499, at its shortest (1e-8) and non-normal (I + 0.2 N).  At
     # n = 16 only 0.2499: mpmath takes 2 s more for the others.
@@ -459,6 +472,21 @@ def test_logm_contour_builds_each_gershgorin_family_once(monkeypatch):
     log_m = logm_contour(m)
     assert sorted(calls) == ["col", "row"]
     assert norm_1(log_m - logm_iss(m)) <= 1e-8
+
+
+def test_logm_contour_validates_its_input_once(as_matrix_calls):
+    # contour_for validates m, and both Gershgorin families and the oracle's
+    # stack are read off that one check
+    rng = np.random.default_rng(3)
+    for n in (2, 4, 8, 16):
+        m = expm(rand_c(rng, n, 0.5))
+        as_matrix_calls.clear()
+        logm_contour(m)
+        assert len(as_matrix_calls) == 1, n
+    with pytest.raises(ValueError):
+        logm_contour(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        logm_contour(np.ones((2, 3)))
 
 
 # --- finite differences ---

@@ -10,7 +10,7 @@ import pytest
 
 from shiftlog import logrep, unbounded
 from shiftlog.errors import BudgetExceededError
-from shiftlog.campaigns import DEFAULT_SWEEP_DIMS, _ramp_integral
+from shiftlog.campaigns import DEFAULT_SWEEP_DIMS, DEFAULT_TOLERANCES, _ramp_integral
 from shiftlog.evolution import GeneratorSpec, check_semigroup, march
 from shiftlog.linalg import norm_1
 from shiftlog.logrep import alt_generator, recovery_chain, select_kappa
@@ -166,6 +166,23 @@ def test_sweep_budget_guard():
     family = DiscretizedFamily("diffusion", (8, 16), viscosity=0.01)
     with pytest.raises(BudgetExceededError):
         refinement_sweep(family, t=0.1, s=0.0, budget=10.0)
+
+
+def test_sweep_refuses_a_march_that_cannot_hold_its_accuracy(monkeypatch):
+    # k u above the campaign's tightest tolerance on U(t, s): viscosity 1e10
+    # marches the n = 16 member in 2.0e12 steps (k u = 2.3e-4), and its
+    # norm_a read 4e-5 off; refused before any member is built
+    assert unbounded.MARCH_ROUNDING_LIMIT == DEFAULT_TOLERANCES["sweep.semigroup_calibrated"]
+    built = []
+    member = DiscretizedFamily.member
+    monkeypatch.setattr(DiscretizedFamily, "member",
+                        lambda self, n: built.append(n) or member(self, n))
+    with pytest.raises(ValueError, match="rounds like"):
+        refinement_sweep(DiscretizedFamily("diffusion", (8, 16), viscosity=1e10), t=0.1, s=0.0)
+    assert built == []
+    # the README's speed 1e7 at t - s = 1 is 3.2e8 steps, k u = 3.6e-8
+    assert refinement_sweep(DiscretizedFamily("advection_tdep", (16,), speed=1e7), 1.0, 0.0).rows
+    assert built == [16]
 
 
 def test_sweep_budget_accepts_diffusion_to_128():
