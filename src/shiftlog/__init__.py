@@ -51,12 +51,12 @@ from .bch import (
     ExpansionReport,
     VonNeumannReport,
     adjoint_series,
-    bch_terms,
     bch_truncated,
     commutator,
     kappa_shifted_bch,
     log_product,
     log_product_expansion,
+    log_product_series,
     von_neumann_rhs,
     von_neumann_second_derivative,
 )

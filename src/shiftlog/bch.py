@@ -6,7 +6,9 @@ Three families of checks live here:
   numerically exact value :func:`log_product`, plus the adjoint
   (conjugation) series :func:`adjoint_series`;
 * the kappa-shifted product identity (:func:`kappa_shifted_bch`) where the
-  shifted logarithm replaces the plain one;
+  shifted logarithm replaces the plain one.  Both product identities are
+  truncations of one series, the Taylor coefficients in eps of
+  Log(e^{eps X} e^{eps Y} + kappa I) (:func:`log_product_series`);
 * second-derivative-of-logarithm identities, all read off one curve, the
   product logarithm s -> Log(e^{G1(s)} e^{G2(s)}) near s = 0: the commutator
   [X, Y] as its second derivative for G1 = Xs and G2 = Ys, the expansion of
@@ -15,9 +17,9 @@ Three families of checks live here:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -63,51 +65,73 @@ def log_product(x, y) -> np.ndarray:
     return logm_iss(expm(x) @ expm(y))
 
 
-# Product-series terms through order 4.  Each entry: (order, coefficient,
-# printable word, evaluator on (X, Y, C=[X,Y])).
-_BCH_TABLE: tuple = (
-    (1, Fraction(1), "X", lambda x, y, c: x),
-    (1, Fraction(1), "Y", lambda x, y, c: y),
-    (2, Fraction(1, 2), "[X,Y]", lambda x, y, c: c),
-    (3, Fraction(1, 12), "[X,[X,Y]]", lambda x, y, c: x @ c - c @ x),
-    (3, Fraction(-1, 12), "[Y,[X,Y]]", lambda x, y, c: y @ c - c @ y),
-    (4, Fraction(-1, 24), "[Y,[X,[X,Y]]]",
-     lambda x, y, c: (lambda w: y @ w - w @ y)(x @ c - c @ x)),
-)
+def log_product_series(x, y, order: int, kappa=0) -> list[np.ndarray]:
+    """Taylor coefficients Z_0..Z_order at eps = 0 of eps -> Log(e^{eps X} e^{eps Y} + kappa I).
 
+    With P = e^{eps X} e^{eps Y} - I, a series that starts at degree 1,
 
-def bch_terms(order: int) -> tuple[tuple[Fraction, str], ...]:
-    """The (coefficient, word) pairs of the product series through ``order``."""
-    if order not in (1, 2, 3, 4):
-        raise ValueError("truncation order must be in 1..4")
-    return tuple((coeff, word) for o, coeff, word, _ in _BCH_TABLE if o <= order)
+        Log((1 + kappa) I + P) = ln(1 + kappa) I + sum_m (-1)^{m+1} (P / (1 + kappa))^m / m,
+
+    and P^m starts at degree m, so the sum ends at m = ``order``: every Z_j is
+    a finite sum of products of X and Y, and no Lie word is written out.  At
+    kappa = 0 these are the BCH product series' terms, Z_1 = X + Y,
+    Z_2 = [X, Y] / 2, Z_3 = ([X, [X, Y]] - [Y, [X, Y]]) / 12, ...  Z_j is
+    homogeneous of degree j in (X, Y), so the series of (tX, tY) is t^j Z_j.
+
+    The arithmetic is the operands': numpy object arrays of
+    ``fractions.Fraction`` with a rational kappa give Z_1..Z_order exactly;
+    anything else is read by :func:`linalg.as_matrix`.
+    """
+    if order < 0:
+        raise ValueError("series order must be non-negative")
+    if kappa == -1:
+        raise ValueError("kappa = -1 is excluded")
+    X, Y = (m if m.dtype == object else as_matrix(m) for m in map(np.asarray, (x, y)))
+    if X.shape != Y.shape or X.ndim != 2 or len(X) != X.shape[1]:
+        raise ValueError("X and Y must be square matrices of equal dimensions")
+    zero = X * 0
+
+    def product(a, b, low):
+        # Coefficients of the product of a (from degree 1) and b (from degree
+        # ``low``), which starts at degree low + 1.
+        return [zero] * (low + 1) + [sum((a[i] @ b[d - i] for i in range(1, d - low + 1)), zero)
+                                     for d in range(low + 1, order + 1)]
+
+    ex, ey = [zero, X], [zero, Y]
+    for k in range(2, order + 1):
+        ex.append(ex[-1] @ X / k)
+        ey.append(ey[-1] @ Y / k)
+    p = [ex[d] + ey[d] + sum((ex[i] @ ey[d - i] for i in range(1, d)), zero)
+         for d in range(order + 1)]
+    q = [c / (1 + kappa) for c in p]
+    z, power = [zero] * (order + 1), q
+    for m in range(1, order + 1):
+        z = [zj + cj * ((-1) ** (m + 1)) / m for zj, cj in zip(z, power)]
+        power = product(q, power, m)
+    if kappa:
+        z[0] = cmath.log(1 + kappa) * np.eye(len(X), dtype=X.dtype)
+    return z
 
 
 def bch_truncated(x, y, order: int) -> np.ndarray:
-    """Partial sum of the BCH product series through the given order (1..4)."""
-    if order not in (1, 2, 3, 4):
-        raise ValueError("truncation order must be in 1..4")
-    X = as_matrix(x)
-    Y = as_matrix(y)
-    C = X @ Y - Y @ X
-    total = np.zeros_like(X)
-    for o, coeff, _, ev in _BCH_TABLE:
-        if o <= order:
-            total = total + float(coeff) * ev(X, Y, C)
-    return total
+    """Partial sum Z_1 + ... + Z_order of the BCH product series
+    (:func:`log_product_series` at kappa = 0); ``order`` >= 1."""
+    if order < 1:
+        raise ValueError("truncation order must be at least 1")
+    return sum(log_product_series(x, y, order)[1:])
 
 
 def kappa_shifted_bch(a1, a2, kappa) -> float:
     """Residual in 1-norm of expm(a1) expm(a2) + kappa*I against the
-    shifted-BCH closed form
+    shifted-BCH closed form through second order, expm(Z_0 + Z_1 + Z_2) with
+    the :func:`log_product_series` terms
 
-        exp( ln(kappa+1) I + (kappa+1)^-1 (a1 + a2)
-             + 1/2 (kappa+1)^-1 [a1, a2] ).
+        Z_0 = ln(kappa+1) I,  Z_1 = (kappa+1)^-1 (a1 + a2),
+        Z_2 = 1/2 (kappa+1)^-1 [a1, a2] + kappa (a1 + a2)^2 / (2 (kappa+1)^2).
 
-    The residual shrinks cubically under a -> eps*a whenever (a1 + a2)^2
-    vanishes; for generic pairs the omitted square terms enter at second
-    order.  Precondition (series convergence radius): the order-2 product
-    expansion divided by kappa+1 must have 1-norm below one.
+    The residual shrinks cubically under a -> eps*a.  Precondition (series
+    convergence radius): the order-2 product expansion divided by kappa+1
+    must have 1-norm below one.
     """
     A1 = as_matrix(a1)
     A2 = as_matrix(a2)
@@ -122,11 +146,8 @@ def kappa_shifted_bch(a1, a2, kappa) -> float:
             "||(kappa+1)^-1 (a1 + a2 + quadratic terms)|| >= 1; "
             "increase |kappa| or shrink the operands"
         )
-    n = A1.shape[0]
-    ident = eye(n)
-    lhs = expm(A1) @ expm(A2) + kap * ident
-    exponent = np.log(kap + 1.0) * ident + sigma / (kap + 1.0) + 0.5 / (kap + 1.0) * comm
-    return norm_1(lhs - expm(exponent))
+    lhs = expm(A1) @ expm(A2) + kap * eye(A1.shape[0])
+    return norm_1(lhs - expm(sum(log_product_series(A1, A2, 2, kap))))
 
 
 # Panels of the composite Simpson rule of :func:`log_product_expansion`.

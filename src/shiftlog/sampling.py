@@ -33,32 +33,6 @@ def rand_log_admissible(rng: np.random.Generator, n: int) -> np.ndarray:
     raise RuntimeError("failed to sample an admissible matrix")
 
 
-def rand_nilpotent(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Rank-one nilpotent x y* with y orthogonal to x, unit 1-norm (N^2 = 0)."""
-    while True:
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        y = y - (np.vdot(x, y) / np.vdot(x, x)) * x
-        nil = np.outer(x, y.conj())
-        scale = norm_1(nil)
-        if scale > 1e-8:
-            return nil / scale
-
-
-def nilpotent_sum_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Non-commuting pair (a1, a2) whose sum squares to zero exactly.
-
-    a1 is random of 1-norm 0.5, a2 = N - a1 with N rank-one nilpotent, so
-    (a1 + a2)^2 = 0.
-    On this family the shifted-BCH truncation error is genuinely third order
-    in the operand amplitude; for generic pairs the omitted (a1 + a2)^2
-    terms dominate at second order.
-    """
-    nil = rand_nilpotent(rng, n)
-    a1 = rand_complex(rng, n, 0.5)
-    return a1, nil - a1
-
-
 def noncommuting_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Generic pair at unit scale with a commutator bounded away from zero."""
     while True:

@@ -204,13 +204,14 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
     Before any member is built, the sweep raises ``ValueError`` unless
     0 <= s < t < inf, or when a member's first probe time precedes s (the
     widest window is the smallest n's) or :func:`matfun.fd_probes` rejects its
-    step, or when a member's calibrated step count k has k u above
-    :data:`MARCH_ROUNDING_LIMIT` (u = 2^-53; such a march cannot hold U(t, s)
-    to the campaign's 1e-6), and :class:`BudgetExceededError` when the
-    estimated total work (:func:`sweep_cost`) exceeds ``budget``.  A built
-    member raises ``ValueError`` when a centred surrogate rounds to 0 (kappa
-    about 1e16 and up), and its march :class:`errors.PropagationError` when
-    U(t, s) is not finite.
+    step, or when a member's march length k = 2 ||A_n(s)||_1 (t - s), taken in
+    floating point (it may be inf), has k u above :data:`MARCH_ROUNDING_LIMIT`
+    (u = 2^-53; such a march cannot hold U(t, s) to the campaign's 1e-6), and
+    :class:`BudgetExceededError` when the estimated total work
+    (:func:`sweep_cost`) exceeds ``budget``.  A built member raises
+    ``ValueError`` when a centred surrogate rounds to 0 (kappa about 1e16 and
+    up), and its march :class:`errors.PropagationError` when U(t, s) is not
+    finite.
     """
     if not 0.0 <= s < t < math.inf:
         raise ValueError(f"need finite 0 <= s < t, got s={s}, t={t}")
@@ -220,13 +221,16 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
     if first_probe < s:
         raise ValueError(f"the generator recovery probes U(tau, s) at tau = "
                          f"{first_probe}, before s = {s}")
-    steps = {n: _calibrated_steps(family.norm(n, s), interval) for n in family.dims}
-    most = max(steps, key=steps.get)
-    rounding = steps[most] * 2.0 ** -53
+    # In floating point, before any step count is formed: 2 ||A_n(s)||_1 (t - s)
+    # may overflow to inf, which no integer holds.
+    most = max(family.dims, key=lambda n: family.norm(n, s))
+    length = 2.0 * family.norm(most, s) * interval
+    rounding = length * 2.0 ** -53
     if rounding > MARCH_ROUNDING_LIMIT:
-        raise ValueError(f"n = {most}: a march of {steps[most]:.3e} steps rounds like "
+        raise ValueError(f"n = {most}: a march of {length:.3e} steps rounds like "
                          f"{rounding:.1e}, above {MARCH_ROUNDING_LIMIT:.0e}; "
                          f"the stencil or t - s is too large")
+    steps = {n: _calibrated_steps(family.norm(n, s), interval) for n in family.dims}
     cost = sweep_cost(family)
     if cost > budget:
         raise BudgetExceededError(f"estimated work {cost:.3e} exceeds budget {budget:.3e}")

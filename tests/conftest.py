@@ -11,7 +11,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
-from shiftlog import linalg, matfun
+from shiftlog import bch, linalg, matfun
 from shiftlog.evolution import GeneratorSpec
 
 
@@ -85,6 +85,12 @@ def norm_1_calls(monkeypatch):
 def expm_calls(monkeypatch):
     """The calls of ``matfun.expm``, one list entry each."""
     return _counted(monkeypatch, matfun, "expm")
+
+
+@pytest.fixture
+def log_product_series_calls(monkeypatch):
+    """The calls of ``bch.log_product_series``, one list entry each."""
+    return _counted(monkeypatch, bch, "log_product_series")
 
 
 @pytest.fixture

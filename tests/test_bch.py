@@ -10,19 +10,19 @@ import pytest
 from shiftlog import bch
 from shiftlog.bch import (
     adjoint_series,
-    bch_terms,
     bch_truncated,
     commutator,
     kappa_shifted_bch,
     log_product,
     log_product_expansion,
+    log_product_series,
     von_neumann_rhs,
     von_neumann_second_derivative,
 )
 from shiftlog.errors import ConvergenceRadiusError
 from shiftlog.linalg import norm_1
 from shiftlog.matfun import expm
-from shiftlog.sampling import nilpotent_sum_pair, noncommuting_pair, rand_complex
+from shiftlog.sampling import noncommuting_pair, rand_complex
 
 
 def loglog_slope(xs, ys):
@@ -98,11 +98,8 @@ def test_bch_truncated_order_one_and_terms():
     rng = np.random.default_rng(4)
     x, y = rand_complex(rng, 2), rand_complex(rng, 2)
     np.testing.assert_allclose(bch_truncated(x, y, 1), x + y)
-    assert bch_terms(2) == ((Fraction(1), "X"), (Fraction(1), "Y"),
-                            (Fraction(1, 2), "[X,Y]"))
-    assert len(bch_terms(4)) == 6
     with pytest.raises(ValueError):
-        bch_truncated(x, y, 5)
+        bch_truncated(x, y, 0)
 
 
 def test_bch_truncated_hand_value():
@@ -115,18 +112,83 @@ def test_bch_truncated_hand_value():
     np.testing.assert_allclose(bch_truncated(x, y, 2), expected)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 7])
 def test_bch_order_law(order):
     # the residual against the exact product log scales like t^(order+1);
-    # order 4 also validates the -1/24 coefficient against the oracle
+    # order 4 also validates the -1/24 coefficient against the oracle.  From
+    # order 5 on, t = 2^-3..2^-7 reaches the rounding floor (at 2^-5 and below
+    # from order 6), so those orders take t = 2^-1..2^-4.
     rng = np.random.default_rng(5 + order)
-    ts = [2.0 ** (-j) for j in range(3, 8)]
+    ts = [2.0 ** (-j) for j in (range(3, 8) if order <= 4 else range(1, 5))]
     for _ in range(4):
         x, y = noncommuting_pair(rng, 3)
         res = [norm_1(log_product(t * x, t * y) - bch_truncated(t * x, t * y, order))
                for t in ts]
         slope = loglog_slope(ts, res)
         assert order + 0.7 <= slope <= order + 1.3
+
+
+def lie_words(x, y):
+    # the BCH terms through degree 4, written out: X + Y, [X,Y]/2,
+    # ([X,[X,Y]] - [Y,[X,Y]])/12 and -[Y,[X,[X,Y]]]/24
+    c = commutator(x, y)
+    return [x + y, c / 2, (commutator(x, c) - commutator(y, c)) / 12,
+            -commutator(y, commutator(x, c)) / 24]
+
+
+def test_log_product_series_matches_the_lie_words():
+    rng = np.random.default_rng(20)
+    for _ in range(10):
+        x, y = noncommuting_pair(rng, 3)
+        for t in (0.125, 0.5, 1.0):
+            z = log_product_series(t * x, t * y, 4)
+            assert norm_1(z[0]) == 0.0
+            for zj, word in zip(z[1:], lie_words(t * x, t * y)):
+                assert norm_1(zj - word) <= 1e-14 * norm_1(word)
+
+
+def fraction_matrix(entries):
+    return np.array([[Fraction(int(v)) for v in row] for row in entries], dtype=object)
+
+
+def test_log_product_series_is_exact_on_nilpotent_integer_pairs():
+    # strictly upper-triangular 4 x 4: every product of four vanishes, so
+    # log(e^X e^Y) = N - N^2/2 + N^3/3 with N = e^X e^Y - I ends at degree 3,
+    # and in rational arithmetic the series must reproduce it exactly
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        x, y = (fraction_matrix(np.triu(rng.integers(-3, 4, (4, 4)), 1)) for _ in range(2))
+        ident = fraction_matrix(np.eye(4))
+        exp_x = ident + x + x @ x / 2 + x @ x @ x / 6
+        exp_y = ident + y + y @ y / 2 + y @ y @ y / 6
+        n = exp_x @ exp_y - ident
+        exact = n - n @ n / 2 + n @ n @ n / 3
+        z = log_product_series(x, y, 5)
+        assert (z[1] + z[2] + z[3] == exact).all()
+        assert (z[4] == 0).all() and (z[5] == 0).all()
+
+
+@pytest.mark.parametrize("kappa", [Fraction(2), Fraction(-1, 2), Fraction(7, 3)])
+def test_log_product_series_shifted_second_order_term(kappa):
+    # exact: Z_1 = (a1 + a2)/(k+1), Z_2 = [a1, a2]/(2(k+1)) + k (a1 + a2)^2/(2(k+1)^2)
+    rng = np.random.default_rng(22)
+    a1, a2 = (fraction_matrix(rng.integers(-4, 5, (3, 3))) for _ in range(2))
+    z = log_product_series(a1, a2, 2, kappa)
+    s = a1 + a2
+    assert (z[1] == s / (kappa + 1)).all()
+    assert (z[2] == (a1 @ a2 - a2 @ a1) / (2 * (kappa + 1))
+            + kappa * (s @ s) / (2 * (kappa + 1) ** 2)).all()
+    np.testing.assert_allclose(z[0].astype(complex), math.log(kappa + 1) * np.eye(3))
+
+
+def test_log_product_series_rejects_bad_input():
+    x = np.eye(2)
+    with pytest.raises(ValueError):
+        log_product_series(x, x, -1)
+    with pytest.raises(ValueError):
+        log_product_series(x, x, 2, -1.0)
+    with pytest.raises(ValueError):
+        log_product_series(x, np.eye(3), 2)
 
 
 # --- kappa-shifted product identity ---
@@ -138,33 +200,23 @@ def test_shifted_bch_zero_operands():
 
 def test_shifted_bch_commuting_nilpotent_direction():
     # commuting pair along one nilpotent direction: the identity is exact
-    rng = np.random.default_rng(9)
-    from shiftlog.sampling import rand_nilpotent
-    nil = rand_nilpotent(rng, 2)
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     residual = kappa_shifted_bch(0.1 * nil, 0.1 * nil, 2.0)
     assert residual <= 1e-3  # exact up to rounding in practice
     assert residual <= 1e-12
 
 
-def test_shifted_bch_cubic_scaling_on_nilpotent_sums():
-    rng = np.random.default_rng(10)
-    eps = [0.2, 0.1, 0.05]
-    for _ in range(5):
-        a1, a2 = nilpotent_sum_pair(rng, 2)
-        res = [kappa_shifted_bch(e * a1, e * a2, 2.0) for e in eps]
-        assert 2.7 <= loglog_slope(eps, res) <= 3.3
-
-
-def test_shifted_bch_generic_pairs_scale_quadratically():
-    # for generic pairs the truncation omits (a1+a2)^2 terms, which enter at
-    # second order once kappa is nonzero; the slope sits near 2, not 3
+def test_shifted_bch_generic_pairs_scale_cubically():
+    # the closed form carries the whole second-order term, kappa (a1+a2)^2 /
+    # (2 (kappa+1)^2) included, so the residual is third order for every pair
+    # (without that term it read slopes near 2)
     rng = np.random.default_rng(11)
     eps = [0.2, 0.1, 0.05]
     for _ in range(5):
         a1 = rand_complex(rng, 2, 1.0)
         a2 = rand_complex(rng, 2, 1.0)
         res = [kappa_shifted_bch(e * a1, e * a2, 2.0) for e in eps]
-        assert 1.8 <= loglog_slope(eps, res) <= 2.4
+        assert 2.7 <= loglog_slope(eps, res) <= 3.3
 
 
 def test_shifted_bch_preconditions():

@@ -164,6 +164,16 @@ def test_order_law_takes_each_exact_logarithm_once(monkeypatch):
     assert len(calls) == 50
 
 
+def test_order_law_takes_one_series_per_pair(log_product_series_calls):
+    # each Z_j is homogeneous of degree j, so one series per pair serves every
+    # scale t and order: 10 calls, where one per (pair, t, order) made 150.
+    # The shifted identity takes 1 more for its trivial case and 30 for its
+    # 10 pairs at 3 amplitudes.
+    cases = {r.case: r for r in campaigns.suite_bch(42)}
+    assert all(r.passed for r in cases.values())
+    assert len(log_product_series_calls) == 10 + 1 + 30
+
+
 def test_campaign_pass_solve_count(solve_calls):
     # one LU solve per Denman-Beavers iteration; with two it was 4172,
     # 2105 before the logarithm centred its input, and 1077 while the series

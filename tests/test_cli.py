@@ -300,9 +300,14 @@ def test_bch_verb(tmp_path, capsys):
     y[1, 2] = 1.0
     xp = write_json(tmp_path / "x.json", matrix_to_json(x))
     yp = write_json(tmp_path / "y.json", matrix_to_json(y))
-    assert main(["bch", xp, yp, "--order", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "order 1" in out and "order 3" in out and "[X,[X,Y]]" in out
+    assert main(["bch", xp, yp, "--order", "8"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    # Log(e^X e^Y) = X + Y + [X, Y]/2 for this pair: order 1 misses
+    # ||[X, Y]/2||_1 = 1/2, and every later order is exact up to rounding
+    residuals = [float(line.split("residual")[1]) for line in out if line.startswith("order ")]
+    assert [line.split(":")[0] for line in out[-8:]] == [f"order {k}" for k in range(1, 9)]
+    assert residuals[0] == pytest.approx(0.5, rel=1e-12)
+    assert max(residuals[1:]) <= 1e-14
 
 
 VN_CONFIG = {
@@ -329,6 +334,17 @@ def test_sweep_verb_marches_a_fast_modulated_member(tmp_path):
         "family": {"kind": "advection_tdep", "dims": [16], "speed": 1e7},
         "t": 1.0, "s": 0.0, "output": {"path": str(tmp_path / "fast.csv")}})
     assert main(["sweep", "--config", cfg]) == 0
+
+
+def test_sweep_verb_names_an_overflowing_march(tmp_path, capsys):
+    # 2 ||A_8||_1 (t - s) overflows to inf; the one line names the march's
+    # rounding, not the int conversion that used to fail on it
+    cfg = write_json(tmp_path / "s.json", {
+        "family": {"kind": "advection", "dims": [8], "speed": 1e150}, "t": 1e160})
+    assert main(["sweep", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: n = 8: a march of inf steps rounds like inf")
+    assert err.count("\n") == 1
 
 
 def test_sweep_verdict_reads_tolerance_table(tmp_path, monkeypatch):
@@ -405,6 +421,7 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
     ("verify", ["--suite", "nope"]),
     ("verify", ["--bogus"]),
     ("bch", ["x.json", "y.json", "--order", "9"]),
+    ("bch", ["x.json", "y.json", "--order", "0"]),
     ("frobnicate", []),
     ("sweep", []),
 ], ids=["sweep-dims-int", "sweep-t-null", "sweep-budget-null", "sweep-t-inf",
@@ -421,8 +438,8 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
         "sweep-viscosity-1e14", "sweep-speed-1e14", "sweep-speed-1e16", "bch-entry-triple",
         "bch-entry-bool", "vn-entry-triple", "vn-entry-bool",
         "verify-format-flag-xml", "verify-seed-flag-str",
-        "verify-suite-flag-unknown", "verify-unknown-flag", "bch-order-9", "unknown-verb",
-        "sweep-no-config"])
+        "verify-suite-flag-unknown", "verify-unknown-flag", "bch-order-9", "bch-order-0",
+        "unknown-verb", "sweep-no-config"])
 def test_bad_input_is_one_stderr_line(tmp_path, capsys, verb, payload):
     if isinstance(payload, list):
         argv = [verb, *payload]

@@ -185,6 +185,13 @@ def test_sweep_refuses_a_march_that_cannot_hold_its_accuracy(monkeypatch):
     assert built == [16]
 
 
+def test_sweep_refuses_a_march_length_that_overflows():
+    # 2 ||A_8||_1 (t - s) = 1.6e311 is inf in floating point; the refusal
+    # compares it with the limit before a step count (an int) is formed
+    with pytest.raises(ValueError, match="march of inf steps rounds like inf"):
+        refinement_sweep(DiscretizedFamily("advection", (8,), speed=1e150), 1e160, 0.0)
+
+
 def test_sweep_budget_accepts_diffusion_to_128():
     from shiftlog.campaigns import suite_sweep
     reports = suite_sweep(0, dims=(16, 32, 64, 128))
