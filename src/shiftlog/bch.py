@@ -9,10 +9,10 @@ Three families of checks live here:
   shifted logarithm replaces the plain one.  Both product identities are
   truncations of one series, the Taylor coefficients in eps of
   Log(e^{eps X} e^{eps Y} + kappa I) (:func:`log_product_series`);
-* second-derivative-of-logarithm identities, all read off one curve, the
-  product logarithm s -> Log(e^{G1(s)} e^{G2(s)}) near s = 0: the commutator
-  [X, Y] as its second derivative for G1 = Xs and G2 = Ys, the expansion of
-  its integrated form, and the von Neumann equation written through it.
+* second-derivative-of-logarithm identities, all read off one 3n x 3n jet of
+  the product logarithm s -> Log(e^{G1(s)} e^{G2(s)}) at s = 0: the
+  commutator [X, Y] as its second derivative for G1 = Xs and G2 = Ys, the
+  expansion of its integrated form, and the von Neumann equation through it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConvergenceRadiusError
 from .linalg import as_matrix, eye, norm_1, solve
-from .matfun import expm, fd_derivative, fd_probes, fd_step, logm_iss
+from .matfun import block_toeplitz, expm, fd_derivative, fd_step, logm_iss
 
 
 def commutator(a, b) -> np.ndarray:
@@ -150,40 +150,36 @@ def kappa_shifted_bch(a1, a2, kappa) -> float:
     return norm_1(lhs - expm(sum(log_product_series(A1, A2, 2, kap))))
 
 
-# Panels of the composite Simpson rule of :func:`log_product_expansion`.
-SIMPSON_PANELS = 16
+def _jet_exps(scale: float, *curves) -> tuple[float, list[np.ndarray]]:
+    """sigma = 0.25 / max(scale, 1), and expm of the 3n x 3n :func:`matfun.block_toeplitz`
+    jet of s -> sigma s C1 + (sigma s)^2 C2 for each curve (C1, C2).  Where ``scale``
+    bounds the summed 1-norms of two curves' coefficients, the product of their
+    exponentials is within e^0.25 - 1 < 1/2 of I, in logm_iss's series disc, so
+    it takes no square root.  ``ValueError`` where 1 / sigma^2 is not finite."""
+    reach = 4.0 * max(scale, 1.0)
+    if math.isinf(reach * reach):
+        raise ValueError(f"operator 1-norm {scale:.3e} too large: 1/sigma^2 of its jet overflows")
+    sigma = 1.0 / reach
+    return sigma, [expm(block_toeplitz([0 * c1, sigma * c1, sigma**2 * c2])) for c1, c2 in curves]
+
+
+def _log_product_jet(sigma: float, exp1, exp2) -> tuple[np.ndarray, np.ndarray]:
+    """(first, second) s-derivative at 0 of Log(e^{G1(s)} e^{G2(s)}) from the jet
+    exponentials exp_i of G_i (:func:`_jet_exps`): the (1,2) and (1,3) blocks of
+    their product's logarithm over sigma and sigma^2 / 2."""
+    n = len(exp1) // 3
+    log = logm_iss(exp1 @ exp2)
+    return log[:n, n:2 * n] / sigma, 2.0 * log[:n, 2 * n:] / sigma**2
 
 
 def von_neumann_second_derivative(x, y) -> np.ndarray:
-    """d^2/ds^2 Log(expm(X s) expm(Y s)) at s = 0 by central differences.
+    """d^2/ds^2 Log(expm(X s) expm(Y s)) at s = 0, read off one 3n x 3n jet.
 
-    The product series gives Log(e^{Xs} e^{Ys}) = (X+Y)s + 1/2 [X,Y] s^2
-    + O(s^3), so the value equals [X, Y] up to the error of the FD step
-    ``matfun.fd_step`` of ||X||_1 + ||Y||_1.
-    """
+    Log(e^{Xs} e^{Ys}) = (X+Y)s + 1/2 [X,Y] s^2 + O(s^3), so this is [X, Y] up
+    to the rounding of one exponential per jet and one logarithm."""
     x, y = as_matrix(x), as_matrix(y)
-    h = fd_step(norm_1(x) + norm_1(y))
-    return _log_product_derivatives(lambda s: expm(s * x), lambda s: expm(s * y), h, len(x))[1]
-
-
-def _log_product_derivatives(exp1: Callable[[float], np.ndarray],
-                             exp2: Callable[[float], np.ndarray], h: float,
-                             n: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`matfun.fd_derivative`'s (first, second) at 0, step ``h``, of the product
-    logarithm Log(exp1(s) exp2(s)) of two n x n exponential curves: the zero matrix
-    at s = 0, where both are I, so the curves are called at the four other probes."""
-    zero = np.zeros((n, n), dtype=np.complex128)
-    return fd_derivative(lambda s: zero if s == 0.0 else logm_iss(exp1(s) @ exp2(s)), 0.0, h)
-
-
-def _simpson_integral(f: Callable[[float], np.ndarray], upper: float) -> np.ndarray:
-    """Composite Simpson rule on ``SIMPSON_PANELS`` panels for a matrix-valued
-    integrand on [0, upper]."""
-    h = upper / (2 * SIMPSON_PANELS)
-    total = f(0.0) + f(upper)
-    for k in range(1, 2 * SIMPSON_PANELS):
-        total = total + (4.0 if k % 2 else 2.0) * f(k * h)
-    return (h / 3.0) * total
+    sigma, exps = _jet_exps(norm_1(x) + norm_1(y), (x, 0 * x), (y, 0 * y))
+    return _log_product_jet(sigma, *exps)[1]
 
 
 @dataclass(frozen=True)
@@ -197,23 +193,22 @@ class ExpansionReport:
 def log_product_expansion(a1_family: Callable[[float], np.ndarray],
                           a2_family: Callable[[float], np.ndarray]) -> ExpansionReport:
     """Expand Log(e^{G1(sigma)} e^{G2(sigma)}) around sigma = 0, where
-    G_i(sigma) is the integral of a_i over [0, sigma] (Simpson).
+    G_i(sigma) is the integral of a_i over [0, sigma].
 
-    The first derivative is a1(0) + a2(0).  The second is [a1(0), a2(0)] plus
-    the drift d/dsigma (a1 + a2)|_0, which is measured and reported rather
-    than adjudicated away.  For constant families the drift vanishes and
-    G_i(sigma) = sigma a_i up to rounding, so the second derivative is the
-    commutator up to the error of the FD step, fd_step(||a1(0)|| + ||a2(0)||).
-    """
-    a1_0 = as_matrix(a1_family(0.0))
-    a2_0 = as_matrix(a2_family(0.0))
-    h = fd_step(norm_1(a1_0) + norm_1(a2_0))
-    drift = fd_derivative(lambda s: a1_family(s) + a2_family(s), 0.0, h)[0]
-    first, second = _log_product_derivatives(
-        lambda sigma: expm(_simpson_integral(a1_family, sigma)),
-        lambda sigma: expm(_simpson_integral(a2_family, sigma)), h, len(a1_0))
+    The first derivative is a1(0) + a2(0), the second [a1(0), a2(0)] plus the
+    drift (a1 + a2)'(0).  Both are read off one jet of each exponent,
+    G_i = sigma a_i(0) + sigma^2 a_i'(0) / 2 + O(sigma^3), with a_i'(0) from one
+    :func:`matfun.fd_derivative` of both families at ``matfun.fd_step`` of
+    ||a1(0)||_1 + ||a2(0)||_1, which also gives the drift."""
+    a1_0, a2_0 = (as_matrix(family(0.0)) for family in (a1_family, a2_family))
+    size = norm_1(a1_0) + norm_1(a2_0)
+    d1, d2 = fd_derivative(lambda s: np.stack((a1_family(s), a2_family(s))), 0.0,
+                           fd_step(size))[0]
+    sigma, exps = _jet_exps(size + (norm_1(d1) + norm_1(d2)) / 2.0,
+                            (a1_0, d1 / 2.0), (a2_0, d2 / 2.0))
+    first, second = _log_product_jet(sigma, *exps)
     return ExpansionReport(norm_1(first - (a1_0 + a2_0)),
-                           norm_1(second - (commutator(a1_0, a2_0) + drift)))
+                           norm_1(second - (commutator(a1_0, a2_0) + d1 + d2)))
 
 
 @dataclass(frozen=True)
@@ -235,18 +230,15 @@ def von_neumann_rhs(rho0, h_op, hbar: float, tgrid) -> VonNeumannReport:
     that commutes with H is stationary and is returned as is, so a tiny hbar
     does not matter there.  Otherwise ||t H / hbar||_1 above 1e4 raises
     ``OverflowError`` (:func:`matfun.expm`'s limit).  The grid times must be
-    non-negative.  The reported residual at time t is the hbar-free identity
-    residual || [rho(t), H] - d^2_s Log(e^{rho s} e^{H s})|_0 ||_1, so a tiny
-    hbar does not inflate it (the prefactor i/hbar is linear and graded on
-    its own).  Every state takes the step ``matfun.fd_step`` of
-    ||H||_1 + max_t ||rho(t)||_1, so the probe exponentials e^{Hs} are taken
-    once for all states.  Since rho(t) is a similarity transform of rho0, its
-    trace is conserved up to rounding, and the drift is reported.
+    non-negative.  The residual at time t is the hbar-free
+    || [rho(t), H] - d^2_s Log(e^{rho s} e^{H s})|_0 ||_1 (the prefactor
+    i/hbar is graded on its own).  All jets take the scale of
+    ||H||_1 + max_t ||rho(t)||_1, so H's is exponentiated once.  Since rho(t)
+    is a similarity transform of rho0, its trace drift is rounding; it is reported.
     """
     if not 0.0 < hbar or math.isinf(1.0 / hbar):
         raise ValueError("hbar must be positive with 1/hbar finite")
-    rho = as_matrix(rho0)
-    H = as_matrix(h_op)
+    rho, H = as_matrix(rho0), as_matrix(h_op)
     if rho.shape != H.shape:
         raise ValueError("rho0 and H must have equal dimensions")
     ts = [float(t) for t in tgrid]
@@ -261,10 +253,9 @@ def von_neumann_rhs(rho0, h_op, hbar: float, tgrid) -> VonNeumannReport:
     else:
         states = [rho for _ in ts]
     trace0 = complex(np.trace(rho))
-    h = fd_step(norm_1(H) + max((norm_1(r) for r in states), default=0.0))
-    exp_h = {s: expm(s * H) for s in fd_probes(0.0, h) if s != 0.0}
-    residuals = [float(norm_1(commutator(r, H) - _log_product_derivatives(
-                     lambda s: expm(s * r), exp_h.__getitem__, h, len(H))[1]))
-                 for r in states]
+    sigma, (h_jet, *exps) = _jet_exps(norm_1(H) + max((norm_1(r) for r in states), default=0.0),
+                                      (H, 0 * H), *((r, 0 * r) for r in states))
+    residuals = [float(norm_1(commutator(r, H) - _log_product_jet(sigma, e, h_jet)[1]))
+                 for r, e in zip(states, exps)]
     drift = max((abs(complex(np.trace(r)) - trace0) for r in states), default=0.0)
     return VonNeumannReport(tuple(ts), tuple(states), tuple(residuals), float(drift))

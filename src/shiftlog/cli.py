@@ -199,10 +199,8 @@ def cmd_vn_demo(args) -> int:
     rec = Recorder("von_neumann")
     try:
         demo = von_neumann_rhs(rho0, h_op, hbar, np.linspace(start, stop, points))
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, ShiftlogError) as exc:
         raise ConfigError(str(exc)) from exc
-    except ShiftlogError as exc:
-        raise ConfigError(f"rho(t), H outside the domain of the logarithm: {exc}") from exc
     grade_von_neumann_demo(rec, demo)
 
     n = rho0.shape[0]

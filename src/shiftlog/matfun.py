@@ -122,6 +122,17 @@ def expm(a) -> np.ndarray:
     return x
 
 
+def block_toeplitz(coefficients) -> np.ndarray:
+    """The jet of n x n Taylor coefficients C_0..C_k: the block upper-triangular
+    Toeplitz matrix with C_j on its j-th block superdiagonal, [[C0, C1, C2],
+    [0, C0, C1], [0, 0, C0]] for k = 2.  For f analytic on the spectrum of C_0,
+    f of it is the jet of f(C_0 + s C_1 + ... + s^k C_k) at s = 0 (Mathias, SIAM
+    J. Matrix Anal. Appl. 17(3), 1996; Higham, *Functions of Matrices*, 2008,
+    sec. 3.2), so its first block row holds that curve's Taylor coefficients."""
+    blocks = [as_matrix(c) for c in coefficients]
+    return sum(np.kron(np.eye(len(blocks), k=j), c) for j, c in enumerate(blocks))
+
+
 def sqrtm_db(m, check: bool = True) -> np.ndarray:
     """Principal matrix square root by the product form of the Denman-Beavers
     iteration (Higham, *Functions of Matrices*, 2008, eq. 6.17; Cheng, Higham,
@@ -376,10 +387,10 @@ def fd_step(scale: float) -> float:
     rounding R = (64/3) u / x^2, the weights [-1, 16, -30, 16, -1] / (3 h^2)
     summed in magnitude.  Both stay within sqrt(u) for x in [4.7e-4, 0.0624];
     FD_STEP is its top, to the next multiple of 1/200 (T = 1.24e-8,
-    R = 5.6e-13), since R is the term the bound understates: a sample of
-    Log(e^{sX} e^{sY}) is accurate to u against I, not against its own size,
-    and [X, Y] can be of size scale, not scale^2.  The first derivative errs
-    there by x^4 / 480 + 3 u / x = 3.7e-8 in scale m.
+    R = 5.6e-13), since R is the term the bound understates: a recovery sample
+    Log(U + kappa I) is accurate to u times the logarithm's condition against
+    ||Log((U + kappa I) / c)||_1 + |ln c| (c :func:`logm_iss`'s centre), not m.
+    The first derivative errs there by x^4 / 480 + 3 u / x = 3.7e-8 in scale m.
     """
     return FD_STEP / max(scale, 1.0)
 

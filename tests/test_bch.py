@@ -4,10 +4,11 @@ identity, and the second-derivative-of-logarithm machinery."""
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from shiftlog import bch
+from shiftlog import bch, campaigns
 from shiftlog.bch import (
     adjoint_series,
     bch_truncated,
@@ -191,6 +192,67 @@ def test_log_product_series_rejects_bad_input():
         log_product_series(x, np.eye(3), 2)
 
 
+def mp_matrix(a):
+    return mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in a])
+
+
+def from_mp(m, n):
+    return np.array([[complex(m[i, j]) for j in range(n)] for i in range(n)])
+
+
+def noncommuting_non_nilpotent_pairs(n, count=2):
+    # unit-norm complex Gaussian pairs with ||[X, Y]||_1 > 0.05, so neither the
+    # commutator nor the higher words vanish, and X^n, Y^n != 0
+    rng = np.random.default_rng([24, n])
+    pairs = [noncommuting_pair(rng, n) for _ in range(count)]
+    assert all(norm_1(np.linalg.matrix_power(m, n)) > 1e-3 for pair in pairs for m in pair)
+    return pairs
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_log_product_series_against_mpmath(n):
+    # sum_{j<=6} eps^j Z_j against Log(e^{eps X} e^{eps Y}) at 40 digits.  With
+    # s = ||X||_1 + ||Y||_1 = 2 and r = eps s, P = e^{eps X} e^{eps Y} - I is
+    # majorised by e^r - 1, so every ||Z_j|| eps^j is bounded by the Taylor
+    # coefficient g_j r^j of -log(2 - e^r) = sum_m (e^r - 1)^m / m: the
+    # truncation error is at most the tail sum_{j>=7} g_j r^j.  The exact
+    # error is eps^7 Z_7 + O(eps^8), so halving eps divides it by 2^7 (1 + O(r));
+    # a wrong Z_j, j <= 6, would leave an eps^j term that falls by 2^j.
+    def majorant_tail(r):
+        with mpmath.workdps(40):
+            major = lambda r: -mpmath.log(2 - mpmath.exp(r))
+            return float(major(r) - mpmath.polyval(mpmath.taylor(major, 0, 6)[::-1], r))
+
+    for x, y in noncommuting_non_nilpotent_pairs(n):
+        z = log_product_series(x, y, 6)
+        errors = []
+        for eps in (0.125, 0.0625):  # r = 0.25, 0.125; eps X is exact
+            with mpmath.workdps(40):
+                ref = from_mp(mpmath.logm(mpmath.expm(mp_matrix(eps * x))
+                                          * mpmath.expm(mp_matrix(eps * y))), n)
+            err = norm_1(sum(eps ** j * zj for j, zj in enumerate(z)) - ref)
+            assert err <= majorant_tail(2.0 * eps)
+            # far above rounding (2^-53 ||ref||_1), so the ratio is the series'
+            assert err >= 1e3 * 2.0 ** -53 * norm_1(ref)
+            errors.append(err)
+        assert 2.0 ** 6.5 <= errors[0] / errors[1] <= 2.0 ** 7.5
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_vnsd_against_mpmath(n):
+    # [X, Y] at 40 digits.  The jet's blocks are all bounded by (sigma s)^2
+    # with s = ||X||_1 + ||Y||_1, so each of the few 3n x 3n products in expm
+    # and logm_iss adds at most about 3n u (sigma s)^2; scaled back by
+    # 2 / sigma^2 that is a few n u s^2, and 16 n u s^2 leaves a margin.
+    u = 2.0 ** -53
+    for x, y in noncommuting_non_nilpotent_pairs(n):
+        with mpmath.workdps(40):
+            mx, my = mp_matrix(x), mp_matrix(y)
+            exact = from_mp(mx * my - my * mx, n)
+        s = norm_1(x) + norm_1(y)
+        assert norm_1(von_neumann_second_derivative(x, y) - exact) <= 16 * n * u * s * s
+
+
 # --- kappa-shifted product identity ---
 
 def test_shifted_bch_zero_operands():
@@ -293,15 +355,15 @@ def count_logarithms(monkeypatch):
     return calls
 
 
-def test_expansion_takes_four_product_logarithms(monkeypatch):
-    # one sampling of the curve at its four nonzero FD probes (+-h, +-h/2)
-    # gives both derivatives; sigma = 0 is the zero matrix
+def test_expansion_takes_one_product_logarithm(monkeypatch):
+    # one logarithm of the product of the two jet exponentials gives both
+    # derivatives; sampling the curve at its four nonzero FD probes took 4
     calls = count_logarithms(monkeypatch)
     rng = np.random.default_rng(19)
     b1 = rand_complex(rng, 2, 0.6)
     b2 = rand_complex(rng, 2, 0.6)
     log_product_expansion(lambda s: b1, lambda s: b2)
-    assert len(calls) == 4
+    assert len(calls) == 1
 
 
 def test_expansion_zero_families():
@@ -359,8 +421,9 @@ def test_von_neumann_small_hbar_follows_the_closed_form():
 
 
 def test_von_neumann_takes_each_probe_exponential_once(monkeypatch):
-    # the campaign's demo: 20 states U, 80 e^{s rho(t)} and 4 e^{s H} shared
-    # by every state; taking e^{s H} per state made 180 calls
+    # the campaign's demo: 20 states U, 20 jet exponentials of rho(t) and one
+    # of H shared by every state.  The FD sampler took 104 (20 U, 80 e^{s rho(t)}
+    # and 4 e^{s H}), and 180 when it took e^{s H} per state
     calls = []
     exact = bch.expm
 
@@ -372,26 +435,33 @@ def test_von_neumann_takes_each_probe_exponential_once(monkeypatch):
     h_op = np.diag([1.0, -1.0]).astype(complex)
     rho0 = 0.5 * np.ones((2, 2), dtype=complex)
     rep = von_neumann_rhs(rho0, h_op, 1.0, np.linspace(0.05, 1.0, 20))
-    assert len(calls) == 104
+    assert len(calls) == 41
     for state, residual in zip(rep.states, rep.residuals):
         assert residual == float(norm_1(commutator(state, h_op)
                                         - von_neumann_second_derivative(state, h_op)))
 
 
-def test_each_product_logarithm_path_takes_four_logarithms(monkeypatch):
-    # every path reads its derivatives off one sampling of the product
-    # logarithm at the four nonzero FD probes, with sigma = 0 the zero matrix
+def test_each_product_logarithm_path_takes_one_logarithm(monkeypatch):
+    # every path reads its derivatives off one logarithm of the product of
+    # two jet exponentials; the FD sampler took 4, one per nonzero probe
     calls = count_logarithms(monkeypatch)
     rng = np.random.default_rng(23)
     x, y = rand_complex(rng, 3, 0.5), rand_complex(rng, 3, 0.5)
     von_neumann_second_derivative(x, y)
-    assert len(calls) == 4
+    assert len(calls) == 1
     log_product_expansion(lambda s: x, lambda s: y)
-    assert len(calls) == 8
+    assert len(calls) == 2
     h_op = np.diag([1.0, -1.0]).astype(complex)
     rho0 = 0.5 * np.ones((2, 2), dtype=complex)
     rep = von_neumann_rhs(rho0, h_op, 1.0, np.linspace(0.05, 1.0, 5))
-    assert len(rep.states) == 5 and len(calls) == 8 + 4 * 5
+    assert len(rep.states) == 5 and len(calls) == 2 + 5
+
+
+def test_von_neumann_suite_takes_no_square_root(sqrtm_db_calls):
+    # each jet product is within e^0.25 - 1 of I, inside the logarithm's series disc
+    reports = campaigns.suite_von_neumann(42)
+    assert all(r.passed for r in reports)
+    assert len(sqrtm_db_calls) == 0
 
 
 def test_von_neumann_hbar_prefactor():

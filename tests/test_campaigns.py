@@ -82,6 +82,27 @@ def test_hbar_scaling_fails_when_the_prefactor_ignores_hbar(monkeypatch):
     assert not cases["hbar_scaling"].passed
 
 
+def test_von_neumann_checks_fail_on_a_wrong_logarithm_coefficient(replace_everywhere):
+    # Log(M) + 0.01 (M - I)^2 moves the series coefficient of degree 2 from
+    # -1/2 to -0.49.  On a jet product I + N, N strictly block upper-triangular,
+    # the logarithm is N - N^2 / 2, so every second derivative gains
+    # 0.02 (X + Y)^2: the seven records that read one fail, and the first
+    # derivative, the trace drift and the hbar rescaling of the states do not
+    # read the logarithm.
+    exact = matfun.logm_iss
+
+    def wrong_degree_two(m):
+        m = np.asarray(m, dtype=complex)
+        x = m - np.eye(len(m))
+        return exact(m) + 0.01 * x @ x
+
+    replace_everywhere(matfun, "logm_iss", wrong_degree_two)
+    failed = {r.case for r in campaigns.suite_von_neumann(42) if not r.passed}
+    assert failed == {"frozen_commutator", "frozen_commuting_zero", "antisymmetry",
+                      "reversed_pair_chain", "demo_residual", "expansion_frozen_second",
+                      "expansion_integral_second"}
+
+
 def _plain_central_difference(f, t0, h):
     """A second-order first derivative: the central difference at h alone."""
     return (f(t0 + h) - f(t0 - h)) / (2.0 * h), None
@@ -187,18 +208,23 @@ def test_campaign_pass_norm_1_count(norm_1_calls):
     # the logarithm's series runs to a degree fixed by the square-root
     # chain's last distance; measuring two norms per term it made 23,520,
     # 10,535 before the logarithm centred its input, and 7,287 while the
-    # series disc was 1/4.  The FD rule's scales add 83: ||X||_1 + ||Y||_1
-    # of 24 second derivatives, ||H||_1 and every ||rho(t)||_1 of 3 trajectories
-    # (25), ||a1(0)||_1 + ||a2(0)||_1 of 2 expansions and ||A(t)||_1 at 6
-    # recovery probes; fd_order_ratio's 4 more expm calls add 4.  The contour
-    # oracle takes one norm per level after its first, and a first level of 16
-    # nodes instead of 64 adds 234: of its 200 calls, 33 stop at 32 nodes
-    # (+0: from 64 they took the one check at 128), 100 at 64 (+1, the checks
-    # at 32 and 64 against one at 128) and 67 at 128 to 512 (+2, the checks at
-    # 32 and 64); 5,087 -> 5,321 measured.
+    # series disc was 1/4.  The FD and jet scales add 87: ||X||_1 + ||Y||_1
+    # of 24 second derivatives (48), ||H||_1 and every ||rho(t)||_1 of 3
+    # trajectories (25), ||a1(0)||_1 + ||a2(0)||_1 and ||a1'(0)||_1 +
+    # ||a2'(0)||_1 of 2 expansions (8) and ||A(t)||_1 at 6 recovery probes
+    # (6); when the FD rule sized the von Neumann derivatives too, they were
+    # 83 (no ||a_i'(0)||_1).  fd_order_ratio's 4 more expm calls add 4.  The
+    # contour oracle takes one norm per level after its first, and a first
+    # level of 16 nodes instead of 64 adds 234: of its 200 calls, 33 stop at 32
+    # nodes (+0: from 64 they took the one check at 128), 100 at 64 (+1, the
+    # checks at 32 and 64 against one at 128) and 67 at 128 to 512 (+2, the
+    # checks at 32 and 64); 5,087 -> 5,321 measured.  Every expm and logm_iss
+    # takes one norm here; reading the von Neumann derivatives off jets, not
+    # four FD probes, takes the suite's calls from 330 to 99 and 192 to 48:
+    # -375, and 5,321 -> 4,950 measured.
     reports = campaigns.run_suites(campaigns.SUITES, 42)
     assert all(r.passed for r in reports)
-    assert 0 < len(norm_1_calls) <= 5009 + 83 + 4 + 234
+    assert 0 < len(norm_1_calls) <= 5009 + 87 + 4 + 234 - 375
 
 
 def test_campaign_pass_resolvent_count(resolvent_stacks):

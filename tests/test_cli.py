@@ -178,12 +178,14 @@ def test_vn_demo_validates_inputs(tmp_path):
     assert main(["vn-demo", "--config", bad_rho]) == 2
 
 
-@pytest.mark.parametrize("a", [1e3, 3e3])
+@pytest.mark.parametrize("a", [1e3, 3e3, 5e3, 9e3])
 def test_vn_demo_passes_on_a_large_hamiltonian(tmp_path, capsys, a):
     # ||H||_1 = a + 1.  At a fixed FD step of 1e-2 demo_residual read 7.5e-4
     # at a = 1e3, and at a = 3e3 the shifted-product logarithm left the
-    # domain of logm_iss (exit 2); sized by ||H||_1 + max ||rho(t)||_1 the
-    # step keeps the residual at 1.1e-6 and 7.3e-6.
+    # domain of logm_iss (exit 2).  An FD step sized by ||H||_1 +
+    # max ||rho(t)||_1 read 1.1e-6, 7.3e-6, 1.3e-5 and 4.5e-5 (both exit 1), as
+    # its rounding grows like ||H||_1^2; the 3n x 3n jets read 2.2e-10,
+    # 2.0e-9, 8.3e-9 and 1.8e-8.
     cfg = write_json(tmp_path / "vn.json", {
         **VN_CONFIG,
         "hamiltonian": matrix_to_json(np.array([[a, 1.0], [1.0, -a]])),
@@ -384,6 +386,12 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
     ("verify", {"tolerances": {"bch.order_law_k1": -1.0}}),
     ("vn-demo", {**VN_CONFIG, "grid": {"start": -1, "stop": 0, "points": 3}}),
     ("vn-demo", {**VN_CONFIG, "grid": {"start": 0.05, "stop": 1.0, "points": 10**15}}),
+    # H = [[a, 1], [1, -a]] at t = 0: 1 / sigma^2 of the jets, sigma = 0.25 / ||H||_1,
+    # overflows (at 1e200 sigma^2 underflows to 0), so demo_residual would read nan
+    ("vn-demo", {**VN_CONFIG, "grid": {"start": 0.0, "stop": 0.0, "points": 1},
+                 "hamiltonian": matrix_to_json(np.array([[1e160, 1.0], [1.0, -1e160]]))}),
+    ("vn-demo", {**VN_CONFIG, "grid": {"start": 0.0, "stop": 0.0, "points": 1},
+                 "hamiltonian": matrix_to_json(np.array([[1e200, 1.0], [1.0, -1e200]]))}),
     # ||A_16(t)||_1 <= 24, so the FD window [t - h, t + h] of the n = 16 member
     # reaches back past s = 0
     ("sweep", {"family": {"kind": "advection_tdep", "dims": [16, 32]},
@@ -430,7 +438,7 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
         "vn-hbar-underflow", "vn-hbar-overflow", "sweep-output-format",
         "verify-seed-negative", "verify-seed-flag-negative", "verify-tolerance-inf",
         "verify-tolerance-nan", "verify-tolerance-negative", "vn-grid-before-zero",
-        "vn-grid-points-huge",
+        "vn-grid-points-huge", "vn-jet-scale-1e160", "vn-jet-scale-1e200",
         "sweep-fd-window-before-s", "verify-dims-bool", "sweep-dims-257",
         "verify-sweep-dims-257", "sweep-over-budget",
         "verify-output-path-empty", "sweep-speed-1e18", "sweep-speed-1e20",
