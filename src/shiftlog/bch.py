@@ -9,10 +9,10 @@ Three families of checks live here:
   shifted logarithm replaces the plain one.  Both product identities are
   truncations of one series, the Taylor coefficients in eps of
   Log(e^{eps X} e^{eps Y} + kappa I) (:func:`log_product_series`);
-* second-derivative-of-logarithm identities, all read off one 3n x 3n jet of
-  the product logarithm s -> Log(e^{G1(s)} e^{G2(s)}) at s = 0: the
-  commutator [X, Y] as its second derivative for G1 = Xs and G2 = Ys, the
-  expansion of its integrated form, and the von Neumann equation through it.
+* second-derivative-of-logarithm identities, read off the same series of
+  s -> Log(e^{G1(s)} e^{G2(s)}) as Z_1 and 2 Z_2: the commutator [X, Y] for
+  G1 = Xs and G2 = Ys, the expansion of its integrated form (each G_i a stack
+  of Taylor coefficients), and the von Neumann equation through it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConvergenceRadiusError
 from .linalg import as_matrix, eye, norm_1, solve
-from .matfun import block_toeplitz, expm, fd_derivative, fd_step, logm_iss
+from .matfun import expm, fd_derivative, fd_step, logm_iss
 
 
 def commutator(a, b) -> np.ndarray:
@@ -66,50 +66,66 @@ def log_product(x, y) -> np.ndarray:
 
 
 def log_product_series(x, y, order: int, kappa=0) -> list[np.ndarray]:
-    """Taylor coefficients Z_0..Z_order at eps = 0 of eps -> Log(e^{eps X} e^{eps Y} + kappa I).
+    """Taylor coefficients Z_0..Z_order at eps = 0 of eps -> Log(e^{G_x} e^{G_y} + kappa I).
 
-    With P = e^{eps X} e^{eps Y} - I, a series that starts at degree 1,
+    Each of ``x`` and ``y`` is one n x n matrix X, for the exponent G = eps X,
+    or a stack [X_1, .., X_k], for G = eps X_1 + .. + eps^k X_k.  Each e^G is
+    the truncated series of the terms G^m / m!, each formed from the last as
+    G^{m-1} / (m-1)! times G / m.  With P = e^{G_x} e^{G_y} - I, a series that
+    starts at degree 1,
 
         Log((1 + kappa) I + P) = ln(1 + kappa) I + sum_m (-1)^{m+1} (P / (1 + kappa))^m / m,
 
     and P^m starts at degree m, so the sum ends at m = ``order``: every Z_j is
-    a finite sum of products of X and Y, and no Lie word is written out.  At
-    kappa = 0 these are the BCH product series' terms, Z_1 = X + Y,
-    Z_2 = [X, Y] / 2, Z_3 = ([X, [X, Y]] - [Y, [X, Y]]) / 12, ...  Z_j is
-    homogeneous of degree j in (X, Y), so the series of (tX, tY) is t^j Z_j.
+    a finite sum of products of the X_i, and no Lie word is written out.  For
+    two matrices at kappa = 0 these are the BCH product series' terms,
+    Z_1 = X + Y, Z_2 = [X, Y] / 2, Z_3 = ([X, [X, Y]] - [Y, [X, Y]]) / 12, ...
+    Z_j is then homogeneous of degree j in (X, Y), so the series of (tX, tY)
+    is t^j Z_j.
 
     The arithmetic is the operands': numpy object arrays of
     ``fractions.Fraction`` with a rational kappa give Z_1..Z_order exactly;
-    anything else is read by :func:`linalg.as_matrix`.
+    anything else is read by :func:`linalg.as_matrix`, and a coefficient that
+    overflows raises ``OverflowError``.
     """
     if order < 0:
         raise ValueError("series order must be non-negative")
     if kappa == -1:
         raise ValueError("kappa = -1 is excluded")
-    X, Y = (m if m.dtype == object else as_matrix(m) for m in map(np.asarray, (x, y)))
-    if X.shape != Y.shape or X.ndim != 2 or len(X) != X.shape[1]:
-        raise ValueError("X and Y must be square matrices of equal dimensions")
-    zero = X * 0
+    stacks = [[c if c.dtype == object and c.ndim == 2 else as_matrix(c)
+               for c in (m if m.ndim == 3 else [m])] for m in map(np.asarray, (x, y))]
+    if not all(stacks) or {c.shape for s in stacks for c in s} != {stacks[0][0].shape[:1] * 2}:
+        raise ValueError("X and Y must be square matrices (or stacks of them) of equal dimensions")
+    zero = stacks[0][0] * 0
 
-    def product(a, b, low):
-        # Coefficients of the product of a (from degree 1) and b (from degree
-        # ``low``), which starts at degree low + 1.
-        return [zero] * (low + 1) + [sum((a[i] @ b[d - i] for i in range(1, d - low + 1)), zero)
-                                     for d in range(low + 1, order + 1)]
+    def product(a, b):
+        # Coefficients of a b for two series without a degree-0 term.  A pair
+        # with a structural zero (the shared ``zero``) is skipped, and a degree
+        # with no pair stays ``zero``.
+        pairs = ((a[i] @ b[d - i] for i in range(1, d) if a[i] is not zero and b[d - i] is not zero)
+                 for d in range(order + 1))
+        return [sum(c, next(c, zero)) for c in pairs]
 
-    ex, ey = [zero, X], [zero, Y]
-    for k in range(2, order + 1):
-        ex.append(ex[-1] @ X / k)
-        ey.append(ey[-1] @ Y / k)
-    p = [ex[d] + ey[d] + sum((ex[i] @ ey[d - i] for i in range(1, d)), zero)
-         for d in range(order + 1)]
-    q = [c / (1 + kappa) for c in p]
-    z, power = [zero] * (order + 1), q
-    for m in range(1, order + 1):
-        z = [zj + cj * ((-1) ** (m + 1)) / m for zj, cj in zip(z, power)]
-        power = product(q, power, m)
+    def exponential(stack):
+        g = [zero, *stack[:order]] + [zero] * (order - len(stack))
+        total, term = g, g
+        for k in range(2, order + 1):
+            term = [c if c is zero else c / k for c in product(term, g)]
+            total = [c if t is zero else t if c is zero else t + c for t, c in zip(total, term)]
+        return total
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        ex, ey = map(exponential, stacks)
+        p = [a + b + c for a, b, c in zip(ex, ey, product(ex, ey))]
+        q = [c / (1 + kappa) for c in p]
+        z, power = [zero] * (order + 1), q
+        for m in range(1, order + 1):
+            z = [zj + cj * ((-1) ** (m + 1)) / m for zj, cj in zip(z, power)]
+            power = product(q, power)
+    if zero.dtype != object and not all(np.isfinite(zj).all() for zj in z):
+        raise OverflowError("a coefficient of the product logarithm's series overflows")
     if kappa:
-        z[0] = cmath.log(1 + kappa) * np.eye(len(X), dtype=X.dtype)
+        z[0] = cmath.log(1 + kappa) * np.eye(len(zero), dtype=zero.dtype)
     return z
 
 
@@ -150,36 +166,14 @@ def kappa_shifted_bch(a1, a2, kappa) -> float:
     return norm_1(lhs - expm(sum(log_product_series(A1, A2, 2, kap))))
 
 
-def _jet_exps(scale: float, *curves) -> tuple[float, list[np.ndarray]]:
-    """sigma = 0.25 / max(scale, 1), and expm of the 3n x 3n :func:`matfun.block_toeplitz`
-    jet of s -> sigma s C1 + (sigma s)^2 C2 for each curve (C1, C2).  Where ``scale``
-    bounds the summed 1-norms of two curves' coefficients, the product of their
-    exponentials is within e^0.25 - 1 < 1/2 of I, in logm_iss's series disc, so
-    it takes no square root.  ``ValueError`` where 1 / sigma^2 is not finite."""
-    reach = 4.0 * max(scale, 1.0)
-    if math.isinf(reach * reach):
-        raise ValueError(f"operator 1-norm {scale:.3e} too large: 1/sigma^2 of its jet overflows")
-    sigma = 1.0 / reach
-    return sigma, [expm(block_toeplitz([0 * c1, sigma * c1, sigma**2 * c2])) for c1, c2 in curves]
-
-
-def _log_product_jet(sigma: float, exp1, exp2) -> tuple[np.ndarray, np.ndarray]:
-    """(first, second) s-derivative at 0 of Log(e^{G1(s)} e^{G2(s)}) from the jet
-    exponentials exp_i of G_i (:func:`_jet_exps`): the (1,2) and (1,3) blocks of
-    their product's logarithm over sigma and sigma^2 / 2."""
-    n = len(exp1) // 3
-    log = logm_iss(exp1 @ exp2)
-    return log[:n, n:2 * n] / sigma, 2.0 * log[:n, 2 * n:] / sigma**2
-
-
 def von_neumann_second_derivative(x, y) -> np.ndarray:
-    """d^2/ds^2 Log(expm(X s) expm(Y s)) at s = 0, read off one 3n x 3n jet.
+    """d^2/ds^2 Log(expm(X s) expm(Y s)) at s = 0: 2 Z_2 of :func:`log_product_series`.
 
-    Log(e^{Xs} e^{Ys}) = (X+Y)s + 1/2 [X,Y] s^2 + O(s^3), so this is [X, Y] up
-    to the rounding of one exponential per jet and one logarithm."""
-    x, y = as_matrix(x), as_matrix(y)
-    sigma, exps = _jet_exps(norm_1(x) + norm_1(y), (x, 0 * x), (y, 0 * y))
-    return _log_product_jet(sigma, *exps)[1]
+    Log(e^{Xs} e^{Ys}) = (X+Y)s + 1/2 [X,Y] s^2 + O(s^3), and 2 Z_2 is formed
+    as 2 P_2 - P_1^2 with P_1 = X + Y and P_2 = X^2/2 + XY + Y^2/2, so this is
+    [X, Y] up to the rounding of four products; no exponential or logarithm
+    is taken."""
+    return 2.0 * log_product_series(x, y, 2)[2]
 
 
 @dataclass(frozen=True)
@@ -196,19 +190,17 @@ def log_product_expansion(a1_family: Callable[[float], np.ndarray],
     G_i(sigma) is the integral of a_i over [0, sigma].
 
     The first derivative is a1(0) + a2(0), the second [a1(0), a2(0)] plus the
-    drift (a1 + a2)'(0).  Both are read off one jet of each exponent,
-    G_i = sigma a_i(0) + sigma^2 a_i'(0) / 2 + O(sigma^3), with a_i'(0) from one
-    :func:`matfun.fd_derivative` of both families at ``matfun.fd_step`` of
-    ||a1(0)||_1 + ||a2(0)||_1, which also gives the drift."""
+    drift (a1 + a2)'(0).  Both are Z_1 and 2 Z_2 of the
+    :func:`log_product_series` of the stacks [a_i(0), a_i'(0) / 2], the
+    exponents G_i = sigma a_i(0) + sigma^2 a_i'(0) / 2 + O(sigma^3), with
+    a_i'(0) from one :func:`matfun.fd_derivative` of both families at
+    ``matfun.fd_step`` of ||a1(0)||_1 + ||a2(0)||_1, which also gives the drift."""
     a1_0, a2_0 = (as_matrix(family(0.0)) for family in (a1_family, a2_family))
-    size = norm_1(a1_0) + norm_1(a2_0)
     d1, d2 = fd_derivative(lambda s: np.stack((a1_family(s), a2_family(s))), 0.0,
-                           fd_step(size))[0]
-    sigma, exps = _jet_exps(size + (norm_1(d1) + norm_1(d2)) / 2.0,
-                            (a1_0, d1 / 2.0), (a2_0, d2 / 2.0))
-    first, second = _log_product_jet(sigma, *exps)
-    return ExpansionReport(norm_1(first - (a1_0 + a2_0)),
-                           norm_1(second - (commutator(a1_0, a2_0) + d1 + d2)))
+                           fd_step(norm_1(a1_0) + norm_1(a2_0)))[0]
+    z = log_product_series([a1_0, d1 / 2.0], [a2_0, d2 / 2.0], 2)
+    return ExpansionReport(norm_1(z[1] - (a1_0 + a2_0)),
+                           norm_1(2.0 * z[2] - (commutator(a1_0, a2_0) + d1 + d2)))
 
 
 @dataclass(frozen=True)
@@ -232,9 +224,9 @@ def von_neumann_rhs(rho0, h_op, hbar: float, tgrid) -> VonNeumannReport:
     ``OverflowError`` (:func:`matfun.expm`'s limit).  The grid times must be
     non-negative.  The residual at time t is the hbar-free
     || [rho(t), H] - d^2_s Log(e^{rho s} e^{H s})|_0 ||_1 (the prefactor
-    i/hbar is graded on its own).  All jets take the scale of
-    ||H||_1 + max_t ||rho(t)||_1, so H's is exponentiated once.  Since rho(t)
-    is a similarity transform of rho0, its trace drift is rounding; it is reported.
+    i/hbar is graded on its own) by :func:`von_neumann_second_derivative`,
+    whose overflow raises ``OverflowError``.  Since rho(t) is a similarity
+    transform of rho0, its trace drift is rounding; it is reported.
     """
     if not 0.0 < hbar or math.isinf(1.0 / hbar):
         raise ValueError("hbar must be positive with 1/hbar finite")
@@ -253,9 +245,7 @@ def von_neumann_rhs(rho0, h_op, hbar: float, tgrid) -> VonNeumannReport:
     else:
         states = [rho for _ in ts]
     trace0 = complex(np.trace(rho))
-    sigma, (h_jet, *exps) = _jet_exps(norm_1(H) + max((norm_1(r) for r in states), default=0.0),
-                                      (H, 0 * H), *((r, 0 * r) for r in states))
-    residuals = [float(norm_1(commutator(r, H) - _log_product_jet(sigma, e, h_jet)[1]))
-                 for r, e in zip(states, exps)]
+    residuals = [float(norm_1(commutator(r, H) - von_neumann_second_derivative(r, H)))
+                 for r in states]
     drift = max((abs(complex(np.trace(r)) - trace0) for r in states), default=0.0)
     return VonNeumannReport(tuple(ts), tuple(states), tuple(residuals), float(drift))

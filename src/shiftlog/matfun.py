@@ -122,17 +122,6 @@ def expm(a) -> np.ndarray:
     return x
 
 
-def block_toeplitz(coefficients) -> np.ndarray:
-    """The jet of n x n Taylor coefficients C_0..C_k: the block upper-triangular
-    Toeplitz matrix with C_j on its j-th block superdiagonal, [[C0, C1, C2],
-    [0, C0, C1], [0, 0, C0]] for k = 2.  For f analytic on the spectrum of C_0,
-    f of it is the jet of f(C_0 + s C_1 + ... + s^k C_k) at s = 0 (Mathias, SIAM
-    J. Matrix Anal. Appl. 17(3), 1996; Higham, *Functions of Matrices*, 2008,
-    sec. 3.2), so its first block row holds that curve's Taylor coefficients."""
-    blocks = [as_matrix(c) for c in coefficients]
-    return sum(np.kron(np.eye(len(blocks), k=j), c) for j, c in enumerate(blocks))
-
-
 def sqrtm_db(m, check: bool = True) -> np.ndarray:
     """Principal matrix square root by the product form of the Denman-Beavers
     iteration (Higham, *Functions of Matrices*, 2008, eq. 6.17; Cheng, Higham,

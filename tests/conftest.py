@@ -88,6 +88,12 @@ def expm_calls(monkeypatch):
 
 
 @pytest.fixture
+def logm_iss_calls(monkeypatch):
+    """The calls of ``matfun.logm_iss``, one list entry each."""
+    return _counted(monkeypatch, matfun, "logm_iss")
+
+
+@pytest.fixture
 def log_product_series_calls(monkeypatch):
     """The calls of ``bch.log_product_series``, one list entry each."""
     return _counted(monkeypatch, bch, "log_product_series")

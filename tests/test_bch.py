@@ -2,6 +2,7 @@
 identity, and the second-derivative-of-logarithm machinery."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -24,6 +25,7 @@ from shiftlog.errors import ConvergenceRadiusError
 from shiftlog.linalg import norm_1
 from shiftlog.matfun import expm
 from shiftlog.sampling import noncommuting_pair, rand_complex
+from shiftlog.unbounded import advection_matrix
 
 
 def loglog_slope(xs, ys):
@@ -155,18 +157,32 @@ def fraction_matrix(entries):
 def test_log_product_series_is_exact_on_nilpotent_integer_pairs():
     # strictly upper-triangular 4 x 4: every product of four vanishes, so
     # log(e^X e^Y) = N - N^2/2 + N^3/3 with N = e^X e^Y - I ends at degree 3,
-    # and in rational arithmetic the series must reproduce it exactly
+    # and in rational arithmetic the series must reproduce it exactly.  For
+    # the stacks [X_1, X_2] and [Y_1, Y_2], the exponents eps X_1 + eps^2 X_2
+    # and eps Y_1 + eps^2 Y_2, the series ends at degree 6 and sums at eps = 1
+    # to the same logarithm of e^{X_1 + X_2} e^{Y_1 + Y_2}
     rng = np.random.default_rng(21)
-    for _ in range(5):
-        x, y = (fraction_matrix(np.triu(rng.integers(-3, 4, (4, 4)), 1)) for _ in range(2))
-        ident = fraction_matrix(np.eye(4))
+    ident = fraction_matrix(np.eye(4))
+
+    def exact_log(x, y):
         exp_x = ident + x + x @ x / 2 + x @ x @ x / 6
         exp_y = ident + y + y @ y / 2 + y @ y @ y / 6
         n = exp_x @ exp_y - ident
-        exact = n - n @ n / 2 + n @ n @ n / 3
+        return n - n @ n / 2 + n @ n @ n / 3
+
+    def nilpotent():
+        return fraction_matrix(np.triu(rng.integers(-3, 4, (4, 4)), 1))
+
+    for _ in range(5):
+        x, y = nilpotent(), nilpotent()
         z = log_product_series(x, y, 5)
-        assert (z[1] + z[2] + z[3] == exact).all()
+        assert (z[1] + z[2] + z[3] == exact_log(x, y)).all()
         assert (z[4] == 0).all() and (z[5] == 0).all()
+    for _ in range(3):
+        x, y = [nilpotent(), nilpotent()], [nilpotent(), nilpotent()]
+        z = log_product_series(x, y, 8)
+        assert (sum(z[1:7]) == exact_log(sum(x), sum(y))).all()
+        assert (z[7] == 0).all() and (z[8] == 0).all()
 
 
 @pytest.mark.parametrize("kappa", [Fraction(2), Fraction(-1, 2), Fraction(7, 3)])
@@ -190,6 +206,15 @@ def test_log_product_series_rejects_bad_input():
         log_product_series(x, x, 2, -1.0)
     with pytest.raises(ValueError):
         log_product_series(x, np.eye(3), 2)
+    with pytest.raises(ValueError):
+        log_product_series([x, np.eye(3)], x, 2)
+    with pytest.raises(ValueError):
+        log_product_series(np.zeros((0, 2, 2)), x, 2)
+    # (1e160)^2 overflows: refused, with no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            log_product_series(1e160 * x, x, 2)
 
 
 def mp_matrix(a):
@@ -211,27 +236,39 @@ def noncommuting_non_nilpotent_pairs(n, count=2):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_log_product_series_against_mpmath(n):
-    # sum_{j<=6} eps^j Z_j against Log(e^{eps X} e^{eps Y}) at 40 digits.  With
-    # s = ||X||_1 + ||Y||_1 = 2 and r = eps s, P = e^{eps X} e^{eps Y} - I is
+    # sum_{j<=6} eps^j Z_j against Log(e^{G_x} e^{G_y}) at 40 digits, for two
+    # pairs of matrices (G_x = eps X) and for the stacks [X, X'/2] and
+    # [Y, Y'/2] built from them (G_x = eps X + eps^2 X'/2).  With
+    # r = eps s + eps^2 s', s the summed 1-norms of the degree-1 coefficients
+    # (2 here) and s' of the degree-2 ones, P = e^{G_x} e^{G_y} - I is
     # majorised by e^r - 1, so every ||Z_j|| eps^j is bounded by the Taylor
-    # coefficient g_j r^j of -log(2 - e^r) = sum_m (e^r - 1)^m / m: the
-    # truncation error is at most the tail sum_{j>=7} g_j r^j.  The exact
-    # error is eps^7 Z_7 + O(eps^8), so halving eps divides it by 2^7 (1 + O(r));
-    # a wrong Z_j, j <= 6, would leave an eps^j term that falls by 2^j.
-    def majorant_tail(r):
+    # coefficient in eps of -log(2 - e^r) = sum_m (e^r - 1)^m / m: the
+    # truncation error is at most that majorant's tail past degree 6.  The
+    # exact error is eps^7 Z_7 + O(eps^8), so halving eps divides it by
+    # 2^7 (1 + O(r)); a wrong Z_j, j <= 6, would leave an eps^j term that
+    # falls by 2^j.
+    def majorant_tail(s1, s2, eps):
         with mpmath.workdps(40):
-            major = lambda r: -mpmath.log(2 - mpmath.exp(r))
-            return float(major(r) - mpmath.polyval(mpmath.taylor(major, 0, 6)[::-1], r))
+            major = lambda e: -mpmath.log(2 - mpmath.exp(s1 * e + s2 * e * e))
+            return float(major(eps) - mpmath.polyval(mpmath.taylor(major, 0, 6)[::-1], eps))
 
-    for x, y in noncommuting_non_nilpotent_pairs(n):
-        z = log_product_series(x, y, 6)
+    def mp_exponent(stack, eps):
+        return sum((mp_matrix(c) * mpmath.mpf(eps) ** (k + 1) for k, c in enumerate(stack)),
+                   mpmath.zeros(n))
+
+    (x, y), (x2, y2) = noncommuting_non_nilpotent_pairs(n)
+    for gx, gy in ((x, y), (x2, y2), ([x, x2 / 2], [y, y2 / 2])):
+        stacks = [g if isinstance(g, list) else [g] for g in (gx, gy)]
+        s1 = norm_1(stacks[0][0]) + norm_1(stacks[1][0])
+        s2 = sum(norm_1(stack[1]) for stack in stacks if len(stack) == 2)
+        z = log_product_series(gx, gy, 6)
         errors = []
-        for eps in (0.125, 0.0625):  # r = 0.25, 0.125; eps X is exact
+        for eps in (0.125, 0.0625):  # r <= 0.27, 0.13
             with mpmath.workdps(40):
-                ref = from_mp(mpmath.logm(mpmath.expm(mp_matrix(eps * x))
-                                          * mpmath.expm(mp_matrix(eps * y))), n)
+                ref = from_mp(mpmath.logm(mpmath.expm(mp_exponent(stacks[0], eps))
+                                          * mpmath.expm(mp_exponent(stacks[1], eps))), n)
             err = norm_1(sum(eps ** j * zj for j, zj in enumerate(z)) - ref)
-            assert err <= majorant_tail(2.0 * eps)
+            assert err <= majorant_tail(s1, s2, eps)
             # far above rounding (2^-53 ||ref||_1), so the ratio is the series'
             assert err >= 1e3 * 2.0 ** -53 * norm_1(ref)
             errors.append(err)
@@ -240,10 +277,10 @@ def test_log_product_series_against_mpmath(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_vnsd_against_mpmath(n):
-    # [X, Y] at 40 digits.  The jet's blocks are all bounded by (sigma s)^2
-    # with s = ||X||_1 + ||Y||_1, so each of the few 3n x 3n products in expm
-    # and logm_iss adds at most about 3n u (sigma s)^2; scaled back by
-    # 2 / sigma^2 that is a few n u s^2, and 16 n u s^2 leaves a margin.
+    # [X, Y] at 40 digits.  2 Z_2 is formed as 2 P_2 - P_1^2 with
+    # P_1 = X + Y and P_2 = X^2/2 + XY + Y^2/2: four products and a few sums
+    # of matrices bounded by s^2, s = ||X||_1 + ||Y||_1, each adding at most
+    # about n u s^2, so 16 n u s^2 leaves a margin.
     u = 2.0 ** -53
     for x, y in noncommuting_non_nilpotent_pairs(n):
         with mpmath.workdps(40):
@@ -251,6 +288,25 @@ def test_vnsd_against_mpmath(n):
             exact = from_mp(mx * my - my * mx, n)
         s = norm_1(x) + norm_1(y)
         assert norm_1(von_neumann_second_derivative(x, y) - exact) <= 16 * n * u * s * s
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_vnsd_on_an_unbounded_hamiltonian(n, expm_calls, logm_iss_calls):
+    # H_n = i advection_n is Hermitian with ||H_n||_1 = n, and rho the pure
+    # state of a Gaussian wave packet (width 0.1, wave number 5): [rho, H_n]
+    # within the 16 n u s^2 of the mpmath test above, s = ||rho||_1 + ||H_n||_1
+    # (measured 0.04-0.07 n u s^2, relative 2.0e-13, 1.1e-12 and 7.3e-12), and
+    # no exponential or logarithm is taken.  A real packet is a poor probe:
+    # with n/2 a power of two most of its products are exact
+    x = np.arange(n) / n
+    psi = np.exp(-0.5 * ((x - 0.5) / 0.1) ** 2 + 10j * np.pi * x)
+    psi = psi / np.linalg.norm(psi)
+    rho = np.outer(psi, psi.conj())
+    h_op = 1j * advection_matrix(n)
+    s = norm_1(rho) + norm_1(h_op)
+    err = norm_1(von_neumann_second_derivative(rho, h_op) - commutator(rho, h_op))
+    assert err <= 16 * n * 2.0 ** -53 * s * s
+    assert len(expm_calls) == len(logm_iss_calls) == 0
 
 
 # --- kappa-shifted product identity ---
@@ -342,28 +398,16 @@ def test_expansion_frozen_constant_families():
     assert rep.second_residual <= 1e-5
 
 
-def count_logarithms(monkeypatch):
-    """A list that grows by one at every ``bch.logm_iss`` call."""
-    calls = []
-    exact = bch.logm_iss
-
-    def counting(a):
-        calls.append(1)
-        return exact(a)
-
-    monkeypatch.setattr(bch, "logm_iss", counting)
-    return calls
-
-
-def test_expansion_takes_one_product_logarithm(monkeypatch):
-    # one logarithm of the product of the two jet exponentials gives both
-    # derivatives; sampling the curve at its four nonzero FD probes took 4
-    calls = count_logarithms(monkeypatch)
+def test_expansion_takes_no_logarithm_or_exponential(expm_calls, logm_iss_calls):
+    # Z_1 and 2 Z_2 of one series of the stacks [a_i(0), a_i'(0) / 2]; one
+    # logarithm of the product of two 3n x 3n jet exponentials took 1 logarithm
+    # and 2 exponentials, and sampling the curve at its four nonzero FD probes
+    # took 4 logarithms
     rng = np.random.default_rng(19)
     b1 = rand_complex(rng, 2, 0.6)
     b2 = rand_complex(rng, 2, 0.6)
     log_product_expansion(lambda s: b1, lambda s: b2)
-    assert len(calls) == 1
+    assert len(logm_iss_calls) == len(expm_calls) == 0
 
 
 def test_expansion_zero_families():
@@ -420,45 +464,38 @@ def test_von_neumann_small_hbar_follows_the_closed_form():
     assert rep.trace_drift <= 1e-9
 
 
-def test_von_neumann_takes_each_probe_exponential_once(monkeypatch):
-    # the campaign's demo: 20 states U, 20 jet exponentials of rho(t) and one
-    # of H shared by every state.  The FD sampler took 104 (20 U, 80 e^{s rho(t)}
-    # and 4 e^{s H}), and 180 when it took e^{s H} per state
-    calls = []
-    exact = bch.expm
-
-    def counting(a):
-        calls.append(1)
-        return exact(a)
-
-    monkeypatch.setattr(bch, "expm", counting)
+def test_von_neumann_takes_each_probe_exponential_once(expm_calls):
+    # the campaign's demo: one exponential per state U and none for the
+    # derivatives.  The jets took 41 (20 U, 20 jet exponentials of rho(t) and
+    # one of H shared by every state); the FD sampler took 104 (20 U, 80
+    # e^{s rho(t)} and 4 e^{s H}), and 180 when it took e^{s H} per state
     h_op = np.diag([1.0, -1.0]).astype(complex)
     rho0 = 0.5 * np.ones((2, 2), dtype=complex)
     rep = von_neumann_rhs(rho0, h_op, 1.0, np.linspace(0.05, 1.0, 20))
-    assert len(calls) == 41
+    assert len(expm_calls) == 20
     for state, residual in zip(rep.states, rep.residuals):
         assert residual == float(norm_1(commutator(state, h_op)
                                         - von_neumann_second_derivative(state, h_op)))
 
 
-def test_each_product_logarithm_path_takes_one_logarithm(monkeypatch):
-    # every path reads its derivatives off one logarithm of the product of
-    # two jet exponentials; the FD sampler took 4, one per nonzero probe
-    calls = count_logarithms(monkeypatch)
+def test_each_product_logarithm_path_takes_no_logarithm(expm_calls, logm_iss_calls):
+    # every path reads its derivatives off the series, with no logarithm and
+    # no exponential beyond the trajectory's states U.  One logarithm of the
+    # product of two jet exponentials took 1 per path (2 + 5 here), and the
+    # FD sampler 4, one per nonzero probe
     rng = np.random.default_rng(23)
     x, y = rand_complex(rng, 3, 0.5), rand_complex(rng, 3, 0.5)
     von_neumann_second_derivative(x, y)
-    assert len(calls) == 1
     log_product_expansion(lambda s: x, lambda s: y)
-    assert len(calls) == 2
+    assert len(logm_iss_calls) == len(expm_calls) == 0
     h_op = np.diag([1.0, -1.0]).astype(complex)
     rho0 = 0.5 * np.ones((2, 2), dtype=complex)
     rep = von_neumann_rhs(rho0, h_op, 1.0, np.linspace(0.05, 1.0, 5))
-    assert len(rep.states) == 5 and len(calls) == 2 + 5
+    assert len(rep.states) == 5 and len(logm_iss_calls) == 0 and len(expm_calls) == 5
 
 
 def test_von_neumann_suite_takes_no_square_root(sqrtm_db_calls):
-    # each jet product is within e^0.25 - 1 of I, inside the logarithm's series disc
+    # the suite takes no logarithm: every derivative is read off the series
     reports = campaigns.suite_von_neumann(42)
     assert all(r.passed for r in reports)
     assert len(sqrtm_db_calls) == 0

@@ -82,13 +82,51 @@ def test_hbar_scaling_fails_when_the_prefactor_ignores_hbar(monkeypatch):
     assert not cases["hbar_scaling"].passed
 
 
+def _series_with_log_coefficients(c1, c2):
+    """``bch.log_product_series`` at order 2 and kappa = 0, with c1 and c2 in
+    place of the logarithm's degree-1 and degree-2 coefficients 1 and -1/2:
+    with P_1 = Z_1 and P_2 = Z_2 + Z_1^2 / 2, Z_1 = c1 P_1 and
+    Z_2 = c1 P_2 + c2 P_1^2."""
+    exact = bch.log_product_series
+
+    def faulty(x, y, order, kappa=0):
+        assert order == 2 and kappa == 0
+        z0, z1, z2 = exact(x, y, order, kappa)
+        return [z0, c1 * z1, c1 * (z2 + z1 @ z1 / 2) + c2 * z1 @ z1]
+
+    return faulty
+
+
+# every von Neumann record that reads a second derivative
+_SECOND_DERIVATIVE_RECORDS = {"frozen_commutator", "frozen_commuting_zero", "antisymmetry",
+                              "reversed_pair_chain", "demo_residual",
+                              "expansion_frozen_second", "expansion_integral_second"}
+
+
 def test_von_neumann_checks_fail_on_a_wrong_logarithm_coefficient(replace_everywhere):
-    # Log(M) + 0.01 (M - I)^2 moves the series coefficient of degree 2 from
-    # -1/2 to -0.49.  On a jet product I + N, N strictly block upper-triangular,
-    # the logarithm is N - N^2 / 2, so every second derivative gains
-    # 0.02 (X + Y)^2: the seven records that read one fail, and the first
-    # derivative, the trace drift and the hbar rescaling of the states do not
-    # read the logarithm.
+    # a degree-2 coefficient of -0.49: Z_2 gains 0.01 Z_1^2, so every second
+    # derivative gains 0.02 (X + Y)^2, and the seven records that read one
+    # fail; the first derivative, the trace drift and the hbar rescaling of
+    # the states do not read it
+    replace_everywhere(bch, "log_product_series", _series_with_log_coefficients(1.0, -0.49))
+    failed = {r.case for r in campaigns.suite_von_neumann(42) if not r.passed}
+    assert failed == _SECOND_DERIVATIVE_RECORDS
+
+
+def test_von_neumann_checks_fail_on_a_wrong_degree_one_coefficient(replace_everywhere):
+    # a degree-1 coefficient of 0.99: Z_1 = 0.99 (a1 + a2) fails
+    # expansion_frozen_first, which otherwise reads exactly 0, and every
+    # second derivative moves too
+    replace_everywhere(bch, "log_product_series", _series_with_log_coefficients(0.99, -0.5))
+    failed = {r.case for r in campaigns.suite_von_neumann(42) if not r.passed}
+    assert failed == _SECOND_DERIVATIVE_RECORDS | {"expansion_frozen_first"}
+
+
+def test_logarithm_checks_fail_on_a_wrong_logarithm_coefficient(replace_everywhere):
+    # Log(M) + 0.01 (M - I)^2 moves logm_iss's series coefficient of degree 2
+    # from -1/2 to -0.49.  It failed the seven von Neumann records above while
+    # they read a logarithm of a jet product; it still fails nine records in
+    # the suites that take logarithms
     exact = matfun.logm_iss
 
     def wrong_degree_two(m):
@@ -97,10 +135,12 @@ def test_von_neumann_checks_fail_on_a_wrong_logarithm_coefficient(replace_everyw
         return exact(m) + 0.01 * x @ x
 
     replace_everywhere(matfun, "logm_iss", wrong_degree_two)
-    failed = {r.case for r in campaigns.suite_von_neumann(42) if not r.passed}
-    assert failed == {"frozen_commutator", "frozen_commuting_zero", "antisymmetry",
-                      "reversed_pair_chain", "demo_residual", "expansion_frozen_second",
-                      "expansion_integral_second"}
+    failed = {f"{r.suite}.{r.case}" for suite in ("matfun", "logrep", "bch")
+              for r in campaigns.run_suites([suite], 42) if not r.passed}
+    assert failed == {"matfun.contour_vs_iss", "matfun.exp_log_roundtrip",
+                      "matfun.log_exp_roundtrip", "logrep.asymmetry_zero_kappa",
+                      "logrep.recover_constant", "logrep.recover_modulated",
+                      "logrep.reexponentiation", "bch.order_law_k2", "bch.order_law_k3"}
 
 
 def _plain_central_difference(f, t0, h):
@@ -208,23 +248,25 @@ def test_campaign_pass_norm_1_count(norm_1_calls):
     # the logarithm's series runs to a degree fixed by the square-root
     # chain's last distance; measuring two norms per term it made 23,520,
     # 10,535 before the logarithm centred its input, and 7,287 while the
-    # series disc was 1/4.  The FD and jet scales add 87: ||X||_1 + ||Y||_1
-    # of 24 second derivatives (48), ||H||_1 and every ||rho(t)||_1 of 3
-    # trajectories (25), ||a1(0)||_1 + ||a2(0)||_1 and ||a1'(0)||_1 +
-    # ||a2'(0)||_1 of 2 expansions (8) and ||A(t)||_1 at 6 recovery probes
-    # (6); when the FD rule sized the von Neumann derivatives too, they were
-    # 83 (no ||a_i'(0)||_1).  fd_order_ratio's 4 more expm calls add 4.  The
-    # contour oracle takes one norm per level after its first, and a first
-    # level of 16 nodes instead of 64 adds 234: of its 200 calls, 33 stop at 32
-    # nodes (+0: from 64 they took the one check at 128), 100 at 64 (+1, the
-    # checks at 32 and 64 against one at 128) and 67 at 128 to 512 (+2, the
-    # checks at 32 and 64); 5,087 -> 5,321 measured.  Every expm and logm_iss
-    # takes one norm here; reading the von Neumann derivatives off jets, not
-    # four FD probes, takes the suite's calls from 330 to 99 and 192 to 48:
-    # -375, and 5,321 -> 4,950 measured.
+    # series disc was 1/4.  Step scales add 10: ||a1(0)||_1 + ||a2(0)||_1 of
+    # 2 expansions (4) and ||A(t)||_1 at 6 recovery probes (6).  The von
+    # Neumann jets' scales took 87 (||X||_1 + ||Y||_1 of 24 second
+    # derivatives, ||H||_1 and every ||rho(t)||_1 of 3 trajectories, and also
+    # ||a1'(0)||_1 + ||a2'(0)||_1 of the expansions), and the FD rule 83 when
+    # it sized them.  fd_order_ratio's 4 more expm calls add 4.  The contour
+    # oracle takes one norm per level after its first, and a first level of
+    # 16 nodes instead of 64 adds 234: of its 200 calls, 33 stop at 32 nodes
+    # (+0: from 64 they took the one check at 128), 100 at 64 (+1, the checks
+    # at 32 and 64 against one at 128) and 67 at 128 to 512 (+2, the checks at
+    # 32 and 64); 5,087 -> 5,321 measured.  Every expm and logm_iss takes one
+    # norm here.  Reading the von Neumann derivatives off jets, not four FD
+    # probes, took the suite's calls from 330 to 99 and 192 to 48 (-375,
+    # 5,321 -> 4,950 measured); reading them off the series takes them to 22
+    # (the trajectories' states) and 0: -125, and with the scales'
+    # 87 -> 10, 4,950 -> 4,748 measured.
     reports = campaigns.run_suites(campaigns.SUITES, 42)
     assert all(r.passed for r in reports)
-    assert 0 < len(norm_1_calls) <= 5009 + 87 + 4 + 234 - 375
+    assert 0 < len(norm_1_calls) <= 5009 + 10 + 4 + 234 - 375 - 125
 
 
 def test_campaign_pass_resolvent_count(resolvent_stacks):

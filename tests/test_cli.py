@@ -184,8 +184,9 @@ def test_vn_demo_passes_on_a_large_hamiltonian(tmp_path, capsys, a):
     # at a = 1e3, and at a = 3e3 the shifted-product logarithm left the
     # domain of logm_iss (exit 2).  An FD step sized by ||H||_1 +
     # max ||rho(t)||_1 read 1.1e-6, 7.3e-6, 1.3e-5 and 4.5e-5 (both exit 1), as
-    # its rounding grows like ||H||_1^2; the 3n x 3n jets read 2.2e-10,
-    # 2.0e-9, 8.3e-9 and 1.8e-8.
+    # its rounding grows like ||H||_1^2.  The 3n x 3n jets read 2.2e-10,
+    # 2.0e-9, 8.3e-9 and 1.8e-8, and the series' 2 Z_2 reads 1.2e-10, 1.9e-9,
+    # 7.5e-9 and 3.0e-8.
     cfg = write_json(tmp_path / "vn.json", {
         **VN_CONFIG,
         "hamiltonian": matrix_to_json(np.array([[a, 1.0], [1.0, -a]])),
@@ -386,8 +387,9 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
     ("verify", {"tolerances": {"bch.order_law_k1": -1.0}}),
     ("vn-demo", {**VN_CONFIG, "grid": {"start": -1, "stop": 0, "points": 3}}),
     ("vn-demo", {**VN_CONFIG, "grid": {"start": 0.05, "stop": 1.0, "points": 10**15}}),
-    # H = [[a, 1], [1, -a]] at t = 0: 1 / sigma^2 of the jets, sigma = 0.25 / ||H||_1,
-    # overflows (at 1e200 sigma^2 underflows to 0), so demo_residual would read nan
+    # H = [[a, 1], [1, -a]] at t = 0: H^2 overflows in the product logarithm's
+    # series, so demo_residual would read nan (as it would through the jets'
+    # 1 / sigma^2, sigma = 0.25 / ||H||_1, which were refused on that count)
     ("vn-demo", {**VN_CONFIG, "grid": {"start": 0.0, "stop": 0.0, "points": 1},
                  "hamiltonian": matrix_to_json(np.array([[1e160, 1.0], [1.0, -1e160]]))}),
     ("vn-demo", {**VN_CONFIG, "grid": {"start": 0.0, "stop": 0.0, "points": 1},

@@ -19,7 +19,6 @@ from shiftlog.matfun import (
     EXPM_THETA,
     FD_STEP,
     SERIES_DISC,
-    block_toeplitz,
     contour_for,
     expm,
     fd_derivative,
@@ -520,40 +519,18 @@ def test_fd_halving_reduces_error():
     assert 11.0 <= errs[0] / errs[1] <= 22.0
 
 
-# --- block-triangular jets ---
-
-def test_block_toeplitz_layout_and_product():
-    rng = np.random.default_rng(44)
-    c = [rand_c(rng, 3) for _ in range(4)]
-    assert np.array_equal(block_toeplitz(c[:1]), c[0])
-    jet = block_toeplitz(c)
-    zero = np.zeros((3, 3))
-    for i in range(4):
-        for j in range(4):
-            assert np.array_equal(jet[3 * i:3 * i + 3, 3 * j:3 * j + 3],
-                                  c[j - i] if j >= i else zero)
-    # the product of two jets is the jet of the product of their curves
-    d = [rand_c(rng, 3) for _ in range(4)]
-    product = [sum(c[i] @ d[k - i] for i in range(k + 1)) for k in range(4)]
-    np.testing.assert_allclose(block_toeplitz(c) @ block_toeplitz(d), block_toeplitz(product),
-                               atol=1e-15)
-    with pytest.raises(ValueError):
-        block_toeplitz([c[0], np.eye(2)])
-
+# --- block-triangular exponential ---
 
 def test_block_toeplitz_exponential_is_the_frechet_derivative():
     # the (1,2) block of expm([[A, E], [0, A]]) is L_exp(A, E) (Van Loan, IEEE
     # TAC 23(3), 1978), computed independently by scipy's Al-Mohy-Higham
-    # algorithm; the second superdiagonal of expm of the jet of s A is the
-    # Taylor coefficient A^2 / 2 of e^{s A}
+    # algorithm
     rng = np.random.default_rng(45)
     for n, scale in ((2, 0.5), (4, 2.0), (8, 6.0)):
         a, e = rand_c(rng, n, scale), rand_c(rng, n, 1.0)
         exact = scipy.linalg.expm_frechet(a, e, compute_expm=False)
-        block = expm(block_toeplitz([a, e]))[:n, n:]
+        block = expm(np.block([[a, e], [0 * a, a]]))[:n, n:]
         assert norm_1(block - exact) <= 1e-13 * norm_1(exact)
-        jet = expm(block_toeplitz([0 * a, a, 0 * a]))
-        assert norm_1(jet[:n, 2 * n:] - a @ a / 2) <= 1e-14 * norm_1(a @ a)
 
 
 def test_fd_config_validation():
