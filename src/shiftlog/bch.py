@@ -85,8 +85,9 @@ def log_product_series(x, y, order: int, kappa=0) -> list[np.ndarray]:
 
     The arithmetic is the operands': numpy object arrays of
     ``fractions.Fraction`` with a rational kappa give Z_1..Z_order exactly;
-    anything else is read by :func:`linalg.as_matrix`, and a coefficient that
-    overflows raises ``OverflowError``.
+    anything else is read by :func:`linalg.as_matrix`, so real operands with
+    a real kappa > -1 give real coefficients, ln(1 + kappa) included, and a
+    coefficient that overflows raises ``OverflowError``.
     """
     if order < 0:
         raise ValueError("series order must be non-negative")
@@ -125,7 +126,10 @@ def log_product_series(x, y, order: int, kappa=0) -> list[np.ndarray]:
     if zero.dtype != object and not all(np.isfinite(zj).all() for zj in z):
         raise OverflowError("a coefficient of the product logarithm's series overflows")
     if kappa:
-        z[0] = cmath.log(1 + kappa) * np.eye(len(zero), dtype=zero.dtype)
+        ln = cmath.log(1 + kappa)
+        if not (ln.imag or np.iscomplexobj(kappa)):  # a real kappa > -1
+            ln = ln.real
+        z[0] = ln * np.eye(len(zero), dtype=zero.dtype)
     return z
 
 
@@ -151,19 +155,18 @@ def kappa_shifted_bch(a1, a2, kappa) -> float:
     """
     A1 = as_matrix(a1)
     A2 = as_matrix(a2)
-    kap = complex(kappa)
-    if kap == -1.0:
+    if kappa == -1:
         raise ValueError("kappa = -1 is excluded")
     sigma = A1 + A2
     comm = A1 @ A2 - A2 @ A1
     series_arg = sigma + 0.5 * (sigma @ sigma + comm)
-    if norm_1(series_arg) / abs(kap + 1.0) >= 1.0:
+    if norm_1(series_arg) / abs(kappa + 1.0) >= 1.0:
         raise ConvergenceRadiusError(
             "||(kappa+1)^-1 (a1 + a2 + quadratic terms)|| >= 1; "
             "increase |kappa| or shrink the operands"
         )
-    lhs = expm(A1) @ expm(A2) + kap * eye(A1.shape[0])
-    return norm_1(lhs - expm(sum(log_product_series(A1, A2, 2, kap))))
+    lhs = expm(A1) @ expm(A2) + kappa * eye(A1.shape[0])
+    return norm_1(lhs - expm(sum(log_product_series(A1, A2, 2, kappa))))
 
 
 def von_neumann_second_derivative(x, y) -> np.ndarray:

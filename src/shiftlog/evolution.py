@@ -52,7 +52,7 @@ class GeneratorSpec:
     def eval(self, t: float) -> np.ndarray:
         if not -1e-12 <= t <= self.T + 1e-12:
             raise ValueError(f"time {t} outside horizon [0, {self.T}]")
-        a = np.asarray(self.func(t), dtype=np.complex128)
+        a = np.asarray(self.func(t))
         if a.shape != (self.dim, self.dim):
             raise ValueError(f"generator returned shape {a.shape}, expected {(self.dim,)*2}")
         return a

@@ -1,12 +1,16 @@
-"""Dense complex linear algebra kernel.
+"""Dense real and complex linear algebra kernel.
 
 Everything downstream (matrix functions, propagation, the shifted-log
 machinery) goes through the handful of primitives here: validated square
-complex matrices, a solve (``numpy.linalg.solve``, LAPACK's LU with partial
+matrices, a solve (``numpy.linalg.solve``, LAPACK's LU with partial
 pivoting) that rejects matrices whose reciprocal 1-norm condition number
 falls below an explicit threshold, the induced 1-norm, and Gershgorin disc
-families.  All functions are pure and operate on plain ``numpy`` arrays of
-dtype complex128.
+families.  All functions are pure and operate on plain ``numpy`` arrays.
+The dtype follows the input: a real matrix is float64 and stays real
+through every kernel (BLAS ``dgemm`` and LAPACK ``dgesv``), a complex one is
+complex128.  The exponential, principal square root and principal logarithm
+of a real matrix are real (Higham, *Functions of Matrices*, 2008, Thms 1.29
+and 1.31), so real input loses nothing by not being made complex.
 """
 
 from __future__ import annotations
@@ -20,8 +24,11 @@ RCOND_MIN = 1e-14
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce input to a square complex128 matrix with finite entries."""
-    m = np.asarray(a, dtype=np.complex128)
+    """Coerce input to a square matrix with finite entries: float64 for real,
+    integer or boolean input, complex128 for anything else (complex entries,
+    or an object array such as one of ``fractions.Fraction``)."""
+    m = np.asarray(a)
+    m = m.astype(np.float64 if m.dtype.kind in "biuf" else np.complex128, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -30,12 +37,12 @@ def as_matrix(a) -> np.ndarray:
 
 
 def eye(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.complex128)
+    return np.eye(n)
 
 
 def norm_1(a) -> float:
     """Induced 1-norm: maximum absolute column sum."""
-    m = np.asarray(a, dtype=np.complex128)
+    m = np.asarray(a)
     if m.size == 0:
         return 0.0
     return float(np.abs(m).sum(axis=0).max())
@@ -43,7 +50,8 @@ def norm_1(a) -> float:
 
 def solve(a, b) -> np.ndarray:
     """Solve A X = B by LU with partial pivoting (``numpy.linalg.solve``:
-    LAPACK ``zgesv``, that is ``zgetrf`` then ``zgetrs``).
+    LAPACK ``dgesv`` for real A and B, ``zgesv`` if either is complex; that
+    is ``getrf`` then ``getrs``).
 
     The guard is the reciprocal condition number 1 / (||A||_1 ||A^-1||_1).
     For B = I, A^-1 is X itself; any other B costs one more factorisation
@@ -56,7 +64,7 @@ def solve(a, b) -> np.ndarray:
         exactly zero pivot reads as 0.
     """
     A = as_matrix(a)
-    B = np.asarray(b, dtype=np.complex128)
+    B = np.asarray(b)
     if B.shape[0] != A.shape[0]:
         raise ValueError("dimension mismatch between A and B")
     scale = norm_1(A)
@@ -84,7 +92,7 @@ def gershgorin_discs(a, axis: str = "col") -> tuple[np.ndarray, np.ndarray]:
 
     Like :func:`norm_1` it does not validate ``a``; its callers pass a matrix
     :func:`as_matrix` has already checked."""
-    A = np.asarray(a, dtype=np.complex128)
+    A = np.asarray(a)
     d = np.diag(A)
     return d, np.abs(A).sum(axis=0 if axis == "col" else 1) - np.abs(d)
 

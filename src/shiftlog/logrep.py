@@ -16,7 +16,7 @@ from .linalg import as_matrix, eye, norm_1, solve
 from .matfun import expm, fd_derivative, fd_probes, logm_iss
 
 
-def select_kappa(family) -> complex:
+def select_kappa(family) -> float:
     """Real positive shift kappa = 2 sup ||U||_1 over the family of operators.
 
     With a margin of 2 every column Gershgorin disc of U + kappa*I lies in the
@@ -26,17 +26,18 @@ def select_kappa(family) -> complex:
     mats = [as_matrix(u) for u in family]
     if not mats:
         raise ValueError("empty evolution-operator family")
-    return complex(2.0 * max(norm_1(m) for m in mats))
+    return 2.0 * max(norm_1(m) for m in mats)
 
 
 def alt_generator(u, kappa) -> np.ndarray:
-    """Bounded surrogate generator a(t, s) = Log(U(t, s) + kappa*I).
+    """Bounded surrogate generator a(t, s) = Log(U(t, s) + kappa*I): real
+    for a real U and a real kappa, complex128 when either is complex.
 
     Raises :class:`BranchCutError` when the shifted matrix is not enclosure
     admissible, which signals that ``|kappa|`` is too small.
     """
     m = as_matrix(u)
-    return logm_iss(m + complex(kappa) * eye(m.shape[0]))
+    return logm_iss(m + kappa * eye(m.shape[0]))
 
 
 def recovery_chain(times, h: float) -> list[float]:
@@ -60,7 +61,7 @@ def recover_generator(a_at: dict[float, np.ndarray], t: float, kappa,
     """
     da = fd_derivative(a_at.__getitem__, t, h)[0]
     a_ts = a_at[t]
-    lhs = eye(a_ts.shape[0]) - complex(kappa) * expm(-a_ts)
+    lhs = eye(a_ts.shape[0]) - kappa * expm(-a_ts)
     try:
         return solve(lhs, da)
     except SingularMatrixError as exc:
@@ -79,4 +80,4 @@ def check_asymmetry(u, kappa) -> float:
     m = as_matrix(u)
     ident = eye(m.shape[0])
     lhs = expm(-alt_generator(m, kappa))
-    return norm_1(lhs - (solve(m, ident) + complex(kappa) * ident))
+    return norm_1(lhs - (solve(m, ident) + kappa * ident))

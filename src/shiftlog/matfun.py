@@ -227,7 +227,7 @@ def logm_iss(m) -> np.ndarray:
     degree = math.ceil(math.log(SERIES_RTOL) / math.log(max(dist, SERIES_RTOL)))
     s = math.isqrt(degree - 1) + 1
     # powers[j] = X^j for j = 0..s
-    powers = np.empty((s + 1, *M.shape), dtype=np.complex128)
+    powers = np.empty((s + 1, *M.shape), dtype=M.dtype)
     powers[0] = ident
     powers[1] = M - ident
     for j in range(2, s + 1):
@@ -406,5 +406,4 @@ def fd_derivative(f: Callable[[float], np.ndarray], t0: float,
         up, down = values[t0 + w], values[t0 - w]
         first.append((up - down) / (2.0 * w))
         second.append((up - 2.0 * f0 + down) / (w * w))
-    return tuple(np.asarray((4.0 * d[1] - d[0]) / 3.0, dtype=np.complex128)
-                 for d in (first, second))
+    return tuple(np.asarray((4.0 * d[1] - d[0]) / 3.0) for d in (first, second))

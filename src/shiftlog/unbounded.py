@@ -33,7 +33,7 @@ def advection_matrix(n: int, speed: float = 1.0) -> np.ndarray:
     if n < 4:
         raise ValueError(f"grid size must be at least 4, got {n}")
     h = 1.0 / n
-    a = np.zeros((n, n), dtype=np.complex128)
+    a = np.zeros((n, n))
     coeff = speed / (2.0 * h)
     for j in range(n):
         a[j, (j + 1) % n] = coeff
@@ -47,7 +47,7 @@ def diffusion_matrix(n: int, viscosity: float = 1.0) -> np.ndarray:
     if n < 4:
         raise ValueError(f"grid size must be at least 4, got {n}")
     h = 1.0 / n
-    a = np.zeros((n, n), dtype=np.complex128)
+    a = np.zeros((n, n))
     coeff = viscosity / (h * h)
     for j in range(n):
         a[j, j] = -2.0 * coeff
@@ -74,7 +74,7 @@ def grid_potential(n: int) -> np.ndarray:
     """Bounded diagonal multiplication operator cos(2 pi x) on the same grid;
     the second leg of the BCH experiments."""
     x = np.arange(n) / n
-    return np.diag(np.cos(2.0 * np.pi * x)).astype(np.complex128)
+    return np.diag(np.cos(2.0 * np.pi * x))
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,9 @@ DEFAULT_SWEEP_BUDGET = 5e9
 
 # Price of one sweep member, in units of about 1.3 ns on a 2-vCPU Xeon VM
 # with one BLAS thread, per n^3 for its matrix work.  Single members at
-# t - s = 0.1 measured 31-57 units per n^3 (medians of 7, n = 64..256,
-# diffusion and advection_tdep), so the price is a guard, not a prediction.
+# t - s = 0.1 measured 11-29 units per n^3 (medians of 5, n = 64..256,
+# diffusion and advection_tdep; their operators are real, so float64), so the
+# price is a guard above every member, not a prediction.
 MEMBER_COST = 40.0
 
 
@@ -264,7 +265,7 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
         norm_c1, norm_c2 = norm_1(c1), norm_1(c2)
         if norm_c1 == 0.0 or norm_c2 == 0.0:
             raise ValueError(f"n = {n}: a centred surrogate a_i - ln(1 + kappa) I rounds to 0 at "
-                             f"kappa = {np.real(kappa):.3e}; the stencil is too large")
+                             f"kappa = {kappa:.3e}; the stencil is too large")
         s1 = c1 * (SHIFTED_OPERAND_NORM / norm_c1)
         s2 = c2 * (SHIFTED_OPERAND_NORM / norm_c2)
         residual_shifted = kappa_shifted_bch(s1, s2, kappa)
@@ -285,7 +286,7 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
             first_norm = norm_an
         rows.append(SweepRow(
             n=n, norm_A=norm_an, norm_A_ratio=norm_an / first_norm,
-            norm_a=norm_1(a1), kappa=float(np.real(kappa)),
+            norm_a=norm_1(a1), kappa=kappa,
             residual_naive=float(residual_naive),
             residual_shifted_bch=float(residual_shifted),
             residual_recovery=float(residual_recovery),

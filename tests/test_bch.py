@@ -1,6 +1,7 @@
 """BCH identity tests: product and conjugation series, the kappa-shifted
 identity, and the second-derivative-of-logarithm machinery."""
 
+import cmath
 import math
 import warnings
 from fractions import Fraction
@@ -309,6 +310,33 @@ def test_vnsd_on_an_unbounded_hamiltonian(n, expm_calls, logm_iss_calls):
     assert len(expm_calls) == len(logm_iss_calls) == 0
 
 
+def test_log_product_series_takes_a_complex_kappa():
+    # Z_0 = Log(1 + kappa) I, Z_1 = (a1 + a2) / (1 + kappa) and Z_2 in closed
+    # form, as in the Fraction case, for a complex kappa on real operands
+    rng = np.random.default_rng(23)
+    a1, a2 = rng.standard_normal((2, 3, 3))
+    s = a1 + a2
+    for kappa in (1.5 - 2.0j, -3.0 + 0.5j):
+        z = log_product_series(a1, a2, 2, kappa)
+        assert all(zj.dtype == np.complex128 for zj in z)
+        assert (z[0] == cmath.log(1 + kappa) * np.eye(3)).all()
+        np.testing.assert_allclose(z[1], s / (1 + kappa), rtol=1e-15)
+        np.testing.assert_allclose(z[2], commutator(a1, a2) / (2 * (1 + kappa))
+                                   + kappa * (s @ s) / (2 * (1 + kappa) ** 2), rtol=1e-14)
+
+
+def test_log_product_series_is_real_for_a_real_kappa_above_minus_one():
+    rng = np.random.default_rng(24)
+    a1, a2 = rng.standard_normal((2, 3, 3))
+    z = log_product_series(a1, a2, 3, 2.0)
+    assert all(zj.dtype == np.float64 for zj in z)
+    np.testing.assert_allclose(z[0], math.log(3.0) * np.eye(3), rtol=1e-16)
+    # below -1 the logarithm of 1 + kappa < 0 takes its principal value
+    z = log_product_series(a1, a2, 1, -3.0)
+    assert z[0].dtype == np.complex128
+    np.testing.assert_allclose(z[0], complex(math.log(2.0), math.pi) * np.eye(3), rtol=1e-16)
+
+
 # --- kappa-shifted product identity ---
 
 def test_shifted_bch_zero_operands():
@@ -335,6 +363,20 @@ def test_shifted_bch_generic_pairs_scale_cubically():
         a2 = rand_complex(rng, 2, 1.0)
         res = [kappa_shifted_bch(e * a1, e * a2, 2.0) for e in eps]
         assert 2.7 <= loglog_slope(eps, res) <= 3.3
+
+
+def test_shifted_bch_with_a_complex_kappa_scales_cubically():
+    # the same closed form at kappa = 2 + i and at a complex kappa on the
+    # circle |kappa + 1| = 3, on real and on complex pairs
+    rng = np.random.default_rng(13)
+    eps = [0.2, 0.1, 0.05]
+    for kappa in (2.0 + 1.0j, -1.0 + 3.0j):
+        for a1, a2 in (rng.standard_normal((2, 2, 2)) / 2, (rand_complex(rng, 2, 1.0),
+                                                            rand_complex(rng, 2, 1.0))):
+            res = [kappa_shifted_bch(e * a1, e * a2, kappa) for e in eps]
+            assert 2.7 <= loglog_slope(eps, res) <= 3.3, kappa
+    zero = np.zeros((2, 2))
+    assert kappa_shifted_bch(zero, zero, 2.0 + 1.0j) <= 1e-15
 
 
 def test_shifted_bch_preconditions():

@@ -1,6 +1,7 @@
 """Kernel tests: solve, norms, Gershgorin enclosures, matrix JSON decoding."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from shiftlog.errors import SingularMatrixError
 from shiftlog.linalg import (
     RCOND_MIN,
     as_matrix,
+    eye,
     gershgorin_discs,
     matrix_from_json,
     norm_1,
@@ -107,6 +109,65 @@ def test_as_matrix_validation():
         as_matrix(np.ones((2, 3)))
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.nan, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("entries", [
+    [[1.5, -2.0], [0.25, 3.0]],
+    np.array([[1.5, -2.0], [0.25, 3.0]], dtype=np.float32),
+    [[1, -2], [0, 3]],
+    np.array([[1, -2], [0, 3]], dtype=np.int8),
+    [[True, False], [False, True]],
+], ids=["float", "float32", "int", "int8", "bool"])
+def test_as_matrix_keeps_real_input_real(entries):
+    m = as_matrix(entries)
+    assert m.dtype == np.float64
+    np.testing.assert_array_equal(m, np.asarray(entries, dtype=np.float64))
+
+
+@pytest.mark.parametrize("entries", [
+    [[1.5, -2.0j], [0.25, 3.0]],
+    np.array([[1.5, -2.0j], [0.25, 3.0]], dtype=np.complex64),
+    np.array([[Fraction(3, 2), Fraction(-2)], [Fraction(1, 4), Fraction(3)]], dtype=object),
+], ids=["complex", "complex64", "fraction-object"])
+def test_as_matrix_makes_complex_and_object_input_complex(entries):
+    m = as_matrix(entries)
+    assert m.dtype == np.complex128
+    np.testing.assert_array_equal(m, np.asarray(entries).astype(np.complex128))
+
+
+def test_as_matrix_takes_a_matrix_of_its_dtype_as_it_is():
+    for a in (np.eye(3), np.eye(3, dtype=np.complex128)):
+        assert as_matrix(a) is a
+
+
+def test_eye_is_real():
+    i = eye(3)
+    assert i.dtype == np.float64
+    np.testing.assert_array_equal(i, np.identity(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf),
+                                 complex(np.nan, 0.0)])
+def test_as_matrix_rejects_non_finite_entries_on_both_paths(bad):
+    a = np.array([[bad, 0], [0, 1]])
+    assert a.dtype == (np.complex128 if isinstance(bad, complex) else np.float64)
+    for entries in (a, a.astype(object)):  # the object array takes the complex path
+        with pytest.raises(ValueError, match="non-finite"):
+            as_matrix(entries)
+
+
+def test_solve_and_norms_keep_the_dtype():
+    rng = np.random.default_rng(37)
+    a = rng.standard_normal((5, 5)) + 3.0 * np.eye(5)
+    b = rng.standard_normal((5, 2))
+    assert solve(a, b).dtype == solve(a, np.eye(5)).dtype == np.float64
+    assert solve(a, b.astype(complex)).dtype == solve(a.astype(complex), b).dtype == np.complex128
+    # real LU (dgesv) against the complex one (zgesv) on the same values
+    x, z = solve(a, b), solve(a.astype(complex), b)
+    assert norm_1(x - z) <= 5 * 2.0 ** -53 * norm_1(z) * norm_1(a) * norm_1(solve(a, np.eye(5)))
+    assert norm_1(a) == norm_1(a.astype(complex))
+    centers, radii = gershgorin_discs(a)
+    assert centers.dtype == radii.dtype == np.float64
 
 
 def test_norm_1_examples():

@@ -1,6 +1,7 @@
 """Shifted-log representation tests: kappa selection, surrogate generators,
 recovery of A(t), and the inverse-vs-shift asymmetry."""
 
+import cmath
 import math
 import re
 
@@ -223,3 +224,29 @@ def test_asymmetry_generic_positive():
     u = propagate(GeneratorSpec.constant(rand_c(rng, 4, 1.0)), 1.0, 0.0, 256)
     assert check_asymmetry(u, 2.0 * norm_1(u)) > 0.1
 
+
+
+def test_asymmetry_scalar_value_at_a_complex_kappa():
+    # U = 2I, kappa = 4 + 2i: lhs = I / (6 + 2i) = (0.15 - 0.05i) I,
+    # rhs = (4.5 + 2i) I, gap |-4.35 - 2.05i| = sqrt(23.125)
+    assert check_asymmetry(2.0 * np.eye(2), 4.0 + 2.0j) == pytest.approx(
+        math.sqrt(23.125), rel=1e-14)
+
+
+def test_a_complex_kappa_shifts_and_recovers_a_real_generator():
+    # Complex shifts are accepted wherever kappa is a parameter: for a real U,
+    # a(t, s) = Log(U + kappa I) is complex, and the recovery reads the real
+    # generator back through it as through a real kappa.
+    rng = np.random.default_rng(47)
+    a = rng.standard_normal((4, 4))
+    a *= 1.0 / norm_1(a)
+    g = GeneratorSpec.constant(a)
+    u = propagate(g, 0.5, 0.0, 64, "magnus4")
+    real_kappa = select_kappa([u])
+    for kappa in (real_kappa, real_kappa + 1.5j, cmath.rect(real_kappa, 0.6)):
+        surrogate = alt_generator(u, kappa)
+        assert surrogate.dtype == (np.complex128 if isinstance(kappa, complex) else np.float64)
+        shifted = u + kappa * np.eye(4)
+        assert norm_1(expm(surrogate) - shifted) <= 1e-14 * norm_1(shifted)
+        rec = recover(g, 0.0, 0.5, kappa, stepper="magnus4")
+        assert norm_1(rec - a) <= 1e-7 * norm_1(a), kappa

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from shiftlog.errors import BranchCutError, ContourError, SingularMatrixError
 from shiftlog import linalg, matfun
 from shiftlog.linalg import eye, gershgorin_discs, norm_1, off_branch_cut, solve
-from shiftlog.logrep import select_kappa
+from shiftlog.logrep import alt_generator, select_kappa
 from shiftlog.matfun import (
     CONTOUR_NODES,
     EXPM_THETA,
@@ -29,6 +29,7 @@ from shiftlog.matfun import (
     sqrtm_db,
 )
 from shiftlog.sampling import rand_log_admissible
+from shiftlog.unbounded import advection_matrix, diffusion_matrix
 
 
 def rand_c(rng, n, scale=1.0):
@@ -488,6 +489,66 @@ def test_logm_contour_validates_its_input_once(as_matrix_calls):
         logm_contour(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         logm_contour(np.ones((2, 3)))
+
+
+# --- real input stays real ---
+
+U = 2.0 ** -53
+
+REAL_KERNELS = {"expm": expm, "sqrtm_db": sqrtm_db, "logm_iss": logm_iss,
+                "alt_generator": lambda m: alt_generator(m, 2.0 * norm_1(m))}
+
+
+@pytest.mark.parametrize("name", REAL_KERNELS)
+def test_real_input_stays_real_and_matches_the_complex_path(name):
+    # The same values through float64 (dgemm, dgesv) and complex128 (zgemm,
+    # zgesv) differ by rounding only.  Measured up to 0.55 n u for expm, 0.35
+    # for sqrtm_db and 0.59 for alt_generator; logm_iss read 13.5 n u at n = 2
+    # and norm 8, where each path is itself 10 and 5.5 n u off the exact
+    # logarithm a.  The bound is 32 n u.
+    kernel = REAL_KERNELS[name]
+    rng = np.random.default_rng(5)
+    graded = 0
+    for n in (2, 3, 8, 16, 64):
+        for norm in (0.1, 1.0, 8.0):
+            a = rng.standard_normal((n, n))
+            a *= norm / norm_1(a)
+            m = a if name == "expm" else expm(a)
+            if name != "expm" and not off_branch_cut(m):
+                continue
+            real, cplx = kernel(m), kernel(m.astype(np.complex128))
+            assert real.dtype == np.float64 and cplx.dtype == np.complex128
+            assert norm_1(real - cplx) <= 32 * n * U * norm_1(cplx), (n, norm)
+            graded += 1
+    assert graded >= 11
+
+
+def test_logm_iss_of_a_real_non_normal_matrix_against_mpmath():
+    # a real, non-normal matrix whose eigenvalues 4.136 +- 2.187i are a
+    # complex-conjugate pair; its column Gershgorin discs clear the cut.  Its
+    # principal logarithm is real, and both paths read 1.9-2.4 u from
+    # mpmath's (relative, 1-norm).
+    m = np.array([[4.0, 1.0, 0.0], [-2.0, 4.0, 3.0], [0.5, -1.0, 5.0]])
+    assert norm_1(m @ m.T - m.T @ m) > 1.0
+    eigs = np.linalg.eigvals(m)
+    assert np.sum(np.abs(eigs.imag) > 2.0) == 2 and np.isclose(eigs.imag.sum(), 0.0)
+    ref = _mpmath_reference(mpmath.logm, m)
+    assert not ref.imag.any()
+    for a, out in ((m, np.float64), (m.astype(np.complex128), np.complex128)):
+        log = logm_iss(a)
+        assert log.dtype == out
+        assert norm_1(log - ref) <= 8 * U * norm_1(ref)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_expm_of_the_sweep_stencils_against_scipy(n):
+    # exponents of 1-norm 65.5 and 262 (diffusion, nu = 0.01) and 12.8 and
+    # 25.6 (advection) at t = 0.1; they read 5.3e-15 to 1.8e-14 from scipy's
+    for a in (0.1 * diffusion_matrix(n, 0.01), 0.1 * advection_matrix(n)):
+        e = expm(a)
+        ref = scipy.linalg.expm(a)
+        assert e.dtype == np.float64
+        assert norm_1(e - ref) <= 1e-13 * norm_1(ref)
 
 
 # --- finite differences ---
