@@ -200,7 +200,7 @@ def log_product_expansion(a1_family: Callable[[float], np.ndarray],
     ``matfun.fd_step`` of ||a1(0)||_1 + ||a2(0)||_1, which also gives the drift."""
     a1_0, a2_0 = (as_matrix(family(0.0)) for family in (a1_family, a2_family))
     d1, d2 = fd_derivative(lambda s: np.stack((a1_family(s), a2_family(s))), 0.0,
-                           fd_step(norm_1(a1_0) + norm_1(a2_0)))[0]
+                           fd_step(norm_1(a1_0) + norm_1(a2_0)))
     z = log_product_series([a1_0, d1 / 2.0], [a2_0, d2 / 2.0], 2)
     return ExpansionReport(norm_1(z[1] - (a1_0 + a2_0)),
                            norm_1(2.0 * z[2] - (commutator(a1_0, a2_0) + d1 + d2)))

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PropagationError
-from .linalg import as_matrix, eye, norm_1
+from .linalg import as_matrix, norm_1
 from .matfun import expm
 
 # Where each stepper samples the generator within a step [tau, tau + h], as
@@ -101,6 +101,11 @@ class GeneratorSpec:
         return GeneratorSpec(dim, ts[-1], interp)
 
 
+def _identity(g: GeneratorSpec) -> np.ndarray:
+    """U(s, s) = I, in ``g.matrix``'s dtype if set (float64 otherwise)."""
+    return np.eye(g.dim, dtype=np.float64 if g.matrix is None else g.matrix.dtype)
+
+
 def _check_finite(u: np.ndarray, where: str) -> np.ndarray:
     if not np.all(np.isfinite(u)):
         raise PropagationError(f"non-finite entries during {where}")
@@ -155,7 +160,7 @@ def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
         raise ValueError("steps must be >= 1")
     if stepper not in NODES:
         raise ValueError(f"unknown stepper {stepper!r}")
-    u = identity = eye(g.dim)
+    u = identity = _identity(g)
     if t > s:
         h = (t - s) / steps
         # overflow surfaces as PropagationError, not as numpy warnings
@@ -198,7 +203,7 @@ def march(g: GeneratorSpec, s: float, knots, steps_per_unit: float,
     composed onto U so far, so the generator is evaluated once along [s, max
     knot] however many knots there are.
     """
-    u = eye(g.dim)
+    u = _identity(g)
     u_at = {s: u} if s in knots else {}
     for a, b, steps in march_segments(s, knots, steps_per_unit):
         with np.errstate(over="ignore", invalid="ignore"):

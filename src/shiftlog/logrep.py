@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularMatrixError
 from .linalg import as_matrix, eye, norm_1, solve
 from .matfun import expm, fd_derivative, fd_probes, logm_iss
 
@@ -41,33 +40,26 @@ def alt_generator(u, kappa) -> np.ndarray:
 
 
 def recovery_chain(times, h: float) -> list[float]:
-    """The probe times of recovering A(t) at every t of ``times`` at step ``h``:
-    the union of :func:`fd_probes` over ``times``, in increasing order: the
-    knots of the ``evolution.march`` from s whose U(tau, s) the recovery reads."""
-    return sorted({x for t in times for x in fd_probes(t, h)})
+    """The knots of recovering A(t) at every t of ``times`` at step ``h``, in
+    increasing order: the times themselves and their :func:`fd_probes`, where
+    the ``evolution.march`` from s gives the U(tau, s) the recovery reads."""
+    return sorted({x for t in times for x in (t, *fd_probes(t, h))})
 
 
-def recover_generator(a_at: dict[float, np.ndarray], t: float, kappa,
+def recover_generator(u_at: dict[float, np.ndarray], t: float, kappa,
                       h: float) -> np.ndarray:
-    """Recover A(t) from the surrogate family via
-    A(t) = (I - kappa exp(-a(t, s)))^-1 d/dt a(t, s).
+    """Recover A(t) = (I - kappa exp(-a(t, s)))^-1 d/dt a(t, s) from the
+    U(tau, s) ``u_at`` of the march through :func:`recovery_chain`.
 
-    ``a_at`` maps each probe time tau of :func:`recovery_chain` to
-    a(tau, s) = Log(U(tau, s) + kappa*I), U off the march through them; the
-    time derivative is :func:`fd_derivative`'s first at step ``h``, which
-    callers take from ``matfun.fd_step`` of ||A(t)||_1, and a probe time that
-    is not a key raises ``KeyError`` naming it.  Exact when d/dt U commutes
+    d/dt a is :func:`fd_derivative`'s, at step ``h`` (``matfun.fd_step`` of
+    ||A(t)||_1 at every caller), of a(tau, s) = :func:`alt_generator` at the
+    four probes; a probe missing from ``u_at`` raises ``KeyError`` naming it.
+    As exp(a) = U + kappa I, (I - kappa exp(-a))^-1 = I + kappa U^-1: one
+    guarded solve with U(t, s), no exponential.  Exact when d/dt U commutes
     with U (commuting families); otherwise the output is a diagnostic.
     """
-    da = fd_derivative(a_at.__getitem__, t, h)[0]
-    a_ts = a_at[t]
-    lhs = eye(a_ts.shape[0]) - kappa * expm(-a_ts)
-    try:
-        return solve(lhs, da)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"I - kappa exp(-a) numerically singular at kappa={kappa}: {exc}"
-        ) from exc
+    da = fd_derivative(lambda tau: alt_generator(u_at[tau], kappa), t, h)
+    return da + kappa * solve(u_at[t], da)
 
 
 def check_asymmetry(u, kappa) -> float:

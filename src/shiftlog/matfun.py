@@ -361,49 +361,45 @@ def logm_contour(m) -> np.ndarray:
 
 # The FD step times the 1-norm of the operator differentiated; see fd_step.
 FD_STEP = 0.065
-# The least step of fd_probes: fd_derivative divides by (h/2)^2, a normal float from here.
-_FD_H_MIN = 2.0 * math.sqrt(np.finfo(float).tiny)
+# The most a rounded probe offset may stray from its nominal, relative: it
+# moves the derivative by (5/3) delta ||f'|| to first order, 1.7e-6 at most.
+_FD_OFFSET_RTOL = 1e-6
 
 
 def fd_step(scale: float) -> float:
     """The step h = FD_STEP / max(scale, 1) of :func:`fd_derivative` on a curve
     driven by an operator of 1-norm ``scale``.
 
-    x = FD_STEP = h max(scale, 1) is taken from the second derivative, the
-    more rounding-sensitive one.  With ||f^(k)|| <= scale^k m and samples accurate
-    to u m (u = 2^-53), it errs by at most scale^2 m (T(x) + R(x)): truncation
-    T = x^4 / 1440, as 4 D(h/2) - D(h) = 3 f'' - 3 h^4 f^(6) / 1440, and
-    rounding R = (64/3) u / x^2, the weights [-1, 16, -30, 16, -1] / (3 h^2)
-    summed in magnitude.  Both stay within sqrt(u) for x in [4.7e-4, 0.0624];
-    FD_STEP is its top, to the next multiple of 1/200 (T = 1.24e-8,
-    R = 5.6e-13), since R is the term the bound understates: a recovery sample
-    Log(U + kappa I) is accurate to u times the logarithm's condition against
-    ||Log((U + kappa I) / c)||_1 + |ln c| (c :func:`logm_iss`'s centre), not m.
-    The first derivative errs there by x^4 / 480 + 3 u / x = 3.7e-8 in scale m.
+    With ||f^(k)|| <= scale^k m and samples accurate to u m (u = 2^-53), the
+    derivative errs by at most scale m (T + R) at x = h max(scale, 1):
+    truncation T = x^4 / 480 and rounding R = 3 u / x, the weights
+    [1, -8, 8, -1] / (6 h) summed in magnitude.  Both stay within sqrt(u) for
+    x in [3.2e-8, 0.047].  FD_STEP lies above, at T = 3.7e-8 and R = 5.1e-15,
+    as R understates a recovery sample Log(U + kappa I), accurate to u times
+    the logarithm's condition, not u m.  A smaller step changes the march step
+    counts, as ``evolution.march_segments`` rounds up each probe segment.
     """
     return FD_STEP / max(scale, 1.0)
 
 
 def fd_probes(t0: float, h: float) -> list[float]:
-    """The sample times t0, t0 +- h / 2, t0 +- h of :func:`fd_derivative`, sorted."""
-    if not _FD_H_MIN <= h < math.inf:
-        raise ValueError(f"step h must be finite and at least {_FD_H_MIN:.3e}, got {h}")
-    return sorted({t0, t0 + h, t0 + h / 2, t0 - h, t0 - h / 2})
+    """The sample times t0 - h, t0 - h / 2, t0 + h / 2, t0 + h of
+    :func:`fd_derivative`.  Raises ``ValueError`` unless h > 0 is finite and
+    each rounded offset from t0 is within 1e-6 h of its nominal value, which
+    fails once h nears the spacing of the floats at t0."""
+    probes = [t0 - h, t0 - h / 2, t0 + h / 2, t0 + h]
+    # Dividing by -1, -1/2, 1/2 and 1 is exact.
+    if not (0.0 < h < math.inf and all(abs((tau - t0) / c - h) <= _FD_OFFSET_RTOL * h
+                                       for tau, c in zip(probes, (-1.0, -0.5, 0.5, 1.0)))):
+        raise ValueError(f"step h must be positive, finite and resolved at t0 = {t0} "
+                         f"(offsets within {_FD_OFFSET_RTOL:.0e} h), got {h}")
+    return probes
 
 
-def fd_derivative(f: Callable[[float], np.ndarray], t0: float,
-                  h: float) -> tuple[np.ndarray, np.ndarray]:
-    """First and second central-difference derivatives ``(first, second)`` of a
-    matrix-valued curve at ``t0``, each with one Richardson level.
-
-    ``f`` is called once at each time of :func:`fd_probes`, on [t0 - h, t0 + h],
-    and both are read off that one sampling.  The error of each stencil D(w)
-    has even powers of w only, so 4 D(h/2) - D(h) cancels w^2: O(h^4).
-    """
-    values = {t: f(t) for t in fd_probes(t0, h)}
-    f0, first, second = values[t0], [], []
-    for w in (h, h / 2):
-        up, down = values[t0 + w], values[t0 - w]
-        first.append((up - down) / (2.0 * w))
-        second.append((up - 2.0 * f0 + down) / (w * w))
-    return tuple(np.asarray((4.0 * d[1] - d[0]) / 3.0) for d in (first, second))
+def fd_derivative(f: Callable[[float], np.ndarray], t0: float, h: float) -> np.ndarray:
+    """First derivative (4 D(h/2) - D(h)) / 3 of a matrix-valued curve at
+    ``t0``, D(w) = (f(t0 + w) - f(t0 - w)) / 2w: the error of D(w) has even
+    powers of w only, so one Richardson level cancels w^2, O(h^4).  ``f`` is
+    called once at each time of :func:`fd_probes`, never at t0."""
+    down, half_down, half_up, up = (f(t) for t in fd_probes(t0, h))
+    return np.asarray((4.0 * ((half_up - half_down) / h) - (up - down) / (2.0 * h)) / 3.0)

@@ -203,11 +203,12 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
     that march is one step matrix, powered.
 
     Before any member is built, the sweep raises ``ValueError`` unless
-    0 <= s < t < inf, or when a member's first probe time precedes s (the
-    widest window is the smallest n's) or :func:`matfun.fd_probes` rejects its
-    step, or when a member's march length k = 2 ||A_n(s)||_1 (t - s), taken in
-    floating point (it may be inf), has k u above :data:`MARCH_ROUNDING_LIMIT`
-    (u = 2^-53; such a march cannot hold U(t, s) to the campaign's 1e-6), and
+    0 <= s < t < inf, then when a member's march length k = 2 ||A_n(s)||_1
+    (t - s), taken in floating point (it may be inf), has k u above
+    :data:`MARCH_ROUNDING_LIMIT` (u = 2^-53; it could not hold U(t, s) to the
+    campaign's 1e-6), then when a member's first probe time precedes s (the
+    widest window is the smallest n's) or :func:`matfun.fd_probes` rejects
+    its step, and
     :class:`BudgetExceededError` when the estimated total work
     (:func:`sweep_cost`) exceeds ``budget``.  A built member raises
     ``ValueError`` when a centred surrogate rounds to 0 (kappa about 1e16 and
@@ -217,11 +218,6 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
     if not 0.0 <= s < t < math.inf:
         raise ValueError(f"need finite 0 <= s < t, got s={s}, t={t}")
     interval = t - s
-    fd_h = {n: fd_step(family.norm(n, t)) for n in family.dims}
-    first_probe = min(fd_probes(t, h)[0] for h in fd_h.values())
-    if first_probe < s:
-        raise ValueError(f"the generator recovery probes U(tau, s) at tau = "
-                         f"{first_probe}, before s = {s}")
     # In floating point, before any step count is formed: 2 ||A_n(s)||_1 (t - s)
     # may overflow to inf, which no integer holds.
     most = max(family.dims, key=lambda n: family.norm(n, s))
@@ -231,6 +227,11 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
         raise ValueError(f"n = {most}: a march of {length:.3e} steps rounds like "
                          f"{rounding:.1e}, above {MARCH_ROUNDING_LIMIT:.0e}; "
                          f"the stencil or t - s is too large")
+    fd_h = {n: fd_step(family.norm(n, t)) for n in family.dims}
+    first_probe = min(fd_probes(t, h)[0] for h in fd_h.values())
+    if first_probe < s:
+        raise ValueError(f"the generator recovery probes U(tau, s) at tau = "
+                         f"{first_probe}, before s = {s}")
     steps = {n: _calibrated_steps(family.norm(n, s), interval) for n in family.dims}
     cost = sweep_cost(family)
     if cost > budget:
@@ -270,14 +271,12 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
         s2 = c2 * (SHIFTED_OPERAND_NORM / norm_c2)
         residual_shifted = kappa_shifted_bch(s1, s2, kappa)
 
-        # Generator recovery from a1 and the march's other probe times (the
+        # Generator recovery from the march's U at t and its probe times (the
         # families are constant or scalar-modulated, so the commutation
         # hypothesis holds exactly); conditioning degrades as the smallest
         # eigenvalue of U approaches zero, which is reported, not hidden.
         try:
-            a_at = {tau: a1 if tau == t else alt_generator(u, kappa)
-                    for tau, u in u_at.items()}
-            recovered = recover_generator(a_at, t, kappa, fd_h[n])
+            recovered = recover_generator(u_at, t, kappa, fd_h[n])
             residual_recovery = norm_1(recovered - g.eval(t))
         except (SingularMatrixError, NoConvergenceError, BranchCutError):
             residual_recovery = float("inf")

@@ -420,6 +420,9 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
                                           "viscosity": 1e14}}),
     ("sweep", {**SWEEP_CONFIG, "family": {"kind": "advection", "dims": [8, 16], "speed": 1e14}}),
     ("sweep", {**SWEEP_CONFIG, "family": {"kind": "advection", "dims": [8, 16], "speed": 1e16}}),
+    # an FD step of 1.6e-16 at t = 0.5, where the floats lie 1.1e-16 apart
+    ("sweep", {"family": {"kind": "advection", "dims": [4, 8], "speed": 1e14},
+               "t": 0.5, "s": 0.499999}),
     # matrix entries that are not [re, im] pairs of real numbers
     ("bch", ([[[1, 0, 7], [0, 0]], [[0, 0], [1, 0]]], np.zeros((2, 2)))),
     ("bch", ([[[True, False], [0, 0]], [[0, 0], [1, 0]]], np.zeros((2, 2)))),
@@ -445,7 +448,8 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
         "verify-sweep-dims-257", "sweep-over-budget",
         "verify-output-path-empty", "sweep-speed-1e18", "sweep-speed-1e20",
         "sweep-viscosity-1e16", "sweep-viscosity-1e17", "sweep-viscosity-1e10",
-        "sweep-viscosity-1e14", "sweep-speed-1e14", "sweep-speed-1e16", "bch-entry-triple",
+        "sweep-viscosity-1e14", "sweep-speed-1e14", "sweep-speed-1e16",
+        "sweep-probes-round-together", "bch-entry-triple",
         "bch-entry-bool", "vn-entry-triple", "vn-entry-bool",
         "verify-format-flag-xml", "verify-seed-flag-str",
         "verify-suite-flag-unknown", "verify-unknown-flag", "bch-order-9", "bch-order-0",

@@ -252,6 +252,22 @@ def test_real_generator_gives_a_real_propagator(build):
     assert norm_1(real - cplx) <= 32 * 6 * 2.0 ** -53 * norm_1(cplx)
 
 
+@pytest.mark.parametrize("a", [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 1j], [1j, 0.0]]],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("make", [GeneratorSpec.constant,
+                                  lambda a: GeneratorSpec.modulated(a, _ramp, _ramp_integral)],
+                         ids=["constant", "modulated"])
+def test_u_s_s_takes_the_generator_dtype(eval_calls, make, a):
+    # U(s, s) = I is in the dtype of the generator's matrix, as every later
+    # U(t, s) is, and reading it samples no generator value
+    g = make(a)
+    dtype = np.asarray(a).dtype
+    assert propagate(g, 0.5, 0.5, 4).dtype == dtype
+    u_at = march(g, 0.5, [0.5, 0.7], 10, "magnus4")
+    assert u_at[0.5].dtype == u_at[0.7].dtype == dtype
+    assert eval_calls == []
+
+
 def test_table_interpolation_midpoint():
     a0 = np.zeros((2, 2), dtype=complex)
     a1 = np.eye(2, dtype=complex)

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from shiftlog import logrep
+from shiftlog import logrep, matfun
 from shiftlog.campaigns import _ramp, _ramp_integral
 from shiftlog.errors import BranchCutError
 from shiftlog.evolution import GeneratorSpec, march, propagate
@@ -20,7 +20,7 @@ from shiftlog.logrep import (
     recovery_chain,
     select_kappa,
 )
-from shiftlog.matfun import FD_STEP, expm, fd_derivative, fd_step
+from shiftlog.matfun import FD_STEP, expm, fd_derivative, fd_probes, fd_step
 
 
 def rand_c(rng, n, scale=1.0):
@@ -84,13 +84,12 @@ def test_alt_generator_small_kappa_rejected():
 
 
 def recover(g, s, t, kappa, h=None, steps_per_unit=256, stepper="rk4"):
-    """Recover A(t) the way the campaign does: one march, one logarithm per knot,
-    at the step of ||A(t)||_1 unless ``h`` is given."""
+    """Recover A(t) the way the campaign does, off one march through its
+    knots, at the step of ||A(t)||_1 unless ``h`` is given."""
     if h is None:
         h = fd_step(norm_1(g.eval(t)))
     u_at = march(g, s, recovery_chain([t], h), steps_per_unit, stepper)
-    return recover_generator({tau: alt_generator(u, kappa) for tau, u in u_at.items()},
-                             t, kappa, h)
+    return recover_generator(u_at, t, kappa, h)
 
 
 def test_recover_zero_generator():
@@ -163,14 +162,14 @@ def test_recovery_chain_knots_are_the_fd_probe_times(monkeypatch, decade):
     rec = recover(g, 0.0, 0.5, kappa, h, stepper="magnus4")
     assert norm_1(rec - a) <= 1e-5 * norm_1(a)
     knots = recovery_chain([0.5], h)
-    assert len(knots) == 5
-    assert sorted(asked) == knots
+    assert asked == fd_probes(0.5, h)
+    assert knots == sorted([0.5, *asked])
     assert list(march(g, 0.0, knots, 256, "magnus4")) == knots
 
 
 def test_recovery_rejects_a_probe_off_the_chain(monkeypatch):
     def off_chain_fd(f, t0, h):
-        return f(t0 + 1.5 * h), None
+        return f(t0 + 1.5 * h)
 
     monkeypatch.setattr(logrep, "fd_derivative", off_chain_fd)
     g = GeneratorSpec.constant(np.zeros((2, 2)))
@@ -185,10 +184,32 @@ def test_recovery_chain_is_exact_for_a_constant_generator(monkeypatch):
     h = fd_step(norm_1(a))
     asked = probe_recorder(monkeypatch)
     u_at = march(g, 0.1, recovery_chain([0.6], h), 100, "magnus4")
-    recover_generator({tau: alt_generator(u, 3.0) for tau, u in u_at.items()}, 0.6, 3.0, h)
-    assert sorted(asked) == list(u_at) and 0.6 in asked
+    recover_generator(u_at, 0.6, 3.0, h)
+    assert asked == [tau for tau in u_at if tau != 0.6]
     for tau, u in u_at.items():
         assert norm_1(u - expm((tau - 0.1) * a)) <= 1e-12
+
+
+def test_recovery_takes_no_exponential_and_logarithms_at_the_four_probes(
+        replace_everywhere, expm_calls):
+    # (I - kappa e^{-a(t, s)})^-1 = I + kappa U(t, s)^-1, as e^a = U + kappa I:
+    # the recovery reads U(t, s) by one solve, and takes a logarithm only
+    # where the derivative samples a(tau, s)
+    rng = np.random.default_rng(11)
+    a = rand_c(rng, 3, 1.0)
+    h = fd_step(norm_1(a))
+    u_at = march(GeneratorSpec.constant(a), 0.0, recovery_chain([0.5], h), 256, "magnus4")
+    logged = []
+    logm_iss = matfun.logm_iss
+    replace_everywhere(matfun, "logm_iss", lambda m: logged.append(m) or logm_iss(m))
+    marched = len(expm_calls)
+    rec = recover_generator(u_at, 0.5, 3.0, h)
+    assert len(expm_calls) == marched
+    probes = fd_probes(0.5, h)
+    assert len(logged) == len(probes) == 4
+    for m, tau in zip(logged, probes):
+        assert np.array_equal(m, u_at[tau] + 3.0 * np.eye(3))
+    assert norm_1(rec - a) <= 1e-6 * norm_1(a)
 
 
 def test_recovery_rejects_fd_window_before_s():

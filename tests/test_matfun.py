@@ -555,28 +555,22 @@ def test_expm_of_the_sweep_stencils_against_scipy(n):
 
 def test_fd_linear_curve_exact():
     a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    d = fd_derivative(lambda t: t * a, 0.4, 1e-3)[0]
+    d = fd_derivative(lambda t: t * a, 0.4, 1e-3)
     np.testing.assert_allclose(d, a, atol=1e-12)
 
 
 def test_fd_matrix_exponential_derivative():
     rng = np.random.default_rng(41)
     a = rand_c(rng, 3, 0.9)
-    d = fd_derivative(lambda t: expm(t * a), 0.0, 1e-3)[0]
+    d = fd_derivative(lambda t: expm(t * a), 0.0, 1e-3)
     assert norm_1(d - a) <= 1e-8
-
-
-def test_fd_second_derivative_quadratic():
-    c = np.array([[0.5, 0.1], [0.0, -0.2]], dtype=complex)
-    d = fd_derivative(lambda t: t * t * c, 0.0, 1e-3)[1]
-    assert norm_1(d - 2.0 * c) <= 1e-10
 
 
 def test_fd_halving_reduces_error():
     # one Richardson level is fourth order: halving h cuts the error ~16-fold
     rng = np.random.default_rng(43)
     a = rand_c(rng, 3, 1.0)
-    errs = [norm_1(fd_derivative(lambda t: expm(t * a), 0.0, h)[0] - a) for h in (4e-2, 2e-2)]
+    errs = [norm_1(fd_derivative(lambda t: expm(t * a), 0.0, h) - a) for h in (4e-2, 2e-2)]
     assert 11.0 <= errs[0] / errs[1] <= 22.0
 
 
@@ -595,19 +589,36 @@ def test_block_toeplitz_exponential_is_the_frechet_derivative():
 
 
 def test_fd_config_validation():
-    # the rule's one input is its step h, or the scale fd_step sizes it from;
-    # at scale 1e160 the square (h/2)^2 the second difference divides by underflows
-    for h in (0.0, -1e-3, math.inf, math.nan, fd_step(math.inf), fd_step(1e160)):
+    # the rule's one input is its step h, or the scale fd_step sizes it from.
+    # The floats at 0.5 lie 1.1e-16 apart: at h = 1e-20 every probe rounds to
+    # 0.5, and the derivative of t A read 0; at 1.6e-16 it read 29% off A
+    # (relative 1-norm); at 2e-12 the offsets stray by up to 2.2e-5 h, and it
+    # read 4.3e-5 off; scale 1e160 gives h = 6.5e-162
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    for h in (0.0, -1e-3, math.inf, math.nan, fd_step(math.inf), fd_step(1e160),
+              1e-20, 1.6e-16, 2e-12):
         with pytest.raises(ValueError, match="step h"):
-            fd_probes(0.5, h)
+            fd_derivative(lambda t: t * a, 0.5, h)
     assert fd_step(0.0) == fd_step(1.0) == FD_STEP
     assert fd_step(400.0) == FD_STEP / 400.0
+
+
+def test_fd_takes_steps_the_floats_at_t0_resolve():
+    # 1e-8 at 0.5 is off by at most 1.1e-8 of h; at t0 = 0 every offset is
+    # exact down to the normal floats; and the README sweep's speed 1e7 at
+    # t = 1 (h = 4.1e-10) is off by 3.6e-7 of h, below 1e-6
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    for t0, h in ((0.5, 1e-8), (0.0, 1e-300), (1.0, fd_step(1.6e8))):
+        assert norm_1(fd_derivative(lambda t: t * a, t0, h) - a) <= 1e-6 * norm_1(a)
+    with pytest.raises(ValueError, match="resolved"):
+        fd_probes(math.nan, 1e-3)
 
 
 @pytest.mark.parametrize("decade", [0, 1, 2, 3])
 def test_fd_derivative_samples_each_probe_once(decade):
     # a skew-Hermitian generator of 1-norm 1.3 * 10**decade at the step the
-    # rule gives it: both derivatives keep their relative accuracy as it grows
+    # rule gives it: the derivative keeps its relative accuracy as it grows,
+    # from four samples, none at t0
     a = 10.0 ** decade * np.array([[0.3j, 1.0], [-1.0, 0.2j]])
     h = fd_step(norm_1(a))
     asked = []
@@ -616,40 +627,43 @@ def test_fd_derivative_samples_each_probe_once(decade):
         asked.append(t)
         return expm(t * a)
 
-    first, second = fd_derivative(curve, 0.25, h)
+    first = fd_derivative(curve, 0.25, h)
     probes = fd_probes(0.25, h)
-    assert len(probes) == 5 and probes == sorted(probes)
-    assert sorted(asked) == probes
+    assert len(probes) == 4 and probes == sorted(probes) and 0.25 not in probes
+    assert asked == probes
     u = expm(0.25 * a)
     assert norm_1(first - a @ u) <= 1e-6 * norm_1(a @ u)
-    assert norm_1(second - a @ a @ u) <= 1e-6 * norm_1(a @ a @ u)
 
 
-def test_fd_step_derived_from_the_second_derivative_error_model():
-    # Read the second derivative's weights on the five samples off
-    # fd_derivative itself, at h = 1, and expand them exactly in Taylor terms.
+def test_fd_step_derived_from_the_first_derivative_error_model():
+    # Read the weights on the four samples off fd_derivative itself, at h = 1,
+    # and expand them exactly in Taylor terms.
     probes = fd_probes(0.0, 1.0)
     basis = np.eye(len(probes))
-    weights = fd_derivative(lambda t: basis[probes.index(t)], 0.0, 1.0)[1]
-    assert np.all(weights.imag == 0.0)
-    w = [Fraction(float(x)).limit_denominator(1000) for x in weights.real]
+    weights = fd_derivative(lambda t: basis[probes.index(t)], 0.0, 1.0)
+    w = [Fraction(float(x)).limit_denominator(1000) for x in weights]
+    assert w == [Fraction(1, 6), Fraction(-4, 3), Fraction(4, 3), Fraction(-1, 6)]
     offsets = [Fraction(t).limit_denominator(4) for t in probes]
     moments = [sum(wj * oj ** k for wj, oj in zip(w, offsets)) / math.factorial(k)
-               for k in range(8)]
-    # exact on f'' through degree 5; the first term it misses is -h^4 f^(6) / 1440
-    assert moments[:6] == [0, 0, 1, 0, 0, 0] and moments[7] == 0
-    assert moments[6] == Fraction(-1, 1440)
-    assert sum(abs(wj) for wj in w) == Fraction(64, 3)
-    # FD_STEP is the top of the window in which the truncation term x^4 / 1440
-    # and the rounding term (64/3) u / x^2 both stay within sqrt(u), taken to
-    # the next multiple of 1/200
+               for k in range(7)]
+    # exact on f' through degree 4; the first term it misses is -h^4 f^(5) / 480
+    assert moments[:5] == [0, 1, 0, 0, 0] and moments[6] == 0
+    assert moments[5] == Fraction(-1, 480)
+    assert sum(abs(wj) for wj in w) == 3
+    # the truncation term x^4 / 480 and the rounding term 3 u / x both stay
+    # within sqrt(u) on [3.2e-8, 0.047]; FD_STEP lies above that window
     u = 2.0 ** -53
-    top = (1440.0 * math.sqrt(u)) ** 0.25
-    bottom = math.sqrt(64.0 / 3.0 * math.sqrt(u))
-    assert bottom == pytest.approx(4.74e-4, rel=1e-2) and top == pytest.approx(0.0624, rel=1e-3)
-    assert FD_STEP == math.ceil(200.0 * top) / 200.0
-    assert FD_STEP ** 4 / 1440.0 == pytest.approx(1.24e-8, rel=1e-2)
-    assert 64.0 / 3.0 * u / FD_STEP ** 2 == pytest.approx(5.6e-13, rel=1e-2)
+    top = (480.0 * math.sqrt(u)) ** 0.25
+    bottom = 3.0 * math.sqrt(u)
+    assert bottom == pytest.approx(3.16e-8, rel=1e-2) and top == pytest.approx(0.0474, rel=1e-2)
+    assert FD_STEP == 0.065 > top
+    assert FD_STEP ** 4 / 480.0 == pytest.approx(3.7e-8, rel=1e-2)
+    assert 3.0 * u / FD_STEP == pytest.approx(5.1e-15, rel=1e-2)
+    # measured at FD_STEP on a rotation, whose f^(5) = a^5 e^{ta} has 1-norm
+    # 1 at t = 0: the error is the truncation term
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    err = norm_1(fd_derivative(lambda t: expm(t * a), 0.0, FD_STEP) - a)
+    assert err == pytest.approx(FD_STEP ** 4 / 480.0, rel=1e-3)
 
 
 def test_constructible_contour_implies_enclosure_off_the_cut():

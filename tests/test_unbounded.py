@@ -14,7 +14,7 @@ from shiftlog.campaigns import DEFAULT_SWEEP_DIMS, DEFAULT_TOLERANCES, _ramp_int
 from shiftlog.evolution import GeneratorSpec, check_semigroup, march
 from shiftlog.linalg import norm_1
 from shiftlog.logrep import alt_generator, recovery_chain, select_kappa
-from shiftlog.matfun import expm, fd_step
+from shiftlog.matfun import expm, fd_probes, fd_step
 from shiftlog.unbounded import (
     DEFAULT_SWEEP_BUDGET,
     MEMBER_COST,
@@ -192,6 +192,32 @@ def test_sweep_refuses_a_march_length_that_overflows():
         refinement_sweep(DiscretizedFamily("advection", (8,), speed=1e150), 1e160, 0.0)
 
 
+def test_sweep_refuses_probes_that_round_together(monkeypatch):
+    # speed 1e14: h = fd_step(||A_4||_1 = 4e14) = 1.6e-16 at t = 0.5, where the
+    # floats lie 1.1e-16 apart, so the probes round onto a few of them; read
+    # as a stencil they gave recovery residuals of 10% and 47% of ||A_n||_1
+    built = []
+    member = DiscretizedFamily.member
+    monkeypatch.setattr(DiscretizedFamily, "member",
+                        lambda self, n: built.append(n) or member(self, n))
+    with pytest.raises(ValueError, match="resolved at t0 = 0.5"):
+        refinement_sweep(DiscretizedFamily("advection", (4, 8), speed=1e14), 0.5, 0.499999)
+    assert built == []
+
+
+@pytest.mark.parametrize("family", [
+    DiscretizedFamily("diffusion", (16, 32, 64, 96), viscosity=0.01),
+    DiscretizedFamily("advection_tdep", (16, 32, 64, 128)),
+], ids=["diffusion", "advection_tdep"])
+def test_benchmark_sweeps_probe_far_above_the_float_spacing(family):
+    # the benchmark's sweeps at t = 0.1: every step is 1.7e-4 or more, over
+    # 1e12 times the spacing of the floats there (1.4e-17)
+    for n in family.dims:
+        h = fd_step(family.norm(n, 0.1))
+        assert h >= 1.7e-4
+        assert fd_probes(0.1, h) == [0.1 - h, 0.1 - h / 2, 0.1 + h / 2, 0.1 + h]
+
+
 def test_sweep_budget_accepts_diffusion_to_128():
     from shiftlog.campaigns import suite_sweep
     reports = suite_sweep(0, dims=(16, 32, 64, 128))
@@ -351,14 +377,16 @@ def test_advection_tdep_sweep_solve_count(solve_calls, sqrtm_db_calls, expm_call
     # 5e-3 two n = 128 probes, at ||M / c - I||_1 = 0.52 and 0.53, took a
     # root; sized by each member's norm, no probe takes one.
     # Its magnus4 marches power one step exponential per segment, 20 in all,
-    # and each member takes 7 more; a step exponential at every one of the
+    # and each member takes 6 more; a step exponential at every one of the
     # 140 steps made 168 expm calls, and magnus2 at 8 ||A|| (t - s) steps
     # 266.  Each member evaluates A(s) and A(t) only; stepped, the marches
-    # made 280 evaluations more.
+    # made 280 evaluations more.  Each member took a seventh expm, the
+    # recovery's expm(-a(t, s)), before the recovery read U(t, s) by one
+    # solve: 48 -> 44.
     refinement_sweep(DiscretizedFamily("advection_tdep", (16, 32, 64, 128)), 0.1, 0.0)
     assert 0 < len(solve_calls) <= 14
     assert len(sqrtm_db_calls) == 0
-    assert 0 < len(expm_calls) <= 48
+    assert 0 < len(expm_calls) <= 44
     assert 0 < len(eval_calls) <= 8
     # The fixture does count: the n = 8 member at t = 0.5 takes two roots.
     refinement_sweep(DiscretizedFamily("advection_tdep", (8,)), 0.5, 0.0)
