@@ -149,7 +149,10 @@ def kappa_shifted_bch(a1, a2, kappa) -> float:
         Z_0 = ln(kappa+1) I,  Z_1 = (kappa+1)^-1 (a1 + a2),
         Z_2 = 1/2 (kappa+1)^-1 [a1, a2] + kappa (a1 + a2)^2 / (2 (kappa+1)^2).
 
-    The residual shrinks cubically under a -> eps*a.  Precondition (series
+    Z_0 commutes with Z_1 + Z_2 and e^Z_0 = (kappa+1) I, so the closed form
+    is (kappa+1) expm(Z_1 + Z_2), and that is what is evaluated: the
+    exponential sees ||Z_1 + Z_2||_1, not the shift ln(kappa+1).  The
+    residual shrinks cubically under a -> eps*a.  Precondition (series
     convergence radius): the order-2 product expansion divided by kappa+1
     must have 1-norm below one.
     """
@@ -166,7 +169,8 @@ def kappa_shifted_bch(a1, a2, kappa) -> float:
             "increase |kappa| or shrink the operands"
         )
     lhs = expm(A1) @ expm(A2) + kappa * eye(A1.shape[0])
-    return norm_1(lhs - expm(sum(log_product_series(A1, A2, 2, kappa))))
+    _, z1, z2 = log_product_series(A1, A2, 2, kappa)
+    return norm_1(lhs - (1.0 + kappa) * expm(z1 + z2))
 
 
 def von_neumann_second_derivative(x, y) -> np.ndarray:

@@ -151,8 +151,7 @@ def suite_matfun(seed: int, dims=DEFAULT_DIMS, count: int = 200,
     pairs = []
     for n in dims:
         for _ in range(per_dim):
-            a = rand_log_admissible(rng, n)
-            m = expm(a)
+            a, m = rand_log_admissible(rng, n)
             log_m = logm_iss(m)
             worst_rt = max(worst_rt, norm_1(log_m - a))
             pairs.append((m, log_m))

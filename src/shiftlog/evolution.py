@@ -199,16 +199,19 @@ def march(g: GeneratorSpec, s: float, knots, steps_per_unit: float,
           stepper: str) -> dict[float, np.ndarray]:
     """U(tau, s) at every knot tau >= s, off one march from s.
 
-    Each segment of :func:`march_segments` is propagated by ``stepper`` and
+    Each segment of :func:`march_segments` is propagated by ``stepper``; the
+    first one starts at s and is U(b, s) itself, and each later one is
     composed onto U so far, so the generator is evaluated once along [s, max
     knot] however many knots there are.
     """
-    u = _identity(g)
-    u_at = {s: u} if s in knots else {}
+    u_at = {s: _identity(g)} if s in knots else {}
+    u = None
     for a, b, steps in march_segments(s, knots, steps_per_unit):
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = _check_finite(propagate(g, b, a, steps, stepper) @ u, f"march to {b}")
-        u_at[b] = u
+        segment = propagate(g, b, a, steps, stepper)
+        if u is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                segment = _check_finite(segment @ u, f"march to {b}")
+        u = u_at[b] = segment
     return u_at
 
 

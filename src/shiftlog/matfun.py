@@ -1,15 +1,16 @@
 """Matrix functions: exponential, principal logarithm, square root, derivatives.
 
-The exponential is Higham's Pade scaling and squaring on a ladder of degrees
-3 to 13, in numpy, behind a norm guard.  Two independent logarithm
-algorithms are provided on purpose.  The production path is inverse
-scaling-and-squaring after scalar centring (:func:`logm_iss`:
-Log(M) = ln(c) I + Log(M / c) before the square-root chain, then a
-Paterson-Stockmeyer series on ||X||_1 <= 1/2); resolvent contour
+The exponential is a truncated Taylor series on a ladder of degrees 4 to 20,
+scaled and squared, in numpy, behind a norm guard; it takes products only,
+no solve.  Two independent logarithm algorithms are provided on purpose.  The
+production path is inverse scaling-and-squaring after scalar centring
+(:func:`logm_iss`: Log(M) = ln(c) I + Log(M / c) before the square-root
+chain, then the series of log(I + X) on ||X||_1 <= 1/2); resolvent contour
 quadrature (:func:`logm_contour`) is kept as a structurally unrelated oracle,
-so the two can cross-validate each other.  Both use the principal branch with
-the cut on (-inf, 0]; admissibility is decided by Gershgorin enclosure, which
-is sufficient but conservative.
+so the two can cross-validate each other.  Both series, exp's and
+log(I + X)'s, are evaluated by one Paterson-Stockmeyer routine.  Both
+logarithms use the principal branch with the cut on (-inf, 0]; admissibility
+is decided by Gershgorin enclosure, which is sufficient but conservative.
 """
 
 from __future__ import annotations
@@ -33,21 +34,23 @@ from .linalg import (
 # expm rejects inputs with 1-norm above this rather than lose accuracy silently.
 EXPM_NORM_LIMIT = 1e4
 
-# expm's [m/m] Pade degrees m and the 1-norm bounds theta_m up to which each
-# has backward error at most 2^-53 (Higham, SIAM J. Matrix Anal. Appl. 26(4),
-# 2005, Table 2.3); tests/test_matfun.py derives them again with mpmath.
+# expm's Taylor degrees m and the 1-norm bounds theta_m up to which the
+# truncated series T_m has backward error at most 2^-53: the root of
+# sum_{k > m} |c_k| theta^(k-1) = 2^-53, c_k the Taylor coefficients of
+# log(e^-x T_m(x)) (Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2), 2011,
+# sec. 3); tests/test_matfun.py derives them again with mpmath.  Each degree
+# m = r s costs s + r - 2 products by Paterson-Stockmeyer: 2, 3, 4, 5, 6, 7.
 EXPM_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068e0,
-    13: 5.371920351148152e0,
+    4: 3.397168839976962e-4,
+    6: 9.065656407595102e-3,
+    9: 8.957760203223343e-2,
+    12: 2.996158913811581e-1,
+    16: 7.802874256626574e-1,
+    20: 1.438252596804337e0,
 }
 
-# Coefficients of the numerator p_m(x) = sum_j b_j x^j of the [m/m] Pade
-# approximant of e^x, b_j = (2m - j)! / (j! (m - j)!); the denominator is p_m(-x).
-_PADE = {m: [float(math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j)))
-             for j in range(m + 1)] for m in EXPM_THETA}
+# Taylor coefficients 1/k! of e^x to the top degree, each correctly rounded.
+_TAYLOR = np.array([1 / math.factorial(k) for k in range(max(EXPM_THETA) + 1)])
 
 # logm_iss sums the series of log(I + X) on d = ||X||_1 <= SERIES_DISC, to
 # degree m = ceil(log(SERIES_RTOL) / log(max(d, SERIES_RTOL))) <= 54: relative
@@ -67,16 +70,55 @@ VARAH_RTOL = 1e-8
 CONTOUR_NODES = 16
 
 
-def expm(a) -> np.ndarray:
-    """Matrix exponential by Pade scaling and squaring (Higham, SIAM J. Matrix
-    Anal. Appl. 26(4), 2005, Algorithm 2.3).
+def _polynomial(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_j coef[j] X^j for j = 0..m, m = len(coef) - 1 >= 1, by Paterson and
+    Stockmeyer (SIAM J. Comput. 2(1), 1973), in ``x``'s dtype.
 
-    With d = ||A||_1, the [m/m] Pade approximant r_m = p_m / q_m of e^x is
-    taken at the lowest degree m in 3, 5, 7, 9 with d <= theta_m
-    (``EXPM_THETA``).  Above theta_9 it is r_13(A / 2^s), squared s times,
-    with s = max(0, ceil(log2(d / theta_13))).  p_m(A) = V + U and
-    q_m(A) = V - U with U odd and V even in A, and the quotient is one LU
-    solve; ``d``, the guard's norm, is the only norm taken.
+    With s = ceil(sqrt(m)) it forms X^2 .. X^s, contracts I .. X^(s-1) with
+    the coefficients into blocks B_b of degree below s (B_b holds j = b s ..
+    b s + s - 1), and runs Horner in X^s over the blocks.  When s divides m
+    the top block is coef[m] I, and X^s (coef[m] I) = coef[m] X^s exactly, so
+    that step takes no product: s + ceil(m / s) - 2 products in all.
+    """
+    degree = len(coef) - 1
+    s = math.isqrt(degree - 1) + 1
+    # powers[j] = X^j for j = 0..s
+    powers = np.empty((s + 1, *x.shape), dtype=x.dtype)
+    powers[0] = eye(x.shape[0])
+    powers[1] = x
+    for j in range(2, s + 1):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    # ceil(degree / s) blocks: the top coefficient is left out when s divides
+    # the degree, and a shorter top block is padded with zeros otherwise.
+    padded = np.zeros(-(-degree // s) * s)
+    padded[:degree + 1] = coef[:len(padded)]
+    blocks = np.dot(padded.reshape(-1, s), powers[:s].reshape(s, -1)).reshape(-1, *x.shape)
+    # I .. X^(s-1) are spent, so powers[0] takes each term added to a block.
+    # Each Horner step adds into a new array: the result then holds no view
+    # of ``blocks``, which would keep every block alive with it.
+    term = powers[0]
+    result = blocks[-1]
+    if degree % s == 0:
+        result += np.multiply(coef[-1], powers[s], out=term)
+    for block in blocks[-2::-1]:
+        result = block + np.matmul(powers[s], result, out=term)
+    return result
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential by truncated Taylor series, scaling and squaring
+    (Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2), 2011, for the backward
+    error; Bader, Blanes and Casas, Mathematics 7(12), 2019, for the
+    Paterson-Stockmeyer cost).
+
+    With d = ||A||_1, the Taylor polynomial T_m of e^x is taken at the lowest
+    degree m in 4, 6, 9, 12, 16, 20 with d <= theta_m (``EXPM_THETA``:
+    3.4e-4, 9.1e-3, 9.0e-2, 0.30, 0.78 and 1.44), where T_m(A) = e^(A + E)
+    with ||E||_1 <= 2^-53 d in exact arithmetic.  Above theta_20 it is
+    T_20(A / 2^s), squared s times, with s = ceil(log2(d / theta_20)), and
+    the same bound holds for the result.  T_m costs 2, 3, 4, 5, 6 or 7
+    products (:func:`_polynomial`) and no solve, so no LAPACK call is made.
+    ``d``, the guard's norm, is the only norm taken.
 
     Raises
     ------
@@ -89,7 +131,6 @@ def expm(a) -> np.ndarray:
         raise OverflowError(
             f"norm_1 = {scale:.3e} exceeds expm limit {EXPM_NORM_LIMIT:.0e}"
         )
-    ident = eye(A.shape[0])
     squarings = 0
     for m, theta in EXPM_THETA.items():
         if scale <= theta:
@@ -97,26 +138,7 @@ def expm(a) -> np.ndarray:
     else:
         squarings = math.ceil(math.log2(scale / theta))
         A = A * 2.0**-squarings
-    b = _PADE[m]
-    a2 = A @ A
-    if m == 13:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = A @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    else:
-        # Even powers I, A^2, .., A^(m-1); U = A sum b_(2j+1) A^2j, V = sum b_2j A^2j.
-        power = a2
-        u = b[1] * ident + b[3] * a2
-        v = b[0] * ident + b[2] * a2
-        for j in range(4, m, 2):
-            power = power @ a2
-            u = u + b[j + 1] * power
-            v = v + b[j] * power
-        u = A @ u
-    x = np.linalg.solve(v - u, v + u)
+    x = _polynomial(A, _TAYLOR[:m + 1])
     for _ in range(squarings):
         x = x @ x
     return x
@@ -192,10 +214,9 @@ def logm_iss(m) -> np.ndarray:
     ||Log(M / c)||_1 <= ||Log(M)||_1 + |ln c|, so relative to ||Log(M)||_1
     the truncation error is at most
     ``SERIES_RTOL`` (||Log(M)||_1 + |ln c|) / ||Log(M)||_1.  The series is
-    evaluated by Paterson and Stockmeyer (SIAM J. Comput. 2(1), 1973): with
-    s = ceil(sqrt(m)), it forms X^2 .. X^s, contracts I .. X^(s-1) with the
-    coefficients into blocks of degree below s, and runs Horner in X^s over
-    the blocks: s - 1 + floor(m / s) products, 13 at m = 54.
+    evaluated by Paterson and Stockmeyer, as :func:`expm`'s is
+    (:func:`_polynomial`): s + ceil(m / s) - 2 products with s =
+    ceil(sqrt(m)), 13 at m = 54.
 
     Raises
     ------
@@ -225,21 +246,11 @@ def logm_iss(m) -> np.ndarray:
         k += 1
         dist = norm_1(M - ident)
     degree = math.ceil(math.log(SERIES_RTOL) / math.log(max(dist, SERIES_RTOL)))
-    s = math.isqrt(degree - 1) + 1
-    # powers[j] = X^j for j = 0..s
-    powers = np.empty((s + 1, *M.shape), dtype=M.dtype)
-    powers[0] = ident
-    powers[1] = M - ident
-    for j in range(2, s + 1):
-        np.matmul(powers[j - 1], powers[1], out=powers[j])
-    # log(I + X) = sum_j (-1)^(j+1) X^j / j; block b holds j = b s .. b s + s - 1.
+    # log(I + X) = sum_j (-1)^(j+1) X^j / j
     j = np.arange(1, degree + 1)
-    coef = np.zeros((degree // s + 1) * s)
+    coef = np.zeros(degree + 1)
     coef[j] = (-1.0) ** (j + 1) / j
-    blocks = np.tensordot(coef.reshape(-1, s), powers[:s], axes=1)
-    log = blocks[-1]
-    for block in blocks[-2::-1]:
-        log = block + powers[s] @ log
+    log = _polynomial(M - ident, coef)
     log = (2.0**k) * log
     return log if c == 1.0 else log + math.log(c) * ident
 

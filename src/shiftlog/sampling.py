@@ -14,22 +14,24 @@ def rand_complex(rng: np.random.Generator, n: int, norm: float = 1.0) -> np.ndar
     return a * (norm / norm_1(a))
 
 
-def rand_log_admissible(rng: np.random.Generator, n: int) -> np.ndarray:
+def rand_log_admissible(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Random A with ||A||_1 in [0.05, 0.95] whose exponential is admissible for
-    both logarithm algorithms (enclosure off the cut, contour constructible).
+    both logarithm algorithms (enclosure off the cut, contour constructible),
+    returned with that exponential as (A, expm(A)).
 
     The principal-log round trip is only defined on that domain; rejection
     rates stay below ~10%, and sampling gives up after 200 draws.
     """
     for _ in range(200):
         a = rand_complex(rng, n, rng.uniform(0.05, 0.95))
+        m = expm(a)
         try:
             # A constructible contour keeps every disc of its family more than
             # 0.25 r off the cut, so the enclosure test holds as well.
-            contour_for(expm(a))
+            contour_for(m)
         except ContourError:
             continue
-        return a
+        return a, m
     raise RuntimeError("failed to sample an admissible matrix")
 
 

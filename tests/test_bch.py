@@ -340,8 +340,11 @@ def test_log_product_series_is_real_for_a_real_kappa_above_minus_one():
 # --- kappa-shifted product identity ---
 
 def test_shifted_bch_zero_operands():
+    # e^Z_0 = (kappa+1) I is applied as that scalar, not exponentiated, so the
+    # trivial pair reads exactly 0 for a real and a complex kappa
     zero = np.zeros((2, 2), dtype=complex)
-    assert kappa_shifted_bch(zero, zero, 2.0) <= 1e-12
+    for kappa in (2.0, 0.5 + 0.3j):
+        assert kappa_shifted_bch(zero, zero, kappa) == 0.0
 
 
 def test_shifted_bch_commuting_nilpotent_direction():

@@ -266,10 +266,12 @@ def test_campaign_pass_norm_1_count(norm_1_calls):
     # 87 -> 10, 4,950 -> 4,748 measured.  Recovering A(t) as (I + kappa
     # U^-1) d/dt a, one solve with U(t, s), drops an expm per recovery and
     # the logarithm at t of each logrep case: 12 expm and 6 logm_iss fewer,
-    # -24 (4,748 -> 4,724 measured).
+    # -24 (4,748 -> 4,724 measured).  The matfun suite's sampler returns
+    # each of its 200 draws with the exponential it already formed, so the
+    # suite takes 200 expm fewer: -200 (4,724 -> 4,524 measured).
     reports = campaigns.run_suites(campaigns.SUITES, 42)
     assert all(r.passed for r in reports)
-    assert 0 < len(norm_1_calls) <= 5009 + 10 + 4 + 234 - 375 - 125 - 24
+    assert 0 < len(norm_1_calls) <= 5009 + 10 + 4 + 234 - 375 - 125 - 24 - 200
 
 
 def test_campaign_pass_resolvent_count(resolvent_stacks):

@@ -479,8 +479,9 @@ def _sine_modulation(a, b, omega, phi):
 # Rounding of a march.  Let u = 2^-53, L = ||A0||_1, F = max |f| and
 # W = (t - s) F L, which bounds the 1-norm of every partial exponent.  A
 # computed exponential of X, ||X||_1 <= 2, is within c u e^||X|| of e^X with
-# c <= n + 4 (backward error <= u ||X|| by the Pade degree, and rounding of a
-# Pade quotient whose denominator is near I).  A product of two matrices
+# c <= n + 4 (backward error <= u ||X|| by the Taylor degree, and rounding of
+# the Paterson-Stockmeyer sum, whose terms add up in norm to at most e^||X||,
+# and of at most one squaring).  A product of two matrices
 # adds n u times the product of their norms.  The stepped march takes steps
 # exponentials and products; the powered one takes one exponential and at
 # most 2 log2(steps) products, whose errors the remaining powers amplify by

@@ -62,7 +62,8 @@ def test_expm_rejects_huge_norm():
 
 
 def test_expm_accuracy_large_scaling():
-    # 40 squarings territory: still accurate against the diagonal closed form.
+    # ||A||_1 = 8, three squarings of T_20: still accurate against the
+    # diagonal closed form.
     a = np.diag([8.0, -8.0])
     np.testing.assert_allclose(expm(a), np.diag([math.exp(8), math.exp(-8)]),
                                rtol=1e-12)
@@ -86,47 +87,69 @@ def test_expm_forward_error_against_mpmath():
             assert norm_1(expm(a) - ref) <= 1e-14 * norm_1(ref), (n, norm)
 
 
+# One input per Taylor degree 4, 6, 9, 12, 16 and 20, then T_20 after 1 and 6
+# squarings.
+LADDER_NORMS = (2e-4, 5e-3, 0.05, 0.2, 0.6, 1.2, 2.5, 50.0)
+
+
 def test_expm_every_ladder_step_against_mpmath():
-    # one input per Pade degree 3, 5, 7, 9, then [13/13] with 0, 1 and 4 squarings
-    norms = (0.01, 0.2, 0.9, 2.0, 5.0, 50.0)
     thetas = list(EXPM_THETA.values())
-    assert [sum(norm > theta for theta in thetas) for norm in norms] == [0, 1, 2, 3, 4, 5]
+    assert [sum(norm > theta for theta in thetas) for norm in LADDER_NORMS] == [0, 1, 2, 3, 4, 5, 6, 6]
+    assert [math.ceil(math.log2(norm / thetas[-1])) for norm in LADDER_NORMS[5:]] == [0, 1, 6]
     rng = np.random.default_rng(41)
     for n in (2, 4, 8):
         # non-normal: a real diagonal in [-1, 1] under an upper triangle of norm 40..130
         tri = np.triu(rand_c(rng, n), 1)
         tri = tri * (rng.uniform(40.0, 130.0) / norm_1(tri)) + np.diag(rng.uniform(-1.0, 1.0, n))
-        for a in [rand_c(rng, n, norm) for norm in norms] + [tri]:
+        for a in [rand_c(rng, n, norm) for norm in LADDER_NORMS] + [tri]:
             ref = _mpmath_reference(mpmath.expm, a)
             assert norm_1(expm(a) - ref) <= 1e-13 * norm_1(ref), (n, norm_1(a))
 
 
-def _pade_theta(m: int, terms: int = 160) -> float:
-    """theta_m of Higham (2005): the root of sum_{k > 2m} |c_k| theta^(k-1)
-    = 2^-53, where c_k are the Taylor coefficients of h(x) = log(e^-x r_m(x))
-    and r_m is the [m/m] Pade approximant of e^x; mpmath, 40 digits."""
+def test_expm_takes_one_norm_and_no_solve_or_inverse(monkeypatch, norm_1_calls):
+    # the Taylor polynomial and its squarings are products only
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm called a LAPACK solve or inverse")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    rng = np.random.default_rng(43)
+    cases = [rand_c(rng, 4, norm) for norm in LADDER_NORMS]
+    cases += [c.real.copy() for c in cases]
+    for a in cases:
+        expm(a)
+    assert len(norm_1_calls) == len(cases)
+
+
+def _taylor_theta(m: int, terms: int = 160) -> float:
+    """theta_m of Al-Mohy and Higham (2011): the root of sum_{k > m} |c_k|
+    theta^(k-1) = 2^-53, where c_k are the Taylor coefficients of
+    h(x) = log(e^-x T_m(x)) and T_m is the degree-m Taylor polynomial of e^x;
+    mpmath, 40 digits."""
     with mpmath.workdps(40):
-        p = [mpmath.factorial(2 * m - j) / (mpmath.factorial(j) * mpmath.factorial(m - j))
-             for j in range(m + 1)]
-        q = [(-1) ** j * pj for j, pj in enumerate(p)]
-        r = []  # r_m = p / q as a power series: sum_j q_j r_(k-j) = p_k
-        for k in range(terms):
-            rk = (p[k] if k <= m else 0) - mpmath.fsum(q[j] * r[k - j]
-                                                       for j in range(1, min(k, m) + 1))
-            r.append(rk / q[0])
-        g = [mpmath.fsum((-1) ** j / mpmath.factorial(j) * r[k - j] for j in range(k + 1))
-             for k in range(terms)]  # e^-x r_m(x), g_0 = 1
+        # e^-x T_m(x) = sum_k g_k x^k, g_0 = 1
+        g = [mpmath.fsum((-1) ** (k - j) / (mpmath.factorial(j) * mpmath.factorial(k - j))
+                         for j in range(min(k, m) + 1)) for k in range(terms)]
         c = [mpmath.mpf(0)] * terms  # log g by k c_k = k g_k - sum_j j c_j g_(k-j)
         for k in range(1, terms):
             c[k] = g[k] - mpmath.fsum(j * c[j] * g[k - j] for j in range(1, k)) / k
-        tail = [(k - 1, abs(c[k])) for k in range(2 * m + 1, terms)]
+        # T_m agrees with e^x through x^m, so h starts at x^(m+1)
+        assert max(abs(ck) for ck in c[1:m + 1]) < mpmath.mpf(10) ** -35
+        tail = [(k - 1, abs(c[k])) for k in range(m + 1, terms)]
         bound = lambda t: mpmath.fsum(ck * t**j for j, ck in tail) - mpmath.mpf(2) ** -53
         return float(mpmath.findroot(bound, (mpmath.mpf(0), mpmath.mpf(8)), solver="bisect"))
 
 
 @pytest.mark.parametrize("m", sorted(EXPM_THETA))
 def test_expm_theta_derived_from_the_backward_error_series(m):
-    assert _pade_theta(m) == pytest.approx(EXPM_THETA[m], rel=1e-12)
+    assert _taylor_theta(m) == pytest.approx(EXPM_THETA[m], rel=1e-12)
+
+
+def test_rand_log_admissible_returns_the_draw_with_its_exponential():
+    rng = np.random.default_rng(5)
+    for n in (2, 4, 8):
+        a, m = rand_log_admissible(rng, n)
+        assert np.array_equal(m, expm(a)) and off_branch_cut(m)
 
 
 # --- sqrtm ---
@@ -153,7 +176,7 @@ def test_sqrtm_branch_cut_rejection():
 def test_sqrtm_forward_error_against_mpmath():
     rng = np.random.default_rng(61)
     shift = np.diag(np.ones(5), 1)  # nilpotent: I + 3N is one Jordan block
-    cases = [expm(rand_log_admissible(rng, n)) for n in (2, 4, 8, 16)]
+    cases = [rand_log_admissible(rng, n)[1] for n in (2, 4, 8, 16)]
     for m in cases + [np.eye(6) + 3.0 * shift]:
         ref = _mpmath_reference(mpmath.sqrtm, m)
         assert norm_1(sqrtm_db(m) - ref) <= 1e-13 * norm_1(ref), m.shape
@@ -290,7 +313,7 @@ def test_logm_contour_matches_node_loop_with_reuse(monkeypatch):
     rng = np.random.default_rng(53)
     for n in (2, 4, 8, 16):
         for _ in range(3):
-            m = expm(rand_log_admissible(rng, n))
+            m = rand_log_admissible(rng, n)[1]
             ref, converged_nodes = _logm_contour_loop(m)
             calls = []
             _record_inverse(monkeypatch, calls)
@@ -350,7 +373,7 @@ def test_varah_bound_holds_at_every_node(seed, n, norm, shift):
 def test_logm_forward_error_against_mpmath(resolvent_stacks):
     rng = np.random.default_rng(59)
     for n in (2, 4, 8):
-        m = expm(rand_log_admissible(rng, n))
+        m = rand_log_admissible(rng, n)[1]
         ref = _mpmath_reference(mpmath.logm, m)
         scale = norm_1(ref)
         assert norm_1(logm_contour(m) - ref) <= 1e-13 * scale, n
@@ -359,7 +382,7 @@ def test_logm_forward_error_against_mpmath(resolvent_stacks):
     # 4, 15 and 18 of seed 7 (n cycling 2, 4, 8) converge at 32 nodes, the
     # earliest stop of a first level of 16, and at 256, 32 and 512 nodes
     rng = np.random.default_rng(7)
-    draws = [expm(rand_log_admissible(rng, (2, 4, 8)[i % 3])) for i in range(19)]
+    draws = [rand_log_admissible(rng, (2, 4, 8)[i % 3])[1] for i in range(19)]
     nodes = []
     for m in (draws[2], draws[4], draws[15], draws[18]):
         resolvent_stacks.clear()
