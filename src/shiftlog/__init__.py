@@ -9,7 +9,6 @@ blow up under mesh refinement.
 
 from .errors import (
     BranchCutError,
-    BudgetExceededError,
     ConfigError,
     ContourError,
     ConvergenceRadiusError,

@@ -32,7 +32,7 @@ from .campaigns import (DEFAULT_DIMS, DEFAULT_SWEEP_DIMS, DEFAULT_TOLERANCES, SU
 from .errors import ConfigError, ShiftlogError
 from .linalg import matrix_from_json, norm_1
 from .report import all_passed, render_csv, render_json, render_table, summary_lines
-from .unbounded import DEFAULT_SWEEP_BUDGET, DiscretizedFamily, refinement_sweep
+from .unbounded import DiscretizedFamily, refinement_sweep
 
 
 @dataclass
@@ -214,7 +214,7 @@ def cmd_vn_demo(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    raw = _object(_read_json(args.config), "config", ("family", "t", "s", "budget", "output"))
+    raw = _object(_read_json(args.config), "config", ("family", "t", "s", "output"))
     fam = raw.get("family")
     if not isinstance(fam, dict) or "kind" not in fam:
         raise ConfigError("sweep config needs a 'family' object with a 'kind'")
@@ -224,16 +224,22 @@ def cmd_sweep(args) -> int:
         raise _fail("family.dims", "must be a list")
     stencil = {key: _number(fam, key, "family.") for key in ("speed", "viscosity")
                if key in fam}
+    try:
+        family = DiscretizedFamily(fam["kind"], tuple(dims), **stencil)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    # diffusion reads only the viscosity, the advection kinds only the speed
+    unread = "speed" if family.kind == "diffusion" else "viscosity"
+    if unread in fam:
+        raise _fail(f"family.{unread}", f"is not read by kind {family.kind!r}")
     t = _number(raw, "t", default=SWEEP_HORIZON[0])
     s = _number(raw, "s", default=SWEEP_HORIZON[1])
-    budget = _number(raw, "budget", default=DEFAULT_SWEEP_BUDGET)
     path, _ = _output(raw, ("path",))  # the sweep table is always CSV
     csv_path = "sweep.csv" if path is None else path
 
     rec = Recorder("sweep")
     try:
-        family = DiscretizedFamily(fam["kind"], tuple(dims), **stencil)
-        report = refinement_sweep(family, t, s, budget=budget)
+        report = refinement_sweep(family, t, s)
     except (ValueError, OverflowError, ShiftlogError) as exc:
         raise ConfigError(str(exc)) from exc
     grade_sweep(rec, report)

@@ -34,7 +34,3 @@ class ConvergenceRadiusError(ShiftlogError):
 
 class ConfigError(ShiftlogError):
     """A campaign configuration file is malformed or inconsistent."""
-
-
-class BudgetExceededError(ConfigError):
-    """A sweep would exceed its configured work budget."""

@@ -169,13 +169,16 @@ def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
             if g.matrix is not None and (g.integral is None or stepper != "rk4"):
                 w = t - s if g.integral is None else g.integral(s, t)
                 step = _step_matrix((g.matrix,) * len(nodes), w / steps, stepper, identity)
-                return _check_finite(np.linalg.matrix_power(step, steps),
-                                     f"{stepper} step {steps - 1}")
-            for k in range(steps):
-                tau = s + k * h
-                samples = tuple(g.eval(tau + c * h) for c in nodes)
-                u = _check_finite(_step_matrix(samples, h, stepper, identity) @ u,
-                                  f"{stepper} step {k}")
+                u = np.linalg.matrix_power(step, steps)
+            else:
+                # a non-finite entry of U stays non-finite under every later
+                # step (inf * 0 and inf - inf are nan), so one check at the
+                # end sees what a check after each step would
+                for k in range(steps):
+                    tau = s + k * h
+                    samples = tuple(g.eval(tau + c * h) for c in nodes)
+                    u = _step_matrix(samples, h, stepper, identity) @ u
+        _check_finite(u, f"{stepper} propagation of {steps} steps")
     return u
 
 

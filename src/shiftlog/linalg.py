@@ -24,12 +24,12 @@ RCOND_MIN = 1e-14
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce input to a square matrix with finite entries: float64 for real,
-    integer or boolean input, complex128 for anything else (complex entries,
-    or an object array such as one of ``fractions.Fraction``)."""
+    """Coerce input to a non-empty square matrix with finite entries: float64
+    for real, integer or boolean input, complex128 for anything else (complex
+    entries, or an object array such as one of ``fractions.Fraction``)."""
     m = np.asarray(a)
     m = m.astype(np.float64 if m.dtype.kind in "biuf" else np.complex128, copy=False)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")

@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .errors import BranchCutError, BudgetExceededError, NoConvergenceError, SingularMatrixError
+from .errors import BranchCutError, NoConvergenceError, SingularMatrixError
 from .linalg import eye, norm_1
 from .matfun import expm, fd_probes, fd_step
 from .evolution import GeneratorSpec, check_semigroup, march
@@ -77,9 +77,20 @@ def grid_potential(n: int) -> np.ndarray:
     return np.diag(np.cos(2.0 * np.pi * x))
 
 
+# The largest sum of n^3 over a refinement family's grid sizes: about seven
+# members at n = 256.
+GRID_WORK_LIMIT = 1.25e8
+
+
 @dataclass(frozen=True)
 class DiscretizedFamily:
-    """A refinement family: kind, grid sizes, and stencil parameters."""
+    """A refinement family: kind, grid sizes, and stencil parameters.
+
+    ``dims`` are strictly increasing integers in 4..256 whose cubes sum to
+    at most :data:`GRID_WORK_LIMIT`, else ``ValueError``.  A member's part of
+    :func:`refinement_sweep` is a few powered n x n step exponentials, so
+    the grid sizes alone bound a sweep's work, refused before any member is
+    built."""
 
     kind: str
     dims: tuple[int, ...]
@@ -95,6 +106,10 @@ class DiscretizedFamily:
                 or any(a >= b for a, b in zip(self.dims, self.dims[1:]))):
             raise ValueError(f"dims must be non-empty, strictly increasing integers "
                              f"in 4..256, got {list(self.dims)}")
+        work = sum(n ** 3 for n in self.dims)
+        if work > GRID_WORK_LIMIT:
+            raise ValueError(f"dims' cubes sum to {work:.3e}, above {GRID_WORK_LIMIT:.3e}, "
+                             f"got {list(self.dims)}")
 
     def norm(self, n: int, s: float) -> float:
         """||A_n(s)||_1 in closed form, without building the member."""
@@ -167,26 +182,8 @@ def _calibrated_steps(norm_a: float, interval: float) -> int:
 # sweep.semigroup_calibrated's 1e-6 (so k <= 9.0e9 steps).
 MARCH_ROUNDING_LIMIT = 1e-6
 
-DEFAULT_SWEEP_BUDGET = 5e9
 
-# Price of one sweep member, in units of about 1.3 ns on a 2-vCPU Xeon VM
-# with one BLAS thread, per n^3 for its matrix work.  Single members at
-# t - s = 0.1 measured 11-29 units per n^3 (medians of 5, n = 64..256,
-# diffusion and advection_tdep; their operators are real, so float64), so the
-# price is a guard above every member, not a prediction.
-MEMBER_COST = 40.0
-
-
-def sweep_cost(family: DiscretizedFamily) -> float:
-    """Estimated work of :func:`refinement_sweep` in the units of its budget,
-    ``MEMBER_COST * n**3`` per member.  A member's march is a few powered
-    step exponentials however many steps it takes, so the price depends on
-    n alone and no member is built."""
-    return sum(MEMBER_COST * n ** 3 for n in family.dims)
-
-
-def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
-                     budget: float = DEFAULT_SWEEP_BUDGET) -> SweepReport:
+def refinement_sweep(family: DiscretizedFamily, t: float, s: float) -> SweepReport:
     """Measure norm growth and identity residuals across the refinement family.
 
     Per grid size n the sweep records the generator norm, the shift kappa
@@ -208,12 +205,10 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
     :data:`MARCH_ROUNDING_LIMIT` (u = 2^-53; it could not hold U(t, s) to the
     campaign's 1e-6), then when a member's first probe time precedes s (the
     widest window is the smallest n's) or :func:`matfun.fd_probes` rejects
-    its step, and
-    :class:`BudgetExceededError` when the estimated total work
-    (:func:`sweep_cost`) exceeds ``budget``.  A built member raises
-    ``ValueError`` when a centred surrogate rounds to 0 (kappa about 1e16 and
-    up), and its march :class:`errors.PropagationError` when U(t, s) is not
-    finite.
+    its step; the family's grid sizes already bound its work
+    (:class:`DiscretizedFamily`).  A built member raises ``ValueError`` when
+    a centred surrogate rounds to 0 (kappa about 1e16 and up), and its march
+    :class:`errors.PropagationError` when U(t, s) is not finite.
     """
     if not 0.0 <= s < t < math.inf:
         raise ValueError(f"need finite 0 <= s < t, got s={s}, t={t}")
@@ -233,9 +228,6 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float,
         raise ValueError(f"the generator recovery probes U(tau, s) at tau = "
                          f"{first_probe}, before s = {s}")
     steps = {n: _calibrated_steps(family.norm(n, s), interval) for n in family.dims}
-    cost = sweep_cost(family)
-    if cost > budget:
-        raise BudgetExceededError(f"estimated work {cost:.3e} exceeds budget {budget:.3e}")
 
     rows = []
     first_norm = None

@@ -4,8 +4,8 @@
 ``perfbench/workloads.py`` and grades each pass from the report or the CSV
 it writes: the checks and tolerances of a ``verify`` report, and the
 columns, grid sizes and exit code of a ``sweep`` table.  A renamed check, a
-change to the tolerance table, to ``SweepRow``, ``SWEEP_COLUMNS``, the
-sweep's grid-size rule or its budget fails the benchmark's passes, so one
+change to the tolerance table, to ``SweepRow``, ``SWEEP_COLUMNS`` or to the
+grid rule of ``DiscretizedFamily`` fails the benchmark's passes, so one
 pass of each workload (seed 0 for the campaign) runs here, through the
 worker itself.
 """

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftlog import unbounded
+from shiftlog import cli, unbounded
 from shiftlog.campaigns import DEFAULT_SWEEP_DIMS, DEFAULT_TOLERANCES
 from shiftlog.cli import load_config, main
 from shiftlog.errors import ConfigError
@@ -318,6 +318,8 @@ VN_CONFIG = {
     "rho0": matrix_to_json(0.5 * np.ones((2, 2))),
 }
 SWEEP_CONFIG = {"family": {"kind": "diffusion", "dims": [8, 16], "viscosity": 0.01}, "t": 0.1}
+# grid sizes whose cubes sum to 2.38e8, above unbounded.GRID_WORK_LIMIT
+OVER_LIMIT_DIMS = list(range(150, 257, 4))
 ROTATION_BY_PI = np.array([[0.0, math.pi], [-math.pi, 0.0]])
 
 
@@ -332,7 +334,7 @@ def test_sweep_verb_advection_tdep(tmp_path, capsys):
 
 def test_sweep_verb_marches_a_fast_modulated_member(tmp_path):
     # 3.2e8 magnus4 steps of f(tau) A0 are one exponential of the integral,
-    # powered, so the budget prices the member by n alone and admits it.
+    # powered, so the member's work depends on n alone.
     cfg = write_json(tmp_path / "s.json", {
         "family": {"kind": "advection_tdep", "dims": [16], "speed": 1e7},
         "t": 1.0, "s": 0.0, "output": {"path": str(tmp_path / "fast.csv")}})
@@ -368,7 +370,7 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("verb, payload", [
     ("sweep", {**SWEEP_CONFIG, "family": {"kind": "diffusion", "dims": 5}}),
     ("sweep", {**SWEEP_CONFIG, "t": None}),
-    ("sweep", {**SWEEP_CONFIG, "budget": None}),
+    ("sweep", {**SWEEP_CONFIG, "budget": 5e9}),
     ("sweep", {**SWEEP_CONFIG, "t": math.inf}),
     ("sweep", {**SWEEP_CONFIG, "family": {"kind": "advection", "dims": [8, 16], "speed": 0}}),
     ("vn-demo", {**VN_CONFIG, "hbar": "x"}),
@@ -401,7 +403,8 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
     ("verify", {"dims": [True, 2], "suites": ["matfun"]}),
     ("sweep", {**SWEEP_CONFIG, "family": {"kind": "diffusion", "dims": [8, 257]}}),
     ("verify", {"sweep_dims": [8, 257], "suites": ["sweep"]}),
-    ("sweep", {**SWEEP_CONFIG, "budget": 10.0}),
+    ("sweep", {**SWEEP_CONFIG, "family": {"kind": "diffusion", "dims": OVER_LIMIT_DIMS}}),
+    ("verify", {"sweep_dims": OVER_LIMIT_DIMS, "suites": ["sweep"]}),
     ("verify", {"suites": ["bch"], "output": {"path": ""}}),
     # stencil coefficients so large that the march's k steps round like
     # k 2^-53 > 1e-6, refused before any member is built (it would also round
@@ -437,7 +440,11 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
     ("bch", ["x.json", "y.json", "--order", "0"]),
     ("frobnicate", []),
     ("sweep", []),
-], ids=["sweep-dims-int", "sweep-t-null", "sweep-budget-null", "sweep-t-inf",
+    # a stencil coefficient the family's kind does not read
+    ("sweep", {**SWEEP_CONFIG, "family": {**SWEEP_CONFIG["family"], "speed": 1e30}}),
+    ("sweep", {**SWEEP_CONFIG, "family": {"kind": "advection_tdep", "dims": [8, 16],
+                                          "viscosity": 0.01}}),
+], ids=["sweep-dims-int", "sweep-t-null", "sweep-budget-key", "sweep-t-inf",
         "sweep-speed-zero", "vn-hbar-str", "bch-shape-mismatch", "bch-branch-cut",
         "bch-norm-above-expm-limit", "vn-trajectory-int", "vn-tolerance-key",
         "vn-hbar-underflow", "vn-hbar-overflow", "sweep-output-format",
@@ -445,7 +452,7 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
         "verify-tolerance-nan", "verify-tolerance-negative", "vn-grid-before-zero",
         "vn-grid-points-huge", "vn-jet-scale-1e160", "vn-jet-scale-1e200",
         "sweep-fd-window-before-s", "verify-dims-bool", "sweep-dims-257",
-        "verify-sweep-dims-257", "sweep-over-budget",
+        "verify-sweep-dims-257", "sweep-dims-over-limit", "verify-sweep-dims-over-limit",
         "verify-output-path-empty", "sweep-speed-1e18", "sweep-speed-1e20",
         "sweep-viscosity-1e16", "sweep-viscosity-1e17", "sweep-viscosity-1e10",
         "sweep-viscosity-1e14", "sweep-speed-1e14", "sweep-speed-1e16",
@@ -453,7 +460,8 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
         "bch-entry-bool", "vn-entry-triple", "vn-entry-bool",
         "verify-format-flag-xml", "verify-seed-flag-str",
         "verify-suite-flag-unknown", "verify-unknown-flag", "bch-order-9", "bch-order-0",
-        "unknown-verb", "sweep-no-config"])
+        "unknown-verb", "sweep-no-config", "sweep-diffusion-speed",
+        "sweep-advection_tdep-viscosity"])
 def test_bad_input_is_one_stderr_line(tmp_path, capsys, verb, payload):
     if isinstance(payload, list):
         argv = [verb, *payload]
@@ -478,12 +486,13 @@ def test_help_exits_0(capsys):
 @pytest.mark.parametrize("verb, payload", [
     ("sweep", {**SWEEP_CONFIG, "family": {"kind": "diffusion", "dims": [8, 257]}}),
     ("verify", {"sweep_dims": [8, 257], "suites": ["sweep"]}),
+    ("sweep", {**SWEEP_CONFIG, "family": {"kind": "diffusion", "dims": OVER_LIMIT_DIMS}}),
     # the n = 8 member's FD window [t - h, t + h], h = fd_step(||A_8||_1 = 2.56),
     # starts before s
     ("sweep", {**SWEEP_CONFIG, "t": 0.5 * fd_step(2.56), "s": 0.0}),
     # the generator is defined from time 0 on
     ("sweep", {**SWEEP_CONFIG, "s": -1.0}),
-], ids=["sweep", "verify", "sweep-fd-window-before-s", "sweep-negative-s"])
+], ids=["sweep", "verify", "sweep-over-limit", "sweep-fd-window-before-s", "sweep-negative-s"])
 def test_grid_size_above_256_builds_no_member(tmp_path, monkeypatch, verb, payload):
     built = []
     stencil = unbounded.diffusion_matrix
@@ -491,3 +500,16 @@ def test_grid_size_above_256_builds_no_member(tmp_path, monkeypatch, verb, paylo
                         lambda n, viscosity: built.append(n) or stencil(n, viscosity))
     assert main([verb, "--config", write_json(tmp_path / "c.json", payload)]) == 2
     assert built == []
+
+
+def test_verify_refuses_over_limit_sweep_dims_before_any_suite(tmp_path, monkeypatch, capsys):
+    # refused at config load, where the grid sizes are ruled on, not after
+    # the five suites that run before the sweep
+    ran = []
+    monkeypatch.setattr(cli, "run_suites", lambda *args: ran.append(args) or [])
+    cfg = write_json(tmp_path / "c.json", {"sweep_dims": OVER_LIMIT_DIMS})
+    assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config field 'sweep_dims': dims' cubes sum to 2.384e+08")
+    assert err.count("\n") == 1
+    assert ran == []

@@ -189,6 +189,18 @@ def test_propagate_flags_non_finite():
         propagate(g, 1.0, 0.0, 1, "rk4")
 
 
+@pytest.mark.parametrize("stepper", ["rk4", "magnus4"])
+def test_stepped_propagate_flags_an_overflow(stepper):
+    # U grows like e^{800 t}: finite at t = 0.5, it overflows before t = 2,
+    # and the one check when the stepping ends sees it
+    a = 800.0 * np.eye(2)
+    for g in (GeneratorSpec(2, math.inf, lambda t: a),
+              GeneratorSpec.from_table([0.0, 2.0], [a, a])):
+        assert np.all(np.isfinite(propagate(g, 0.5, 0.0, 40, stepper)))
+        with pytest.raises(PropagationError, match=f"{stepper} propagation of 160 steps"):
+            propagate(g, 2.0, 0.0, 160, stepper)
+
+
 def test_march_segments_step_rule():
     # distinct knots in order; max(1, ceil(steps_per_unit * length)) steps each
     assert march_segments(0.125, [0.75, 0.25, 0.25, 0.5], 64) == [

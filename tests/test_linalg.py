@@ -109,6 +109,9 @@ def test_as_matrix_validation():
         as_matrix(np.ones((2, 3)))
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.nan, 0], [0, 1]]))
+    # 0 x 0 is refused here, not inside expm's polynomial or logm_iss
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        as_matrix(np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("entries", [

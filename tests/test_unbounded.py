@@ -9,15 +9,13 @@ import numpy as np
 import pytest
 
 from shiftlog import linalg, logrep, matfun, unbounded
-from shiftlog.errors import BudgetExceededError
 from shiftlog.campaigns import DEFAULT_SWEEP_DIMS, DEFAULT_TOLERANCES, _ramp_integral
 from shiftlog.evolution import GeneratorSpec, check_semigroup, march
 from shiftlog.linalg import norm_1
 from shiftlog.logrep import alt_generator, recovery_chain, select_kappa
 from shiftlog.matfun import expm, fd_probes, fd_step
 from shiftlog.unbounded import (
-    DEFAULT_SWEEP_BUDGET,
-    MEMBER_COST,
+    GRID_WORK_LIMIT,
     SWEEP_COLUMNS,
     SWEEP_STEPPER,
     _calibrated_steps,
@@ -27,7 +25,6 @@ from shiftlog.unbounded import (
     grid_potential,
     refinement_sweep,
     semigroup_residual,
-    sweep_cost,
     tdep_integral,
 )
 
@@ -162,12 +159,6 @@ def test_sweep_csv_shape():
     assert lines[1].startswith("8,")
 
 
-def test_sweep_budget_guard():
-    family = DiscretizedFamily("diffusion", (8, 16), viscosity=0.01)
-    with pytest.raises(BudgetExceededError):
-        refinement_sweep(family, t=0.1, s=0.0, budget=10.0)
-
-
 def test_sweep_refuses_a_march_that_cannot_hold_its_accuracy(monkeypatch):
     # k u above the campaign's tightest tolerance on U(t, s): viscosity 1e10
     # marches the n = 16 member in 2.0e12 steps (k u = 2.3e-4), and its
@@ -218,7 +209,7 @@ def test_benchmark_sweeps_probe_far_above_the_float_spacing(family):
         assert fd_probes(0.1, h) == [0.1 - h, 0.1 - h / 2, 0.1 + h / 2, 0.1 + h]
 
 
-def test_sweep_budget_accepts_diffusion_to_128():
+def test_grid_rule_accepts_diffusion_to_128():
     from shiftlog.campaigns import suite_sweep
     reports = suite_sweep(0, dims=(16, 32, 64, 128))
     assert len(reports) == 4 and all(r.passed for r in reports)
@@ -236,37 +227,52 @@ def _load_benchmark_workloads() -> dict:
 BENCHMARK_WORKLOADS = _load_benchmark_workloads()
 
 
-def _benchmark_family(workload: str) -> DiscretizedFamily:
-    """The family of the refinement sweep a benchmark workload runs: the
-    ``sweep`` verb's config, or the campaign's diffusion sweep under ``verify``."""
+def _benchmark_family(workload: str) -> tuple[str, tuple, dict]:
+    """Kind, grid sizes and stencil of the refinement sweep a benchmark
+    workload runs: the ``sweep`` verb's config, or the campaign's diffusion
+    sweep under ``verify``."""
     spec = BENCHMARK_WORKLOADS[workload]
     cfg = spec["config"]
     if spec["argv"][0] == "verify":
-        dims = cfg.get("sweep_dims", DEFAULT_SWEEP_DIMS)
-        return DiscretizedFamily("diffusion", tuple(dims), viscosity=0.01)
+        return "diffusion", tuple(cfg.get("sweep_dims", DEFAULT_SWEEP_DIMS)), {"viscosity": 0.01}
     fam = cfg["family"]
     stencil = {key: fam[key] for key in ("speed", "viscosity") if key in fam}
-    return DiscretizedFamily(fam["kind"], tuple(fam.get("dims", DEFAULT_SWEEP_DIMS)), **stencil)
+    return fam["kind"], tuple(fam.get("dims", DEFAULT_SWEEP_DIMS)), stencil
 
 
-@pytest.mark.parametrize("family", [
+@pytest.mark.parametrize("kind, dims, stencil", [
     *map(_benchmark_family, BENCHMARK_WORKLOADS),
     # Each n = 256 member's march is five powered segments; the diffusion sweep
     # took 0.23-0.29 s and the advection_tdep one 0.23-0.30 s on a 2-vCPU Xeon
     # VM with one BLAS thread, at t = 0.1, s = 0.
-    DiscretizedFamily("diffusion", (32, 64, 128, 256), viscosity=0.01),
-    DiscretizedFamily("advection_tdep", (32, 64, 128, 256)),
+    ("diffusion", (32, 64, 128, 256), {"viscosity": 0.01}),
+    ("advection_tdep", (32, 64, 128, 256), {}),
 ], ids=[*BENCHMARK_WORKLOADS, "diffusion-to-256", "advection_tdep-to-256"])
-def test_sweep_budget_admits(family):
-    assert sweep_cost(family) <= DEFAULT_SWEEP_BUDGET
+def test_sweep_budget_admits(kind, dims, stencil):
+    # The sweep's work budget is the grid rule.  The benchmark's families take
+    # at most 1.9% of it, the two n <= 256 ones 15%.
+    assert DiscretizedFamily(kind, dims, **stencil).dims == dims
+    assert sum(n ** 3 for n in dims) <= 0.16 * GRID_WORK_LIMIT
 
 
-def test_sweep_budget_rejects_advection_tdep_to_256():
-    # The sweep is priced at 7.67e8, 6.71e8 of it the n = 256 member (at
-    # MEMBER_COST = 65 it was 1.25e9 against a budget of 1e9).
-    family = DiscretizedFamily("advection_tdep", (32, 64, 128, 256))
-    with pytest.raises(BudgetExceededError):
-        refinement_sweep(family, t=0.1, s=0.0, budget=6e8)
+def test_grid_rule_is_the_sum_of_cubes(monkeypatch):
+    # cubes summing to GRID_WORK_LIMIT exactly are admitted, one more is not,
+    # whatever the kind; a refused family builds no member
+    built = []
+    for name in ("advection_matrix", "diffusion_matrix"):
+        stencil = getattr(unbounded, name)
+        monkeypatch.setattr(unbounded, name,
+                            lambda n, c, stencil=stencil: built.append(n) or stencil(n, c))
+    at_limit = (145, 230, 236, 246, 251, 253, 254, 255, 256)
+    one_over = (172, 213, 243, 245, 248, 253, 254, 255, 256)
+    assert sum(n ** 3 for n in at_limit) == GRID_WORK_LIMIT
+    assert sum(n ** 3 for n in one_over) == GRID_WORK_LIMIT + 1
+    for kind in ("advection", "diffusion", "advection_tdep"):
+        assert DiscretizedFamily(kind, at_limit).dims == at_limit
+        for dims in (one_over, tuple(range(150, 257, 4))):
+            with pytest.raises(ValueError, match="cubes sum to"):
+                refinement_sweep(DiscretizedFamily(kind, dims), t=0.1, s=0.0)
+    assert built == []
 
 
 def test_powered_march_matches_expm_at_n128():
@@ -316,25 +322,6 @@ def test_calibrated_tdep_semigroup_holds_off_the_step_grid():
         t = 0.5 if n <= 16 else 0.1
         steps = _calibrated_steps(family.norm(n, 0.0), t)
         assert check_semigroup(family.member(n), 0.0, 0.4 * t, t, steps, SWEEP_STEPPER) <= 1e-12
-
-
-# Measured on a 2-vCPU Xeon VM with one BLAS thread, in the budget's units of
-# 1.3 ns: one refinement_sweep member at t = 0.1, s = 0, per n^3 (the larger
-# median of 5 over two runs).
-MEASURED_MEMBER = {("diffusion", 64): 29.4, ("diffusion", 128): 16.2,
-                   ("diffusion", 256): 13.3, ("advection_tdep", 64): 25.5,
-                   ("advection_tdep", 128): 14.9, ("advection_tdep", 256): 12.7}
-
-
-def test_sweep_cost_is_member_cost_n3():
-    # the step count of a member's march does not enter its price
-    assert sweep_cost(DiscretizedFamily("advection", (64,))) == MEMBER_COST * 64 ** 3
-    assert sweep_cost(DiscretizedFamily("diffusion", (64, 256), viscosity=0.01)) == (
-        MEMBER_COST * 64 ** 3 + MEMBER_COST * 256 ** 3)
-    assert sweep_cost(DiscretizedFamily("advection_tdep", (16,), speed=1e5)) == (
-        MEMBER_COST * 16 ** 3)
-    # a guard: no member costs more than its price, none under a fifth of it
-    assert all(m <= MEMBER_COST <= 5.0 * m for m in MEASURED_MEMBER.values())
 
 
 def test_sweep_member_takes_six_logarithms(monkeypatch):
