@@ -100,18 +100,16 @@ def _loglog_slope(xs, ys) -> float:
 
 class Recorder:
     """Collects one suite's records, each graded against ``DEFAULT_TOLERANCES``
-    unless ``tolerances`` overrides its key, and timed since the previous one."""
+    and timed since the previous one."""
 
-    def __init__(self, suite: str, tolerances: dict | None = None):
+    def __init__(self, suite: str):
         self.suite = suite
-        self.overrides = tolerances or {}
         self.reports: list[VerificationReport] = []
         self._t0 = time.perf_counter()
 
     def add(self, case: str, anchor: str, residual: float) -> None:
         now = time.perf_counter()
-        key = f"{self.suite}.{case}"
-        tol = self.overrides.get(key, DEFAULT_TOLERANCES[key])
+        tol = DEFAULT_TOLERANCES[f"{self.suite}.{case}"]
         self.reports.append(VerificationReport(
             self.suite, case, anchor, float(residual), float(tol),
             runtime_ms=(now - self._t0) * 1000.0))
@@ -141,10 +139,9 @@ def grade_sweep(rec: Recorder, report: SweepReport) -> None:
             max(r.residual_shifted_bch for r in rows))
 
 
-def suite_matfun(seed: int, dims=DEFAULT_DIMS, count: int = 200,
-                 tolerances: dict | None = None) -> list[VerificationReport]:
+def suite_matfun(seed: int, dims=DEFAULT_DIMS, count: int = 200) -> list[VerificationReport]:
     """Logarithm round trips and cross-algorithm agreement on seeded matrices."""
-    rec = Recorder("matfun", tolerances)
+    rec = Recorder("matfun")
     rng = np.random.default_rng([seed, 1])
     per_dim = max(1, count // len(dims))
     worst_rt = worst_agree = 0.0
@@ -179,9 +176,9 @@ def suite_matfun(seed: int, dims=DEFAULT_DIMS, count: int = 200,
     return rec.reports
 
 
-def suite_evolution(seed: int, tolerances: dict | None = None) -> list[VerificationReport]:
+def suite_evolution(seed: int) -> list[VerificationReport]:
     """Propagator accuracy, order, semigroup property, growth bounds."""
-    rec = Recorder("evolution", tolerances)
+    rec = Recorder("evolution")
     rng = np.random.default_rng([seed, 2])
 
     a_const = rand_complex(rng, 4, 1.5)
@@ -265,9 +262,9 @@ def _recovery_case(g: GeneratorSpec, probes) -> float:
                for t in probes)
 
 
-def suite_logrep(seed: int, tolerances: dict | None = None) -> list[VerificationReport]:
+def suite_logrep(seed: int) -> list[VerificationReport]:
     """Defining relation, generator recovery, kappa admissibility, asymmetry."""
-    rec = Recorder("logrep", tolerances)
+    rec = Recorder("logrep")
     rng = np.random.default_rng([seed, 3])
 
     # U(t, 0) at t = 0.3, 0.6, 0.9 off one march, and U(0.9, 0.3).
@@ -304,9 +301,9 @@ def suite_logrep(seed: int, tolerances: dict | None = None) -> list[Verification
     return rec.reports
 
 
-def suite_bch(seed: int, tolerances: dict | None = None) -> list[VerificationReport]:
+def suite_bch(seed: int) -> list[VerificationReport]:
     """Product-series order law, conjugation series, shifted identity scaling."""
-    rec = Recorder("bch", tolerances)
+    rec = Recorder("bch")
     rng = np.random.default_rng([seed, 4])
 
     # Z_j is homogeneous of degree j, so one series per pair gives the
@@ -353,9 +350,9 @@ def suite_bch(seed: int, tolerances: dict | None = None) -> list[VerificationRep
     return rec.reports
 
 
-def suite_von_neumann(seed: int, tolerances: dict | None = None) -> list[VerificationReport]:
+def suite_von_neumann(seed: int) -> list[VerificationReport]:
     """Second-derivative-of-logarithm identities and the density-matrix demo."""
-    rec = Recorder("von_neumann", tolerances)
+    rec = Recorder("von_neumann")
     rng = np.random.default_rng([seed, 5])
 
     worst = 0.0
@@ -407,10 +404,9 @@ def suite_von_neumann(seed: int, tolerances: dict | None = None) -> list[Verific
     return rec.reports
 
 
-def suite_sweep(seed: int, dims=DEFAULT_SWEEP_DIMS,
-                tolerances: dict | None = None) -> list[VerificationReport]:
+def suite_sweep(seed: int, dims=DEFAULT_SWEEP_DIMS) -> list[VerificationReport]:
     """Refinement sweep: raw norms blow up, surrogate norms stay in a band."""
-    rec = Recorder("sweep", tolerances)
+    rec = Recorder("sweep")
     family = DiscretizedFamily("diffusion", tuple(dims), viscosity=0.01)
     grade_sweep(rec, refinement_sweep(family, *SWEEP_HORIZON))
     rec.add("semigroup_calibrated", "two-parameter-composition",
@@ -418,16 +414,16 @@ def suite_sweep(seed: int, dims=DEFAULT_SWEEP_DIMS,
     return rec.reports
 
 
-def run_suites(suites, seed: int, dims=DEFAULT_DIMS, sweep_dims=DEFAULT_SWEEP_DIMS,
-               tolerances: dict | None = None) -> list[VerificationReport]:
+def run_suites(suites, seed: int, dims=DEFAULT_DIMS,
+               sweep_dims=DEFAULT_SWEEP_DIMS) -> list[VerificationReport]:
     """Run the selected suites in canonical order with a shared seed."""
-    seed, tolerances = int(seed), tolerances or {}
+    seed = int(seed)
     runners = {
-        "matfun": lambda: suite_matfun(seed, tuple(dims), 200, tolerances),
-        "evolution": lambda: suite_evolution(seed, tolerances),
-        "logrep": lambda: suite_logrep(seed, tolerances),
-        "bch": lambda: suite_bch(seed, tolerances),
-        "von_neumann": lambda: suite_von_neumann(seed, tolerances),
-        "sweep": lambda: suite_sweep(seed, tuple(sweep_dims), tolerances),
+        "matfun": lambda: suite_matfun(seed, tuple(dims)),
+        "evolution": lambda: suite_evolution(seed),
+        "logrep": lambda: suite_logrep(seed),
+        "bch": lambda: suite_bch(seed),
+        "von_neumann": lambda: suite_von_neumann(seed),
+        "sweep": lambda: suite_sweep(seed, tuple(sweep_dims)),
     }
     return [r for name in SUITES if name in suites for r in runners[name]()]

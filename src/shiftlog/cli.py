@@ -10,9 +10,13 @@ Verbs:
   logarithm and the residual of its truncation at each order.
 
 ``verify``, ``vn-demo`` and ``sweep`` grade through :mod:`shiftlog.campaigns`
-and exit 0 exactly when every emitted check passes, else 1; bad input exits 2
-and I/O failure 3, with one line on stderr.  Identical config and seed give
-byte-identical report files (see :mod:`shiftlog.report`).
+and exit 0 exactly when every emitted check passes, else 1; a ``verify``
+config's ``tolerances`` regrade the records the suites return.  :func:`main`
+alone turns a refusal into an exit: bad input, refused by the CLI or by the
+library (``ValueError``, ``OverflowError``, ``ShiftlogError``), exits 2 with
+one ``config error:`` line on stderr, and an I/O failure exits 3 with one
+``io error:`` line.  Identical config and seed give byte-identical report
+files (see :mod:`shiftlog.report`).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -164,7 +168,9 @@ def cmd_verify(args) -> int:
         if args.seed < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         cfg.seed = args.seed
-    reports = run_suites(cfg.suites, cfg.seed, cfg.dims, cfg.sweep_dims, cfg.tolerances)
+    tols = cfg.tolerances  # validated by load_config; each regrades its own record
+    reports = [replace(r, tolerance=float(tols.get(f"{r.suite}.{r.case}", r.tolerance)))
+               for r in run_suites(cfg.suites, cfg.seed, cfg.dims, cfg.sweep_dims)]
     return _finish(reports, args.out or cfg.out_path, args.format or cfg.out_format,
                    {"seed": cfg.seed, "suites": list(cfg.suites)})
 
@@ -174,11 +180,8 @@ def cmd_vn_demo(args) -> int:
                   ("hamiltonian", "rho0", "hbar", "grid", "trajectory", "output"))
     if "hamiltonian" not in raw or "rho0" not in raw:
         raise ConfigError("vn-demo config needs 'hamiltonian' and 'rho0' matrices")
-    try:
-        h_op = matrix_from_json(raw["hamiltonian"])
-        rho0 = matrix_from_json(raw["rho0"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    h_op = matrix_from_json(raw["hamiltonian"])
+    rho0 = matrix_from_json(raw["rho0"])
     if norm_1(h_op - h_op.conj().T) > 1e-12 * max(norm_1(h_op), 1.0):
         raise ConfigError("hamiltonian must be Hermitian")
     if abs(complex(np.trace(rho0)) - 1.0) > 1e-9:
@@ -196,11 +199,8 @@ def cmd_vn_demo(args) -> int:
         raise _fail("trajectory", "must be a string")
     out_path, out_format = _output(raw, ("path", "format"))
 
+    demo = von_neumann_rhs(rho0, h_op, hbar, np.linspace(start, stop, points))
     rec = Recorder("von_neumann")
-    try:
-        demo = von_neumann_rhs(rho0, h_op, hbar, np.linspace(start, stop, points))
-    except (ValueError, OverflowError, ShiftlogError) as exc:
-        raise ConfigError(str(exc)) from exc
     grade_von_neumann_demo(rec, demo)
 
     n = rho0.shape[0]
@@ -224,10 +224,7 @@ def cmd_sweep(args) -> int:
         raise _fail("family.dims", "must be a list")
     stencil = {key: _number(fam, key, "family.") for key in ("speed", "viscosity")
                if key in fam}
-    try:
-        family = DiscretizedFamily(fam["kind"], tuple(dims), **stencil)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    family = DiscretizedFamily(fam["kind"], tuple(dims), **stencil)
     # diffusion reads only the viscosity, the advection kinds only the speed
     unread = "speed" if family.kind == "diffusion" else "viscosity"
     if unread in fam:
@@ -237,11 +234,8 @@ def cmd_sweep(args) -> int:
     path, _ = _output(raw, ("path",))  # the sweep table is always CSV
     csv_path = "sweep.csv" if path is None else path
 
+    report = refinement_sweep(family, t, s)
     rec = Recorder("sweep")
-    try:
-        report = refinement_sweep(family, t, s)
-    except (ValueError, OverflowError, ShiftlogError) as exc:
-        raise ConfigError(str(exc)) from exc
     grade_sweep(rec, report)
     _write_text(csv_path, report.to_csv())
     print(f"sweep table written to {csv_path}")
@@ -249,17 +243,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bch(args) -> int:
-    try:
-        x = matrix_from_json(_read_json(args.x))
-        y = matrix_from_json(_read_json(args.y))
-    except ValueError as exc:
-        raise ConfigError(f"malformed matrix file: {exc}") from exc
+    x = matrix_from_json(_read_json(args.x))
+    y = matrix_from_json(_read_json(args.y))
     if x.shape != y.shape:
         raise ConfigError(f"X and Y must have equal shapes, got {x.shape} and {y.shape}")
-    try:
-        exact = log_product(x, y)
-    except (OverflowError, ShiftlogError) as exc:
-        raise ConfigError(f"X, Y outside the domain of Log(expm(X) expm(Y)): {exc}") from exc
+    exact = log_product(x, y)
     np.set_printoptions(precision=12, suppress=False, linewidth=120)
     print("log(expm(X) expm(Y)) =")
     print(exact)
@@ -310,12 +298,12 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except OSError as exc:  # first: io.UnsupportedOperation is also a ValueError
         print(f"io error: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, OverflowError, ShiftlogError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

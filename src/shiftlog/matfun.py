@@ -124,6 +124,8 @@ def expm(a) -> np.ndarray:
     ------
     OverflowError
         If ``norm_1(a) > 1e4``; such inputs cannot be evaluated accurately.
+        Also if the squarings overflow, as for diag(800, 0); T_m(A) itself
+        cannot overflow at ||A||_1 <= theta_20.
     """
     A = as_matrix(a)
     scale = norm_1(A)
@@ -139,8 +141,12 @@ def expm(a) -> np.ndarray:
         squarings = math.ceil(math.log2(scale / theta))
         A = A * 2.0**-squarings
     x = _polynomial(A, _TAYLOR[:m + 1])
-    for _ in range(squarings):
-        x = x @ x
+    if squarings:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(squarings):
+                x = x @ x
+        if not np.isfinite(x).all():
+            raise OverflowError(f"expm overflows at norm_1 = {scale:.3e}")
     return x
 
 

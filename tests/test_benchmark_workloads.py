@@ -7,7 +7,7 @@ columns, grid sizes and exit code of a ``sweep`` table.  A renamed check, a
 change to the tolerance table, to ``SweepRow``, ``SWEEP_COLUMNS`` or to the
 grid rule of ``DiscretizedFamily`` fails the benchmark's passes, so one
 pass of each workload (seed 0 for the campaign) runs here, through the
-worker itself.
+worker itself, and so does the benchmark's self-test.
 """
 
 import json
@@ -33,3 +33,13 @@ def test_sweep_workload_passes_the_benchmark_grading(workload, tmp_path):
     (one,) = result["passes"]
     assert one["rc"] == 0 and one["error"] is None, one
     assert one["attempted"] > 0 and one["failed"] == 0, one
+
+
+def test_benchmark_selftest_passes():
+    # Its "tightened tolerance fails" gate runs through ``main``'s exit code and
+    # a config's tolerance override.  It writes only under ``.perfbench_out``.
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4 and all(line.startswith("ok ") for line in lines), lines

@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftlog import cli, unbounded
+from shiftlog import campaigns, cli, unbounded
 from shiftlog.campaigns import DEFAULT_SWEEP_DIMS, DEFAULT_TOLERANCES
 from shiftlog.cli import load_config, main
-from shiftlog.errors import ConfigError
+from shiftlog.errors import ConfigError, SingularMatrixError
 from shiftlog.matfun import fd_step
 
 
@@ -97,12 +97,21 @@ def test_verify_exit_zero_and_report(tmp_path, capsys):
 
 def test_verify_nonzero_exit_on_failure(tmp_path):
     # an impossible tolerance forces a failing report and exit code 1
-    cfg = write_json(tmp_path / "c.json", {
-        "seed": 42,
-        "suites": ["logrep"],
-        "tolerances": {"logrep.reexponentiation": 1e-30},
-    })
-    assert main(["verify", "--config", cfg]) == 1
+    def records(tolerances):
+        out = tmp_path / "r.json"
+        cfg = write_json(tmp_path / "c.json", {
+            "seed": 42, "suites": ["logrep"], "tolerances": tolerances,
+            "output": {"path": str(out)}})
+        rc = main(["verify", "--config", cfg])
+        return rc, {r.pop("case"): r for r in json.loads(out.read_text())["reports"]}
+
+    rc, tightened = records({"logrep.reexponentiation": 1e-30})
+    assert rc == 1
+    _, shipped = records({})
+    # the override moves its own record's tolerance and verdict, no other record
+    moved = tightened.pop("reexponentiation")
+    assert moved == {**shipped.pop("reexponentiation"), "tolerance": 1e-30, "pass": False}
+    assert tightened == shipped
 
 
 def test_verify_deterministic_bytes(tmp_path):
@@ -431,6 +440,10 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
     ("bch", ([[[True, False], [0, 0]], [[0, 0], [1, 0]]], np.zeros((2, 2)))),
     ("vn-demo", {**VN_CONFIG, "hamiltonian": [[[1, 0, 7], [0, 0]], [[0, 0], [-1, 0]]]}),
     ("vn-demo", {**VN_CONFIG, "hamiltonian": [[[True, False], [0, 0]], [[0, 0], [-1, 0]]]}),
+    # e^800 overflows in expm's squarings; column sums of 1e308 entries overflow
+    ("bch", (np.diag([800.0, 0.0]), np.zeros((2, 2)))),
+    ("bch", (np.full((2, 2), 1e308), np.full((2, 2), 1e308))),
+    ("vn-demo", {**VN_CONFIG, "hamiltonian": matrix_to_json(np.full((2, 2), 1e308))}),
     # command lines argparse rejects
     ("verify", ["--format", "xml"]),
     ("verify", ["--seed", "abc"]),
@@ -457,7 +470,8 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
         "sweep-viscosity-1e16", "sweep-viscosity-1e17", "sweep-viscosity-1e10",
         "sweep-viscosity-1e14", "sweep-speed-1e14", "sweep-speed-1e16",
         "sweep-probes-round-together", "bch-entry-triple",
-        "bch-entry-bool", "vn-entry-triple", "vn-entry-bool",
+        "bch-entry-bool", "vn-entry-triple", "vn-entry-bool", "bch-expm-overflow",
+        "bch-column-sum-overflow", "vn-column-sum-overflow",
         "verify-format-flag-xml", "verify-seed-flag-str",
         "verify-suite-flag-unknown", "verify-unknown-flag", "bch-order-9", "bch-order-0",
         "unknown-verb", "sweep-no-config", "sweep-diffusion-speed",
@@ -513,3 +527,14 @@ def test_verify_refuses_over_limit_sweep_dims_before_any_suite(tmp_path, monkeyp
     assert err.startswith("config error: config field 'sweep_dims': dims' cubes sum to 2.384e+08")
     assert err.count("\n") == 1
     assert ran == []
+
+
+def test_verify_turns_a_library_refusal_into_one_stderr_line(monkeypatch, capsys):
+    # a suite's refusal takes the same one-line exit as every other verb's
+    def refuse(seed):
+        raise SingularMatrixError("reciprocal condition 0.000e+00 below threshold 1e-14")
+
+    monkeypatch.setattr(campaigns, "suite_bch", refuse)
+    assert main(["verify", "--suite", "bch"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: reciprocal condition 0.000e+00 below threshold 1e-14\n")

@@ -61,6 +61,13 @@ def test_expm_rejects_huge_norm():
         expm(2e4 * np.eye(2))
 
 
+def test_expm_refuses_an_overflowing_squaring():
+    # ||A||_1 = 800 passes the norm guard, but e^800 > 1.8e308: the squarings
+    # overflow, and the refusal comes without a RuntimeWarning
+    with pytest.raises(OverflowError, match="expm overflows"):
+        expm(np.diag([800.0, 0.0]))
+
+
 def test_expm_accuracy_large_scaling():
     # ||A||_1 = 8, three squarings of T_20: still accurate against the
     # diagonal closed form.
