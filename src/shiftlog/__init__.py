@@ -9,11 +9,8 @@ blow up under mesh refinement.
 
 from .errors import (
     BranchCutError,
-    ConfigError,
     ContourError,
-    ConvergenceRadiusError,
     NoConvergenceError,
-    PropagationError,
     ShiftlogError,
     SingularMatrixError,
 )

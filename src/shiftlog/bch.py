@@ -24,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceRadiusError
 from .linalg import as_matrix, eye, norm_1, solve
 from .matfun import expm, fd_derivative, fd_step, logm_iss
 
@@ -154,7 +153,7 @@ def kappa_shifted_bch(a1, a2, kappa) -> float:
     exponential sees ||Z_1 + Z_2||_1, not the shift ln(kappa+1).  The
     residual shrinks cubically under a -> eps*a.  Precondition (series
     convergence radius): the order-2 product expansion divided by kappa+1
-    must have 1-norm below one.
+    must have 1-norm below one, else ``ValueError``.
     """
     A1 = as_matrix(a1)
     A2 = as_matrix(a2)
@@ -164,7 +163,7 @@ def kappa_shifted_bch(a1, a2, kappa) -> float:
     comm = A1 @ A2 - A2 @ A1
     series_arg = sigma + 0.5 * (sigma @ sigma + comm)
     if norm_1(series_arg) / abs(kappa + 1.0) >= 1.0:
-        raise ConvergenceRadiusError(
+        raise ValueError(
             "||(kappa+1)^-1 (a1 + a2 + quadratic terms)|| >= 1; "
             "increase |kappa| or shrink the operands"
         )

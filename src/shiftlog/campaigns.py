@@ -27,7 +27,7 @@ from .linalg import eye, norm_1, solve
 from .matfun import expm, fd_derivative, fd_step, logm_contour, logm_iss
 from .report import VerificationReport
 from .sampling import noncommuting_pair, rand_complex, rand_log_admissible
-from .unbounded import (NORM_GROWTH_ORDER, DiscretizedFamily, SweepReport,
+from .unbounded import (MARCH_ROUNDING_LIMIT, NORM_GROWTH_ORDER, DiscretizedFamily, SweepReport,
                         refinement_sweep, semigroup_residual, tdep_integral, tdep_modulation)
 
 SUITES = ("matfun", "evolution", "logrep", "bch", "von_neumann", "sweep")
@@ -82,7 +82,7 @@ DEFAULT_TOLERANCES = {
     "sweep.norm_growth_slope": 0.0,
     "sweep.surrogate_band_ratio": 4.0,
     "sweep.shifted_identity_band": 1e-2,
-    "sweep.semigroup_calibrated": 1e-6,
+    "sweep.semigroup_calibrated": MARCH_ROUNDING_LIMIT,
 }
 
 

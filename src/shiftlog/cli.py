@@ -14,9 +14,9 @@ and exit 0 exactly when every emitted check passes, else 1; a ``verify``
 config's ``tolerances`` regrade the records the suites return.  :func:`main`
 alone turns a refusal into an exit: bad input, refused by the CLI or by the
 library (``ValueError``, ``OverflowError``, ``ShiftlogError``), exits 2 with
-one ``config error:`` line on stderr, and an I/O failure exits 3 with one
-``io error:`` line.  Identical config and seed give byte-identical report
-files (see :mod:`shiftlog.report`).
+one ``config error:`` line on stderr, and an I/O failure (``OSError``: a file
+it cannot read or write) exits 3 with one ``io error:`` line.  Identical
+config and seed give byte-identical report files (see :mod:`shiftlog.report`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .bch import bch_truncated, log_product, von_neumann_rhs
 from .campaigns import (DEFAULT_DIMS, DEFAULT_SWEEP_DIMS, DEFAULT_TOLERANCES, SUITES,
                         SWEEP_HORIZON, VON_NEUMANN_GRID, Recorder, grade_sweep,
                         grade_von_neumann_demo, run_suites)
-from .errors import ConfigError, ShiftlogError
+from .errors import ShiftlogError
 from .linalg import matrix_from_json, norm_1
 from .report import all_passed, render_csv, render_json, render_table, summary_lines
 from .unbounded import DiscretizedFamily, refinement_sweep
@@ -52,28 +52,29 @@ class CampaignConfig:
     out_format: str = "json"
 
 
-def _fail(field_name: str, message: str) -> ConfigError:
-    return ConfigError(f"config field {field_name!r}: {message}")
+def _fail(field_name: str, message: str) -> ValueError:
+    return ValueError(f"config field {field_name!r}: {message}")
 
 
 def _read_json(path: str):
-    """Parse one JSON file; an unreadable or malformed file is a config error."""
+    """Parse one JSON file; malformed JSON or non-UTF-8 text is a ValueError
+    that names the path (an unreadable file's OSError names it already)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path!r} line {exc.lineno}: {exc.msg}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {path!r}: {exc}") from exc
+        raise ValueError(f"{path!r} line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path!r} is not UTF-8: {exc}") from exc
 
 
 def _object(raw, where: str, keys: tuple[str, ...]) -> dict:
     """``raw`` as a JSON object whose keys all come from ``keys``."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be a JSON object")
+        raise ValueError(f"{where} must be a JSON object")
     unknown = sorted(set(raw) - set(keys))
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {unknown}; valid: {list(keys)}")
+        raise ValueError(f"{where}: unknown key(s) {unknown}; valid: {list(keys)}")
     return raw
 
 
@@ -166,7 +167,7 @@ def cmd_verify(args) -> int:
         cfg.suites = tuple(args.suite)
     if args.seed is not None:
         if args.seed < 0:
-            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         cfg.seed = args.seed
     tols = cfg.tolerances  # validated by load_config; each regrades its own record
     reports = [replace(r, tolerance=float(tols.get(f"{r.suite}.{r.case}", r.tolerance)))
@@ -179,13 +180,13 @@ def cmd_vn_demo(args) -> int:
     raw = _object(_read_json(args.config), "config",
                   ("hamiltonian", "rho0", "hbar", "grid", "trajectory", "output"))
     if "hamiltonian" not in raw or "rho0" not in raw:
-        raise ConfigError("vn-demo config needs 'hamiltonian' and 'rho0' matrices")
+        raise ValueError("vn-demo config needs 'hamiltonian' and 'rho0' matrices")
     h_op = matrix_from_json(raw["hamiltonian"])
     rho0 = matrix_from_json(raw["rho0"])
     if norm_1(h_op - h_op.conj().T) > 1e-12 * max(norm_1(h_op), 1.0):
-        raise ConfigError("hamiltonian must be Hermitian")
+        raise ValueError("hamiltonian must be Hermitian")
     if abs(complex(np.trace(rho0)) - 1.0) > 1e-9:
-        raise ConfigError("trace(rho0) must equal 1 within 1e-9")
+        raise ValueError("trace(rho0) must equal 1 within 1e-9")
     hbar = _number(raw, "hbar", default=1.0)
     grid_keys = ("start", "stop", "points")
     grid = raw.get("grid", dict(zip(grid_keys, VON_NEUMANN_GRID)))
@@ -217,7 +218,7 @@ def cmd_sweep(args) -> int:
     raw = _object(_read_json(args.config), "config", ("family", "t", "s", "output"))
     fam = raw.get("family")
     if not isinstance(fam, dict) or "kind" not in fam:
-        raise ConfigError("sweep config needs a 'family' object with a 'kind'")
+        raise ValueError("sweep config needs a 'family' object with a 'kind'")
     _object(fam, "config field 'family'", ("kind", "dims", "speed", "viscosity"))
     dims = fam.get("dims", list(DEFAULT_SWEEP_DIMS))
     if not isinstance(dims, list):
@@ -246,7 +247,7 @@ def cmd_bch(args) -> int:
     x = matrix_from_json(_read_json(args.x))
     y = matrix_from_json(_read_json(args.y))
     if x.shape != y.shape:
-        raise ConfigError(f"X and Y must have equal shapes, got {x.shape} and {y.shape}")
+        raise ValueError(f"X and Y must have equal shapes, got {x.shape} and {y.shape}")
     exact = log_product(x, y)
     np.set_printoptions(precision=12, suppress=False, linewidth=120)
     print("log(expm(X) expm(Y)) =")
@@ -260,7 +261,7 @@ class _Parser(argparse.ArgumentParser):
     """A command line argparse rejects takes the one ``config error:`` exit."""
 
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""The package's own exception types, each caught by name somewhere.  Other
+refusals are builtins: ``ValueError`` for bad input, ``OverflowError`` for a
+non-finite result; ``cli.main`` maps both and :class:`ShiftlogError` alike."""
 
 import numpy as np
 
@@ -13,7 +15,7 @@ class SingularMatrixError(ShiftlogError, np.linalg.LinAlgError):
 
 
 class NoConvergenceError(ShiftlogError):
-    """An iteration or quadrature exhausted its budget before converging."""
+    """An iteration, quadrature or sampler ran out of budget before converging."""
 
 
 class BranchCutError(ShiftlogError):
@@ -22,15 +24,3 @@ class BranchCutError(ShiftlogError):
 
 class ContourError(ShiftlogError):
     """A quadrature contour fails to enclose the spectrum or crosses the cut."""
-
-
-class PropagationError(ShiftlogError):
-    """An ODE propagation step produced non-finite entries."""
-
-
-class ConvergenceRadiusError(ShiftlogError):
-    """An input violates the series convergence-radius condition of an identity."""
-
-
-class ConfigError(ShiftlogError):
-    """A campaign configuration file is malformed or inconsistent."""

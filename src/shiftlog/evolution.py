@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import PropagationError
 from .linalg import as_matrix, norm_1
 from .matfun import expm
 
@@ -108,7 +107,7 @@ def _identity(g: GeneratorSpec) -> np.ndarray:
 
 def _check_finite(u: np.ndarray, where: str) -> np.ndarray:
     if not np.all(np.isfinite(u)):
-        raise PropagationError(f"non-finite entries during {where}")
+        raise OverflowError(f"non-finite entries during {where}")
     return u
 
 
@@ -163,7 +162,7 @@ def propagate(g: GeneratorSpec, t: float, s: float, steps: int,
     u = identity = _identity(g)
     if t > s:
         h = (t - s) / steps
-        # overflow surfaces as PropagationError, not as numpy warnings
+        # overflow surfaces as OverflowError, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             nodes = NODES[stepper]
             if g.matrix is not None and (g.integral is None or stepper != "rk4"):

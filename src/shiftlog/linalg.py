@@ -117,6 +117,10 @@ def off_branch_cut(a) -> bool:
     is a point.  Both bounds are computed and compared in floating point
     without rounding slack, so a matrix whose enclosure ends within rounding
     of the cut can be misjudged.
+
+    Each of the four enclosures admits matrices no other one does (Jordan
+    blocks and the Heisenberg pair's exponentials need the Gelfand bound), so
+    each stays; the column discs, tried first, decide every campaign call.
     """
     M = as_matrix(a)
     for axis in ("col", "row"):
@@ -152,7 +156,9 @@ def matrix_from_json(obj) -> np.ndarray:
     if any(isinstance(v, bool) for row in obj for entry in row for v in entry):
         raise ValueError("malformed matrix JSON: a boolean is not a number")
     m = as_matrix(np.array(rows, dtype=np.complex128))
-    with np.errstate(over="ignore"):  # so that norm_1 of it stays finite
-        if not np.isfinite(np.abs(m).sum(axis=0)).all():
-            raise ValueError("malformed matrix JSON: a column's absolute sum overflows")
+    # ||AB - BA||_1 <= 2 ||A||_1 ||B||_1 <= 2^1021 for two matrices of 1-norm
+    # <= 2^510, so commutators, Hermitian tests and 2 P_2 - P_1^2 stay finite
+    with np.errstate(over="ignore"):  # an overflowing norm reads inf
+        if not norm_1(m) <= 2.0 ** 510:
+            raise ValueError("malformed matrix JSON: its 1-norm exceeds 2^510")
     return m

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ContourError, NoConvergenceError
 from .linalg import norm_1
-from .matfun import ContourError, contour_for, expm
+from .matfun import contour_for, expm
 
 
 def rand_complex(rng: np.random.Generator, n: int, norm: float = 1.0) -> np.ndarray:
@@ -32,7 +33,7 @@ def rand_log_admissible(rng: np.random.Generator, n: int) -> tuple[np.ndarray, n
         except ContourError:
             continue
         return a, m
-    raise RuntimeError("failed to sample an admissible matrix")
+    raise NoConvergenceError("failed to sample an admissible matrix in 200 draws")
 
 
 def noncommuting_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:

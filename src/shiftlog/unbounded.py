@@ -179,7 +179,7 @@ def _calibrated_steps(norm_a: float, interval: float) -> int:
 
 # A powered march of k steps rounds like k u, u = 2^-53; the sweep refuses a
 # member whose k u exceeds the tightest tolerance the campaign puts on U(t, s),
-# sweep.semigroup_calibrated's 1e-6 (so k <= 9.0e9 steps).
+# sweep.semigroup_calibrated's, which reads this one (so k <= 9.0e9 steps).
 MARCH_ROUNDING_LIMIT = 1e-6
 
 
@@ -208,7 +208,7 @@ def refinement_sweep(family: DiscretizedFamily, t: float, s: float) -> SweepRepo
     its step; the family's grid sizes already bound its work
     (:class:`DiscretizedFamily`).  A built member raises ``ValueError`` when
     a centred surrogate rounds to 0 (kappa about 1e16 and up), and its march
-    :class:`errors.PropagationError` when U(t, s) is not finite.
+    ``OverflowError`` when U(t, s) is not finite.
     """
     if not 0.0 <= s < t < math.inf:
         raise ValueError(f"need finite 0 <= s < t, got s={s}, t={t}")

@@ -10,7 +10,7 @@ import pytest
 
 import shiftlog
 
-from shiftlog import bch, campaigns, evolution, logrep, matfun
+from shiftlog import bch, campaigns, cli, evolution, logrep, matfun
 from shiftlog.campaigns import Recorder, _window_excess, grade_sweep
 from shiftlog.evolution import GeneratorSpec
 from shiftlog.linalg import norm_1
@@ -369,3 +369,25 @@ def test_every_exported_name_is_read_by_the_package():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert sorted(exported - read) == []
+
+
+def test_every_error_type_is_caught_and_every_raise_is_one_main_maps():
+    # The package's own exception types earn their place by a caller that
+    # catches them by name; every other refusal is a builtin that cli.main
+    # maps to an exit.  TypeError is the report serializer's internal misuse.
+    # A bare raise re-raises what its handler caught.
+    pkg = Path(shiftlog.__file__).parent
+    own = {node.name for node in ast.parse((pkg / "errors.py").read_text()).body
+           if isinstance(node, ast.ClassDef)}
+    caught, raised = set(), set()
+    for path in pkg.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught |= {ast.unparse(t).split(".")[-1] for t in types}
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add({"_fail": "ValueError"}.get(ast.unparse(exc), ast.unparse(exc)))
+    assert sorted(own - {"ShiftlogError"} - caught) == []
+    assert sorted(raised - own - {"ValueError", "OverflowError", "TypeError"}) == []
+    assert type(cli._fail("field", "message")) is ValueError  # read as one above

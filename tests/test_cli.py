@@ -14,7 +14,7 @@ import pytest
 from shiftlog import campaigns, cli, unbounded
 from shiftlog.campaigns import DEFAULT_SWEEP_DIMS, DEFAULT_TOLERANCES
 from shiftlog.cli import load_config, main
-from shiftlog.errors import ConfigError, SingularMatrixError
+from shiftlog.errors import SingularMatrixError
 from shiftlog.matfun import fd_step
 
 
@@ -63,7 +63,7 @@ def test_load_config_defaults_and_overrides(tmp_path):
 ])
 def test_load_config_rejects(tmp_path, payload, fragment):
     path = write_json(tmp_path / "bad.json", payload)
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ValueError) as err:
         load_config(path)
     assert fragment.split(".")[0] in str(err.value)
 
@@ -76,9 +76,17 @@ def test_load_config_accepts_zero_tolerance(tmp_path):
 def test_config_parse_error_includes_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{\n  bad\n}")
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ValueError) as err:
         load_config(str(path))
     assert "line" in str(err.value)
+
+
+def test_config_not_utf8_names_the_path(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"seed": "\u00e9"}'.encode("latin-1"))
+    assert main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {str(path)!r} is not UTF-8") and err.count("\n") == 1
 
 
 def test_verify_exit_zero_and_report(tmp_path, capsys):
@@ -398,9 +406,9 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
     ("verify", {"tolerances": {"bch.order_law_k1": -1.0}}),
     ("vn-demo", {**VN_CONFIG, "grid": {"start": -1, "stop": 0, "points": 3}}),
     ("vn-demo", {**VN_CONFIG, "grid": {"start": 0.05, "stop": 1.0, "points": 10**15}}),
-    # H = [[a, 1], [1, -a]] at t = 0: H^2 overflows in the product logarithm's
-    # series, so demo_residual would read nan (as it would through the jets'
-    # 1 / sigma^2, sigma = 0.25 / ||H||_1, which were refused on that count)
+    # H = [[a, 1], [1, -a]] at t = 0 with ||H||_1 above 2^510, refused where
+    # the matrix is decoded (H^2 used to overflow in the product logarithm's
+    # series, where demo_residual would read nan)
     ("vn-demo", {**VN_CONFIG, "grid": {"start": 0.0, "stop": 0.0, "points": 1},
                  "hamiltonian": matrix_to_json(np.array([[1e160, 1.0], [1.0, -1e160]]))}),
     ("vn-demo", {**VN_CONFIG, "grid": {"start": 0.0, "stop": 0.0, "points": 1},
@@ -440,10 +448,27 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
     ("bch", ([[[True, False], [0, 0]], [[0, 0], [1, 0]]], np.zeros((2, 2)))),
     ("vn-demo", {**VN_CONFIG, "hamiltonian": [[[1, 0, 7], [0, 0]], [[0, 0], [-1, 0]]]}),
     ("vn-demo", {**VN_CONFIG, "hamiltonian": [[[True, False], [0, 0]], [[0, 0], [-1, 0]]]}),
-    # e^800 overflows in expm's squarings; column sums of 1e308 entries overflow
+    # e^800 overflows in expm's squarings; matrices of 1e308 entries have a
+    # 1-norm above 2^510 and are refused where they are decoded
     ("bch", (np.diag([800.0, 0.0]), np.zeros((2, 2)))),
     ("bch", (np.full((2, 2), 1e308), np.full((2, 2), 1e308))),
     ("vn-demo", {**VN_CONFIG, "hamiltonian": matrix_to_json(np.full((2, 2), 1e308))}),
+    # 1-norms above 2^510 whose column sums are finite: the Hermitian test's
+    # H - H* and the commuting test's [rho0, H] overflowed, with a numpy
+    # warning before the one line
+    ("vn-demo", {**VN_CONFIG, "hamiltonian": matrix_to_json(np.diag([1.0, 1.0 + 1.7e308j]))}),
+    ("vn-demo", {"hamiltonian": matrix_to_json(np.diag([1.0, -1.0])),
+                 "rho0": matrix_to_json(np.array([[0.5, 1.7e308], [-1.7e308, 0.5]]))}),
+    # files that are not a JSON object, or not UTF-8 (raw bytes)
+    ("verify", b"[1, 2]"),
+    ("vn-demo", b"[]"),
+    ("sweep", b"[]"),
+    ("verify", b"{\"seed\": \xff}"),
+    # required parts missing or of the wrong kind
+    ("verify", {"tolerances": [1e-3]}),
+    ("vn-demo", {"rho0": VN_CONFIG["rho0"]}),
+    ("vn-demo", {"hamiltonian": VN_CONFIG["hamiltonian"]}),
+    ("sweep", {"t": 0.1}),
     # command lines argparse rejects
     ("verify", ["--format", "xml"]),
     ("verify", ["--seed", "abc"]),
@@ -471,7 +496,10 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
         "sweep-viscosity-1e14", "sweep-speed-1e14", "sweep-speed-1e16",
         "sweep-probes-round-together", "bch-entry-triple",
         "bch-entry-bool", "vn-entry-triple", "vn-entry-bool", "bch-expm-overflow",
-        "bch-column-sum-overflow", "vn-column-sum-overflow",
+        "bch-column-sum-overflow", "vn-column-sum-overflow", "vn-hermitian-test-overflow",
+        "vn-commuting-test-overflow", "verify-config-list", "vn-config-list",
+        "sweep-config-list", "verify-config-not-utf8", "verify-tolerances-list",
+        "vn-no-hamiltonian", "vn-no-rho0", "sweep-no-family",
         "verify-format-flag-xml", "verify-seed-flag-str",
         "verify-suite-flag-unknown", "verify-unknown-flag", "bch-order-9", "bch-order-0",
         "unknown-verb", "sweep-no-config", "sweep-diffusion-speed",
@@ -479,6 +507,9 @@ def test_vn_demo_verdict_reads_tolerance_table(tmp_path, monkeypatch, capsys):
 def test_bad_input_is_one_stderr_line(tmp_path, capsys, verb, payload):
     if isinstance(payload, list):
         argv = [verb, *payload]
+    elif isinstance(payload, bytes):  # the config file's raw contents
+        (tmp_path / "c.json").write_bytes(payload)
+        argv = [verb, "--config", str(tmp_path / "c.json")]
     elif verb == "bch":  # each operand is raw JSON or a matrix to encode
         argv = ["bch", *(write_json(tmp_path / f"{k}.json",
                                     m if isinstance(m, list) else matrix_to_json(m))
@@ -489,6 +520,35 @@ def test_bad_input_is_one_stderr_line(tmp_path, capsys, verb, payload):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--config", "missing.json"],
+    ["vn-demo", "--config", "missing.json"],
+    ["sweep", "--config", "missing.json"],
+    ["bch", "x.json", "missing.json"],
+], ids=["verify", "vn-demo", "sweep", "bch"])
+def test_unreadable_file_is_one_io_error_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "x.json", matrix_to_json(np.eye(2)))
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "io error: [Errno 2] No such file or directory: 'missing.json'\n")
+
+
+def test_vn_demo_at_the_matrix_norm_bound_warns_nothing(tmp_path, capsys):
+    # ||H||_1 and ||rho0||_1 at 2^509, within the 2^510 a decoded matrix may
+    # have: the Hermitian and commuting tests and 2 Z_2 stay finite, so no
+    # numpy warning (an error under this suite's filter) is raised
+    a = 2.0 ** 509
+    cfg = write_json(tmp_path / "vn.json", {
+        "hamiltonian": matrix_to_json(np.array([[a, 1.0], [1.0, -a]])),
+        "rho0": matrix_to_json(np.array([[0.5, a], [a, 0.5]])),
+        "grid": {"start": 0.0, "stop": 0.0, "points": 1},
+        "trajectory": str(tmp_path / "traj.csv"),
+    })
+    assert main(["vn-demo", "--config", cfg]) == 0
+    assert capsys.readouterr().out.endswith("2/2 checks passed\n")
 
 
 def test_help_exits_0(capsys):

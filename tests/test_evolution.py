@@ -8,7 +8,6 @@ import scipy.integrate
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shiftlog.errors import PropagationError
 from shiftlog.evolution import (
     GeneratorSpec,
     check_growth_bound,
@@ -185,7 +184,7 @@ def test_rk4_samples_the_midpoint_once_per_step():
 
 def test_propagate_flags_non_finite():
     g = GeneratorSpec.constant(1e200 * np.eye(2))
-    with pytest.raises(PropagationError):
+    with pytest.raises(OverflowError):
         propagate(g, 1.0, 0.0, 1, "rk4")
 
 
@@ -197,7 +196,7 @@ def test_stepped_propagate_flags_an_overflow(stepper):
     for g in (GeneratorSpec(2, math.inf, lambda t: a),
               GeneratorSpec.from_table([0.0, 2.0], [a, a])):
         assert np.all(np.isfinite(propagate(g, 0.5, 0.0, 40, stepper)))
-        with pytest.raises(PropagationError, match=f"{stepper} propagation of 160 steps"):
+        with pytest.raises(OverflowError, match=f"{stepper} propagation of 160 steps"):
             propagate(g, 2.0, 0.0, 160, stepper)
 
 
@@ -232,7 +231,7 @@ def test_march_composes_its_segment_propagations(stepper):
 def test_march_flags_a_composition_that_overflows():
     # each segment's U is finite (about 1e87); their product after four is not
     g = GeneratorSpec.constant(600.0 * np.eye(2))
-    with pytest.raises(PropagationError, match="march to 2.0"):
+    with pytest.raises(OverflowError, match="march to 2.0"):
         march(g, 0.0, [0.5, 1.0, 1.5, 2.0], 64, "rk4")
 
 

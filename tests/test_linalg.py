@@ -19,7 +19,7 @@ from shiftlog.linalg import (
     ray_gap,
     solve,
 )
-from shiftlog.matfun import contour_for
+from shiftlog.matfun import contour_for, expm, logm_iss
 
 
 def rand_c(rng, n, scale=1.0):
@@ -255,6 +255,15 @@ def test_off_branch_cut_decisions():
     assert off_branch_cut(np.array([[3.0, 5.0], [0.0, 3.0]]))
     assert not off_branch_cut(np.diag([-1.0, 2.0]))
     assert not off_branch_cut(np.zeros((2, 2)))
+    # One matrix per enclosure that no other enclosure admits, so dropping any
+    # enclosure refuses one of them.  Each round-trips through logm_iss.
+    for m in ([[7, 4, 0], [3, 7, 0], [1, 1, 1]],   # column discs only
+              [[7, 0, 5], [-2, 3, 0], [3, -3, 7]],  # row discs only
+              [[2.5, 1], [-4.5, -1.5]],             # Gelfand bound about 1 only
+              [[3.5, -1.5], [1.5, 0]]):              # about the mean diagonal only
+        m = np.array(m, dtype=float)
+        assert off_branch_cut(m)
+        assert norm_1(expm(logm_iss(m)) - m) <= 1e-14 * norm_1(m)
 
 
 def test_matrix_json_round_trip():
@@ -269,3 +278,12 @@ def test_matrix_json_malformed():
     for obj in ([[1.0, 2.0]], [[[1, 0, 7]]], [[[True, False]]], [[[1.0, "0"]]], [[[1.0]]], 5):
         with pytest.raises(ValueError):
             matrix_from_json(obj)
+
+
+def test_matrix_json_norm_bound():
+    # a 1-norm up to 2^510 is decoded; above it, or overflowing, it is refused
+    edge = [[[2.0 ** 509, 0.0], [0.0, 0.0]], [[2.0 ** 509, 0.0], [1.0, 0.0]]]
+    assert norm_1(matrix_from_json(edge)) == 2.0 ** 510
+    for big in (2.0 ** 510, 1.7e308):
+        with pytest.raises(ValueError, match="exceeds 2\\^510"):
+            matrix_from_json([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [big, big]]])
